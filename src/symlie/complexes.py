@@ -135,10 +135,11 @@ def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM)
     for j in range(composite.cols):
         ca, cb = composite.column(j), ad_half.column(j)
         if ca != cb:
-            keys = list(basis_cochains(A.dim, n))
-            (mset, k), f = keys[j]
+            (mset, k), _ = list(basis_cochains(A.dim, n))[j]
+            # the coefficient vector of that basis cochain: e_j
+            e_j = tuple(Fraction(int(i == j)) for i in range(composite.cols))
             wit = Witness(
-                inputs=(tuple(Fraction(x) for x in ca),),
+                inputs=(e_j,),
                 left=ca, right=cb,
                 note=f"columns of d∘d vs (1/2)ad on basis cochain ({list(mset)}, k={k})")
             return DSquaredReport(n, mode, False, both_zero, wit)

@@ -101,6 +101,68 @@ def symmetrize_eval(table, n, dim, mset):
 
 
 # ---------------------------------------------------------------------------
+# dense Fraction Gauss-Jordan: the elimination exactla used before it moved
+# to sparse integer rows, kept as the reference its results must equal
+
+def reference_rref(m):
+    """Reduced row echelon form and pivot columns (deterministic)."""
+    from symlie import Matrix
+    a = [row[:] for row in m.data]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        pr = None
+        for i in range(r, m.rows):
+            if a[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix(m.rows, m.cols, a), tuple(pivots)
+
+
+def reference_kernel_basis(m):
+    """Right null space, one vector per free column, from reference_rref."""
+    red, pivots = reference_rref(m)
+    pivset = set(pivots)
+    basis = []
+    for free in range(m.cols):
+        if free in pivset:
+            continue
+        v = [Fraction(0)] * m.cols
+        v[free] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red.data[i][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_solve(m, b):
+    """Particular solution (free variables zeroed) or None, from reference_rref."""
+    from symlie import Matrix
+    b = [Fraction(x) for x in b]
+    aug = Matrix(m.rows, m.cols + 1, [row + [bb] for row, bb in zip(m.data, b)])
+    red, pivots = reference_rref(aug)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [Fraction(0)] * m.cols
+    for i, p in enumerate(pivots):
+        x[p] = red.data[i][m.cols]
+    return tuple(x)
+
+
+# ---------------------------------------------------------------------------
 # hand-coded linear-system oracle for derivations
 
 def _row_echelon_rank(rows):

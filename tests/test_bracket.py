@@ -9,7 +9,8 @@ from symlie import (InsertionMode, SymCochain, check_jacobi, check_prelie,
                     make_j2, multisets, product_cochain)
 from symlie.bracket import koszul_sign, parse_mode, unshuffle_permutations
 
-from oracles import insertion_eval, random_cochain, random_vector
+from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
+                     right_nested_eval)
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -219,6 +220,47 @@ def test_graded_jacobi_holds_for_odd_arities():
 def test_graded_jacobi_fails_on_product_triple():
     mu = product_cochain(make_j2(1, 0))
     assert not check_jacobi(mu, mu, mu, SUM).holds
+
+
+def _oracle_assoc(f, g, h, args):
+    """A(f,g,h) = (f o g) o h - f o (g o h) at args, SUM mode, via the oracles."""
+    return tuple(a - b for a, b in zip(left_nested_eval(f, g, h, args),
+                                       right_nested_eval(f, g, h, args)))
+
+
+@pytest.mark.parametrize("arities", [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+def test_checkers_give_verdicts_with_two_arity0_arguments(arities):
+    """Target arity 0.  Inserting one arity-0 cochain into another lands in
+    the zero space of arity -1, so every nested term through it vanishes.
+    Pre-Lie follows criterion 2's rule (b): it holds iff (-1)^{|g||h|} = +1
+    or A(f,g,h) = 0.  Jacobi holds iff the associator sum of rule (c) is 0."""
+    rng = random.Random(191)
+    mu = product_cochain(make_j2(1, 0))
+    v0 = SymCochain(0, 2, {(): E2})
+    cases = [tuple(mu if a else v0 for a in arities)]
+    cases += [tuple(random_cochain(rng, a, 2) for a in arities) for _ in range(5)]
+    for f, g, h in cases:
+        a_fgh = _oracle_assoc(f, g, h, [])
+        rep = check_prelie(f, g, h, SUM)
+        assert rep.holds == (koszul_sign(g.degree, h.degree) == 1 or not any(a_fgh))
+        if not rep.holds:
+            assert rep.witness.left == a_fgh
+            assert rep.witness.right == tuple(-x for x in _oracle_assoc(f, h, g, []))
+        jac = [Fraction(0)] * 2
+        for x, y, z in ((f, g, h), (g, h, f), (h, f, g)):
+            sign = koszul_sign(y.degree, z.degree)
+            for k, (p, q) in enumerate(zip(_oracle_assoc(x, y, z, []),
+                                           _oracle_assoc(x, z, y, []))):
+                jac[k] += (-1) ** x.n * (p - sign * q)
+        rep = check_jacobi(f, g, h, SUM)
+        assert rep.holds == (not any(jac))
+        if not rep.holds:
+            assert rep.witness.left == tuple(jac)
+        for check in (check_prelie, check_jacobi):
+            assert check(f, g, h, PAPER).holds in (True, False)
+    # (mu, v0, v0): A = mu(v0, v0) = e and the sign is -1
+    if arities == (2, 0, 0):
+        assert not check_prelie(mu, v0, v0, SUM).holds
 
 
 def test_prelie_trivial_when_g_equals_h_even_degree():

@@ -11,6 +11,7 @@ from symlie import (Algebra, InsertionMode, SymCochain, check_d_squared,
                     make_spin, multiplication_operator, product, product_cochain,
                     sym_basis_dim)
 from symlie.cochain import basis_cochains
+from symlie.complexes import ad_half_bracket_matrix
 from symlie.exactla import rank
 
 from oracles import derivation_dimension, random_cochain, random_vector
@@ -137,6 +138,20 @@ def test_d_squared_fails_at_even_degrees_on_unital_example():
     A = make_j2(1, 0)
     assert not check_d_squared(A, 0, SUM).equal
     assert not check_d_squared(A, 2, SUM).equal
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_d_squared_witness_input_is_the_basis_cochain(n):
+    A = make_j2(1, 0)
+    w = check_d_squared(A, n, SUM).witness
+    composite = differential_matrix(A, n + 1, SUM).matrix.mul(
+        differential_matrix(A, n, SUM).matrix)
+    ad_half = ad_half_bracket_matrix(A, n, SUM)
+    (e_j,) = w.inputs
+    assert len(e_j) == sym_basis_dim(A.dim, n)
+    assert sorted(e_j) == [0] * (len(e_j) - 1) + [1]
+    assert composite.mul_vec(e_j) == w.left
+    assert ad_half.mul_vec(e_j) == w.right
 
 
 def test_d_squared_zero_product_both_zero():

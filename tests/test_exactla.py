@@ -2,9 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from symlie import InsertionMode, make_spin
+from symlie.complexes import differential_matrix
 from symlie.exactla import (Matrix, kernel_basis, rank, rat_from_str, rat_to_str,
                             rref, solve)
+
+from oracles import reference_kernel_basis, reference_rref, reference_solve
 
 
 def M(rows):
@@ -91,3 +97,86 @@ def test_big_intermediates_stay_exact():
     b = Fraction(1, 10**300)
     assert a - b == 1
     assert rat_from_str(rat_to_str(a)) == a
+
+
+def test_matrix_coerces_and_copies_its_input():
+    assert type(Matrix(1, 1, [[2]]).data[0][0]) is Fraction
+    rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
+    m = Matrix(2, 2, rows)
+    rows[0][0] = Fraction(7)
+    rows[1].append(Fraction(5))
+    assert m.data == [[1, 2], [3, 4]]
+
+
+# ---------------------------------------------------------------------------
+# elimination against the dense Fraction Gauss-Jordan of tests/oracles.py
+
+BIG = 10 ** 30
+SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+ENTRIES = st.one_of(st.just(Fraction(0)), SMALL,
+                    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+
+
+@st.composite
+def matrices(draw):
+    """Up to 8x8 (wide, tall, empty), often rank deficient, with zero rows
+    and columns, signed entries and 30-digit numerators and denominators."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    data = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        # rows k.. become combinations of rows 0..k-1
+        k = draw(st.integers(1, rows - 1))
+        for i in range(k, rows):
+            coeffs = [draw(SMALL) for _ in range(k)]
+            data[i] = [sum((c * data[t][j] for t, c in enumerate(coeffs)), Fraction(0))
+                       for j in range(cols)]
+    if rows:
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            data[i] = [Fraction(0)] * cols
+    if cols:
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in data:
+                row[j] = Fraction(0)
+    return Matrix(rows, cols, data)
+
+
+@given(matrices())
+def test_rref_matches_reference(m):
+    red, pivots = rref(m)
+    assert (red, pivots) == reference_rref(m)
+    assert all(type(x) is Fraction for row in red.data for x in row)
+
+
+@given(matrices())
+def test_rank_matches_reference(m):
+    assert rank(m) == len(reference_rref(m)[1])
+
+
+@given(matrices())
+def test_kernel_basis_matches_reference(m):
+    assert kernel_basis(m) == reference_kernel_basis(m)
+
+
+@given(st.data())
+def test_solve_matches_reference(data):
+    m = data.draw(matrices())
+    if data.draw(st.booleans()):  # consistent by construction
+        b = m.mul_vec([data.draw(ENTRIES) for _ in range(m.cols)])
+    else:  # often inconsistent
+        b = [data.draw(ENTRIES) for _ in range(m.rows)]
+    assert solve(m, b) == reference_solve(m, b)
+
+
+@pytest.mark.parametrize("mode", list(InsertionMode))
+@pytest.mark.parametrize("n", [2, 3])
+def test_elimination_on_spin_differentials(n, mode):
+    m = differential_matrix(make_spin([1, 2, -3]), n, mode).matrix
+    red, pivots = reference_rref(m)
+    assert rref(m) == (red, pivots)
+    assert rank(m) == len(pivots)
+    for a in (m, m.transpose()):  # d has full column rank; its transpose does not
+        assert kernel_basis(a) == reference_kernel_basis(a)
+    consistent = m.mul_vec([Fraction(j % 5 - 2, j % 3 + 1) for j in range(m.cols)])
+    unit = [Fraction(int(i == m.rows - 1)) for i in range(m.rows)]
+    for b in (consistent, unit):
+        assert solve(m, b) == reference_solve(m, b)
