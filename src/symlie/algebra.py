@@ -10,8 +10,8 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 from .cochain import SymCochain
-from .exactla import (Matrix, rat_from_str, rat_to_str, solve, vadd, vec_to_strs,
-                      vsub, vzero)
+from .exactla import (Matrix, json_int, rat_from_str, rat_to_str, solve, vadd,
+                      vec_to_strs, vsub, vzero)
 
 
 class Algebra:
@@ -64,18 +64,23 @@ class Algebra:
 
     def render_vector(self, v) -> str:
         """Human-readable combination like "6*u" or "e - 2*u"."""
-        parts = []
-        for lbl, c in zip(self.labels, v):
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(lbl)
-            elif c == -1:
-                parts.append(f"-{lbl}")
-            else:
-                parts.append(f"{rat_to_str(c)}*{lbl}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        return render_linear(self.labels, v)
+
+
+def render_linear(names, v) -> str:
+    """The linear combination sum v[i]*names[i], e.g. "alpha - 1/2*delta"."""
+    parts = []
+    for name, c in zip(names, v):
+        c = Fraction(c)
+        if c == 0:
+            continue
+        if c == 1:
+            parts.append(name)
+        elif c == -1:
+            parts.append(f"-{name}")
+        else:
+            parts.append(f"{rat_to_str(c)}*{name}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def algebra_from_entries(dim: int, labels, entries) -> Algebra:
@@ -285,18 +290,21 @@ def algebra_from_json_dict(d: dict) -> Algebra:
     if not isinstance(d, dict):
         raise ValueError("algebra document must be an object")
     try:
-        dim = int(d["dim"])
-        labels = list(d["labels"])
+        dim = json_int(d["dim"], "dim")
+        labels = d["labels"]
         raw = d["sc"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"algebra document missing field: {exc}") from None
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels) \
+            or len(set(labels)) != len(labels):
+        raise ValueError("labels must be a list of distinct strings")
     if not isinstance(raw, list):
         raise ValueError("sc must be a list")
     seen = set()
     entries = []
     for item in raw:
         try:
-            i, j, k = int(item["i"]), int(item["j"]), int(item["k"])
+            i, j, k = (json_int(item[key], key) for key in "ijk")
             c = rat_from_str(item["c"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad structure constant entry: {exc}") from None

@@ -19,8 +19,8 @@ from .bracket import InsertionMode, graded_bracket, parse_mode
 from .cochain import SymCochain
 from .complexes import cohomology, derivations
 from .corpus import corpus_entries
-from .deformation import (DeformationSeries, GaugeSeries, gauge_transport,
-                          mc_order0, mc_solve_step, series_from_json_list)
+from .deformation import (GaugeSeries, gauge_transport, mc_order0, mc_residual,
+                          mc_solve_chain, series_from_json_list)
 from .errors import FormatError, InvariantViolation
 
 
@@ -102,22 +102,15 @@ def _cmd_mc_solve(args) -> dict:
         raise FormatError("--phi1 must be an arity-2 cochain on the algebra")
     if args.order < 1:
         raise FormatError("--order must be >= 1")
-    series = DeformationSeries(A, 1, [phi1], mode)
-    from .complexes import differential
-    orders = [{"order": 1, "status": "given",
-               "term": phi1.to_json_dict(),
-               "residual_is_zero": differential(A, phi1, mode).is_zero()}]
+    series, failed = mc_solve_chain(A, phi1, args.order, mode)
+    orders = [{"order": 1, "status": "given", "term": phi1.to_json_dict(),
+               "residual_is_zero": mc_residual(series, 1)[0].is_zero()}]
+    orders += [{"order": n, "status": "solved", "term": series.term(n).to_json_dict()}
+               for n in range(2, series.order + 1)]
     obstruction = None
-    for n in range(2, args.order + 1):
-        step = mc_solve_step(series, n)
-        if step.solvable:
-            series = DeformationSeries(A, n, series.terms + [step.solution], mode)
-            orders.append({"order": n, "status": "solved",
-                           "term": step.solution.to_json_dict()})
-        else:
-            obstruction = dict(step.obstruction.to_json_dict(), order=n)
-            orders.append({"order": n, "status": "obstructed", "term": None})
-            break
+    if failed is not None:
+        obstruction = dict(failed.obstruction.to_json_dict(), order=failed.order)
+        orders.append({"order": failed.order, "status": "obstructed", "term": None})
     return {"algebra": args.algebra, "mode": mode.value, "order": args.order,
             "order0": mc_order0(series).to_json_dict(),
             "orders": orders, "obstruction": obstruction}

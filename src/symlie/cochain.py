@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
-from .exactla import rat_from_str, rat_to_str, vzero
+from .exactla import json_int, rat_from_str, rat_to_str, vzero
 
 
 @lru_cache(maxsize=None)
@@ -178,8 +178,8 @@ class SymCochain:
         if not isinstance(d, dict):
             raise ValueError("cochain document must be an object")
         try:
-            n = int(d["n"])
-            dim = int(d["dim"])
+            n = json_int(d["n"], "n")
+            dim = json_int(d["dim"], "dim")
             raw = d["coeffs"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"cochain document missing field: {exc}") from None
@@ -189,8 +189,8 @@ class SymCochain:
         entries = []
         for item in raw:
             try:
-                mset = tuple(int(i) for i in item["multiset"])
-                k = int(item["k"])
+                mset = tuple(json_int(i, "multiset entry") for i in item["multiset"])
+                k = json_int(item["k"], "k")
                 c = rat_from_str(item["c"])
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad coefficient entry: {exc}") from None

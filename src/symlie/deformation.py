@@ -19,7 +19,7 @@ from .algebra import Algebra, product_cochain
 from .bracket import InsertionMode, graded_bracket
 from .cochain import SymCochain, coeff_vector, from_coeff_vector, multisets, sym_basis_dim
 from .errors import InvariantViolation
-from .exactla import Matrix, rref, solve, vzero
+from .exactla import Matrix, json_int, rref, solve, vzero
 from .complexes import coboundary_c1_matrix, differential, differential_matrix
 
 
@@ -84,7 +84,7 @@ def series_from_json_list(raw, arity: int) -> list[SymCochain]:
     for item in raw:
         if not isinstance(item, dict) or "order" not in item:
             raise ValueError("each series entry needs an integer 'order' field")
-        i = int(item["order"])
+        i = json_int(item["order"], "order")
         if i < 1:
             raise ValueError("series orders start at 1")
         if i in by_order:

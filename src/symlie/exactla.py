@@ -43,6 +43,13 @@ def rat_from_str(s: str) -> Fraction:
     return Fraction(num, den)
 
 
+def json_int(x, name: str) -> int:
+    """A JSON integer read as is: floats, booleans and strings are refused."""
+    if type(x) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {x!r}")
+    return x
+
+
 def rat_to_str(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:

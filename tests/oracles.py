@@ -255,3 +255,27 @@ def random_cochain(rng, n, d, span=2, sparsity=0.0):
                 continue
             entries.append((mset, k, Fraction(rng.randint(-span, span), rng.randint(1, 2))))
     return SymCochain.from_entries(n, d, entries)
+
+
+def d2_sanity_reference(A, mode):
+    """The D2-SANITY verdict and witness, recomputed cochain by cochain:
+    d(d f) against (1/2)[[mu,mu],f] for each basis endomorphism f in the
+    canonical order, stopping at the first multiset where they differ.
+
+    It calls the engine's bracket on single cochains rather than comparing
+    the matrices of d o d and (1/2)ad that the audit reads."""
+    from symlie import basis_cochains, differential, graded_bracket, product_cochain
+    from symlie.bracket import first_coefficient_difference
+    mu = product_cochain(A)
+    B = graded_bracket(mu, mu, mode)
+    for (mset, k), f in basis_cochains(A.dim, 1):
+        lhs = differential(A, differential(A, f, mode), mode)
+        rhs = graded_bracket(B, f, mode).scale(Fraction(1, 2))
+        diff = first_coefficient_difference(lhs, rhs)
+        if diff is not None:
+            dmset, left, right = diff
+            return "fails", {"basis_cochain": {"multiset": list(mset), "k": k},
+                             "at_multiset": list(dmset),
+                             "dd": [str(x) for x in left],
+                             "half_ad": [str(x) for x in right]}
+    return "holds", None
