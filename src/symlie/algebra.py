@@ -95,8 +95,8 @@ def algebra_from_entries(dim: int, labels, entries) -> Algebra:
 
 def product(A: Algebra, x, y) -> tuple[Fraction, ...]:
     """Bilinear extension of the structure constants."""
-    x = tuple(Fraction(t) for t in x)
-    y = tuple(Fraction(t) for t in y)
+    x = tuple(t if type(t) is Fraction else Fraction(t) for t in x)
+    y = tuple(t if type(t) is Fraction else Fraction(t) for t in y)
     if len(x) != A.dim or len(y) != A.dim:
         raise ValueError("vector length does not match algebra dimension")
     out = list(vzero(A.dim))
@@ -104,9 +104,9 @@ def product(A: Algebra, x, y) -> tuple[Fraction, ...]:
         if x[i] == 0:
             continue
         for j in range(A.dim):
-            c = x[i] * y[j]
-            if c == 0:
+            if y[j] == 0:
                 continue
+            c = x[i] * y[j]
             vec = A.sc[i][j]
             for k in range(A.dim):
                 if vec[k]:
@@ -186,7 +186,10 @@ def _cubic_sides(A, x, y):
 
 
 def check_cubic_jordan(A: Algebra) -> IdentityReport:
-    """(x*y)*(x*x) == x*(y*(x*x)), decided via full polarization in x."""
+    """(x*y)*(x*x) == x*(y*(x*x)), decided via full polarization in x.
+
+    The polarized sum is symmetric in (i, j, k), so only sorted triples are
+    walked; the first failing 4-tuple in lexicographic order is among them."""
     basis = [A.basis_vector(i) for i in range(A.dim)]
 
     def term(a, b, c, y):
@@ -197,6 +200,8 @@ def check_cubic_jordan(A: Algebra) -> IdentityReport:
     failing = None
     for idx in iproduct(range(A.dim), repeat=4):
         i, j, k, l = idx
+        if not i <= j <= k:
+            continue
         tot = vzero(A.dim)
         for p in permutations((i, j, k)):
             tot = vadd(tot, term(basis[p[0]], basis[p[1]], basis[p[2]], basis[l]))

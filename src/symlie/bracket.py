@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from .algebra import IdentityReport, Witness
 from .cochain import SymCochain, multisets
@@ -60,45 +60,44 @@ def insert(f: SymCochain, g: SymCochain, mode: InsertionMode = InsertionMode.SUM
     Arity m + n - 1.  Inserting into an arity-0 cochain gives 0 (no slot);
     inserting an arity-0 cochain fills the slot as a constant via the single
     (m-1, 0)-unshuffle.
+
+    Scattered over pairs of nonzeros: g[G]_k * f[F] with k in F lands at
+    N = (F - {k}) + G, once per (m-1, n)-unshuffle that places G in N,
+    i.e. prod_a C(mult_N(a), mult_G(a)) times.  The cost follows the
+    inputs' nonzeros, not the size of the output space.
     """
     if f.dim != g.dim:
         raise ValueError("ambient dimension mismatch")
     m, n, d = f.n, g.n, f.dim
     if m == 0:
         return SymCochain.zero(max(n - 1, 0), d)
-    N = m + n - 1
+    # f's nonzeros by the slot k they free: k -> [(F - {k}, nonzero (t, f[F]_t))]
+    slots = {}
+    for F, fval in f.coeffs.items():
+        nonzero = [(t, x) for t, x in enumerate(fval) if x]
+        for pos, k in enumerate(F):
+            if pos == 0 or F[pos - 1] != k:
+                slots.setdefault(k, []).append((F[:pos] + F[pos + 1:], nonzero))
+    zero = Fraction(0)
+    out = {}
+    for G, gval in g.coeffs.items():
+        gmult = [(a, G.count(a)) for a in set(G)]
+        for k, w in enumerate(gval):
+            if not w:
+                continue
+            for rest, nonzero in slots.get(k, ()):
+                c = 1
+                for a, r in gmult:
+                    if a in rest:
+                        c *= comb(rest.count(a) + r, r)
+                c *= w
+                acc = out.setdefault(tuple(sorted(rest + G)), [zero] * d)
+                for t, x in nonzero:
+                    acc[t] += c * x
     if mode is InsertionMode.PAPER:
         pref = Fraction(1, factorial(m - 1) * factorial(n))
-    else:
-        pref = Fraction(1)
-    splits = list(unshuffles(m - 1, n))
-    fco = f.coeffs
-    gco = g.coeffs
-    out = {}
-    for M in multisets(d, N):
-        acc = list(vzero(d))
-        hit = False
-        for first, second in splits:
-            # positions are increasing and M is sorted, so both argument
-            # tuples are already sorted multisets
-            gval = gco.get(tuple(M[p] for p in second))
-            if gval is None:
-                continue
-            fargs = [M[p] for p in first]
-            for k in range(d):
-                if gval[k] == 0:
-                    continue
-                fval = fco.get(tuple(sorted(fargs + [k])))
-                if fval is None:
-                    continue
-                hit = True
-                w = gval[k]
-                for t in range(d):
-                    if fval[t]:
-                        acc[t] += w * fval[t]
-        if hit and any(acc):
-            out[M] = tuple(pref * a for a in acc)
-    return SymCochain(N, d, out)
+        out = {N: [pref * a if a else a for a in acc] for N, acc in out.items()}
+    return SymCochain(m + n - 1, d, out)
 
 
 def graded_bracket(f: SymCochain, g: SymCochain,

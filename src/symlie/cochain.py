@@ -45,7 +45,7 @@ class SymCochain:
             key = tuple(key)
             if len(key) != n or tuple(sorted(key)) != key or any(not 0 <= i < dim for i in key):
                 raise ValueError(f"bad multiset key {key} for arity {n}, dim {dim}")
-            vec = tuple(Fraction(x) for x in vec)
+            vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
             if len(vec) != dim:
                 raise ValueError("value vector has wrong length")
             if any(vec):
@@ -100,7 +100,7 @@ class SymCochain:
         out = dict(self.coeffs)
         for key, vec in other.coeffs.items():
             cur = out.get(key, vzero(self.dim))
-            out[key] = tuple(a + sign * b for a, b in zip(cur, vec))
+            out[key] = tuple(a + sign * b if b else a for a, b in zip(cur, vec))
         return SymCochain(self.n, self.dim, out)
 
     def __add__(self, other):
@@ -116,8 +116,8 @@ class SymCochain:
         c = Fraction(c)
         if c == 0:
             return SymCochain.zero(self.n, self.dim)
-        return SymCochain(self.n, self.dim,
-                          {k: tuple(c * x for x in v) for k, v in self.coeffs.items()})
+        return SymCochain(self.n, self.dim, {k: tuple(c * x if x else x for x in v)
+                                             for k, v in self.coeffs.items()})
 
     def __rmul__(self, c):
         return self.scale(c)

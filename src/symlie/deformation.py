@@ -59,9 +59,12 @@ class GaugeSeries:
     def __post_init__(self):
         if len(self.terms) != self.order:
             raise ValueError("need exactly `order` series terms")
-        for t in self.terms:
+        for i, t in enumerate(self.terms, 1):
             if t.n != 1:
                 raise ValueError("gauge terms must be arity-1 cochains")
+            if t.dim != self.terms[0].dim:
+                raise ValueError(f"gauge term at order {i} has dimension {t.dim}, "
+                                 f"but the term at order 1 has dimension {self.terms[0].dim}")
 
     @property
     def dim(self) -> int:
@@ -92,6 +95,10 @@ def series_from_json_list(raw, arity: int) -> list[SymCochain]:
         c = SymCochain.from_json_dict({k: v for k, v in item.items() if k != "order"})
         if c.n != arity:
             raise ValueError(f"series term at order {i} has arity {c.n}, expected {arity}")
+        j, first = next(iter(by_order.items()), (i, c))  # the first term read
+        if c.dim != first.dim:
+            raise ValueError(f"series term at order {i} has dimension {c.dim}, "
+                             f"but the term at order {j} has dimension {first.dim}")
         by_order[i] = c
     if not by_order:
         raise ValueError("series document is empty")

@@ -6,7 +6,8 @@ so the production path is never checking itself.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, product as iproduct
+from itertools import (combinations, combinations_with_replacement, permutations,
+                       product as iproduct)
 from math import factorial
 
 
@@ -160,6 +161,93 @@ def reference_solve(m, b):
     for i, p in enumerate(pivots):
         x[p] = red.data[i][m.cols]
     return tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# the gather loops the engine used before its insertion became a scatter over
+# nonzeros and its cubic checker a walk over sorted triples, kept as the
+# references their results must equal
+
+def reference_insert(f, g, paper):
+    """Insertion of g into f gathered per output multiset: every (m-1, n)
+    unshuffle of its positions, every output index k of g."""
+    from symlie import SymCochain
+    m, n, d = f.n, g.n, f.dim
+    if m == 0:
+        return SymCochain.zero(max(n - 1, 0), d)
+    N = m + n - 1
+    if paper:
+        pref = Fraction(1, factorial(m - 1) * factorial(n))
+    else:
+        pref = Fraction(1)
+    splits = []
+    for first in combinations(range(N), m - 1):
+        splits.append((first, tuple(p for p in range(N) if p not in first)))
+    fco = f.coeffs
+    gco = g.coeffs
+    out = {}
+    for M in combinations_with_replacement(range(d), N):
+        acc = [Fraction(0)] * d
+        hit = False
+        for first, second in splits:
+            # positions are increasing and M is sorted, so both argument
+            # tuples are already sorted multisets
+            gval = gco.get(tuple(M[p] for p in second))
+            if gval is None:
+                continue
+            fargs = [M[p] for p in first]
+            for k in range(d):
+                if gval[k] == 0:
+                    continue
+                fval = fco.get(tuple(sorted(fargs + [k])))
+                if fval is None:
+                    continue
+                hit = True
+                w = gval[k]
+                for t in range(d):
+                    if fval[t]:
+                        acc[t] += w * fval[t]
+        if hit and any(acc):
+            out[M] = tuple(pref * a for a in acc)
+    return SymCochain(N, d, out)
+
+
+def reference_check_cubic_jordan(A):
+    """The cubic-identity report from the full polarization over all d^4
+    basis tuples, with the same basis-pair witness preference."""
+    from symlie.algebra import IdentityReport, Witness
+    d = A.dim
+    zero = (Fraction(0),) * d
+    basis = [tuple(Fraction(int(t == i)) for t in range(d)) for i in range(d)]
+
+    def term(a, b, c, y):
+        bc = _mul(A, b, c)
+        return tuple(p - q for p, q in zip(_mul(A, _mul(A, a, y), bc),
+                                           _mul(A, a, _mul(A, y, bc))))
+
+    failing = None
+    for idx in iproduct(range(d), repeat=4):
+        i, j, k, l = idx
+        tot = zero
+        for p in permutations((i, j, k)):
+            tot = tuple(s + t for s, t in zip(tot, term(basis[p[0]], basis[p[1]],
+                                                        basis[p[2]], basis[l])))
+        if any(tot):
+            failing = (idx, tot)
+            break
+    if failing is None:
+        return IdentityReport(True)
+    for i in range(d):
+        for j in range(d):
+            left, right = cubic_jordan_sides(A, basis[i], basis[j])
+            if left != right:
+                return IdentityReport(False, Witness(
+                    inputs=(basis[i], basis[j]), left=left, right=right,
+                    note="cubic identity at a basis pair (x, y)"))
+    idx, tot = failing
+    return IdentityReport(False, Witness(
+        inputs=tuple(basis[i] for i in idx), left=tot, right=zero,
+        note="trilinear polarization of the cubic identity at a basis 4-tuple"))
 
 
 # ---------------------------------------------------------------------------

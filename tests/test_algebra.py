@@ -8,17 +8,20 @@ from symlie import (Algebra, algebra_from_json_dict, algebra_to_json_dict, check
                     make_spin, multiplication_operator, product, product_cochain)
 from symlie.exactla import Matrix
 
-from oracles import cubic_jordan_sides, derivation_dimension, random_vector, six_term_sum
+from oracles import (cubic_jordan_sides, derivation_dimension, random_vector,
+                     reference_check_cubic_jordan, six_term_sum)
 
 E2 = (Fraction(1), Fraction(0))
 U2 = (Fraction(0), Fraction(1))
 
 
-def random_commutative(rng, d):
+def random_commutative(rng, d, fill=1):
+    """Structure constants in -2..2, each drawn with chance fill, else 0."""
     table = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            vec = tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
+            vec = tuple(Fraction(rng.randint(-2, 2)) if fill == 1 or rng.random() < fill
+                        else Fraction(0) for _ in range(d))
             table[i][j] = vec
             table[j][i] = vec
     return Algebra(d, tuple(f"b{i}" for i in range(d)), table)
@@ -95,6 +98,32 @@ def test_cubic_checker_verdicts():
     assert rep.witness.inputs == ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0)))
     assert rep.witness.left == (Fraction(1), Fraction(0))
     assert rep.witness.right == (Fraction(0), Fraction(0))
+
+
+def test_cubic_checker_matches_full_polarization_reference():
+    # sparse fills reach late first failures and the trilinear-witness branch
+    rng = random.Random(79)
+    algebras = [make_j2(1, 0), make_spin((1, -2, 3)), make_non_jordan(), make_field()]
+    algebras += [random_commutative(rng, 1 + t % 4, (0.1, 0.25, 0.5, 1)[t // 4 % 4])
+                 for t in range(64)]
+    kinds = set()
+    for A in algebras:
+        rep = check_cubic_jordan(A).to_json_dict()
+        assert rep == reference_check_cubic_jordan(A).to_json_dict()
+        kinds.add(None if rep["witness"] is None else len(rep["witness"]["inputs"]))
+    assert kinds == {None, 2, 4}
+
+
+def test_cubic_checker_trilinear_witness():
+    # e0*e1 = e0 only: every basis pair satisfies the cubic identity, the
+    # polarization first fails at (e0, e1, e1, e1)
+    A = Algebra(2, ("a", "b"), [[(0, 0), (1, 0)], [(1, 0), (0, 0)]])
+    rep = check_cubic_jordan(A).to_json_dict()
+    assert rep == reference_check_cubic_jordan(A).to_json_dict()
+    assert rep == {"verdict": "fails", "witness": {
+        "inputs": [["1", "0"], ["0", "1"], ["0", "1"], ["0", "1"]],
+        "left": ["-4", "0"], "right": ["0", "0"],
+        "note": "trilinear polarization of the cubic identity at a basis 4-tuple"}}
 
 
 def test_cubic_polarization_agrees_with_direct_sampling():

@@ -239,6 +239,19 @@ def test_audit_all_stdout_pinned():
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == AUDIT_ALL_SHA256
 
 
+# sha256 of the canonical JSON of audit() on spin factors of dimension 4
+# and 5, recorded while insertion was still a gather over output multisets:
+# the corpus stops at dimension 2, where little of the scatter is exercised
+@pytest.mark.parametrize("q, digest", [
+    ([1, 2, -3], "295d4f49a5695fd8ff65da413815177419fb524e55afee1d47191d1bb0298b6e"),
+    ([1, Fraction(-1, 2), 3, Fraction(5, 4)],
+     "64b6ea31ce377419a160608e17b0318432091effc5d1d6991be31198c7324f0d"),
+])
+def test_spin_audit_pinned(q, digest):
+    doc = json.dumps(audit(make_spin(q)).to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
 _S5_DETAIL = ("printed coboundary coefficient tables disagree with direct "
               "expansion of the printed formulas (generic endomorphism entries)")
 

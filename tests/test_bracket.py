@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlie import (InsertionMode, SymCochain, check_jacobi, check_prelie,
                     graded_bracket, identity_cochain, insert, insert_lowdeg_variant,
@@ -10,7 +12,7 @@ from symlie import (InsertionMode, SymCochain, check_jacobi, check_prelie,
 from symlie.bracket import koszul_sign, parse_mode, unshuffle_permutations
 
 from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
-                     right_nested_eval)
+                     reference_insert, right_nested_eval)
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -84,6 +86,51 @@ def test_insert_matches_direct_enumeration_oracle():
         for mode in (SUM, PAPER):
             built = insert(f, g, mode)
             assert built.evaluate(args) == insertion_eval(f, g, args, mode is PAPER)
+
+
+# ---------------------------------------------------------------------------
+# the scatter over nonzeros against the gather over output multisets
+
+BIG = 10 ** 20
+VALUES = st.one_of(st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool),
+                   st.builds(lambda s, p, q: Fraction(s * p, q), st.sampled_from((1, -1)),
+                             st.integers(1, BIG), st.integers(1, BIG)))
+
+
+@st.composite
+def cochains(draw, n, d):
+    """An arity-n cochain holding one nonzero, some, or every coefficient,
+    its values drawn from a small pool so that equal terms can cancel."""
+    keys = [(mset, k) for mset in multisets(d, n) for k in range(d)]
+    fill = draw(st.sampled_from(("one", "some", "all")))
+    if fill == "one":
+        chosen = [draw(st.sampled_from(keys))]
+    elif fill == "some":
+        chosen = [key for key in keys if draw(st.booleans())]
+    else:
+        chosen = keys
+    pool = draw(st.lists(VALUES, min_size=1, max_size=3))
+    return SymCochain.from_entries(n, d, [(mset, k, draw(st.sampled_from(pool)))
+                                          for mset, k in chosen])
+
+
+@st.composite
+def insertion_inputs(draw):
+    # output arity m + n - 1 is capped by d so that the gather stays fast
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, min(4, 9 - d - m)))
+    return draw(cochains(m, d)), draw(cochains(n, d)), draw(st.sampled_from([SUM, PAPER]))
+
+
+@settings(max_examples=200)
+@given(insertion_inputs())
+def test_insert_matches_reference_gather(inputs):
+    f, g, mode = inputs
+    built = insert(f, g, mode)
+    assert built == reference_insert(f, g, mode is PAPER)
+    assert (built.n, built.dim) == (max(f.n + g.n - 1, 0), f.dim)
+    assert all(type(x) is Fraction for vec in built.coeffs.values() for x in vec)
 
 
 def test_insert_bilinear():

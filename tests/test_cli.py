@@ -155,6 +155,19 @@ def test_gauge_command(capsys, tmp_path, corpus_dir):
     assert first == -product_cochain(make_j2(1, 0))
 
 
+def test_gauge_rejects_series_of_mixed_dimensions(capsys, tmp_path, corpus_dir):
+    p = tmp_path / "series.json"
+    p.write_text(json.dumps([dict(identity_cochain(2).to_json_dict(), order=1),
+                             dict(identity_cochain(3).to_json_dict(), order=2)]),
+                 encoding="utf-8")
+    code, out, err = run_capture(
+        capsys, ["gauge", "--series", str(p), "--order", "2",
+                 corpus_path(corpus_dir, "j2_1_0")])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {p}: series term at order 2 has dimension 3, "
+                   "but the term at order 1 has dimension 2\n")
+
+
 def test_audit_single_and_all(capsys, corpus_dir):
     code, out, _ = run_capture(capsys, ["audit", corpus_path(corpus_dir, "j2_1_0")])
     assert code == 0

@@ -239,3 +239,19 @@ def test_series_shape_validation():
         DeformationSeries(A, 1, [SymCochain.zero(1, 2)])
     with pytest.raises(ValueError):
         GaugeSeries(1, [SymCochain.zero(2, 2)])
+
+
+def test_series_terms_share_one_dimension():
+    # a dim-2 term at order 1 and a dim-3 term at order 2 used to load, and
+    # gauge transport then failed inside a matrix sum
+    raw = [dict(identity_cochain(2).to_json_dict(), order=1),
+           dict(identity_cochain(3).to_json_dict(), order=2)]
+    with pytest.raises(ValueError, match="^series term at order 2 has dimension 3, "
+                                         "but the term at order 1 has dimension 2$"):
+        series_from_json_list(raw, arity=1)
+    with pytest.raises(ValueError, match="^series term at order 1 has dimension 2, "
+                                         "but the term at order 2 has dimension 3$"):
+        series_from_json_list(raw[::-1], arity=1)
+    with pytest.raises(ValueError, match="^gauge term at order 2 has dimension 3, "
+                                         "but the term at order 1 has dimension 2$"):
+        GaugeSeries(2, [identity_cochain(2), identity_cochain(3)])
