@@ -19,10 +19,11 @@ class Algebra:
 
     sc[i][j] is the value vector of e_i * e_j; commutativity
     (sc[i][j] == sc[j][i]) is enforced at construction time.
-    Instances are immutable and hashable.
+    Instances are immutable in value and hashable; `_ops` is a memo of the
+    operator matrices that `complexes` builds from the product, on first use.
     """
 
-    __slots__ = ("dim", "labels", "sc", "_hash")
+    __slots__ = ("dim", "labels", "sc", "_hash", "_ops")
 
     def __init__(self, dim: int, labels, sc):
         if dim < 1:
@@ -48,6 +49,7 @@ class Algebra:
         self.labels = labels
         self.sc = tuple(table)
         self._hash = hash((dim, labels, self.sc))
+        self._ops = {}
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and self.dim == other.dim

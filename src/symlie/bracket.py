@@ -66,6 +66,8 @@ def insert(f: SymCochain, g: SymCochain, mode: InsertionMode = InsertionMode.SUM
     i.e. prod_a C(mult_N(a), mult_G(a)) times.  The cost follows the
     inputs' nonzeros, not the size of the output space.
     """
+    if not isinstance(mode, InsertionMode):
+        raise TypeError(f"insertion mode must be an InsertionMode, got {mode!r}")
     if f.dim != g.dim:
         raise ValueError("ambient dimension mismatch")
     m, n, d = f.n, g.n, f.dim

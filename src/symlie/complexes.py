@@ -3,20 +3,20 @@ printed low-degree coboundary formulas, the d-squared comparison against
 (1/2) ad_{[mu,mu]}, and kernel/image/cohomology data with validity flags.
 
 d o d = 0 is never assumed: cohomology reports carry an explicit
-`complex_valid` flag and the rank of the composite.
+`complex_valid` flag and the rank of the composite.  The matrices of d_n
+and of d_{n+1} d_n are kept on the algebra per (n, mode): each is built
+once and dies with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import Algebra, Witness, product, product_cochain
 from .bracket import InsertionMode, graded_bracket
-from .cochain import (SymCochain, basis_cochains, coeff_vector, from_coeff_vector,
-                      multisets, sym_basis_dim)
-from .exactla import Matrix, kernel_basis, rank, vadd, vsub, vzero
+from .cochain import SymCochain, basis_cochains, from_coeff_vector, multisets, sym_basis_dim
+from .exactla import Matrix, kernel_basis, rank, vadd, vsub
 
 
 def differential(A: Algebra, f: SymCochain, mode: InsertionMode = InsertionMode.SUM) -> SymCochain:
@@ -29,34 +29,11 @@ def differential(A: Algebra, f: SymCochain, mode: InsertionMode = InsertionMode.
 def coboundary_c1_explicit(A: Algebra, f: SymCochain) -> SymCochain:
     """The printed arity-1 coboundary (d f)(x,y) = f(x*y) - f(x)*y - x*f(y).
 
-    Equals the negative of the SUM-mode bracket differential on arity-1
-    cochains; kept in its printed form for the audit.
+    Computed as minus the SUM-mode bracket differential on arity-1 cochains.
     """
     if f.n != 1:
         raise ValueError("explicit arity-1 coboundary needs an arity-1 cochain")
-    if f.dim != A.dim:
-        raise ValueError("cochain dimension does not match algebra")
-    d = A.dim
-
-    def fv(v):
-        acc = list(vzero(d))
-        for i in range(d):
-            if v[i] == 0:
-                continue
-            vec = f.value_at((i,))
-            for t in range(d):
-                acc[t] += v[i] * vec[t]
-        return tuple(acc)
-
-    coeffs = {}
-    for mset in multisets(d, 2):
-        i, j = mset
-        ei, ej = A.basis_vector(i), A.basis_vector(j)
-        val = vsub(vsub(fv(A.sc[i][j]), product(A, f.value_at((i,)), ej)),
-                   product(A, ei, f.value_at((j,))))
-        if any(val):
-            coeffs[mset] = val
-    return SymCochain(2, d, coeffs)
+    return -differential(A, f, InsertionMode.SUM)
 
 
 def coboundary_c2_explicit(A: Algebra, phi: SymCochain) -> SymCochain:
@@ -90,26 +67,47 @@ class DifferentialData:
     matrix: Matrix
 
 
-@lru_cache(maxsize=None)
+def _bracket_matrix(g: SymCochain, n: int, mode: InsertionMode, c) -> Matrix:
+    """Matrix of f -> c [g, f] on arity-n cochains.  Column j is c [g, e_j]
+    for the j-th basis cochain e_j, written from the bracket's nonzeros:
+    coordinate t at multiset M is row index(M) * d + t."""
+    d, out_n = g.dim, g.n + n - 1
+    row_of = {mset: i * d for i, mset in enumerate(multisets(d, out_n))}
+    cols = sym_basis_dim(d, n)
+    data = [[Fraction(0)] * cols for _ in range(sym_basis_dim(d, out_n))]
+    for j, (_, e_j) in enumerate(basis_cochains(d, n)):
+        for mset, vec in graded_bracket(g, e_j, mode).coeffs.items():
+            row = row_of[mset]
+            for t, x in enumerate(vec):
+                if x:
+                    data[row + t][j] = c * x
+    return Matrix(len(data), cols, data)
+
+
 def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DifferentialData:
     """Matrix of d from arity-n to arity-(n+1) coefficients,
-    column j = d(basis cochain j)."""
+    column j = d(basis cochain j).  Kept on A."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    cols = [coeff_vector(differential(A, f, mode)) for _, f in basis_cochains(A.dim, n)]
-    mat = Matrix.from_columns(cols, sym_basis_dim(A.dim, n + 1)) if cols else \
-        Matrix.zeros(sym_basis_dim(A.dim, n + 1), 0)
-    return DifferentialData(mode, n, mat)
+    key = ("d", n, mode)
+    if key not in A._ops:
+        A._ops[key] = DifferentialData(mode, n, _bracket_matrix(product_cochain(A), n, mode, 1))
+    return A._ops[key]
 
 
-@lru_cache(maxsize=None)
 def ad_half_bracket_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> Matrix:
     """Matrix of f -> (1/2) [[mu, mu], f] on arity-n cochains."""
     mu = product_cochain(A)
-    B = graded_bracket(mu, mu, mode)
-    cols = [coeff_vector(graded_bracket(B, f, mode).scale(Fraction(1, 2)))
-            for _, f in basis_cochains(A.dim, n)]
-    return Matrix.from_columns(cols, sym_basis_dim(A.dim, n + 2))
+    return _bracket_matrix(graded_bracket(mu, mu, mode), n, mode, Fraction(1, 2))
+
+
+def _composite(A: Algebra, n: int, mode: InsertionMode) -> Matrix:
+    """Matrix of d o d from arity n to arity n+2, d_{n+1} d_n.  Kept on A."""
+    key = ("dd", n, mode)
+    if key not in A._ops:
+        d_n = differential_matrix(A, n, mode).matrix
+        A._ops[key] = differential_matrix(A, n + 1, mode).matrix.mul(d_n)
+    return A._ops[key]
 
 
 @dataclass
@@ -124,9 +122,7 @@ class DSquaredReport:
 def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DSquaredReport:
     """Compare the matrix of d o d (arity n -> n+2) against the matrix of
     f -> (1/2)[[mu,mu],f]; reports equality and whether both vanish."""
-    d_n = differential_matrix(A, n, mode).matrix
-    d_n1 = differential_matrix(A, n + 1, mode).matrix
-    composite = d_n1.mul(d_n)
+    composite = _composite(A, n, mode)
     ad_half = ad_half_bracket_matrix(A, n, mode)
     both_zero = composite.is_zero() and ad_half.is_zero()
     if composite == ad_half:
@@ -135,7 +131,7 @@ def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM)
     for j in range(composite.cols):
         ca, cb = composite.column(j), ad_half.column(j)
         if ca != cb:
-            (mset, k), _ = list(basis_cochains(A.dim, n))[j]
+            mset, k = multisets(A.dim, n)[j // A.dim], j % A.dim
             # the coefficient vector of that basis cochain: e_j
             e_j = tuple(Fraction(int(i == j)) for i in range(composite.cols))
             wit = Witness(
@@ -175,27 +171,25 @@ def cohomology(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> C
         dim_image = 0
         defect = 0
     else:
-        d_prev = differential_matrix(A, n - 1, mode).matrix
-        dim_image = rank(d_prev)
-        defect = rank(d_n.mul(d_prev))
+        dim_image = rank(differential_matrix(A, n - 1, mode).matrix)
+        defect = rank(_composite(A, n - 1, mode))
     valid = defect == 0
     dim_H = dim_kernel - dim_image if valid else None
     return CohomologyReport(n, mode, dim_kernel, dim_image, valid, defect, dim_H)
 
 
 def coboundary_c1_matrix(A: Algebra) -> Matrix:
-    """Matrix of the printed arity-1 coboundary on endomorphism coefficients."""
-    cols = [coeff_vector(coboundary_c1_explicit(A, f))
-            for _, f in basis_cochains(A.dim, 1)]
-    return Matrix.from_columns(cols, sym_basis_dim(A.dim, 2))
+    """Matrix of the printed arity-1 coboundary on endomorphism coefficients:
+    -d_1 in SUM mode."""
+    return differential_matrix(A, 1, InsertionMode.SUM).matrix.scale(-1)
 
 
 def derivations(A: Algebra) -> list[Matrix]:
     """Basis of {f in End(J): f(x*y) = f(x)*y + x*f(y)} as d x d matrices,
-    computed as the kernel of the printed arity-1 coboundary."""
+    computed as the kernel of d_1 in SUM mode (minus the printed coboundary)."""
     d = A.dim
     mats = []
-    for v in kernel_basis(coboundary_c1_matrix(A)):
+    for v in kernel_basis(differential_matrix(A, 1, InsertionMode.SUM).matrix):
         # coefficient order is multiset-major: index j*d + k holds (f(e_j))_k
         f = from_coeff_vector(d, 1, v)
         data = [[f.coeff((j,), i) for j in range(d)] for i in range(d)]

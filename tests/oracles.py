@@ -328,6 +328,47 @@ def six_term_sum(A, x, y, z):
     return tuple(sum(col) for col in zip(*parts))
 
 
+def printed_coboundary_c1(A, f):
+    """The printed arity-1 coboundary (d f)(x,y) = f(x*y) - f(x)*y - x*f(y),
+    expanded at each basis pair, independently of the bracket."""
+    from symlie import SymCochain, multisets, product
+    from symlie.exactla import vsub, vzero
+    d = A.dim
+
+    def fv(v):
+        acc = list(vzero(d))
+        for i in range(d):
+            if v[i] == 0:
+                continue
+            vec = f.value_at((i,))
+            for t in range(d):
+                acc[t] += v[i] * vec[t]
+        return tuple(acc)
+
+    coeffs = {}
+    for mset in multisets(d, 2):
+        i, j = mset
+        ei, ej = A.basis_vector(i), A.basis_vector(j)
+        val = vsub(vsub(fv(A.sc[i][j]), product(A, f.value_at((i,)), ej)),
+                   product(A, ei, f.value_at((j,))))
+        if any(val):
+            coeffs[mset] = val
+    return SymCochain(2, d, coeffs)
+
+
+def random_commutative(rng, d, fill=1):
+    """Structure constants in -2..2, each drawn with chance fill, else 0."""
+    from symlie import Algebra
+    table = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            vec = tuple(Fraction(rng.randint(-2, 2)) if fill == 1 or rng.random() < fill
+                        else Fraction(0) for _ in range(d))
+            table[i][j] = vec
+            table[j][i] = vec
+    return Algebra(d, tuple(f"b{i}" for i in range(d)), table)
+
+
 def random_vector(rng, d, span=2):
     return tuple(Fraction(rng.randint(-span, span), rng.randint(1, 2))
                  for _ in range(d))

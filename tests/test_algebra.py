@@ -8,23 +8,11 @@ from symlie import (Algebra, algebra_from_json_dict, algebra_to_json_dict, check
                     make_spin, multiplication_operator, product, product_cochain)
 from symlie.exactla import Matrix
 
-from oracles import (cubic_jordan_sides, derivation_dimension, random_vector,
-                     reference_check_cubic_jordan, six_term_sum)
+from oracles import (cubic_jordan_sides, derivation_dimension, random_commutative,
+                     random_vector, reference_check_cubic_jordan, six_term_sum)
 
 E2 = (Fraction(1), Fraction(0))
 U2 = (Fraction(0), Fraction(1))
-
-
-def random_commutative(rng, d, fill=1):
-    """Structure constants in -2..2, each drawn with chance fill, else 0."""
-    table = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            vec = tuple(Fraction(rng.randint(-2, 2)) if fill == 1 or rng.random() < fill
-                        else Fraction(0) for _ in range(d))
-            table[i][j] = vec
-            table[j][i] = vec
-    return Algebra(d, tuple(f"b{i}" for i in range(d)), table)
 
 
 def test_product_examples():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symlie import (InsertionMode, SymCochain, check_jacobi, check_prelie,
-                    graded_bracket, identity_cochain, insert, insert_lowdeg_variant,
-                    make_j2, multisets, product_cochain)
+from symlie import (InsertionMode, SymCochain, check_jacobi, check_prelie, cohomology,
+                    differential_matrix, graded_bracket, identity_cochain, insert,
+                    insert_lowdeg_variant, make_j2, multisets, product_cochain)
 from symlie.bracket import koszul_sign, parse_mode, unshuffle_permutations
 
 from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
@@ -148,6 +149,24 @@ def test_insert_bilinear():
 def test_insert_dimension_mismatch():
     with pytest.raises(ValueError):
         insert(SymCochain.zero(2, 2), SymCochain.zero(2, 3))
+
+
+def test_insert_rejects_a_mode_that_is_not_an_insertion_mode():
+    A = make_j2(1, 0)
+    mu = product_cochain(A)
+    const = SymCochain.zero(0, 2)
+    for bad in ("paper", "sum", None, 1):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            insert(mu, mu, bad)
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            insert(const, mu, bad)
+    # every bracket-dependent call goes through insert
+    with pytest.raises(TypeError, match="'paper'"):
+        graded_bracket(mu, mu, "paper")
+    with pytest.raises(TypeError, match="'paper'"):
+        differential_matrix(A, 1, "paper")
+    with pytest.raises(TypeError, match="'paper'"):
+        cohomology(A, 2, "paper")
 
 
 def test_degree_bookkeeping():

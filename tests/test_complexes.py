@@ -1,9 +1,11 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from symlie import (Algebra, InsertionMode, SymCochain, check_d_squared,
+from symlie import (Algebra, InsertionMode, Matrix, SymCochain, audit, check_d_squared,
                     check_jacobi, coboundary_c1_explicit, coboundary_c2_explicit,
                     coeff_vector, cohomology, derivations, differential,
                     differential_matrix, endomorphism_cochain, graded_bracket,
@@ -11,10 +13,11 @@ from symlie import (Algebra, InsertionMode, SymCochain, check_d_squared,
                     make_spin, multiplication_operator, product, product_cochain,
                     sym_basis_dim)
 from symlie.cochain import basis_cochains
-from symlie.complexes import ad_half_bracket_matrix
+from symlie.complexes import ad_half_bracket_matrix, coboundary_c1_matrix
 from symlie.exactla import rank
 
-from oracles import derivation_dimension, random_cochain, random_vector
+from oracles import (derivation_dimension, printed_coboundary_c1, random_cochain,
+                     random_commutative, random_vector)
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -81,9 +84,13 @@ def test_coboundary_c1_values_on_family():
 
 def test_coboundary_c1_is_negative_sum_differential():
     rng = random.Random(167)
-    for A in CORPUS:
+    algebras = CORPUS + [random_commutative(random.Random(d), d) for d in (1, 2, 3, 4)]
+    for A in algebras:
         f = random_cochain(rng, 1, A.dim)
-        assert coboundary_c1_explicit(A, f) == -differential(A, f, SUM)
+        printed = printed_coboundary_c1(A, f)
+        assert -differential(A, f, SUM) == printed
+        assert coboundary_c1_explicit(A, f) == printed
+        assert list(coboundary_c1_matrix(A).mul_vec(coeff_vector(f))) == coeff_vector(printed)
 
 
 def test_coboundary_c2_of_product_vanishes():
@@ -118,12 +125,17 @@ def test_differential_matrix_shapes_and_ranks():
 def test_matrix_action_consistency():
     rng = random.Random(179)
     for A in [make_j2(1, 0), make_spin((1, 1))]:
-        for n in (0, 1, 2):
+        mu = product_cochain(A)
+        for n in (0, 1, 2, 3):
             for mode in (SUM, PAPER):
                 mat = differential_matrix(A, n, mode).matrix
                 f = random_cochain(rng, n, A.dim, sparsity=0.3)
                 assert list(mat.mul_vec(coeff_vector(f))) == \
                     coeff_vector(differential(A, f, mode))
+                half_ad = graded_bracket(graded_bracket(mu, mu, mode), f, mode).scale(
+                    Fraction(1, 2))
+                assert list(ad_half_bracket_matrix(A, n, mode).mul_vec(coeff_vector(f))) == \
+                    coeff_vector(half_ad)
 
 
 def test_d_squared_matches_half_ad_at_degree_one():
@@ -178,6 +190,45 @@ def test_d_squared_equivalent_to_jacobi_on_basis_cochains():
                     assert match == jac
                     all_match = all_match and match
                 assert all_match == check_d_squared(A, n, mode).equal
+
+
+def test_each_composite_is_built_once(monkeypatch):
+    # d_2 d_1 serves AD-SQUARED and the H^2 data of one audit, and d_3 d_2
+    # serves AD-SQUARED and a later H^3: one product per (n, mode), here
+    # (rows of d_{n+1}, rows of d_n, columns of d_n) for n = 0, 1, 2
+    shapes = []
+    mul = Matrix.mul
+
+    def counting_mul(self, other):
+        shapes.append((self.rows, self.cols, other.cols))
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "mul", counting_mul)
+    A = make_spin([1, 2, -3])
+    audit(A)
+    for mode in (SUM, PAPER):
+        cohomology(A, 3, mode)
+    assert sorted(shapes) == sorted([(40, 16, 4), (80, 40, 16), (140, 80, 40)] * 2)
+
+
+def test_operator_matrices_die_with_their_algebra():
+    def run(q):
+        B = make_spin(q)
+        for mode in (SUM, PAPER):
+            cohomology(B, 2, mode)
+
+    run([1, 2, -3])  # fills the module-level multiset tables for this dimension
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in range(10):
+            run([t + 2, -1, 3])
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 64 * 1024
 
 
 def test_cohomology_zero_product():
