@@ -6,6 +6,11 @@ coeffs[M][k] is coordinate k of the value at the basis tuple of M,
 repetitions included (NOT a divided-power coefficient).  Symmetry of
 evaluation is therefore an invariant of the representation itself.
 
+Evaluation contracts on integers: the coefficients are read as numerators
+over their common denominator D (`_int_form`), each argument is scaled to
+integers by the lcm of its denominators, and the one Fraction per output
+coordinate is built at the end.  This is exact by construction.
+
 The bracket grading assigns a cochain of arity n the degree n - 1.
 """
 
@@ -14,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .exactla import json_int, rat_from_str, rat_to_str, vzero
 
@@ -67,6 +72,8 @@ class SymCochain:
         """entries: iterable of (multiset, k, value)."""
         coeffs: dict[tuple[int, ...], list[Fraction]] = {}
         for mset, k, val in entries:
+            if not 0 <= k < dim:
+                raise ValueError(f"output index k={k} out of range for dim {dim}")
             key = tuple(sorted(mset))
             vec = coeffs.setdefault(key, [Fraction(0)] * dim)
             vec[k] += Fraction(val)
@@ -135,15 +142,23 @@ class SymCochain:
 
         Contracts one argument at a time; by the storage convention the
         result at a basis tuple is exactly the stored coefficient vector.
+        The contraction runs on integers: numerators over the cochain's
+        common denominator, each argument scaled by the lcm of its own
+        denominators, one division per output coordinate at the end.
         """
-        args = [tuple(Fraction(x) for x in a) for a in args]
+        args = [tuple(x if type(x) is Fraction else Fraction(x) for x in a) for a in args]
         if len(args) != self.n:
             raise ValueError(f"expected {self.n} arguments, got {len(args)}")
         if any(len(a) != self.dim for a in args):
             raise ValueError("argument vector has wrong length")
-        cur = self.coeffs
+        if not self.coeffs:
+            return vzero(self.dim)
+        cur, den = _int_form(self)
         for v in args:
-            nxt: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+            s = lcm(*(x.denominator for x in v))
+            den *= s
+            v = [x.numerator * (s // x.denominator) for x in v]
+            nxt: dict[tuple[int, ...], list[int]] = {}
             for mset, vec in cur.items():
                 prev = None
                 for pos, i in enumerate(mset):
@@ -151,16 +166,17 @@ class SymCochain:
                         continue
                     prev = i
                     c = v[i]
-                    if c == 0:
+                    if not c:
                         continue
                     red = mset[:pos] + mset[pos + 1:]
                     acc = nxt.get(red)
                     if acc is None:
-                        nxt[red] = tuple(c * x for x in vec)
+                        nxt[red] = [c * x for x in vec]
                     else:
-                        nxt[red] = tuple(a + c * x for a, x in zip(acc, vec))
+                        nxt[red] = [a + c * x for a, x in zip(acc, vec)]
             cur = nxt
-        return cur.get((), vzero(self.dim))
+        out = cur.get(())
+        return vzero(self.dim) if out is None else tuple(Fraction(x, den) for x in out)
 
     # -- serialization --------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -203,6 +219,14 @@ class SymCochain:
             seen.add((mset, k))
             entries.append((mset, k, c))
         return cls.from_entries(n, dim, entries)
+
+
+def _int_form(f: SymCochain) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
+    """f's coefficients as integer numerators over their common denominator
+    D, with D: coeffs[M][k] == Fraction(ints[M][k], D)."""
+    den = lcm(*(x.denominator for vec in f.coeffs.values() for x in vec))
+    return {key: tuple(x.numerator * (den // x.denominator) for x in vec)
+            for key, vec in f.coeffs.items()}, den
 
 
 def symmetrize(table, n: int, dim: int) -> SymCochain:

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 from fractions import Fraction
@@ -11,9 +12,10 @@ from symlie import (Algebra, InsertionMode, algebra_from_entries, audit, audit_a
                     corpus_entries, graded_bracket, insert, insert_lowdeg_variant,
                     make_j2, make_non_jordan, make_spin, product_cochain, render_text,
                     SymCochain)
-from symlie.audit import CLAIM_CATALOG
+from symlie.audit import CLAIM_CATALOG, _claim_sym_closure, _mu_pool
+from symlie.exactla import vec_to_strs
 
-from oracles import d2_sanity_reference
+from oracles import d2_sanity_reference, insertion_eval
 
 ALL_IDS = [cid for cid, _ in CLAIM_CATALOG]
 SUM = InsertionMode.SUM
@@ -58,6 +60,41 @@ def test_sym_closure_holds_everywhere(reports):
     for rep in reports:
         for mode in ("sum", "paper"):
             assert rep.claim("SYM-CLOSURE", mode).verdict == "holds"
+
+
+# SYM-CLOSURE pair label -> (f, g) pool names; their arity pairs differ, so
+# each pair's insert call is told apart by (f.n, g.n)
+_SYM_PAIRS = {"mu,mu": ("mu", "mu"), "mu,L0": ("mu", "L0"), "L0,mu": ("L0", "mu"),
+              "mu,v0": ("mu", "v0"), "P,mu": ("P", "mu")}
+
+
+@pytest.mark.parametrize("label", list(_SYM_PAIRS))
+@pytest.mark.parametrize("mode", [SUM, PAPER], ids=["sum", "paper"])
+def test_sym_closure_reports_a_changed_coefficient(monkeypatch, label, mode):
+    # rational structure constants give mu a denominator; in paper mode the
+    # pairs mu,mu, L0,mu and P,mu carry a prefactor 1/((m-1)! n!) != 1
+    A = make_j2(Fraction(1, 2), Fraction(-3, 4))
+    pool = _mu_pool(A, mode)
+    f, g = (pool[name] for name in _SYM_PAIRS[label])
+    N = f.n + g.n - 1
+    target = (1,) if N == 1 else (0,) + (1,) * (N - 1)
+    module = importlib.import_module("symlie.audit")
+    real_insert = module.insert
+
+    def tampered(a, b, m):
+        built = real_insert(a, b, m)
+        if (a.n, b.n) != (f.n, g.n):
+            return built
+        vec = built.value_at(target)
+        return SymCochain(built.n, built.dim, {**built.coeffs, target: (vec[0] + 1, *vec[1:])})
+
+    monkeypatch.setattr(module, "insert", tampered)
+    rec = _claim_sym_closure(A, mode, pool)
+    raw = insertion_eval(f, g, [A.basis_vector(i) for i in target], mode is PAPER)
+    assert any(raw)
+    assert (rec.verdict, rec.mode) == ("fails", mode.value)
+    assert rec.witness == {"pair": label, "tuple": list(target), "raw": vec_to_strs(raw),
+                           "stored": vec_to_strs((raw[0] + 1, *raw[1:]))}
 
 
 def test_mc_iff_jordan_fails_forward_on_unital_example(j2_report):

@@ -1,13 +1,20 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from symlie import (SymCochain, linear_combine, make_j2, multisets, product_cochain,
+from symlie import (Algebra, GaugeSeries, InsertionMode, SymCochain, gauge_transport,
+                    insert, linear_combine, make_j2, multisets, product_cochain,
                     sym_basis_dim, symmetrize)
+from symlie.exactla import vec_to_strs
 
-from oracles import naive_evaluate, random_cochain, random_vector, symmetrize_eval
+from oracles import (naive_evaluate, random_commutative, random_cochain, random_vector,
+                     symmetrize_eval)
 
 
 def test_sym_basis_dim_examples():
@@ -155,6 +162,53 @@ def test_evaluate_arity_mismatch():
         f.evaluate([(1, 0), (1, 0, 0)])
 
 
+@pytest.mark.parametrize("k", [-1, 2, 7])
+def test_from_entries_rejects_output_index_out_of_range(k):
+    with pytest.raises(ValueError, match=f"k={k} .*dim 2"):
+        SymCochain.from_entries(1, 2, [((0,), k, 1)])
+
+
+# ---------------------------------------------------------------------------
+# integer contraction against the naive multilinear sum
+
+BIG = 10 ** 20
+RATIONALS = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+# an argument entry as the caller may pass it: int, str or Fraction
+ENTRIES = st.one_of(st.integers(-BIG, BIG), st.integers(-3, 3), RATIONALS.map(str), RATIONALS)
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """An arity-n cochain on d dimensions holding no nonzero, one, some or
+    every coefficient, and n arguments: general, some zero, or all zero."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5))
+    keys = [(mset, k) for mset in multisets(d, n) for k in range(d)]
+    fill = draw(st.sampled_from(("none", "one", "some", "all")))
+    chosen = {"none": [], "one": [draw(st.sampled_from(keys))],
+              "some": [key for key in keys if draw(st.booleans())], "all": keys}[fill]
+    f = SymCochain.from_entries(n, d, [(mset, k, draw(RATIONALS.filter(bool)))
+                                       for mset, k in chosen])
+    zero = draw(st.sampled_from(("none", "some", "all")))
+    args = []
+    for _ in range(n):
+        if zero == "all" or (zero == "some" and draw(st.booleans())):
+            args.append(tuple(draw(st.sampled_from((0, "0", Fraction(0)))) for _ in range(d)))
+        else:
+            args.append(tuple(draw(ENTRIES) for _ in range(d)))
+    return f, args
+
+
+@given(evaluation_inputs())
+def test_evaluate_matches_naive_oracle_on_generated_inputs(inputs):
+    f, args = inputs
+    out = f.evaluate(args)
+    assert out == naive_evaluate(f, args)
+    assert len(out) == f.dim and all(type(x) is Fraction for x in out)
+
+
 def test_json_round_trip():
     rng = random.Random(59)
     f = random_cochain(rng, 3, 3, sparsity=0.4)
@@ -172,3 +226,59 @@ def test_json_round_trip():
 def test_json_rejects_malformed(doc):
     with pytest.raises(ValueError):
         SymCochain.from_json_dict(doc)
+
+
+def _rational_commutative(rng, d):
+    """Dense commutative algebra with structure constants p/q, |p| <= 3, q <= 4."""
+    table = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            table[i][j] = table[j][i] = tuple(
+                Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d))
+    return Algebra(d, tuple(f"b{i}" for i in range(d)), table)
+
+
+def _big_rat(rng):
+    return Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+
+
+def _evaluate_pin_doc():
+    """evaluate results on a seeded set, as one canonical JSON document:
+    criterion 1's sampler (two tuples per case), 20-digit coefficients and
+    arguments, and gauge transport (which evaluates the product terms at
+    columns of the inverse series) on two dense rational algebras."""
+    out = {"sampler": [], "big": [], "gauge": []}
+    rng = random.Random(1001)
+    grid = [(d, m, n) for d in (1, 2, 3) for m in (1, 2, 3) for n in (0, 1, 2, 3)]
+    for d, m, n in grid:
+        random_commutative(rng, d)
+        f = random_cochain(rng, m, d, sparsity=0.2)
+        g = random_cochain(rng, n, d, sparsity=0.2)
+        for mode in (InsertionMode.SUM, InsertionMode.PAPER):
+            built = insert(f, g, mode)
+            for _ in range(2):
+                args = [random_vector(rng, d, span=1) for _ in range(m + n - 1)]
+                out["sampler"].append(vec_to_strs(built.evaluate(args)))
+    rng = random.Random(7)
+    for d in (1, 2, 3, 4):
+        for n in range(5):
+            f = SymCochain.from_entries(n, d, [
+                (mset, k, _big_rat(rng)) for mset in multisets(d, n) for k in range(d)
+                if rng.random() < 0.5])
+            args = [tuple(_big_rat(rng) for _ in range(d)) for _ in range(n)]
+            out["big"].append(vec_to_strs(f.evaluate(args)))
+    rng = random.Random(11)
+    for d in (2, 3):
+        A = _rational_commutative(rng, d)
+        T = GaugeSeries(3, [random_cochain(rng, 1, d) for _ in range(3)])
+        out["gauge"].append(gauge_transport(T, A, 3).to_json_list())
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+# sha256 of _evaluate_pin_doc(), recorded while evaluate still contracted on
+# Fractions term by term: a faster contraction must not move a byte of it
+EVALUATE_SHA256 = "c6c09d2200f20f1c9d2ccea790bd14d1c4104ea6b6f9cf486917625e7cc5d5f9"
+
+
+def test_evaluate_pinned():
+    assert hashlib.sha256(_evaluate_pin_doc().encode()).hexdigest() == EVALUATE_SHA256

@@ -8,12 +8,12 @@ import pytest
 from symlie import (Algebra, InsertionMode, Matrix, SymCochain, audit, check_d_squared,
                     check_jacobi, coboundary_c1_explicit, coboundary_c2_explicit,
                     coeff_vector, cohomology, derivations, differential,
-                    differential_matrix, endomorphism_cochain, graded_bracket,
+                    differential_matrix, endomorphism_cochain, graded_bracket, insert,
                     make_field, make_j2, make_non_jordan,
                     make_spin, multiplication_operator, product, product_cochain,
                     sym_basis_dim)
 from symlie.cochain import basis_cochains
-from symlie.complexes import ad_half_bracket_matrix, coboundary_c1_matrix
+from symlie.complexes import _composite, ad_half_bracket_matrix, coboundary_c1_matrix
 from symlie.exactla import rank
 
 from oracles import (derivation_dimension, printed_coboundary_c1, random_cochain,
@@ -190,6 +190,30 @@ def test_d_squared_equivalent_to_jacobi_on_basis_cochains():
                     assert match == jac
                     all_match = all_match and match
                 assert all_match == check_d_squared(A, n, mode).equal
+
+
+def _assoc(f, g, h, mode):
+    """A(f,g,h) = (f o g) o h - f o (g o h)."""
+    return insert(insert(f, g, mode), h, mode) - insert(f, insert(g, h, mode), mode)
+
+
+@pytest.mark.parametrize("d, fill, seed", [(1, 1, 0), (2, 1, 1), (2, 0.5, 2),
+                                           (3, 1, 3), (3, 0.5, 4), (3, 0.3, 5)])
+def test_d_squared_difference_is_the_associator_expression(d, fill, seed):
+    # on algebras outside the corpus, at every arity up to 3, the matrices
+    # check_d_squared compares differ column by column by
+    # -A(f,mu,mu) - (1+(-1)^n) A(mu,mu,f) for the basis cochain f
+    A = random_commutative(random.Random(seed), d, fill)
+    mu = product_cochain(A)
+    for n in range(4):
+        composite, half_ad = _composite(A, n, SUM), ad_half_bracket_matrix(A, n, SUM)
+        all_zero = True
+        for j, (_, f) in enumerate(basis_cochains(d, n)):
+            expr = _assoc(f, mu, mu, SUM).scale(-1) - _assoc(mu, mu, f, SUM).scale(1 + (-1) ** n)
+            diff = [a - b for a, b in zip(composite.column(j), half_ad.column(j))]
+            assert diff == coeff_vector(expr), (n, j)
+            all_zero = all_zero and expr.is_zero()
+        assert check_d_squared(A, n, SUM).equal == all_zero
 
 
 def test_each_composite_is_built_once(monkeypatch):
