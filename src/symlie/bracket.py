@@ -54,6 +54,31 @@ def koszul_sign(deg_f: int, deg_g: int) -> int:
     return -1 if (deg_f * deg_g) % 2 else 1
 
 
+def _prefactor(mode: InsertionMode, m: int, n: int) -> Fraction:
+    """The scalar before the sum inserting arity n into arity m: 1 in SUM mode,
+    1/((m-1)! n!) in PAPER mode, and 1 for m = 0, where the sum is empty."""
+    if not isinstance(mode, InsertionMode):
+        raise TypeError(f"insertion mode must be an InsertionMode, got {mode!r}")
+    if mode is InsertionMode.SUM or m == 0:
+        return Fraction(1)
+    return Fraction(1, factorial(m - 1) * factorial(n))
+
+
+def _slots(F: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(k, F - {k}) for each distinct k of the sorted multiset F."""
+    return [(k, F[:p] + F[p + 1:]) for p, k in enumerate(F) if p == 0 or F[p - 1] != k]
+
+
+def _unshuffle_count(rest: tuple[int, ...], G: tuple[int, ...]) -> int:
+    """prod_a C(mult_N(a), mult_G(a)): the unshuffles placing G in N = rest + G."""
+    c = 1
+    for a in set(G):
+        if a in rest:
+            r = G.count(a)
+            c *= comb(rest.count(a) + r, r)
+    return c
+
+
 def insert(f: SymCochain, g: SymCochain, mode: InsertionMode = InsertionMode.SUM) -> SymCochain:
     """Insertion of g into one slot of f, summed over unshuffles.
 
@@ -66,8 +91,7 @@ def insert(f: SymCochain, g: SymCochain, mode: InsertionMode = InsertionMode.SUM
     i.e. prod_a C(mult_N(a), mult_G(a)) times.  The cost follows the
     inputs' nonzeros, not the size of the output space.
     """
-    if not isinstance(mode, InsertionMode):
-        raise TypeError(f"insertion mode must be an InsertionMode, got {mode!r}")
+    pref = _prefactor(mode, f.n, g.n)
     if f.dim != g.dim:
         raise ValueError("ambient dimension mismatch")
     m, n, d = f.n, g.n, f.dim
@@ -77,27 +101,20 @@ def insert(f: SymCochain, g: SymCochain, mode: InsertionMode = InsertionMode.SUM
     slots = {}
     for F, fval in f.coeffs.items():
         nonzero = [(t, x) for t, x in enumerate(fval) if x]
-        for pos, k in enumerate(F):
-            if pos == 0 or F[pos - 1] != k:
-                slots.setdefault(k, []).append((F[:pos] + F[pos + 1:], nonzero))
+        for k, rest in _slots(F):
+            slots.setdefault(k, []).append((rest, nonzero))
     zero = Fraction(0)
     out = {}
     for G, gval in g.coeffs.items():
-        gmult = [(a, G.count(a)) for a in set(G)]
         for k, w in enumerate(gval):
             if not w:
                 continue
             for rest, nonzero in slots.get(k, ()):
-                c = 1
-                for a, r in gmult:
-                    if a in rest:
-                        c *= comb(rest.count(a) + r, r)
-                c *= w
+                c = _unshuffle_count(rest, G) * w
                 acc = out.setdefault(tuple(sorted(rest + G)), [zero] * d)
                 for t, x in nonzero:
                     acc[t] += c * x
-    if mode is InsertionMode.PAPER:
-        pref = Fraction(1, factorial(m - 1) * factorial(n))
+    if pref != 1:
         out = {N: [pref * a if a else a for a in acc] for N, acc in out.items()}
     return SymCochain(m + n - 1, d, out)
 

@@ -2,6 +2,10 @@
 printed low-degree coboundary formulas, the d-squared comparison against
 (1/2) ad_{[mu,mu]}, and kernel/image/cohomology data with validity flags.
 
+The matrix of f -> [g, f], g = mu or [mu, mu], is scattered from g's
+nonzeros into sparse rows: the operator is linear in f and fixed by g, so no
+bracket is taken per column, and the mode enters only as two scalars.
+
 d o d = 0 is never assumed: cohomology reports carry an explicit
 `complex_valid` flag and the rank of the composite.  The matrices of d_n
 and of d_{n+1} d_n are kept on the algebra per (n, mode): each is built
@@ -10,12 +14,15 @@ once and dies with it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import Algebra, Witness, product, product_cochain
-from .bracket import InsertionMode, graded_bracket
-from .cochain import SymCochain, basis_cochains, from_coeff_vector, multisets, sym_basis_dim
+from .bracket import (InsertionMode, _prefactor, _slots, _unshuffle_count, graded_bracket,
+                      koszul_sign)
+from .cochain import SymCochain, _int_form, multisets
 from .exactla import Matrix, kernel_basis, rank, vadd, vsub
 
 
@@ -68,20 +75,42 @@ class DifferentialData:
 
 
 def _bracket_matrix(g: SymCochain, n: int, mode: InsertionMode, c) -> Matrix:
-    """Matrix of f -> c [g, f] on arity-n cochains.  Column j is c [g, e_j]
-    for the j-th basis cochain e_j, written from the bracket's nonzeros:
-    coordinate t at multiset M is row index(M) * d + t."""
-    d, out_n = g.dim, g.n + n - 1
-    row_of = {mset: i * d for i, mset in enumerate(multisets(d, out_n))}
-    cols = sym_basis_dim(d, n)
-    data = [[Fraction(0)] * cols for _ in range(sym_basis_dim(d, out_n))]
-    for j, (_, e_j) in enumerate(basis_cochains(d, n)):
-        for mset, vec in graded_bracket(g, e_j, mode).coeffs.items():
-            row = row_of[mset]
-            for t, x in enumerate(vec):
-                if x:
-                    data[row + t][j] = c * x
-    return Matrix(len(data), cols, data)
+    """Matrix of f -> c [g, f] on arity-n cochains.
+
+    Column (F, t) is c [g, e_{F,t}] = c p_L (g o e) - c (-1)^{(m-1)(n-1)} p_R (e o g),
+    p_L, p_R and mult being `insert`'s prefactors and unshuffle count.  In g o e,
+    g[G]_s and each distinct slot k of G add mult g[G]_s at (sorted(G - {k} + F), s)
+    in column (F, k); in e o g, each distinct slot k of F and g[G]_k add mult g[G]_k at
+    (sorted(F - {k} + G), t) in column (F, t).  Row index(M) d + t is coordinate t at M."""
+    m, d = g.n, g.dim
+    ints, den = _int_form(g)
+    # both pieces over one denominator q, so the sums run on ints
+    left = c * _prefactor(mode, m, n) / den
+    right = -c * koszul_sign(m - 1, n - 1) * _prefactor(mode, n, m) / den
+    q = lcm(left.denominator, right.denominator)
+    p_left, p_right = int(left * q), int(right * q)
+    columns = multisets(d, n)
+    row_of = {M: i * d for i, M in enumerate(multisets(d, m + n - 1))}
+    srows: list[dict[int, int]] = [defaultdict(int) for _ in range(len(row_of) * d)]
+    by_slot: dict[int, list] = {}  # k -> [(G, p_right g[G]_k)]
+    for G, gval in ints.items():
+        nonzero = [(s, x) for s, x in enumerate(gval) if x]
+        for k, rest in _slots(G):
+            for j, F in enumerate(columns):
+                row, col = row_of[tuple(sorted(rest + F))], j * d + k
+                mult = _unshuffle_count(rest, F) * p_left
+                for s, x in nonzero:
+                    srows[row + s][col] += mult * x
+        for k, x in nonzero:
+            by_slot.setdefault(k, []).append((G, p_right * x))
+    for j, F in enumerate(columns):
+        for k, rest in _slots(F):
+            for G, w in by_slot.get(k, ()):
+                row, x = row_of[tuple(sorted(rest + G))], _unshuffle_count(rest, G) * w
+                for t in range(d):
+                    srows[row + t][j * d + t] += x
+    return Matrix(len(srows), len(columns) * d,
+                  srows=[{j: Fraction(x, q) for j, x in r.items() if x} for r in srows])
 
 
 def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DifferentialData:
@@ -127,19 +156,14 @@ def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM)
     both_zero = composite.is_zero() and ad_half.is_zero()
     if composite == ad_half:
         return DSquaredReport(n, mode, True, both_zero)
-    # first differing entry, located back on the responsible basis cochain
-    for j in range(composite.cols):
-        ca, cb = composite.column(j), ad_half.column(j)
-        if ca != cb:
-            mset, k = multisets(A.dim, n)[j // A.dim], j % A.dim
-            # the coefficient vector of that basis cochain: e_j
-            e_j = tuple(Fraction(int(i == j)) for i in range(composite.cols))
-            wit = Witness(
-                inputs=(e_j,),
-                left=ca, right=cb,
-                note=f"columns of d∘d vs (1/2)ad on basis cochain ({list(mset)}, k={k})")
-            return DSquaredReport(n, mode, False, both_zero, wit)
-    raise AssertionError("unreachable")
+    # the first differing column, located back on its basis cochain
+    j = min(col for ra, rb in zip(composite.srows, ad_half.srows) if ra != rb
+            for col in ra.keys() | rb.keys() if ra.get(col) != rb.get(col))
+    mset, k = multisets(A.dim, n)[j // A.dim], j % A.dim
+    e_j = tuple(Fraction(int(i == j)) for i in range(composite.cols))
+    wit = Witness((e_j,), composite.column(j), ad_half.column(j),
+                  f"columns of d∘d vs (1/2)ad on basis cochain ({list(mset)}, k={k})")
+    return DSquaredReport(n, mode, False, both_zero, wit)
 
 
 @dataclass
@@ -188,13 +212,9 @@ def derivations(A: Algebra) -> list[Matrix]:
     """Basis of {f in End(J): f(x*y) = f(x)*y + x*f(y)} as d x d matrices,
     computed as the kernel of d_1 in SUM mode (minus the printed coboundary)."""
     d = A.dim
-    mats = []
-    for v in kernel_basis(differential_matrix(A, 1, InsertionMode.SUM).matrix):
-        # coefficient order is multiset-major: index j*d + k holds (f(e_j))_k
-        f = from_coeff_vector(d, 1, v)
-        data = [[f.coeff((j,), i) for j in range(d)] for i in range(d)]
-        mats.append(Matrix(d, d, data))
-    return mats
+    # coefficient order is multiset-major: index j*d + k holds (f(e_j))_k
+    return [Matrix.from_columns([v[j * d:(j + 1) * d] for j in range(d)], d)
+            for v in kernel_basis(differential_matrix(A, 1, InsertionMode.SUM).matrix)]
 
 
 def endomorphism_cochain(mat: Matrix) -> SymCochain:

@@ -3,9 +3,10 @@
 Scalars are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator), so every operation in the package is exact.
 
-A `Matrix` stores dense rows of Fractions.  Elimination runs on a sparse
-integer copy: each nonzero row, scaled by the lcm of its denominators,
-becomes {column: int} with zeros left out.  In each column the pivot is the
+A `Matrix` stores sparse rows {column: Fraction} with no stored zeros, so
+products, sums and comparisons walk only the nonzeros.  Elimination runs on
+an integer copy: each nonzero row, scaled by the lcm of its denominators,
+becomes a primitive row {column: int}.  In each column the pivot is the
 first remaining row, in row order, with a nonzero there.  A row with entry
 b in that column, against pivot entry a, becomes (a/g) row - (b/g) pivot
 with g = gcd(a, b), and is then divided by its content, so rows stay
@@ -27,6 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_ZERO = Fraction(0)
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -81,24 +83,30 @@ def vec_to_strs(v) -> list[str]:
 
 
 class Matrix:
-    """Dense rational matrix. Not mutated after construction."""
+    """Sparse rational matrix, never mutated: row i is {column: Fraction} with no stored
+    zeros, from dense rows `data` or taken as is from `srows=`; `.data` is a dense copy per read."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "srows")
 
-    def __init__(self, rows: int, cols: int, data: list[list[Fraction]]):
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("matrix data does not match shape")
-        self.rows = rows
-        self.cols = cols
-        self.data = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in data]
+    def __init__(self, rows: int, cols: int, data: list[list[Fraction]] | None = None, *,
+                 srows: list[dict[int, Fraction]] | None = None):
+        if srows is None:
+            if len(data) != rows or any(len(r) != cols for r in data):
+                raise ValueError("matrix data does not match shape")
+            srows = [{j: y for j, x in enumerate(r) if (y := Fraction(x))} for r in data]
+        self.rows, self.cols, self.srows = rows, cols, srows
+
+    @property
+    def data(self) -> list[list[Fraction]]:
+        return [[row.get(j, _ZERO) for j in range(self.cols)] for row in self.srows]
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[Fraction(0)] * cols for _ in range(rows)])
+        return cls(rows, cols, srows=[{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        return cls(n, n, srows=[{i: Fraction(1)} for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -110,54 +118,59 @@ class Matrix:
     @classmethod
     def from_columns(cls, cols, rows: int) -> "Matrix":
         cols = [list(c) for c in cols]
-        data = [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
-        return cls(rows, len(cols), data)
+        for j, col in enumerate(cols):
+            if len(col) != rows:
+                raise ValueError(f"column {j} has length {len(col)}, expected {rows}")
+        return cls(rows, len(cols), srows=[
+            {j: y for j, col in enumerate(cols) if (y := Fraction(col[i]))} for i in range(rows)])
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(row.get(j, _ZERO) for row in self.srows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        nonzeros = [[(j, x) for j, x in enumerate(brow) if x] for brow in other.data]
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-        for row, orow in zip(self.data, out):
-            for a, bnz in zip(row, nonzeros):
-                if a:
-                    for j, x in bnz:
-                        orow[j] += a * x
-        return Matrix(self.rows, other.cols, out)
+        # on ints: other over one common denominator D, each row of self over its own q
+        D = lcm(*(x.denominator for r in other.srows for x in r.values()))
+        right = [{j: x.numerator * (D // x.denominator) for j, x in r.items()} for r in other.srows]
+        out = []
+        for row in self.srows:
+            q = lcm(*(x.denominator for x in row.values()))
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                a = a.numerator * (q // a.denominator)
+                for j, x in right[k].items():
+                    acc[j] = acc.get(j, 0) + a * x
+            out.append({j: Fraction(x, q * D) for j, x in acc.items() if x})
+        return Matrix(self.rows, other.cols, srows=out)
 
     def mul_vec(self, v) -> tuple[Fraction, ...]:
         v = list(v)
         if len(v) != self.cols:
             raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols) if v[j]), Fraction(0))
-                     for r in self.data)
+        return tuple(sum((x * v[j] for j, x in row.items()), Fraction(0)) for row in self.srows)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
-        return Matrix(self.rows, self.cols,
-                      [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        return Matrix(self.rows, self.cols, srows=[
+            {j: x for j in ra.keys() | rb.keys() if (x := ra.get(j, 0) + rb.get(j, 0))}
+            for ra, rb in zip(self.srows, other.srows)])
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix(self.rows, self.cols, [[c * x for x in r] for r in self.data])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix(self.rows, self.cols,
+                      srows=[{j: c * x for j, x in r.items()} if c else {} for r in self.srows])
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(self.srows)
 
     def to_strs(self) -> list[list[str]]:
         return [[rat_to_str(x) for x in r] for r in self.data]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self.srows == other.srows)
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -171,15 +184,13 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def _integer_rows(data) -> list[dict[int, int]]:
-    """The nonzero rows, in order, each scaled by the lcm of its denominators
-    to a primitive sparse integer row."""
+def _integer_rows(srows) -> list[dict[int, int]]:
+    """The nonzero rows, in order, each over the lcm of its denominators, made primitive."""
     out = []
-    for row in data:
-        nz = [(j, x) for j, x in enumerate(row) if x]
-        if nz:
-            den = lcm(*(x.denominator for _, x in nz))
-            out.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in nz}))
+    for row in srows:
+        if row:
+            den = lcm(*(x.denominator for x in row.values()))
+            out.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()}))
     return out
 
 
@@ -231,32 +242,33 @@ def _eliminate(rows: list[dict[int, int]], reduced: bool):
     return pivot_rows, tuple(pivots)
 
 
-def _reduced(data) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
+def _reduced(srows) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
     """The nonzero rows of the reduced row echelon form as sparse Fraction
     rows, and the pivot columns."""
-    rows, pivots = _eliminate(_integer_rows(data), reduced=True)
+    rows, pivots = _eliminate(_integer_rows(srows), reduced=True)
     return [{j: Fraction(x, r[p]) for j, x in r.items()} for r, p in zip(rows, pivots)], pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (deterministic)."""
-    red, pivots = _reduced(m.data)
-    zero = Fraction(0)
-    data = [[zero] * m.cols for _ in range(m.rows)]
-    for dense, row in zip(data, red):
-        for j, x in row.items():
-            dense[j] = x
-    return Matrix(m.rows, m.cols, data), pivots
+    red, pivots = _reduced(m.srows)
+    return Matrix(m.rows, m.cols, srows=red + [{} for _ in range(m.rows - len(red))]), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(_integer_rows(m.data), reduced=False)[1])
+    srows = m.srows
+    if m.rows > m.cols:  # rank m = rank m^T, which has fewer rows to combine
+        srows = [{} for _ in range(m.cols)]
+        for i, row in enumerate(m.srows):
+            for j, x in row.items():
+                srows[j][i] = x
+    return len(_eliminate(_integer_rows(srows), reduced=False)[1])
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, one vector per free column,
     in reduced echelon form (free variable set to 1, pivots back-filled)."""
-    red, pivots = _reduced(m.data)
+    red, pivots = _reduced(m.srows)
     pivset = set(pivots)
     basis = []
     for free in range(m.cols):
@@ -277,7 +289,8 @@ def solve(m: Matrix, b) -> tuple[Fraction, ...] | None:
     b = [Fraction(x) for x in b]
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    red, pivots = _reduced([row + [bb] for row, bb in zip(m.data, b)])
+    # b is column m.cols of the augmented rows, stored where it is nonzero
+    red, pivots = _reduced([{**row, m.cols: bb} if bb else row for row, bb in zip(m.srows, b)])
     if pivots and pivots[-1] == m.cols:
         return None
     x = [Fraction(0)] * m.cols

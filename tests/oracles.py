@@ -136,6 +136,7 @@ def reference_rref(m):
 def reference_kernel_basis(m):
     """Right null space, one vector per free column, from reference_rref."""
     red, pivots = reference_rref(m)
+    red = red.data
     pivset = set(pivots)
     basis = []
     for free in range(m.cols):
@@ -144,7 +145,7 @@ def reference_kernel_basis(m):
         v = [Fraction(0)] * m.cols
         v[free] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -red.data[i][free]
+            v[p] = -red[i][free]
         basis.append(tuple(v))
     return basis
 
@@ -157,10 +158,33 @@ def reference_solve(m, b):
     red, pivots = reference_rref(aug)
     if pivots and pivots[-1] == m.cols:
         return None
+    red = red.data
     x = [Fraction(0)] * m.cols
     for i, p in enumerate(pivots):
-        x[p] = red.data[i][m.cols]
+        x[p] = red[i][m.cols]
     return tuple(x)
+
+
+def dense_mul(a, b, cols):
+    """Product of dense row lists, entry by entry; b has `cols` columns."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)]
+            for row in a]
+
+
+def dense_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(c, a):
+    return [[Fraction(c) * x for x in row] for row in a]
+
+
+def dense_mul_vec(a, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
+
+
+def dense_column(a, j):
+    return tuple(row[j] for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -408,3 +432,28 @@ def d2_sanity_reference(A, mode):
                              "dd": [str(x) for x in left],
                              "half_ad": [str(x) for x in right]}
     return "holds", None
+
+
+def reference_bracket(f, g, paper):
+    """[f, g] = f o g - (-1)^{(m-1)(n-1)} g o f from reference_insert."""
+    sign = (-1) ** ((f.n - 1) * (g.n - 1))
+    return reference_insert(f, g, paper) - reference_insert(g, f, paper).scale(sign)
+
+
+def reference_bracket_matrix(g, n, paper, c):
+    """Matrix of f -> c [g, f] on arity-n cochains, one bracket per column:
+    column j is c [g, e_j] for the j-th basis cochain, written densely, with
+    coordinate t at multiset M in row index(M) * d + t.  This is the loop the
+    engine used before it scattered its operator matrices from g's nonzeros."""
+    from symlie import Matrix, basis_cochains, multisets, sym_basis_dim
+    d, out_n = g.dim, g.n + n - 1
+    row_of = {mset: i * d for i, mset in enumerate(multisets(d, out_n))}
+    cols = sym_basis_dim(d, n)
+    data = [[Fraction(0)] * cols for _ in range(sym_basis_dim(d, out_n))]
+    for j, (_, e_j) in enumerate(basis_cochains(d, n)):
+        for mset, vec in reference_bracket(g, e_j, paper).coeffs.items():
+            row = row_of[mset]
+            for t, x in enumerate(vec):
+                if x:
+                    data[row + t][j] = c * x
+    return Matrix(len(data), cols, data)

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,16 +10,18 @@ import pytest
 from symlie import (Algebra, InsertionMode, Matrix, SymCochain, audit, check_d_squared,
                     check_jacobi, coboundary_c1_explicit, coboundary_c2_explicit,
                     coeff_vector, cohomology, derivations, differential,
-                    differential_matrix, endomorphism_cochain, graded_bracket, insert,
-                    make_field, make_j2, make_non_jordan,
+                    differential_matrix, endomorphism_cochain, graded_bracket,
+                    insert, make_field, make_j2, make_non_jordan, mc_solve_chain,
                     make_spin, multiplication_operator, product, product_cochain,
                     sym_basis_dim)
 from symlie.cochain import basis_cochains
 from symlie.complexes import _composite, ad_half_bracket_matrix, coboundary_c1_matrix
+from symlie.deformation import class_modulo_image
 from symlie.exactla import rank
 
 from oracles import (derivation_dimension, printed_coboundary_c1, random_cochain,
-                     random_commutative, random_vector)
+                     random_commutative, random_vector, reference_bracket,
+                     reference_bracket_matrix)
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -136,6 +140,24 @@ def test_matrix_action_consistency():
                     Fraction(1, 2))
                 assert list(ad_half_bracket_matrix(A, n, mode).mul_vec(coeff_vector(f))) == \
                     coeff_vector(half_ad)
+
+
+@pytest.mark.parametrize("mode", [SUM, PAPER])
+def test_operator_matrices_match_per_column_brackets(mode):
+    # the scatter from mu's and [mu,mu]'s nonzeros against one bracket per
+    # basis cochain, on the corpus, spin factors and seeded random algebras
+    algebras = CORPUS + [make_spin([1, -2]), make_spin([1, 2, -3])]
+    algebras += [random_commutative(random.Random(seed), d)
+                 for seed, d in ((0, 1), (1, 2), (2, 3))]
+    paper = mode is PAPER
+    for A in algebras:
+        mu = product_cochain(A)
+        B = reference_bracket(mu, mu, paper)
+        for n in range(4):
+            assert differential_matrix(A, n, mode).matrix == \
+                reference_bracket_matrix(mu, n, paper, 1), (A.labels, n)
+            assert ad_half_bracket_matrix(A, n, mode) == \
+                reference_bracket_matrix(B, n, paper, Fraction(1, 2)), (A.labels, n)
 
 
 def test_d_squared_matches_half_ad_at_degree_one():
@@ -310,3 +332,46 @@ def test_dimension_mismatch_errors():
         coboundary_c1_explicit(A, SymCochain.zero(2, 2))
     with pytest.raises(ValueError):
         coboundary_c2_explicit(A, SymCochain.zero(1, 2))
+
+
+def _operator_pin_doc():
+    """Results read off the operator matrices, as one canonical JSON document:
+    spin factors of dimension 3-5 and two dense random_commutative algebras
+    (d = 3, fill 0.6), in both modes."""
+    rng = random.Random(808)
+    algebras = [make_spin(q) for q in ([1, -2], [1, 2, -3],
+                                       [1, Fraction(-1, 2), 3, Fraction(5, 4)])]
+    algebras += [random_commutative(rng, 3, 0.6) for _ in range(2)]
+    out = []
+    for A in algebras:
+        doc = {"c1": coboundary_c1_matrix(A).to_strs(),
+               "derivations": [D.to_strs() for D in derivations(A)]}
+        for mode in (SUM, PAPER):
+            squares = []
+            for n in range(4):
+                rep = check_d_squared(A, n, mode)
+                squares.append([rep.equal, rep.both_zero,
+                                rep.witness and rep.witness.to_json_dict()])
+            chains = []
+            # mu itself extends to order 3: d mu = [mu, mu]
+            for phi1 in (random_cochain(rng, 2, A.dim, sparsity=0.5), product_cochain(A)):
+                s, step = mc_solve_chain(A, phi1, 3, mode)
+                chains.append([s.to_json_list(), step and [
+                    step.order, step.obstruction.to_json_dict()]])
+            r = random_cochain(rng, 3, A.dim, sparsity=0.7)
+            doc[mode.value] = {
+                "cohomology": [cohomology(A, n, mode).to_json_dict() for n in range(5)],
+                "d_squared": squares, "mc": chains,
+                "class": class_modulo_image(A, r, mode).to_json_dict()}
+        out.append(doc)
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+# sha256 of _operator_pin_doc(), recorded while each column of d and of
+# (1/2)ad was still a bracket with one basis cochain, stored in a dense
+# matrix: the scatter into sparse rows must not move a byte of it
+OPERATOR_SHA256 = "869c9030d89da866f51c0dcb084198a237bb87ffb6b1eade4e9d43bb391854b8"
+
+
+def test_operator_results_pinned():
+    assert hashlib.sha256(_operator_pin_doc().encode()).hexdigest() == OPERATOR_SHA256

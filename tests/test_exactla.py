@@ -10,7 +10,8 @@ from symlie.complexes import differential_matrix
 from symlie.exactla import (Matrix, kernel_basis, rank, rat_from_str, rat_to_str,
                             rref, solve)
 
-from oracles import reference_kernel_basis, reference_rref, reference_solve
+from oracles import (dense_add, dense_column, dense_mul, dense_mul_vec, dense_scale,
+                     reference_kernel_basis, reference_rref, reference_solve)
 
 
 def M(rows):
@@ -99,6 +100,14 @@ def test_big_intermediates_stay_exact():
     assert rat_from_str(rat_to_str(a)) == a
 
 
+def test_from_columns_rejects_a_column_of_the_wrong_length():
+    with pytest.raises(ValueError, match="column 0 has length 3, expected 2"):
+        Matrix.from_columns([[1, 2, 3], [4, 5, 6]], 2)
+    with pytest.raises(ValueError, match="column 1 has length 1, expected 2"):
+        Matrix.from_columns([[1, 2], [4]], 2)
+    assert Matrix.from_columns([[1, 2], [0, 4]], 2) == M([[1, 0], [2, 4]])
+
+
 def test_matrix_coerces_and_copies_its_input():
     assert type(Matrix(1, 1, [[2]]).data[0][0]) is Fraction
     rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
@@ -118,10 +127,12 @@ ENTRIES = st.one_of(st.just(Fraction(0)), SMALL,
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, rows=None, cols=None):
     """Up to 8x8 (wide, tall, empty), often rank deficient, with zero rows
-    and columns, signed entries and 30-digit numerators and denominators."""
-    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    and columns, signed entries and 30-digit numerators and denominators.
+    `rows` and `cols` fix the shape."""
+    rows = draw(st.integers(0, 8)) if rows is None else rows
+    cols = draw(st.integers(0, 8)) if cols is None else cols
     data = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
     if rows >= 2 and draw(st.booleans()):
         # rows k.. become combinations of rows 0..k-1
@@ -138,6 +149,43 @@ def matrices(draw):
             for row in data:
                 row[j] = Fraction(0)
     return Matrix(rows, cols, data)
+
+
+def _stores_no_zero(m):
+    return all(type(x) is Fraction and x for row in m.srows for x in row.values())
+
+
+@given(st.data())
+def test_sparse_matrix_matches_dense_reference(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(a.rows, a.cols))
+    c = data.draw(matrices(a.cols))
+    s = data.draw(ENTRIES)
+    v = [data.draw(ENTRIES) for _ in range(a.cols)]
+    A, B, C = a.data, b.data, c.data
+    results = [a.mul(c), a.add(b), a.scale(s), a.add(a.scale(-1))]
+    assert [r.data for r in results] == [dense_mul(A, C, c.cols), dense_add(A, B),
+                                         dense_scale(s, A), dense_add(A, dense_scale(-1, A))]
+    assert a.mul_vec(v) == dense_mul_vec(A, v)
+    assert [a.column(j) for j in range(a.cols)] == [dense_column(A, j) for j in range(a.cols)]
+    assert (a == b) == (A == B)
+    assert a == Matrix(a.rows, a.cols, A) == Matrix.from_columns(
+        [dense_column(A, j) for j in range(a.cols)], a.rows)
+    assert a.is_zero() == all(x == 0 for row in A for x in row)
+    assert results[3].is_zero() and results[3] == Matrix.zeros(a.rows, a.cols)
+    assert all(_stores_no_zero(m) for m in [a, b, c, rref(a)[0]] + results)
+
+
+@given(matrices())
+def test_mutating_data_never_changes_the_matrix(m):
+    before = m.data
+    view = m.data
+    for row in view:
+        row[:] = [Fraction(7)] * len(row)
+        row.append(Fraction(1))
+    view.append([Fraction(1)])
+    assert m.data == before
+    assert m == Matrix(m.rows, m.cols, before)
 
 
 @given(matrices())
@@ -174,8 +222,10 @@ def test_elimination_on_spin_differentials(n, mode):
     red, pivots = reference_rref(m)
     assert rref(m) == (red, pivots)
     assert rank(m) == len(pivots)
-    for a in (m, m.transpose()):  # d has full column rank; its transpose does not
+    # d has full column rank; its transpose, whose columns are d's rows, does not
+    for a in (m, Matrix.from_columns(m.data, m.cols)):
         assert kernel_basis(a) == reference_kernel_basis(a)
+        assert rank(a) == len(pivots)
     consistent = m.mul_vec([Fraction(j % 5 - 2, j % 3 + 1) for j in range(m.cols)])
     unit = [Fraction(int(i == m.rows - 1)) for i in range(m.rows)]
     for b in (consistent, unit):
