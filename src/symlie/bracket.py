@@ -8,8 +8,11 @@ Two modes are provided and every bracket-dependent operation takes one:
 * PAPER -- the sum carries the prefactor 1/((m-1)! n!) printed with the
            averaged-insertion definition under audit.
 
-Both are sign-free; see the audit module for what that does and does not
-imply about the graded identities.
+The mode is only a scalar.  `insert`, `graded_bracket` and the operator
+matrices of `complexes` are each one call to one integer kernel, `_scatter`.
+
+Both modes are sign-free; see the audit module for what that does and does
+not imply about the graded identities.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .algebra import IdentityReport, Witness
-from .cochain import SymCochain, multisets
+from .cochain import SymCochain, _int_form, multisets
 from .exactla import vzero
 
 
@@ -64,11 +67,6 @@ def _prefactor(mode: InsertionMode, m: int, n: int) -> Fraction:
     return Fraction(1, factorial(m - 1) * factorial(n))
 
 
-def _slots(F: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """(k, F - {k}) for each distinct k of the sorted multiset F."""
-    return [(k, F[:p] + F[p + 1:]) for p, k in enumerate(F) if p == 0 or F[p - 1] != k]
-
-
 def _unshuffle_count(rest: tuple[int, ...], G: tuple[int, ...]) -> int:
     """prod_a C(mult_N(a), mult_G(a)): the unshuffles placing G in N = rest + G."""
     c = 1
@@ -79,51 +77,66 @@ def _unshuffle_count(rest: tuple[int, ...], G: tuple[int, ...]) -> int:
     return c
 
 
+def _terms(f: SymCochain):
+    """(terms (multiset, None, nonzero (t, int)), D): f's nonzeros over their denominator D."""
+    ints, den = _int_form(f)
+    return [(F, None, [(t, x) for t, x in enumerate(v) if x]) for F, v in ints.items()], den
+
+
+def _scatter(pieces, d: int):
+    """The sum of p (outer o inner) over the pieces (p, outer, inner), unnormalized.
+
+    Terms are (multiset, tag, nonzero (index, int)).  inner[G]_k outer[F] with k
+    in F lands at N = (F - {k}) + G once per (m-1, n)-unshuffle placing G in N,
+    i.e. prod_a C(mult_N(a), mult_G(a)) times, so the cost follows the nonzeros.
+    Returns {(N, outer tag, inner tag): d ints} and the denominator q of the p."""
+    q = lcm(*(p.denominator for p, _, _ in pieces))
+    out = {}
+    for p, outer, inner in pieces:
+        if not p:
+            continue
+        by_slot = {}  # k -> [(G, tag, q p inner[G]_k)]
+        for G, tag, nonzero in inner:
+            for k, w in nonzero:
+                by_slot.setdefault(k, []).append((G, tag, p.numerator * (q // p.denominator) * w))
+        for F, ftag, nonzero in outer:
+            for pos, k in enumerate(F):
+                if pos and F[pos - 1] == k:  # one slot per distinct k
+                    continue
+                rest = F[:pos] + F[pos + 1:]
+                for G, gtag, w in by_slot.get(k, ()):
+                    c = _unshuffle_count(rest, G) * w
+                    acc = out.setdefault((tuple(sorted(rest + G)), ftag, gtag), [0] * d)
+                    for t, x in nonzero:
+                        acc[t] += c * x
+    return out, q
+
+
+def _compose(f: SymCochain, g: SymCochain, mode: InsertionMode, sign: int) -> SymCochain:
+    """p_fg (f o g) + sign p_gf (g o f), p_xy the prefactor inserting y into x."""
+    p_fg, p_gf = _prefactor(mode, f.n, g.n), sign * _prefactor(mode, g.n, f.n)
+    if f.dim != g.dim:
+        raise ValueError("ambient dimension mismatch")
+    (f_terms, df), (g_terms, dg) = _terms(f), _terms(g)
+    out, q = _scatter([(p_fg, f_terms, g_terms), (p_gf, g_terms, f_terms)], f.dim)
+    return SymCochain(max(f.n + g.n - 1, 0), f.dim, {
+        N: [Fraction(x, q * df * dg) for x in acc] for (N, _, _), acc in out.items()})
+
+
 def insert(f: SymCochain, g: SymCochain, mode: InsertionMode = InsertionMode.SUM) -> SymCochain:
     """Insertion of g into one slot of f, summed over unshuffles.
 
     Arity m + n - 1.  Inserting into an arity-0 cochain gives 0 (no slot);
     inserting an arity-0 cochain fills the slot as a constant via the single
-    (m-1, 0)-unshuffle.
-
-    Scattered over pairs of nonzeros: g[G]_k * f[F] with k in F lands at
-    N = (F - {k}) + G, once per (m-1, n)-unshuffle that places G in N,
-    i.e. prod_a C(mult_N(a), mult_G(a)) times.  The cost follows the
-    inputs' nonzeros, not the size of the output space.
+    (m-1, 0)-unshuffle.  One piece of `_scatter`.
     """
-    pref = _prefactor(mode, f.n, g.n)
-    if f.dim != g.dim:
-        raise ValueError("ambient dimension mismatch")
-    m, n, d = f.n, g.n, f.dim
-    if m == 0:
-        return SymCochain.zero(max(n - 1, 0), d)
-    # f's nonzeros by the slot k they free: k -> [(F - {k}, nonzero (t, f[F]_t))]
-    slots = {}
-    for F, fval in f.coeffs.items():
-        nonzero = [(t, x) for t, x in enumerate(fval) if x]
-        for k, rest in _slots(F):
-            slots.setdefault(k, []).append((rest, nonzero))
-    zero = Fraction(0)
-    out = {}
-    for G, gval in g.coeffs.items():
-        for k, w in enumerate(gval):
-            if not w:
-                continue
-            for rest, nonzero in slots.get(k, ()):
-                c = _unshuffle_count(rest, G) * w
-                acc = out.setdefault(tuple(sorted(rest + G)), [zero] * d)
-                for t, x in nonzero:
-                    acc[t] += c * x
-    if pref != 1:
-        out = {N: [pref * a if a else a for a in acc] for N, acc in out.items()}
-    return SymCochain(m + n - 1, d, out)
+    return _compose(f, g, mode, 0)
 
 
 def graded_bracket(f: SymCochain, g: SymCochain,
                    mode: InsertionMode = InsertionMode.SUM) -> SymCochain:
-    """[f, g] = f o g - (-1)^{|f||g|} g o f with |f| = arity - 1."""
-    sgn = koszul_sign(f.degree, g.degree)
-    return insert(f, g, mode) - insert(g, f, mode).scale(sgn)
+    """[f, g] = f o g - (-1)^{|f||g|} g o f with |f| = arity - 1, in one `_scatter`."""
+    return _compose(f, g, mode, -koszul_sign(f.degree, g.degree))
 
 
 def first_coefficient_difference(a: SymCochain, b: SymCochain):

@@ -2,27 +2,26 @@
 printed low-degree coboundary formulas, the d-squared comparison against
 (1/2) ad_{[mu,mu]}, and kernel/image/cohomology data with validity flags.
 
-The matrix of f -> [g, f], g = mu or [mu, mu], is scattered from g's
-nonzeros into sparse rows: the operator is linear in f and fixed by g, so no
-bracket is taken per column, and the mode enters only as two scalars.
+The matrix of f -> [g, f], g = mu or [mu, mu], is one call to the insertion
+kernel `bracket._scatter` with g's nonzeros on one side and the basis
+cochains on the other, so no bracket is taken per column, and the mode
+enters only as the two prefactors.
 
 d o d = 0 is never assumed: cohomology reports carry an explicit
 `complex_valid` flag and the rank of the composite.  The matrices of d_n
-and of d_{n+1} d_n are kept on the algebra per (n, mode): each is built
-once and dies with it.
+and of d_{n+1} d_n, and the rank of d_n, are kept on the algebra per
+(n, mode): each is computed once and dies with it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
 
 from .algebra import Algebra, Witness, product, product_cochain
-from .bracket import (InsertionMode, _prefactor, _slots, _unshuffle_count, graded_bracket,
-                      koszul_sign)
-from .cochain import SymCochain, _int_form, multisets
+from .bracket import InsertionMode, _prefactor, _scatter, _terms, graded_bracket, koszul_sign
+from .cochain import SymCochain, multisets
 from .exactla import Matrix, kernel_basis, rank, vadd, vsub
 
 
@@ -73,44 +72,35 @@ class DifferentialData:
     degree: int
     matrix: Matrix
 
+    @cached_property
+    def rank(self) -> int:
+        """The rank of d_n, computed on first read."""
+        return rank(self.matrix)
+
 
 def _bracket_matrix(g: SymCochain, n: int, mode: InsertionMode, c) -> Matrix:
-    """Matrix of f -> c [g, f] on arity-n cochains.
+    """Matrix of f -> c [g, f] on arity-n cochains, as one `_scatter`.
 
-    Column (F, t) is c [g, e_{F,t}] = c p_L (g o e) - c (-1)^{(m-1)(n-1)} p_R (e o g),
-    p_L, p_R and mult being `insert`'s prefactors and unshuffle count.  In g o e,
-    g[G]_s and each distinct slot k of G add mult g[G]_s at (sorted(G - {k} + F), s)
-    in column (F, k); in e o g, each distinct slot k of F and g[G]_k add mult g[G]_k at
-    (sorted(F - {k} + G), t) in column (F, t).  Row index(M) d + t is coordinate t at M."""
+    Column (F, t) is c p_L (g o e) - c (-1)^{(m-1)(n-1)} p_R (e o g) for the basis
+    cochain e = e_{F,t}, 1 at coordinate t of F and 0 elsewhere.  In g o e each e is
+    an inner term tagged with its column j d + t.  In e o g one outer term per F,
+    tagged j d, carries every t: its coordinate t lies in column j d + t."""
     m, d = g.n, g.dim
-    ints, den = _int_form(g)
-    # both pieces over one denominator q, so the sums run on ints
-    left = c * _prefactor(mode, m, n) / den
-    right = -c * koszul_sign(m - 1, n - 1) * _prefactor(mode, n, m) / den
-    q = lcm(left.denominator, right.denominator)
-    p_left, p_right = int(left * q), int(right * q)
+    terms, den = _terms(g)
     columns = multisets(d, n)
+    inner = [(F, j * d + t, [(t, 1)]) for j, F in enumerate(columns) for t in range(d)]
+    outer = [(F, j * d, [(t, 1) for t in range(d)]) for j, F in enumerate(columns)]
+    out, q = _scatter([(c * _prefactor(mode, m, n), terms, inner),
+                       (-c * koszul_sign(m - 1, n - 1) * _prefactor(mode, n, m), outer, terms)], d)
     row_of = {M: i * d for i, M in enumerate(multisets(d, m + n - 1))}
-    srows: list[dict[int, int]] = [defaultdict(int) for _ in range(len(row_of) * d)]
-    by_slot: dict[int, list] = {}  # k -> [(G, p_right g[G]_k)]
-    for G, gval in ints.items():
-        nonzero = [(s, x) for s, x in enumerate(gval) if x]
-        for k, rest in _slots(G):
-            for j, F in enumerate(columns):
-                row, col = row_of[tuple(sorted(rest + F))], j * d + k
-                mult = _unshuffle_count(rest, F) * p_left
-                for s, x in nonzero:
-                    srows[row + s][col] += mult * x
-        for k, x in nonzero:
-            by_slot.setdefault(k, []).append((G, p_right * x))
-    for j, F in enumerate(columns):
-        for k, rest in _slots(F):
-            for G, w in by_slot.get(k, ()):
-                row, x = row_of[tuple(sorted(rest + G))], _unshuffle_count(rest, G) * w
-                for t in range(d):
-                    srows[row + t][j * d + t] += x
+    srows: list[dict[int, int]] = [{} for _ in range(len(row_of) * d)]  # index(M) d + t
+    for (M, block, col), acc in out.items():
+        for t, x in enumerate(acc):
+            if x:
+                row, j = srows[row_of[M] + t], col if block is None else block + t
+                row[j] = row.get(j, 0) + x
     return Matrix(len(srows), len(columns) * d,
-                  srows=[{j: Fraction(x, q) for j, x in r.items() if x} for r in srows])
+                  srows=[{j: Fraction(x, q * den) for j, x in r.items() if x} for r in srows])
 
 
 def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DifferentialData:
@@ -189,13 +179,13 @@ class CohomologyReport:
 
 
 def cohomology(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> CohomologyReport:
-    d_n = differential_matrix(A, n, mode).matrix
-    dim_kernel = d_n.cols - rank(d_n)
+    d_n = differential_matrix(A, n, mode)
+    dim_kernel = d_n.matrix.cols - d_n.rank
     if n == 0:
         dim_image = 0
         defect = 0
     else:
-        dim_image = rank(differential_matrix(A, n - 1, mode).matrix)
+        dim_image = differential_matrix(A, n - 1, mode).rank
         defect = rank(_composite(A, n - 1, mode))
     valid = defect == 0
     dim_H = dim_kernel - dim_image if valid else None

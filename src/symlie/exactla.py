@@ -74,10 +74,6 @@ def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(c, a):
-    return tuple(c * x for x in a)
-
-
 def vec_to_strs(v) -> list[str]:
     return [rat_to_str(x) for x in v]
 

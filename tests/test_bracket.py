@@ -13,7 +13,7 @@ from symlie import (InsertionMode, SymCochain, check_jacobi, check_prelie, cohom
 from symlie.bracket import koszul_sign, parse_mode, unshuffle_permutations
 
 from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
-                     reference_insert, right_nested_eval)
+                     reference_bracket, reference_insert, right_nested_eval)
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -130,8 +130,11 @@ def test_insert_matches_reference_gather(inputs):
     f, g, mode = inputs
     built = insert(f, g, mode)
     assert built == reference_insert(f, g, mode is PAPER)
-    assert (built.n, built.dim) == (max(f.n + g.n - 1, 0), f.dim)
-    assert all(type(x) is Fraction for vec in built.coeffs.values() for x in vec)
+    bracket = graded_bracket(f, g, mode)
+    assert bracket == reference_bracket(f, g, mode is PAPER)
+    for out in (built, bracket):
+        assert (out.n, out.dim) == (max(f.n + g.n - 1, 0), f.dim)
+        assert all(type(x) is Fraction for vec in out.coeffs.values() for x in vec)
 
 
 def test_insert_bilinear():
@@ -147,8 +150,9 @@ def test_insert_bilinear():
 
 
 def test_insert_dimension_mismatch():
-    with pytest.raises(ValueError):
-        insert(SymCochain.zero(2, 2), SymCochain.zero(2, 3))
+    for op in (insert, graded_bracket):
+        with pytest.raises(ValueError):
+            op(SymCochain.zero(2, 2), SymCochain.zero(2, 3))
 
 
 def test_insert_rejects_a_mode_that_is_not_an_insertion_mode():
@@ -160,7 +164,7 @@ def test_insert_rejects_a_mode_that_is_not_an_insertion_mode():
             insert(mu, mu, bad)
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
             insert(const, mu, bad)
-    # every bracket-dependent call goes through insert
+    # every bracket-dependent call goes through _prefactor
     with pytest.raises(TypeError, match="'paper'"):
         graded_bracket(mu, mu, "paper")
     with pytest.raises(TypeError, match="'paper'"):

@@ -14,6 +14,7 @@ from symlie import (Algebra, InsertionMode, Matrix, SymCochain, audit, check_d_s
                     insert, make_field, make_j2, make_non_jordan, mc_solve_chain,
                     make_spin, multiplication_operator, product, product_cochain,
                     sym_basis_dim)
+from symlie import complexes
 from symlie.cochain import basis_cochains
 from symlie.complexes import _composite, ad_half_bracket_matrix, coboundary_c1_matrix
 from symlie.deformation import class_modulo_image
@@ -255,6 +256,24 @@ def test_each_composite_is_built_once(monkeypatch):
     for mode in (SUM, PAPER):
         cohomology(A, 3, mode)
     assert sorted(shapes) == sorted([(40, 16, 4), (80, 40, 16), (140, 80, 40)] * 2)
+
+
+def test_each_differential_is_ranked_once(monkeypatch):
+    # cohomology(A, n) reads the rank of d_{n-1}, which cohomology(A, n - 1)
+    # has just taken: over degrees 2 then 3 that is d_2, d_1, d_2 d_1, d_3
+    # and d_3 d_2 per mode, here (rows, columns)
+    shapes = []
+
+    def counting_rank(m):
+        shapes.append((m.rows, m.cols))
+        return rank(m)
+
+    monkeypatch.setattr(complexes, "rank", counting_rank)
+    A = make_spin([1, 2, -3])
+    for mode in (SUM, PAPER):
+        cohomology(A, 2, mode)
+        cohomology(A, 3, mode)
+    assert sorted(shapes) == sorted([(80, 40), (40, 16), (80, 16), (140, 80), (140, 40)] * 2)
 
 
 def test_operator_matrices_die_with_their_algebra():
