@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import combinations_with_replacement, permutations, product as iproduct
 
 from .cochain import SymCochain
 from .exactla import (Matrix, json_int, rat_from_str, rat_to_str, solve, vadd,
@@ -200,10 +200,9 @@ def check_cubic_jordan(A: Algebra) -> IdentityReport:
                     product(A, a, product(A, y, bc)))
 
     failing = None
-    for idx in iproduct(range(A.dim), repeat=4):
+    for idx in (ijk + (l,) for ijk in combinations_with_replacement(range(A.dim), 3)
+                for l in range(A.dim)):
         i, j, k, l = idx
-        if not i <= j <= k:
-            continue
         tot = vzero(A.dim)
         for p in permutations((i, j, k)):
             tot = vadd(tot, term(basis[p[0]], basis[p[1]], basis[p[2]], basis[l]))

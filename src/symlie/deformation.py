@@ -17,9 +17,9 @@ from math import factorial
 
 from .algebra import Algebra, product_cochain
 from .bracket import InsertionMode, graded_bracket
-from .cochain import SymCochain, coeff_vector, from_coeff_vector, multisets, sym_basis_dim
+from .cochain import SymCochain, coeff_vector, from_coeff_vector, multisets
 from .errors import InvariantViolation
-from .exactla import Matrix, json_int, rref, solve, vzero
+from .exactla import Matrix, json_int, rat_to_str, rref, solve, vzero
 from .complexes import coboundary_c1_matrix, differential, differential_matrix
 
 
@@ -116,20 +116,21 @@ def mc_order0(s: DeformationSeries) -> SymCochain:
     return graded_bracket(mu, mu, s.mode).scale(Fraction(1, 2))
 
 
+def _quadratic(s: DeformationSeries, n: int) -> SymCochain:
+    """(1/2) sum_{i+j=n, i,j>=1} [phi_i, phi_j], the quadratic part of the order-n equation."""
+    q = SymCochain.zero(3, s.base.dim)
+    for i in range(1, n):
+        q = q + graded_bracket(s.term(i), s.term(n - i), s.mode)
+    return q.scale(Fraction(1, 2))
+
+
 def mc_residual(s: DeformationSeries, upto: int) -> list[SymCochain]:
     """Residuals R_n = d phi_n + (1/2) sum_{i+j=n, i,j>=1} [phi_i, phi_j]
     for n = 1..upto (phi_n = 0 past the truncation order)."""
     if upto < 0 or upto > 2 * s.order:
         raise ValueError("residual order out of range")
-    half = Fraction(1, 2)
-    out = []
-    for n in range(1, upto + 1):
-        r = differential(s.base, s.term(n), s.mode)
-        for i in range(1, n):
-            j = n - i
-            r = r + graded_bracket(s.term(i), s.term(j), s.mode).scale(half)
-        out.append(r)
-    return out
+    return [differential(s.base, s.term(n), s.mode) + _quadratic(s, n)
+            for n in range(1, upto + 1)]
 
 
 @dataclass
@@ -139,7 +140,6 @@ class ObstructionClass:
     quotient_coords: tuple[Fraction, ...]
 
     def to_json_dict(self) -> dict:
-        from .exactla import rat_to_str
         return {
             "representative": self.representative.to_json_dict(),
             "in_image": self.in_image,
@@ -147,33 +147,28 @@ class ObstructionClass:
         }
 
 
-def _image_and_complement(A: Algebra, mode: InsertionMode):
-    """Independent columns of the arity-2 differential plus a deterministic
-    complement of standard basis vectors; together a basis of the arity-3
-    coefficient space."""
-    D = differential_matrix(A, 2, mode).matrix
-    _, pivots = rref(D)
-    imvecs = [D.column(j) for j in pivots]
-    R = D.rows
-    eye = Matrix.identity(R)
-    probe = Matrix.from_columns(imvecs + [eye.column(i) for i in range(R)], R) \
-        if imvecs else eye
-    _, ppiv = rref(probe)
-    complement = [p - len(imvecs) for p in ppiv if p >= len(imvecs)]
-    return imvecs, complement
-
-
 def class_modulo_image(A: Algebra, r: SymCochain, mode: InsertionMode) -> ObstructionClass:
     """Coordinates of an arity-3 cochain modulo the image of d at arity 2,
-    in a fixed complement basis."""
-    imvecs, complement = _image_and_complement(A, mode)
-    R = sym_basis_dim(A.dim, 3)
-    eye = Matrix.identity(R)
-    basis = Matrix.from_columns(imvecs + [eye.column(i) for i in complement], R)
-    coords = solve(basis, coeff_vector(r))
-    if coords is None:
-        raise InvariantViolation("image+complement failed to span the cochain space")
-    quotient = tuple(coords[len(imvecs):])
+    in a fixed complement basis.
+
+    One rref of [d_2 | I | r]: pivots fall greedily from the left, so those
+    in the d_2 block are its independent columns and those in the I block
+    the standard basis vectors that complete them to a basis.  The last
+    column holds r in that basis; its entries in the complement rows are
+    the class."""
+    if r.n != 3 or r.dim != A.dim:
+        raise ValueError("an obstruction residual must be an arity-3 cochain on the algebra")
+    D = differential_matrix(A, 2, mode).matrix
+    C, R = D.cols, D.rows
+    aug = [{**row, C + i: Fraction(1)} for i, row in enumerate(D.srows)]
+    for row, x in zip(aug, coeff_vector(r)):
+        if x:
+            row[C + R] = x
+    red, pivots = rref(Matrix(R, C + R + 1, srows=aug))
+    if pivots[-1] == C + R:
+        raise InvariantViolation("[d_2 | I] failed to span the cochain space")
+    image_rank = sum(1 for p in pivots if p < C)
+    quotient = tuple(row.get(C + R, Fraction(0)) for row in red.srows[image_rank:])
     return ObstructionClass(r, all(x == 0 for x in quotient), quotient)
 
 
@@ -202,11 +197,7 @@ def mc_solve_step(s: DeformationSeries, n: int) -> MCStep:
     if n < 1:
         raise ValueError("solver orders start at 1")
     A, mode = s.base, s.mode
-    half = Fraction(1, 2)
-    rhs = SymCochain.zero(3, A.dim)
-    for i in range(1, n):
-        j = n - i
-        rhs = rhs + graded_bracket(s.term(i), s.term(j), mode).scale(half)
+    rhs = _quadratic(s, n)
     D = differential_matrix(A, 2, mode).matrix
     x = solve(D, [-c for c in coeff_vector(rhs)])
     if x is None:
@@ -263,23 +254,13 @@ def _exp_series(fmats: list[Matrix], N: int, d: int) -> list[Matrix]:
     return T
 
 
-def _inverse_series(T: list[Matrix], N: int, d: int) -> list[Matrix]:
-    S = [Matrix.identity(d)] + [Matrix.zeros(d, d) for _ in range(N)]
-    for n in range(1, N + 1):
-        acc = Matrix.zeros(d, d)
-        for a in range(1, n + 1):
-            acc = acc.add(T[a].mul(S[n - a]))
-        S[n] = acc.scale(-1)
-    return S
-
-
 def gauge_transport_series(T: GaugeSeries, s: DeformationSeries, N: int) -> DeformationSeries:
     """Transport a full series: mu_t' (x, y) = T_t mu_t(T_t^{-1} x, T_t^{-1} y),
     expanded order by order and truncated at t^N."""
     A = s.base
     d = A.dim
     Tm = _exp_series([_endo_matrix(f) for f in T.terms], N, d)
-    Sm = _inverse_series(Tm, N, d)
+    Sm = _exp_series([_endo_matrix(f) for f in T.inverse().terms], N, d)
     mu_terms = [product_cochain(A)] + [s.term(i) for i in range(1, N + 1)]
 
     transported = []

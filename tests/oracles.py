@@ -457,3 +457,26 @@ def reference_bracket_matrix(g, n, paper, c):
                 if x:
                     data[row + t][j] = c * x
     return Matrix(len(data), cols, data)
+
+
+def reference_class_modulo_image(A, residuals, paper):
+    """(in_image, quotient_coords) of each arity-3 cochain in `residuals`
+    modulo the image of d_2, in three steps: the pivot columns of d_2, the
+    standard basis vectors that complete them greedily from the left, and a
+    solve in that basis.  This is the algorithm the engine ran before it took
+    one elimination of [d_2 | I | r]; d_2 here is reference_bracket_matrix's,
+    and the basis is built once for all residuals."""
+    from symlie import Matrix, coeff_vector, product_cochain
+    D = reference_bracket_matrix(product_cochain(A), 2, paper, 1)
+    R = D.rows
+    eye = [[Fraction(int(i == j)) for j in range(R)] for i in range(R)]
+    imvecs = [dense_column(D.data, j) for j in reference_rref(D)[1]]
+    _, ppiv = reference_rref(Matrix.from_columns(imvecs + [dense_column(eye, i)
+                                                           for i in range(R)], R))
+    complement = [p - len(imvecs) for p in ppiv if p >= len(imvecs)]
+    basis = Matrix.from_columns(imvecs + [dense_column(eye, i) for i in complement], R)
+    out = []
+    for r in residuals:
+        quotient = tuple(reference_solve(basis, coeff_vector(r))[len(imvecs):])
+        out.append((all(x == 0 for x in quotient), quotient))
+    return out

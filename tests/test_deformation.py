@@ -5,18 +5,20 @@ from fractions import Fraction
 import pytest
 
 from symlie import (Algebra, DeformationSeries, GaugeSeries, InsertionMode,
-                    SymCochain, coboundary_c1_explicit, coeff_vector,
+                    SymCochain, coboundary_c1_explicit, coeff_vector, differential,
                     gauge_equiv_first_order, gauge_transport, gauge_transport_series,
                     graded_bracket, identity_cochain, make_field, make_j2,
                     make_non_jordan, make_spin, mc_order0, mc_residual,
                     mc_solve_chain, mc_solve_step, obstruction_class,
                     product_cochain)
-from symlie.deformation import series_from_json_list
+from symlie import deformation
+from symlie.deformation import class_modulo_image, series_from_json_list
 from symlie.exactla import solve
 
-from oracles import random_cochain
+from oracles import random_cochain, random_commutative, reference_class_modulo_image
 
 SUM = InsertionMode.SUM
+PAPER = InsertionMode.PAPER
 CORPUS = [make_j2(1, 0), make_j2(0, 0), make_j2(-1, 2), make_spin((1, 1)),
           make_non_jordan(), make_field()]
 
@@ -149,6 +151,53 @@ def test_obstruction_in_image_agrees_with_direct_solve():
         assert oc.in_image == (solve(D, coeff_vector(r)) is not None)
 
 
+def test_class_matches_reference_algorithm():
+    # random r, r = d_2 x (in the image, all-zero class) and r = 0, in both modes
+    rng = random.Random(229)
+    for d in (1, 2, 3):
+        A = random_commutative(rng, d)
+        for mode in (SUM, PAPER):
+            image = differential(A, random_cochain(rng, 2, d), mode)
+            rs = [random_cochain(rng, 3, d, sparsity=0.5), image, SymCochain.zero(3, d)]
+            classes = [class_modulo_image(A, r, mode) for r in rs]
+            assert [oc.representative for oc in classes] == rs
+            assert [(oc.in_image, oc.quotient_coords) for oc in classes] == \
+                reference_class_modulo_image(A, rs, mode is PAPER), (d, mode)
+            assert classes[1].in_image and not any(classes[1].quotient_coords)
+
+
+def test_class_is_one_elimination(monkeypatch):
+    calls = {"rref": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(deformation, "rref", counted("rref", deformation.rref))
+    monkeypatch.setattr(deformation, "solve", counted("solve", deformation.solve))
+    rng = random.Random(233)
+    n = 0
+    for A in CORPUS:
+        for mode in (SUM, PAPER):
+            class_modulo_image(A, random_cochain(rng, 3, A.dim), mode)
+            n += 1
+            assert calls == {"rref": n, "solve": 0}
+
+
+def test_class_rejects_residuals_of_the_wrong_shape():
+    A = make_j2(1, 0)
+    with pytest.raises(ValueError, match="arity-3 cochain"):
+        class_modulo_image(A, SymCochain.zero(2, 2), SUM)
+    with pytest.raises(ValueError, match="arity-3 cochain"):
+        class_modulo_image(A, SymCochain.zero(3, 3), SUM)
+    # on a one-dimensional algebra an arity-2 cochain has as many
+    # coordinates as an arity-3 one, so only the shape check can refuse it
+    with pytest.raises(ValueError, match="arity-3 cochain"):
+        class_modulo_image(make_field(), SymCochain(2, 1, {(0, 0): (1,)}), SUM)
+
+
 def test_gauge_identity_series_is_identity():
     A = make_j2(1, 0)
     T = GaugeSeries(2, [SymCochain.zero(1, 2), SymCochain.zero(1, 2)])
@@ -174,14 +223,26 @@ def test_gauge_identity_endomorphism_gives_minus_mu():
     assert out.terms[0] == -product_cochain(A)
 
 
+def _commute(f, g):
+    """Whether the arity-1 cochains f and g commute as endomorphisms."""
+    return all(f.evaluate((g.value_at((j,)),)) == g.evaluate((f.value_at((j,)),))
+               for j in range(f.dim))
+
+
 def test_gauge_roundtrip_restores_series():
     rng = random.Random(211)
-    A = make_j2(0, 0)
     T = GaugeSeries(2, [random_cochain(rng, 1, 2), random_cochain(rng, 1, 2)])
-    s0 = DeformationSeries(A, 3, [random_cochain(rng, 2, 2) for _ in range(3)])
-    s1 = gauge_transport_series(T, s0, 3)
-    s2 = gauge_transport_series(T.inverse(), s1, 3)
-    assert s2.terms == s0.terms
+    s0 = DeformationSeries(make_j2(0, 0), 3, [random_cochain(rng, 2, 2) for _ in range(3)])
+    cases = [(T, s0, 3)]
+    # f_1 f_2 != f_2 f_1, so exp(-X) differs from exp(-t f_1) exp(-t^2 f_2) from t^3 on
+    T = GaugeSeries(2, [random_cochain(rng, 1, 3), random_cochain(rng, 1, 3)])
+    assert not _commute(*T.terms)
+    s0 = DeformationSeries(make_spin((1, 1)), 4, [random_cochain(rng, 2, 3) for _ in range(4)])
+    cases.append((T, s0, 4))
+    for T, s0, N in cases:
+        s1 = gauge_transport_series(T, s0, N)
+        s2 = gauge_transport_series(T.inverse(), s1, N)
+        assert s2.terms == s0.terms
 
 
 def test_gauge_equiv_first_order():
