@@ -1,17 +1,18 @@
 """Finite-dimensional commutative algebras given by structure constants,
 multiplication operators, and the three polarized identity checkers
-(cubic Jordan, cyclic six-term, linearized operator identity).
+(cubic Jordan, cyclic six-term, linearized operator identity), all on one
+integer product table through one associator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product as iproduct
+from functools import cache
+from itertools import combinations_with_replacement, product as iproduct
 
-from .cochain import SymCochain
-from .exactla import (Matrix, json_int, rat_from_str, rat_to_str, solve, vadd,
-                      vec_to_strs, vsub, vzero)
+from .cochain import SymCochain, _int_form
+from .exactla import Matrix, json_int, rat_from_str, rat_to_str, solve, vec_to_strs
 
 
 class Algebra:
@@ -19,8 +20,9 @@ class Algebra:
 
     sc[i][j] is the value vector of e_i * e_j; commutativity
     (sc[i][j] == sc[j][i]) is enforced at construction time.
-    Instances are immutable in value and hashable; `_ops` is a memo of the
-    operator matrices that `complexes` builds from the product, on first use.
+    Instances are immutable in value and hashable; `_ops` is a memo, filled
+    on first use, of the integer product table and of the operator matrices
+    that `complexes` builds from the product.
     """
 
     __slots__ = ("dim", "labels", "sc", "_hash", "_ops")
@@ -95,31 +97,61 @@ def algebra_from_entries(dim: int, labels, entries) -> Algebra:
     return Algebra(dim, labels, table)
 
 
+def _table(A: Algebra):
+    """(T, D, E): ints T[i][j] == D * (e_i * e_j), unit vectors E.  Kept on A."""
+    if "table" not in A._ops:
+        ints, den = _int_form(product_cochain(A))
+        E = [tuple(int(t == i) for t in range(A.dim)) for i in range(A.dim)]
+        A._ops["table"] = ([[ints.get((min(i, j), max(i, j)), (0,) * A.dim)
+                             for j in range(A.dim)] for i in range(A.dim)], den, E)
+    return A._ops["table"]
+
+
+def _mul(T, x, y) -> list:
+    """sum x_i y_j T[i][j]: the product of x and y, over one more factor D."""
+    out = [0] * len(x)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    for k, t in enumerate(T[i][j]):
+                        if t:
+                            out[k] += a * b * t
+    return out
+
+
+def _sides(T, x, y, z):
+    """((x*y)*z, x*(y*z)) on the table, over two more factors D."""
+    return _mul(T, _mul(T, x, y), z), _mul(T, x, _mul(T, y, z))
+
+
+def _assoc(T, x, y, z) -> list:
+    """The associator (x*y)*z - x*(y*z) on the table, over two more factors D."""
+    return [a - b for a, b in zip(*_sides(T, x, y, z))]
+
+
+def _cyclic(T, x, y, z) -> list:
+    """_assoc(x,y,z) + _assoc(y,z,x) + _assoc(z,x,y)."""
+    return [sum(t) for t in zip(_assoc(T, x, y, z), _assoc(T, y, z, x), _assoc(T, z, x, y))]
+
+
+def _on_fractions(A: Algebra, op, *vecs) -> tuple[Fraction, ...]:
+    """op on the table at general vectors, as Fractions."""
+    vecs = [[Fraction(t) for t in v] for v in vecs]
+    if any(len(v) != A.dim for v in vecs):
+        raise ValueError("vector length does not match algebra dimension")
+    T, D, _ = _table(A)
+    return tuple(Fraction(t) / D ** (len(vecs) - 1) for t in op(T, *vecs))
+
+
 def product(A: Algebra, x, y) -> tuple[Fraction, ...]:
     """Bilinear extension of the structure constants."""
-    x = tuple(t if type(t) is Fraction else Fraction(t) for t in x)
-    y = tuple(t if type(t) is Fraction else Fraction(t) for t in y)
-    if len(x) != A.dim or len(y) != A.dim:
-        raise ValueError("vector length does not match algebra dimension")
-    out = list(vzero(A.dim))
-    for i in range(A.dim):
-        if x[i] == 0:
-            continue
-        for j in range(A.dim):
-            if y[j] == 0:
-                continue
-            c = x[i] * y[j]
-            vec = A.sc[i][j]
-            for k in range(A.dim):
-                if vec[k]:
-                    out[k] += c * vec[k]
-    return tuple(out)
+    return _on_fractions(A, _mul, x, y)
 
 
 def multiplication_operator(A: Algebra, v) -> Matrix:
     """Matrix of x -> x * v in the chosen basis."""
-    cols = [product(A, A.basis_vector(j), v) for j in range(A.dim)]
-    return Matrix.from_columns(cols, A.dim)
+    return Matrix.from_columns([product(A, A.basis_vector(j), v) for j in range(A.dim)], A.dim)
 
 
 def find_unit(A: Algebra):
@@ -135,13 +167,8 @@ def find_unit(A: Algebra):
 
 def product_cochain(A: Algebra) -> SymCochain:
     """The product as a symmetric 2-cochain."""
-    coeffs = {}
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            vec = A.sc[i][j]
-            if any(vec):
-                coeffs[(i, j)] = vec
-    return SymCochain(2, A.dim, coeffs)
+    return SymCochain(2, A.dim, {(i, j): A.sc[i][j] for i in range(A.dim)
+                                 for j in range(i, A.dim)})
 
 
 # ---------------------------------------------------------------------------
@@ -180,101 +207,73 @@ class IdentityReport:
 # which over the rationals is equivalent to the original identity; a direct
 # basis-pair witness is preferred when one exists.
 
-def _cubic_sides(A, x, y):
-    xx = product(A, x, x)
-    left = product(A, product(A, x, y), xx)
-    right = product(A, x, product(A, y, xx))
-    return left, right
+def _report(A: Algebra, den: int, tuples, value, note: str,
+            pair=None, pair_note: str = "") -> IdentityReport:
+    """The identity fails where value(*idx), ints over den, is nonzero at a
+    basis tuple of `tuples`.  The witness is then the first basis pair (i, j)
+    whose sides pair(i, j) differ, else the first failing tuple."""
+    failing = next(((idx, v) for idx in tuples if any(v := value(*idx))), None)
+    if failing is None:
+        return IdentityReport(True)
+    (idx, left), right = failing, (0,) * A.dim
+    for ij in iproduct(range(A.dim), repeat=2) if pair else ():
+        sides = pair(*ij)
+        if sides[0] != sides[1]:
+            idx, (left, right), note = ij, sides, pair_note
+            break
+    left, right = (tuple(Fraction(t, den) for t in v) for v in (left, right))
+    return IdentityReport(False, Witness(tuple(A.basis_vector(i) for i in idx), left, right, note))
 
 
 def check_cubic_jordan(A: Algebra) -> IdentityReport:
-    """(x*y)*(x*x) == x*(y*(x*x)), decided via full polarization in x.
+    """(x*y)*(x*x) == x*(y*(x*x)), decided via full polarization in x: at
+    (e_i, e_j, e_k; e_l), twice the sum of A(e_a, e_l, e_b*e_c) over the three
+    picks of a from (i, j, k).  That is symmetric in (i, j, k), so only sorted
+    triples are walked; the first failing 4-tuple in order is among them."""
+    T, D, E = _table(A)
 
-    The polarized sum is symmetric in (i, j, k), so only sorted triples are
-    walked; the first failing 4-tuple in lexicographic order is among them."""
-    basis = [A.basis_vector(i) for i in range(A.dim)]
+    @cache
+    def term(a, l, b, c):
+        return _assoc(T, E[a], E[l], _mul(T, E[b], E[c]))
 
-    def term(a, b, c, y):
-        bc = product(A, b, c)
-        return vsub(product(A, product(A, a, y), bc),
-                    product(A, a, product(A, y, bc)))
+    def polarized(i, j, k, l):
+        return [2 * sum(t) for t in zip(term(i, l, j, k), term(j, l, i, k), term(k, l, i, j))]
 
-    failing = None
-    for idx in (ijk + (l,) for ijk in combinations_with_replacement(range(A.dim), 3)
-                for l in range(A.dim)):
-        i, j, k, l = idx
-        tot = vzero(A.dim)
-        for p in permutations((i, j, k)):
-            tot = vadd(tot, term(basis[p[0]], basis[p[1]], basis[p[2]], basis[l]))
-        if any(tot):
-            failing = (idx, tot)
-            break
-    if failing is None:
-        return IdentityReport(True)
-    # prefer a direct witness on basis pairs
-    for i in range(A.dim):
-        for j in range(A.dim):
-            left, right = _cubic_sides(A, basis[i], basis[j])
-            if left != right:
-                return IdentityReport(False, Witness(
-                    inputs=(basis[i], basis[j]), left=left, right=right,
-                    note="cubic identity at a basis pair (x, y)"))
-    idx, tot = failing
-    return IdentityReport(False, Witness(
-        inputs=tuple(basis[i] for i in idx), left=tot, right=vzero(A.dim),
-        note="trilinear polarization of the cubic identity at a basis 4-tuple"))
+    return _report(
+        A, D ** 3, (ijk + (l,) for ijk in combinations_with_replacement(range(A.dim), 3)
+                    for l in range(A.dim)), polarized,
+        "trilinear polarization of the cubic identity at a basis 4-tuple",
+        lambda i, j: _sides(T, E[i], E[j], _mul(T, E[i], E[i])),
+        "cubic identity at a basis pair (x, y)")
 
 
 def associator(A: Algebra, x, y, z):
     """A(x,y,z) = (x*y)*z - x*(y*z)."""
-    return vsub(product(A, product(A, x, y), z), product(A, x, product(A, y, z)))
+    return _on_fractions(A, _assoc, x, y, z)
 
 
 def six_term_value(A: Algebra, x, y, z):
     """Cyclic sum A(x,y,z) + A(y,z,x) + A(z,x,y)."""
-    return vadd(vadd(associator(A, x, y, z), associator(A, y, z, x)),
-                associator(A, z, x, y))
+    return _on_fractions(A, _cyclic, x, y, z)
 
 
 def check_six_term(A: Algebra) -> IdentityReport:
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    for idx in iproduct(range(A.dim), repeat=3):
-        val = six_term_value(A, *(basis[i] for i in idx))
-        if any(val):
-            return IdentityReport(False, Witness(
-                inputs=tuple(basis[i] for i in idx), left=val, right=vzero(A.dim),
-                note="cyclic associator sum at a basis triple"))
-    return IdentityReport(True)
+    T, D, E = _table(A)
+    return _report(A, D ** 2, iproduct(range(A.dim), repeat=3),
+                   lambda i, j, k: _cyclic(T, E[i], E[j], E[k]),
+                   "cyclic associator sum at a basis triple")
 
 
 def check_operator_identity(A: Algebra) -> IdentityReport:
-    """L_{x*x} == L_x L_x, decided via polarization in x on basis tuples."""
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-
-    def half(a, b, y):
-        return vsub(product(A, product(A, a, b), y), product(A, a, product(A, b, y)))
-
-    failing = None
-    for idx in iproduct(range(A.dim), repeat=3):
-        i, j, k = idx
-        tot = vadd(half(basis[i], basis[j], basis[k]), half(basis[j], basis[i], basis[k]))
-        if any(tot):
-            failing = (idx, tot)
-            break
-    if failing is None:
-        return IdentityReport(True)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            left = product(A, product(A, basis[i], basis[i]), basis[j])
-            right = product(A, basis[i], product(A, basis[i], basis[j]))
-            if left != right:
-                return IdentityReport(False, Witness(
-                    inputs=(basis[i], basis[j]), left=left, right=right,
-                    note="operator identity (x*x)*y vs x*(x*y) at a basis pair"))
-    idx, tot = failing
-    return IdentityReport(False, Witness(
-        inputs=tuple(basis[i] for i in idx), left=tot, right=vzero(A.dim),
-        note="polarized operator identity at a basis triple"))
+    """L_{x*x} == L_x L_x, decided via A(e_i, e_j, e_k) + A(e_j, e_i, e_k) == 0."""
+    T, D, E = _table(A)
+    return _report(
+        A, D ** 2, iproduct(range(A.dim), repeat=3),
+        lambda i, j, k: [p + q for p, q in zip(_assoc(T, E[i], E[j], E[k]),
+                                               _assoc(T, E[j], E[i], E[k]))],
+        "polarized operator identity at a basis triple",
+        lambda i, j: _sides(T, E[i], E[i], E[j]),
+        "operator identity (x*x)*y vs x*(x*y) at a basis pair")
 
 
 # ---------------------------------------------------------------------------

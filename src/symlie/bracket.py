@@ -24,7 +24,6 @@ from math import comb, factorial, lcm
 
 from .algebra import IdentityReport, Witness
 from .cochain import SymCochain, _int_form, multisets
-from .exactla import vzero
 
 
 class InsertionMode(enum.Enum):
@@ -218,26 +217,11 @@ def insert_lowdeg_variant(f: SymCochain, g: SymCochain) -> SymCochain:
         raise ValueError("ambient dimension mismatch")
     d = f.dim
     half = Fraction(1, 2)
-
-    def f_at(w, j):
-        # f(w, e_j) for a general vector w
-        acc = list(vzero(d))
-        for k in range(d):
-            if w[k] == 0:
-                continue
-            vec = f.coeffs.get(tuple(sorted((k, j))))
-            if vec is None:
-                continue
-            for t in range(d):
-                acc[t] += w[k] * vec[t]
-        return acc
-
+    basis = [tuple(int(t == i) for t in range(d)) for i in range(d)]
     coeffs = {}
     for mset in multisets(d, 3):
         x, y, z = mset
-        term1 = f_at(g.value_at((x, y)), z)
-        term2 = f_at(g.value_at((x, z)), y)
-        vec = tuple(half * (a + b) for a, b in zip(term1, term2))
-        if any(vec):
-            coeffs[mset] = vec
+        term1 = f.evaluate((g.value_at((x, y)), basis[z]))
+        term2 = f.evaluate((g.value_at((x, z)), basis[y]))
+        coeffs[mset] = tuple(half * (a + b) for a, b in zip(term1, term2))
     return SymCochain(3, d, coeffs)

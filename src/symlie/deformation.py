@@ -19,7 +19,7 @@ from .algebra import Algebra, product_cochain
 from .bracket import InsertionMode, graded_bracket
 from .cochain import SymCochain, coeff_vector, from_coeff_vector, multisets
 from .errors import InvariantViolation
-from .exactla import Matrix, json_int, rat_to_str, rref, solve, vzero
+from .exactla import Matrix, json_int, rat_to_str, rref, solve, vadd, vzero
 from .complexes import coboundary_c1_matrix, differential, differential_matrix
 
 
@@ -262,25 +262,24 @@ def gauge_transport_series(T: GaugeSeries, s: DeformationSeries, N: int) -> Defo
     Tm = _exp_series([_endo_matrix(f) for f in T.terms], N, d)
     Sm = _exp_series([_endo_matrix(f) for f in T.inverse().terms], N, d)
     mu_terms = [product_cochain(A)] + [s.term(i) for i in range(1, N + 1)]
+    cols = [[S.column(i) for i in range(d)] for S in Sm]
+    pairs = multisets(d, 2)
+    # W[m, i, j] = sum over b + c + e = m of mu_e(S_b e_i, S_c e_j): order n
+    # is sum over a of T_a W[n - a], so each evaluation is made once
+    W = {(m, i, j): [sum(t) for t in zip(*(
+        mu_terms[m - b - c].evaluate((cols[b][i], cols[c][j]))
+        for b in range(m + 1) for c in range(m - b + 1)))]
+        for m in range(N + 1) for i, j in pairs}
 
     transported = []
     for n in range(N + 1):
         coeffs = {}
-        for mset in multisets(d, 2):
-            i, j = mset
-            acc = list(vzero(d))
+        for i, j in pairs:
+            acc = vzero(d)
             for a in range(n + 1):
-                for b in range(n - a + 1):
-                    for c in range(n - a - b + 1):
-                        e = n - a - b - c
-                        val = mu_terms[e].evaluate(
-                            (Sm[b].column(i), Sm[c].column(j)))
-                        if any(val):
-                            out = Tm[a].mul_vec(val)
-                            for t in range(d):
-                                acc[t] += out[t]
-            if any(acc):
-                coeffs[mset] = tuple(acc)
+                if any(w := W[n - a, i, j]):
+                    acc = vadd(acc, Tm[a].mul_vec(w))
+            coeffs[(i, j)] = acc
         transported.append(SymCochain(2, d, coeffs))
     if transported[0] != product_cochain(A):
         raise InvariantViolation("gauge transport must fix the product at order 0")

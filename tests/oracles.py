@@ -274,6 +274,42 @@ def reference_check_cubic_jordan(A):
         note="trilinear polarization of the cubic identity at a basis 4-tuple"))
 
 
+def reference_check_operator_identity(A):
+    """The operator-identity report from its polarization
+    (x*x)*y - x*(x*y) -> A(e_i, e_j, e_k) + A(e_j, e_i, e_k) over all d^3
+    basis tuples, with the same basis-pair witness preference."""
+    from symlie.algebra import IdentityReport, Witness
+    d = A.dim
+    zero = (Fraction(0),) * d
+    basis = [tuple(Fraction(int(t == i)) for t in range(d)) for i in range(d)]
+
+    def half(a, b, y):
+        return tuple(p - q for p, q in zip(_mul(A, _mul(A, a, b), y),
+                                           _mul(A, a, _mul(A, b, y))))
+
+    failing = None
+    for i, j, k in iproduct(range(d), repeat=3):
+        tot = tuple(s + t for s, t in zip(half(basis[i], basis[j], basis[k]),
+                                          half(basis[j], basis[i], basis[k])))
+        if any(tot):
+            failing = ((i, j, k), tot)
+            break
+    if failing is None:
+        return IdentityReport(True)
+    for i in range(d):
+        for j in range(d):
+            left = _mul(A, _mul(A, basis[i], basis[i]), basis[j])
+            right = _mul(A, basis[i], _mul(A, basis[i], basis[j]))
+            if left != right:
+                return IdentityReport(False, Witness(
+                    inputs=(basis[i], basis[j]), left=left, right=right,
+                    note="operator identity (x*x)*y vs x*(x*y) at a basis pair"))
+    idx, tot = failing
+    return IdentityReport(False, Witness(
+        inputs=tuple(basis[i] for i in idx), left=tot, right=zero,
+        note="polarized operator identity at a basis triple"))
+
+
 # ---------------------------------------------------------------------------
 # hand-coded linear-system oracle for derivations
 

@@ -1,15 +1,23 @@
+import contextlib
+import hashlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from symlie import (Algebra, algebra_from_json_dict, algebra_to_json_dict, check_cubic_jordan, check_operator_identity,
-                    check_six_term, find_unit, make_field, make_j2, make_non_jordan,
-                    make_spin, multiplication_operator, product, product_cochain)
-from symlie.exactla import Matrix
+from symlie import (Algebra, algebra_from_entries, algebra_from_json_dict, algebra_to_json_dict,
+                    check_cubic_jordan, check_operator_identity, check_six_term, find_unit,
+                    make_field, make_j2, make_non_jordan, make_spin, multiplication_operator,
+                    product, product_cochain)
+from symlie.algebra import associator
+from symlie.cli import run
+from symlie.exactla import Matrix, vec_to_strs
 
 from oracles import (cubic_jordan_sides, derivation_dimension, random_commutative,
-                     random_vector, reference_check_cubic_jordan, six_term_sum)
+                     random_vector, reference_check_cubic_jordan,
+                     reference_check_operator_identity, six_term_sum)
 
 E2 = (Fraction(1), Fraction(0))
 U2 = (Fraction(0), Fraction(1))
@@ -155,6 +163,79 @@ def test_operator_identity_verdicts():
     assert rep.witness.left == v2
     assert rep.witness.right == (Fraction(0),) * 3
     assert not check_operator_identity(make_non_jordan()).holds
+
+
+def _seeded_algebras():
+    """The algebras of test_cubic_checker_matches_full_polarization_reference."""
+    rng = random.Random(79)
+    algebras = [make_j2(1, 0), make_spin((1, -2, 3)), make_non_jordan(), make_field()]
+    return algebras + [random_commutative(rng, 1 + t % 4, (0.1, 0.25, 0.5, 1)[t // 4 % 4])
+                       for t in range(64)]
+
+
+def test_operator_checker_matches_polarization_reference():
+    kinds = set()
+    for A in _seeded_algebras():
+        rep = check_operator_identity(A).to_json_dict()
+        assert rep == reference_check_operator_identity(A).to_json_dict()
+        kinds.add(None if rep["witness"] is None else len(rep["witness"]["inputs"]))
+    assert kinds == {None, 2}
+
+
+@pytest.mark.parametrize("entries, left", [
+    # e0*e1 = -e2, e2*e2 = e2: A(e0, e1, e2) == A(e1, e0, e2) == -e2
+    ([(0, 1, 2, -1), (1, 0, 2, -1), (2, 2, 2, 1)], ["0", "0", "-2"]),
+    # e0*e2 = -e1, e1*e1 = -e1: A(e0, e1, e2) == 0, A(e1, e0, e2) == -e1
+    ([(0, 2, 1, -1), (2, 0, 1, -1), (1, 1, 1, -1)], ["0", "-1", "0"]),
+])
+def test_operator_checker_polarized_witness(entries, left):
+    # (x*x)*y == x*(x*y) at every basis pair; the polarization first fails
+    # at (e0, e1, e2)
+    A = algebra_from_entries(3, ("a", "b", "c"), entries)
+    rep = check_operator_identity(A).to_json_dict()
+    assert rep == reference_check_operator_identity(A).to_json_dict()
+    assert rep == {"verdict": "fails", "witness": {
+        "inputs": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "left": left, "right": ["0", "0", "0"],
+        "note": "polarized operator identity at a basis triple"}}
+
+
+def _checker_pin_doc(corpus_dir, monkeypatch):
+    """The three checkers' reports and associators at seeded rational
+    vectors, on the corpus, spin factors of dimension 5-7 and the seeded
+    algebras, plus `symlie check` stdout on every corpus file."""
+    out = {"reports": [], "associator": [], "check": []}
+    paths = sorted(corpus_dir.glob("*.json"))
+    algebras = [algebra_from_json_dict(json.loads(p.read_text())) for p in paths]
+    q = [1, Fraction(-1, 2), 3, Fraction(5, 4)]
+    algebras += [make_spin(q), make_spin(q + [2]), make_spin(q + [2, 7])]
+    algebras += _seeded_algebras()
+    rng = random.Random(83)
+    for A in algebras:
+        out["reports"].append([check(A).to_json_dict() for check in
+                               (check_cubic_jordan, check_six_term, check_operator_identity)])
+        for _ in range(3):
+            x, y, z = ([Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(A.dim)]
+                       for _ in range(3))
+            out["associator"].append(vec_to_strs(associator(A, x, y, z)))
+    # stdout names the file as given: a bare name keeps the pin independent of the checkout
+    monkeypatch.chdir(corpus_dir)
+    for p in paths:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert run(["check", p.name]) == 0
+        out["check"].append(buf.getvalue())
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+# sha256 of _checker_pin_doc(), recorded while the checkers still walked
+# Fraction products: moving them onto one integer table must not move a byte
+CHECKER_SHA256 = "6feb75716dac90bd42108c9355676812362708c530cd4c873dfc13388515d01e"
+
+
+def test_checker_reports_pinned(corpus_dir, monkeypatch):
+    doc = _checker_pin_doc(corpus_dir, monkeypatch)
+    assert hashlib.sha256(doc.encode()).hexdigest() == CHECKER_SHA256
 
 
 def test_product_cochain_matches_product():

@@ -186,6 +186,19 @@ def test_class_is_one_elimination(monkeypatch):
             assert calls == {"rref": n, "solve": 0}
 
 
+def test_gauge_transport_evaluates_each_product_once(monkeypatch):
+    # mu_e(S_b e_i, S_c e_j) for b + c + e = m <= N feeds every order n >= m;
+    # made once, that is C(N + 3, 3) evaluations per sorted pair (i, j)
+    calls = []
+    evaluate = SymCochain.evaluate
+    monkeypatch.setattr(SymCochain, "evaluate",
+                        lambda f, args: calls.append(1) or evaluate(f, args))
+    rng = random.Random(3)
+    A = random_commutative(rng, 3)
+    gauge_transport(GaugeSeries(2, [random_cochain(rng, 1, 3) for _ in range(2)]), A, 4)
+    assert len(calls) == 35 * 6
+
+
 def test_class_rejects_residuals_of_the_wrong_shape():
     A = make_j2(1, 0)
     with pytest.raises(ValueError, match="arity-3 cochain"):
