@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product as iproduct
 
-from .cochain import SymCochain, _int_form
+from .cochain import SymCochain
 from .exactla import Matrix, json_int, rat_from_str, rat_to_str, solve, vec_to_strs
 
 
@@ -100,10 +100,10 @@ def algebra_from_entries(dim: int, labels, entries) -> Algebra:
 def _table(A: Algebra):
     """(T, D, E): ints T[i][j] == D * (e_i * e_j), unit vectors E.  Kept on A."""
     if "table" not in A._ops:
-        ints, den = _int_form(product_cochain(A))
+        mu = product_cochain(A)
         E = [tuple(int(t == i) for t in range(A.dim)) for i in range(A.dim)]
-        A._ops["table"] = ([[ints.get((min(i, j), max(i, j)), (0,) * A.dim)
-                             for j in range(A.dim)] for i in range(A.dim)], den, E)
+        A._ops["table"] = ([[mu.num.get((min(i, j), max(i, j)), (0,) * A.dim)
+                             for j in range(A.dim)] for i in range(A.dim)], mu.den, E)
     return A._ops["table"]
 
 

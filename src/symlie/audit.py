@@ -27,7 +27,7 @@ from .algebra import (Algebra, IdentityReport, check_cubic_jordan,
 from .bracket import (InsertionMode, check_jacobi, check_prelie,
                       first_coefficient_difference, graded_bracket, insert,
                       insert_lowdeg_variant, unshuffles)
-from .cochain import SymCochain, _int_form, basis_cochains, multisets
+from .cochain import SymCochain, basis_cochains, multisets
 from .complexes import (DSquaredReport, check_d_squared, coboundary_c1_explicit,
                         coboundary_c1_matrix, coboundary_c2_explicit, cohomology,
                         derivations, endomorphism_cochain)
@@ -109,11 +109,12 @@ def _mu_pool(A: Algebra, mode: InsertionMode):
     return {"mu": mu, "v0": v0, "L0": L0, "P": P, "B": graded_bracket(mu, mu, mode)}
 
 
-def _raw_insert_value(fi, gi, m: int, n: int, d: int, idx) -> list[int]:
+def _raw_insert_value(fi, gi, splits, d: int, idx) -> list[int]:
     """The insertion formula f o g evaluated directly at one ordered basis
-    tuple, unnormalized, on the integer forms fi of f and gi of g."""
+    tuple, unnormalized, from the numerators fi of f and gi of g, summed over
+    `splits`, the (m-1, n)-unshuffles."""
     acc = [0] * d
-    for first, second in unshuffles(m - 1, n):
+    for first, second in splits:
         w = gi.get(tuple(sorted(idx[p] for p in second)))
         if w is None:
             continue
@@ -140,19 +141,20 @@ def _claim_sym_closure(A: Algebra, mode: InsertionMode, pool) -> ClaimRecord:
         if f.n == 0:
             continue
         built = insert(f, g, mode)
-        (fi, df), (gi, dg) = _int_form(f), _int_form(g)
-        den = df * dg
+        den = f.den * g.den
         if mode is InsertionMode.PAPER:
             den *= factorial(f.n - 1) * factorial(g.n)
+        splits = list(unshuffles(f.n - 1, g.n))
+        zero = (0,) * A.dim
         for idx in iproduct(range(A.dim), repeat=built.n):
-            raw = tuple(Fraction(a, den) for a in
-                        _raw_insert_value(fi, gi, f.n, g.n, A.dim, idx))
-            stored = built.value_at(tuple(sorted(idx)))
-            if raw != stored:
+            raw = _raw_insert_value(f.num, g.num, splits, A.dim, idx)
+            mset = tuple(sorted(idx))
+            if any(a * built.den != b * den for a, b in zip(raw, built.num.get(mset, zero))):
                 return ClaimRecord(
                     "SYM-CLOSURE", LOCATION["SYM-CLOSURE"], mode.value, "fails",
                     witness={"pair": label, "tuple": list(idx),
-                             "raw": vec_to_strs(raw), "stored": vec_to_strs(stored)},
+                             "raw": vec_to_strs(Fraction(a, den) for a in raw),
+                             "stored": vec_to_strs(built.value_at(mset))},
                     detail="insertion value depends on the argument order")
             checked += 1
     return ClaimRecord(

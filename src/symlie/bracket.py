@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb, factorial, lcm
 
 from .algebra import IdentityReport, Witness
-from .cochain import SymCochain, _int_form, multisets
+from .cochain import SymCochain, multisets
 
 
 class InsertionMode(enum.Enum):
@@ -77,9 +77,8 @@ def _unshuffle_count(rest: tuple[int, ...], G: tuple[int, ...]) -> int:
 
 
 def _terms(f: SymCochain):
-    """(terms (multiset, None, nonzero (t, int)), D): f's nonzeros over their denominator D."""
-    ints, den = _int_form(f)
-    return [(F, None, [(t, x) for t, x in enumerate(v) if x]) for F, v in ints.items()], den
+    """(terms (multiset, None, nonzero (t, int)), D): f's nonzeros over its denominator D."""
+    return [(F, None, [(t, x) for t, x in enumerate(v) if x]) for F, v in f.num.items()], f.den
 
 
 def _scatter(pieces, d: int):
@@ -118,8 +117,8 @@ def _compose(f: SymCochain, g: SymCochain, mode: InsertionMode, sign: int) -> Sy
         raise ValueError("ambient dimension mismatch")
     (f_terms, df), (g_terms, dg) = _terms(f), _terms(g)
     out, q = _scatter([(p_fg, f_terms, g_terms), (p_gf, g_terms, f_terms)], f.dim)
-    return SymCochain(max(f.n + g.n - 1, 0), f.dim, {
-        N: [Fraction(x, q * df * dg) for x in acc] for (N, _, _), acc in out.items()})
+    return SymCochain._from_ints(max(f.n + g.n - 1, 0), f.dim,
+                                 {N: acc for (N, _, _), acc in out.items()}, q * df * dg)
 
 
 def insert(f: SymCochain, g: SymCochain, mode: InsertionMode = InsertionMode.SUM) -> SymCochain:
@@ -142,10 +141,11 @@ def first_coefficient_difference(a: SymCochain, b: SymCochain):
     """First (multiset, k) where two same-shape cochains differ, or None."""
     if a.n != b.n or a.dim != b.dim:
         raise ValueError("cochain shape mismatch")
-    for mset in multisets(a.dim, a.n):
-        va, vb = a.value_at(mset), b.value_at(mset)
-        if va != vb:
-            return mset, va, vb
+    zero = (0,) * a.dim
+    for mset in sorted(a.num.keys() | b.num.keys()):  # the order of `multisets`
+        va, vb = a.num.get(mset, zero), b.num.get(mset, zero)
+        if any(x * b.den != y * a.den for x, y in zip(va, vb)):
+            return mset, a.value_at(mset), b.value_at(mset)
     return None
 
 

@@ -1,15 +1,15 @@
 """Totally symmetric multilinear cochains on a multiset basis.
 
 A cochain of arity n on a d-dimensional space is a symmetric n-linear map
-J x ... x J -> J.  Coefficients are stored per sorted index multiset:
-coeffs[M][k] is coordinate k of the value at the basis tuple of M,
-repetitions included (NOT a divided-power coefficient).  Symmetry of
-evaluation is therefore an invariant of the representation itself.
+J x ... x J -> J.  Coefficients are stored per sorted index multiset: the
+value at the basis tuple of M, repetitions included (NOT a divided-power
+coefficient), is num[M] / den.  Symmetry of evaluation is therefore an
+invariant of the representation itself.
 
-Evaluation contracts on integers: the coefficients are read as numerators
-over their common denominator D (`_int_form`), each argument is scaled to
-integers by the lcm of its denominators, and the one Fraction per output
-coordinate is built at the end.  This is exact by construction.
+The stored form is integer numerators over one positive denominator, in
+lowest terms, with no all-zero vector, so equality is structural.  Every
+constructor ends in one reducer.  The integer kernels read `num` and `den`
+directly; `coeffs`, `value_at`, `items` and JSON present Fractions.
 
 The bracket grading assigns a cochain of arity n the degree n - 1.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .exactla import json_int, rat_from_str, rat_to_str, vzero
 
@@ -38,13 +38,11 @@ def sym_basis_dim(dim: int, n: int) -> int:
 
 
 class SymCochain:
-    __slots__ = ("n", "dim", "coeffs")
+    __slots__ = ("n", "dim", "num", "den")
 
     def __init__(self, n: int, dim: int, coeffs=None):
         if n < 0 or dim < 1:
             raise ValueError("bad cochain shape")
-        self.n = n
-        self.dim = dim
         clean: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
         for key, vec in (coeffs or {}).items():
             key = tuple(key)
@@ -53,9 +51,23 @@ class SymCochain:
             vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
             if len(vec) != dim:
                 raise ValueError("value vector has wrong length")
-            if any(vec):
-                clean[key] = vec
-        self.coeffs = clean
+            clean[key] = vec
+        den = lcm(*(x.denominator for vec in clean.values() for x in vec))
+        self._reduce(n, dim, {key: [x.numerator * (den // x.denominator) for x in vec]
+                              for key, vec in clean.items()}, den)
+
+    def _reduce(self, n: int, dim: int, num, den: int) -> None:
+        """Store num / den (den > 0) in lowest terms, dropping all-zero vectors."""
+        g = gcd(den, *(x for vec in num.values() for x in vec))
+        self.n, self.dim, self.den = n, dim, den // g
+        self.num = {key: tuple(x // g for x in vec) for key, vec in num.items() if any(vec)}
+
+    @classmethod
+    def _from_ints(cls, n: int, dim: int, num, den: int) -> "SymCochain":
+        """num / den from {sorted multiset: d ints} and den > 0; keys are trusted."""
+        out = cls.__new__(cls)
+        out._reduce(n, dim, num, den)
+        return out
 
     # -- degree bookkeeping ------------------------------------------------
     @property
@@ -80,23 +92,28 @@ class SymCochain:
         return cls(n, dim, coeffs)
 
     # -- access ------------------------------------------------------------
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
+        """{multiset: value vector} over the nonzero multisets, as Fractions."""
+        return {key: tuple(Fraction(x, self.den) for x in vec) for key, vec in self.num.items()}
+
     def value_at(self, mset) -> tuple[Fraction, ...]:
         """Value vector at the basis tuple of the given multiset."""
-        return self.coeffs.get(tuple(sorted(mset)), vzero(self.dim))
+        vec = self.num.get(tuple(sorted(mset)))
+        return vzero(self.dim) if vec is None else tuple(Fraction(x, self.den) for x in vec)
 
     def coeff(self, mset, k: int) -> Fraction:
         return self.value_at(mset)[k]
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def items(self):
         """Deterministic iteration: sorted multisets, then output index."""
-        for key in sorted(self.coeffs):
-            vec = self.coeffs[key]
-            for k in range(self.dim):
-                if vec[k]:
-                    yield key, k, vec[k]
+        for key in sorted(self.num):
+            for k, x in enumerate(self.num[key]):
+                if x:
+                    yield key, k, Fraction(x, self.den)
 
     # -- linear structure ----------------------------------------------------
     def _binop(self, other: "SymCochain", sign: int) -> "SymCochain":
@@ -104,11 +121,13 @@ class SymCochain:
             return NotImplemented
         if self.dim != other.dim or self.n != other.n:
             raise ValueError("cochain arity/dimension mismatch")
-        out = dict(self.coeffs)
-        for key, vec in other.coeffs.items():
-            cur = out.get(key, vzero(self.dim))
-            out[key] = tuple(a + sign * b if b else a for a, b in zip(cur, vec))
-        return SymCochain(self.n, self.dim, out)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        out = {key: [sa * x for x in vec] for key, vec in self.num.items()}
+        zero = (0,) * self.dim
+        for key, vec in other.num.items():
+            out[key] = [a + sb * b for a, b in zip(out.get(key, zero), vec)]
+        return SymCochain._from_ints(self.n, self.dim, out, den)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -121,20 +140,19 @@ class SymCochain:
 
     def scale(self, c) -> "SymCochain":
         c = Fraction(c)
-        if c == 0:
-            return SymCochain.zero(self.n, self.dim)
-        return SymCochain(self.n, self.dim, {k: tuple(c * x if x else x for x in v)
-                                             for k, v in self.coeffs.items()})
+        return SymCochain._from_ints(self.n, self.dim, {
+            key: [c.numerator * x for x in vec] for key, vec in self.num.items()},
+            self.den * c.denominator)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SymCochain) and self.n == other.n
-                and self.dim == other.dim and self.coeffs == other.coeffs)
+                and self.dim == other.dim and self.den == other.den and self.num == other.num)
 
     def __repr__(self) -> str:
-        return f"SymCochain(n={self.n}, dim={self.dim}, {len(self.coeffs)} keys)"
+        return f"SymCochain(n={self.n}, dim={self.dim}, {len(self.num)} keys)"
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, args) -> tuple[Fraction, ...]:
@@ -151,9 +169,9 @@ class SymCochain:
             raise ValueError(f"expected {self.n} arguments, got {len(args)}")
         if any(len(a) != self.dim for a in args):
             raise ValueError("argument vector has wrong length")
-        if not self.coeffs:
+        if not self.num:
             return vzero(self.dim)
-        cur, den = _int_form(self)
+        cur, den = self.num, self.den
         for v in args:
             s = lcm(*(x.denominator for x in v))
             den *= s
@@ -221,14 +239,6 @@ class SymCochain:
         return cls.from_entries(n, dim, entries)
 
 
-def _int_form(f: SymCochain) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
-    """f's coefficients as integer numerators over their common denominator
-    D, with D: coeffs[M][k] == Fraction(ints[M][k], D)."""
-    den = lcm(*(x.denominator for vec in f.coeffs.values() for x in vec))
-    return {key: tuple(x.numerator * (den // x.denominator) for x in vec)
-            for key, vec in f.coeffs.items()}, den
-
-
 def symmetrize(table, n: int, dim: int) -> SymCochain:
     """Average a full multilinear table over all argument orders.
 
@@ -285,9 +295,5 @@ def from_coeff_vector(dim: int, n: int, vec) -> SymCochain:
     msets = multisets(dim, n)
     if len(vec) != len(msets) * dim:
         raise ValueError("coefficient vector has wrong length")
-    coeffs = {}
-    for idx, mset in enumerate(msets):
-        chunk = tuple(Fraction(x) for x in vec[idx * dim:(idx + 1) * dim])
-        if any(chunk):
-            coeffs[mset] = chunk
-    return SymCochain(n, dim, coeffs)
+    return SymCochain(n, dim, {mset: vec[idx * dim:(idx + 1) * dim]
+                               for idx, mset in enumerate(msets)})

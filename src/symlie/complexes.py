@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import Algebra, Witness, product, product_cochain
-from .bracket import InsertionMode, _prefactor, _scatter, _terms, graded_bracket, koszul_sign
+from .algebra import Algebra, Witness, product_cochain
+from .bracket import (InsertionMode, _compose, _prefactor, _scatter, _terms, graded_bracket,
+                      koszul_sign)
 from .cochain import SymCochain, multisets
-from .exactla import Matrix, kernel_basis, rank, vadd, vsub
+from .exactla import Matrix, kernel_basis, rank
 
 
 def differential(A: Algebra, f: SymCochain, mode: InsertionMode = InsertionMode.SUM) -> SymCochain:
@@ -45,25 +46,13 @@ def coboundary_c1_explicit(A: Algebra, f: SymCochain) -> SymCochain:
 def coboundary_c2_explicit(A: Algebra, phi: SymCochain) -> SymCochain:
     """The printed arity-2 coboundary
     (d phi)(x,y,z) = sum_cyc ( mu(phi(x,y), z) - phi(mu(x,y), z) )
-    with the cyclic convention F(x,y,z)+F(y,z,x)+F(z,x,y)."""
+    with the cyclic convention F(x,y,z)+F(y,z,x)+F(z,x,y).  The two cyclic
+    sums are the SUM-mode insertions mu o phi and phi o mu: one composition."""
     if phi.n != 2:
         raise ValueError("explicit arity-2 coboundary needs an arity-2 cochain")
     if phi.dim != A.dim:
         raise ValueError("cochain dimension does not match algebra")
-    d = A.dim
-    basis = [A.basis_vector(i) for i in range(d)]
-
-    def term(x, y, z):
-        return vsub(product(A, phi.evaluate((x, y)), z),
-                    phi.evaluate((product(A, x, y), z)))
-
-    coeffs = {}
-    for mset in multisets(d, 3):
-        x, y, z = (basis[i] for i in mset)
-        val = vadd(vadd(term(x, y, z), term(y, z, x)), term(z, x, y))
-        if any(val):
-            coeffs[mset] = val
-    return SymCochain(3, d, coeffs)
+    return _compose(product_cochain(A), phi, InsertionMode.SUM, -1)
 
 
 @dataclass

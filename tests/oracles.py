@@ -14,10 +14,10 @@ from math import factorial
 def naive_evaluate(f, args):
     """Multilinear expansion of a symmetric cochain over all ordered index
     tuples, with sorted-multiset lookup.  O(d^n); fine at test scale."""
-    d = f.dim
+    d, coeffs = f.dim, f.coeffs
     out = [Fraction(0)] * d
     for idx in iproduct(range(d), repeat=f.n):
-        vec = f.coeffs.get(tuple(sorted(idx)))
+        vec = coeffs.get(tuple(sorted(idx)))
         if vec is None:
             continue
         c = Fraction(1)
@@ -414,6 +414,27 @@ def printed_coboundary_c1(A, f):
         if any(val):
             coeffs[mset] = val
     return SymCochain(2, d, coeffs)
+
+
+def printed_coboundary_c2(A, phi):
+    """The printed arity-2 coboundary
+    (d phi)(x,y,z) = sum_cyc ( mu(phi(x,y), z) - phi(mu(x,y), z) ),
+    expanded cyclically at each basis triple through `product` and
+    `evaluate`, independently of the insertion kernel."""
+    from symlie import SymCochain, multisets, product
+    from symlie.exactla import vadd, vsub
+    d = A.dim
+    basis = [A.basis_vector(i) for i in range(d)]
+
+    def term(x, y, z):
+        return vsub(product(A, phi.evaluate((x, y)), z),
+                    phi.evaluate((product(A, x, y), z)))
+
+    coeffs = {}
+    for mset in multisets(d, 3):
+        x, y, z = (basis[i] for i in mset)
+        coeffs[mset] = vadd(vadd(term(x, y, z), term(y, z, x)), term(z, x, y))
+    return SymCochain(3, d, coeffs)
 
 
 def random_commutative(rng, d, fill=1):

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +135,15 @@ def test_insert_matches_reference_gather(inputs):
     for out in (built, bracket):
         assert (out.n, out.dim) == (max(f.n + g.n - 1, 0), f.dim)
         assert all(type(x) is Fraction for vec in out.coeffs.values() for x in vec)
+        # the stored form: numerators over one positive denominator, in lowest
+        # terms, with no all-zero vector
+        assert out.den > 0
+        assert gcd(out.den, *(x for vec in out.num.values() for x in vec)) == 1
+        assert all(any(vec) for vec in out.num.values())
+        assert (out - out).is_zero()
+        for c in (Fraction(-3, 2), 0):
+            assert out.scale(c) == SymCochain(out.n, out.dim, {
+                key: [c * x for x in vec] for key, vec in out.coeffs.items()})
 
 
 def test_insert_bilinear():

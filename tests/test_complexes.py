@@ -20,8 +20,8 @@ from symlie.complexes import _composite, ad_half_bracket_matrix, coboundary_c1_m
 from symlie.deformation import class_modulo_image
 from symlie.exactla import rank
 
-from oracles import (derivation_dimension, printed_coboundary_c1, random_cochain,
-                     random_commutative, random_vector, reference_bracket,
+from oracles import (derivation_dimension, printed_coboundary_c1, printed_coboundary_c2,
+                     random_cochain, random_commutative, random_vector, reference_bracket,
                      reference_bracket_matrix)
 
 SUM = InsertionMode.SUM
@@ -96,6 +96,16 @@ def test_coboundary_c1_is_negative_sum_differential():
         assert -differential(A, f, SUM) == printed
         assert coboundary_c1_explicit(A, f) == printed
         assert list(coboundary_c1_matrix(A).mul_vec(coeff_vector(f))) == coeff_vector(printed)
+
+
+def test_coboundary_c2_is_the_printed_cyclic_sum():
+    rng = random.Random(169)
+    algebras = CORPUS + [random_commutative(random.Random(d), d) for d in (1, 2, 3, 4)] + [
+        random_commutative(random.Random(10 + d), d, fill=0.5) for d in (2, 3, 4)]
+    for A in algebras:
+        for phi in (random_cochain(rng, 2, A.dim), random_cochain(rng, 2, A.dim, sparsity=0.6),
+                    product_cochain(A)):
+            assert coboundary_c2_explicit(A, phi) == printed_coboundary_c2(A, phi)
 
 
 def test_coboundary_c2_of_product_vanishes():
