@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product as iproduct
+from math import lcm
 
 from .cochain import SymCochain
 from .exactla import Matrix, json_int, rat_from_str, rat_to_str, solve, vec_to_strs
@@ -150,19 +151,25 @@ def product(A: Algebra, x, y) -> tuple[Fraction, ...]:
 
 
 def multiplication_operator(A: Algebra, v) -> Matrix:
-    """Matrix of x -> x * v in the chosen basis."""
-    return Matrix.from_columns([product(A, A.basis_vector(j), v) for j in range(A.dim)], A.dim)
+    """Matrix of x -> x * v in the chosen basis: column j is e_j * v on the table."""
+    v = [Fraction(t) for t in v]
+    if len(v) != A.dim:
+        raise ValueError("vector length does not match algebra dimension")
+    T, D, E = _table(A)
+    s = lcm(*(t.denominator for t in v))
+    cols = [_mul(T, E[j], [t.numerator * (s // t.denominator) for t in v]) for j in range(A.dim)]
+    return Matrix._from_ints(A.dim, A.dim, [{j: c[k] for j, c in enumerate(cols)}
+                                            for k in range(A.dim)], D * s)
 
 
 def find_unit(A: Algebra):
-    """Unique two-sided unit, or None.  Solves e * e_j = e_j for all j."""
-    rows, rhs = [], []
-    for j in range(A.dim):
-        for k in range(A.dim):
-            rows.append([A.sc[i][j][k] for i in range(A.dim)])
-            rhs.append(Fraction(1 if j == k else 0))
-    sol = solve(Matrix.from_rows(rows), rhs)
-    return sol
+    """Unique two-sided unit, or None.  Solves e * e_j = e_j for all j on the
+    table: row (j, k) holds coordinate k of e_i * e_j at column i."""
+    T, D, E = _table(A)
+    d = A.dim
+    return solve(Matrix._from_ints(d * d, d, [{i: T[i][j][k] for i in range(d)}
+                                               for j in range(d) for k in range(d)], D),
+                 [Fraction(x) for e in E for x in e])
 
 
 def product_cochain(A: Algebra) -> SymCochain:

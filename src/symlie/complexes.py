@@ -88,8 +88,7 @@ def _bracket_matrix(g: SymCochain, n: int, mode: InsertionMode, c) -> Matrix:
             if x:
                 row, j = srows[row_of[M] + t], col if block is None else block + t
                 row[j] = row.get(j, 0) + x
-    return Matrix(len(srows), len(columns) * d,
-                  srows=[{j: Fraction(x, q * den) for j, x in r.items() if x} for r in srows])
+    return Matrix._from_ints(len(srows), len(columns) * d, srows, q * den)
 
 
 def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DifferentialData:
@@ -136,8 +135,7 @@ def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM)
     if composite == ad_half:
         return DSquaredReport(n, mode, True, both_zero)
     # the first differing column, located back on its basis cochain
-    j = min(col for ra, rb in zip(composite.srows, ad_half.srows) if ra != rb
-            for col in ra.keys() | rb.keys() if ra.get(col) != rb.get(col))
+    j = min(col for row in composite.add(ad_half.scale(-1)).num for col in row)
     mset, k = multisets(A.dim, n)[j // A.dim], j % A.dim
     e_j = tuple(Fraction(int(i == j)) for i in range(composite.cols))
     wit = Witness((e_j,), composite.column(j), ad_half.column(j),
@@ -197,12 +195,11 @@ def derivations(A: Algebra) -> list[Matrix]:
 
 
 def endomorphism_cochain(mat: Matrix) -> SymCochain:
-    """View a d x d matrix as an arity-1 cochain."""
+    """View a d x d matrix as an arity-1 cochain: column j is the value at (j,)."""
     if mat.rows != mat.cols:
         raise ValueError("endomorphism matrix must be square")
-    d = mat.rows
-    return SymCochain(1, d, {(j,): mat.column(j) for j in range(d)
-                             if any(mat.column(j))})
+    return SymCochain._from_ints(1, mat.rows, {(j,): [r.get(j, 0) for r in mat.num]
+                                               for j in range(mat.cols)}, mat.den)
 
 
 def identity_cochain(d: int) -> SymCochain:

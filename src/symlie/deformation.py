@@ -160,15 +160,15 @@ def class_modulo_image(A: Algebra, r: SymCochain, mode: InsertionMode) -> Obstru
         raise ValueError("an obstruction residual must be an arity-3 cochain on the algebra")
     D = differential_matrix(A, 2, mode).matrix
     C, R = D.cols, D.rows
-    aug = [{**row, C + i: Fraction(1)} for i, row in enumerate(D.srows)]
-    for row, x in zip(aug, coeff_vector(r)):
-        if x:
-            row[C + R] = x
-    red, pivots = rref(Matrix(R, C + R + 1, srows=aug))
+    # every row times D.den r.den, which keeps the row space: integer rows
+    rnum = [x for M in multisets(A.dim, 3) for x in r.num.get(M, (0,) * A.dim)]
+    aug = [{**{j: r.den * x for j, x in row.items()}, C + i: D.den * r.den, C + R: D.den * y}
+           for i, (row, y) in enumerate(zip(D.num, rnum))]
+    red, pivots = rref(Matrix._from_ints(R, C + R + 1, aug, 1))
     if pivots[-1] == C + R:
         raise InvariantViolation("[d_2 | I] failed to span the cochain space")
     image_rank = sum(1 for p in pivots if p < C)
-    quotient = tuple(row.get(C + R, Fraction(0)) for row in red.srows[image_rank:])
+    quotient = tuple(Fraction(row.get(C + R, 0), red.den) for row in red.num[image_rank:])
     return ObstructionClass(r, all(x == 0 for x in quotient), quotient)
 
 
@@ -222,8 +222,9 @@ def mc_solve_chain(A: Algebra, phi1: SymCochain, order: int,
 # gauge transport
 
 def _endo_matrix(f: SymCochain) -> Matrix:
-    d = f.dim
-    return Matrix.from_columns([f.value_at((j,)) for j in range(d)], d)
+    """The d x d matrix whose column j is f's value at (j,)."""
+    return Matrix._from_ints(f.dim, f.dim, [{j: v[t] for (j,), v in f.num.items()}
+                                            for t in range(f.dim)], f.den)
 
 
 def _series_mul(a: list[Matrix], b: list[Matrix], N: int, d: int) -> list[Matrix]:
@@ -243,14 +244,11 @@ def _exp_series(fmats: list[Matrix], N: int, d: int) -> list[Matrix]:
                                 for i in range(1, N + 1)]
     T = [Matrix.identity(d)] + [Matrix.zeros(d, d) for _ in range(N)]
     power = X
-    k = 1
-    while k <= N:
-        c = Fraction(1, factorial(k))
-        for n in range(k, N + 1):
-            T[n] = T[n].add(power[n].scale(c))
-        k += 1
-        if k <= N:
+    for k in range(1, N + 1):
+        if k > 1:
             power = _series_mul(power, X, N, d)
+        for n in range(k, N + 1):
+            T[n] = T[n].add(power[n].scale(Fraction(1, factorial(k))))
     return T
 
 

@@ -1,18 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Scalars are `fractions.Fraction` (arbitrary precision, always reduced,
-positive denominator), so every operation in the package is exact.
+Scalars at the boundary are `fractions.Fraction` (arbitrary precision,
+always reduced, positive denominator), so every result is exact.
 
-A `Matrix` stores sparse rows {column: Fraction} with no stored zeros, so
-products, sums and comparisons walk only the nonzeros.  Elimination runs on
-an integer copy: each nonzero row, scaled by the lcm of its denominators,
-becomes a primitive row {column: int}.  In each column the pivot is the
-first remaining row, in row order, with a nonzero there.  A row with entry
-b in that column, against pivot entry a, becomes (a/g) row - (b/g) pivot
-with g = gcd(a, b), and is then divided by its content, so rows stay
-primitive and no Fraction is built until the pivot rows are read back.
-`rank` stops after this forward pass; `rref`, `kernel_basis` and `solve`
-also clear each pivot column from the other pivot rows.
+A `Matrix` is stored as num / den: sparse integer rows {column: int} with no
+stored zeros over one positive denominator, in lowest terms, so equality is
+structural and products, sums and elimination walk only the nonzeros on ints.
+Elimination takes the nonzero rows as stored, made primitive.  In each column
+the pivot is the first remaining row, in row order, with a nonzero there.  A
+row with entry b in that column, against pivot entry a, becomes (a/g) row -
+(b/g) pivot with g = gcd(a, b), and is then divided by its content, so rows
+stay primitive.  `rank` stops after this forward pass; `rref`, `kernel_basis`
+and `solve` also clear each pivot column from the other pivot rows and read
+their answers off them, `rref` over the lcm of the pivot entries.
 
 Results are exact because every step is integer arithmetic.  They are
 deterministic because the reduced row echelon form of a matrix is unique:
@@ -28,7 +28,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
-_ZERO = Fraction(0)
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -79,30 +78,44 @@ def vec_to_strs(v) -> list[str]:
 
 
 class Matrix:
-    """Sparse rational matrix, never mutated: row i is {column: Fraction} with no stored
-    zeros, from dense rows `data` or taken as is from `srows=`; `.data` is a dense copy per read."""
+    """Sparse rational matrix num / den, never mutated: rows {column: int} with no
+    stored zeros over one den > 0, in lowest terms.  `data` (a dense copy per read),
+    `column`, `mul_vec` and `to_strs` present Fractions."""
 
-    __slots__ = ("rows", "cols", "srows")
+    __slots__ = ("rows", "cols", "num", "den")
 
-    def __init__(self, rows: int, cols: int, data: list[list[Fraction]] | None = None, *,
-                 srows: list[dict[int, Fraction]] | None = None):
-        if srows is None:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("matrix data does not match shape")
-            srows = [{j: y for j, x in enumerate(r) if (y := Fraction(x))} for r in data]
-        self.rows, self.cols, self.srows = rows, cols, srows
+    def __init__(self, rows: int, cols: int, data: list[list[Fraction]]):
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ValueError("matrix data does not match shape")
+        data = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in data]
+        den = lcm(*(x.denominator for r in data for x in r))
+        self._reduce(rows, cols, [{j: x.numerator * (den // x.denominator)
+                                   for j, x in enumerate(r) if x} for r in data], den)
+
+    def _reduce(self, rows: int, cols: int, num: list[dict[int, int]], den: int) -> None:
+        """Store num / den (den > 0) in lowest terms, dropping stored zeros."""
+        g = gcd(den, *(x for r in num for x in r.values()))
+        self.rows, self.cols, self.den = rows, cols, den // g
+        self.num = [{j: x // g for j, x in r.items() if x} for r in num]
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, num: list[dict[int, int]], den: int) -> "Matrix":
+        """num / den from sparse int rows and den > 0; the shape is trusted."""
+        out = cls.__new__(cls)
+        out._reduce(rows, cols, num, den)
+        return out
 
     @property
     def data(self) -> list[list[Fraction]]:
-        return [[row.get(j, _ZERO) for j in range(self.cols)] for row in self.srows]
+        return [[Fraction(r.get(j, 0), self.den) for j in range(self.cols)] for r in self.num]
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, srows=[{} for _ in range(rows)])
+        return cls._from_ints(rows, cols, [{} for _ in range(rows)], 1)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, srows=[{i: Fraction(1)} for i in range(n)])
+        return cls._from_ints(n, n, [{i: 1} for i in range(n)], 1)
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -117,56 +130,53 @@ class Matrix:
         for j, col in enumerate(cols):
             if len(col) != rows:
                 raise ValueError(f"column {j} has length {len(col)}, expected {rows}")
-        return cls(rows, len(cols), srows=[
-            {j: y for j, col in enumerate(cols) if (y := Fraction(col[i]))} for i in range(rows)])
+        return cls(rows, len(cols), [[col[i] for col in cols] for i in range(rows)])
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row.get(j, _ZERO) for row in self.srows)
+        return tuple(Fraction(r.get(j, 0), self.den) for r in self.num)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        # on ints: other over one common denominator D, each row of self over its own q
-        D = lcm(*(x.denominator for r in other.srows for x in r.values()))
-        right = [{j: x.numerator * (D // x.denominator) for j, x in r.items()} for r in other.srows]
         out = []
-        for row in self.srows:
-            q = lcm(*(x.denominator for x in row.values()))
+        for row in self.num:
             acc: dict[int, int] = {}
             for k, a in row.items():
-                a = a.numerator * (q // a.denominator)
-                for j, x in right[k].items():
+                for j, x in other.num[k].items():
                     acc[j] = acc.get(j, 0) + a * x
-            out.append({j: Fraction(x, q * D) for j, x in acc.items() if x})
-        return Matrix(self.rows, other.cols, srows=out)
+            out.append(acc)
+        return Matrix._from_ints(self.rows, other.cols, out, self.den * other.den)
 
     def mul_vec(self, v) -> tuple[Fraction, ...]:
         v = list(v)
         if len(v) != self.cols:
             raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(sum((x * v[j] for j, x in row.items()), Fraction(0)) for row in self.srows)
+        return tuple(sum((x * v[j] for j, x in row.items()), Fraction(0)) / self.den
+                     for row in self.num)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
-        return Matrix(self.rows, self.cols, srows=[
-            {j: x for j in ra.keys() | rb.keys() if (x := ra.get(j, 0) + rb.get(j, 0))}
-            for ra, rb in zip(self.srows, other.srows)])
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return Matrix._from_ints(self.rows, self.cols, [
+            {j: sa * ra.get(j, 0) + sb * rb.get(j, 0) for j in ra.keys() | rb.keys()}
+            for ra, rb in zip(self.num, other.num)], den)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix(self.rows, self.cols,
-                      srows=[{j: c * x for j, x in r.items()} if c else {} for r in self.srows])
+        return Matrix._from_ints(self.rows, self.cols, [
+            {j: c.numerator * x for j, x in r.items()} for r in self.num], self.den * c.denominator)
 
     def is_zero(self) -> bool:
-        return not any(self.srows)
+        return not any(self.num)
 
     def to_strs(self) -> list[list[str]]:
         return [[rat_to_str(x) for x in r] for r in self.data]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.srows == other.srows)
+        return (isinstance(other, Matrix) and self.rows == other.rows and self.cols == other.cols
+                and self.den == other.den and self.num == other.num)
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -178,16 +188,6 @@ class Matrix:
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     g = gcd(*row.values())
     return row if g == 1 else {j: x // g for j, x in row.items()}
-
-
-def _integer_rows(srows) -> list[dict[int, int]]:
-    """The nonzero rows, in order, each over the lcm of its denominators, made primitive."""
-    out = []
-    for row in srows:
-        if row:
-            den = lcm(*(x.denominator for x in row.values()))
-            out.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()}))
-    return out
 
 
 def _combine(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
@@ -207,18 +207,18 @@ def _combine(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]
 
 
 def _eliminate(rows: list[dict[int, int]], reduced: bool):
-    """Fraction-free elimination of sparse integer rows.
+    """Fraction-free elimination of the nonzero rows, made primitive first.
 
     Returns the pivot rows and their pivot columns, both in column order.
     With `reduced`, each pivot column is also cleared from the other pivot
     rows, so that pivot row i divided by its entry at pivots[i] is row i of
     the reduced row echelon form."""
-    remaining = rows
+    remaining = [_primitive(r) for r in rows if r]
     pivot_rows: list[dict[int, int]] = []
     pivots: list[int] = []
     # a combination is nonzero only where one of its rows is, so no other
     # column can ever hold a pivot
-    for c in sorted(set().union(*rows)):
+    for c in sorted(set().union(*remaining)):
         piv = next((r for r in remaining if c in r), None)
         if piv is None:
             continue
@@ -238,43 +238,36 @@ def _eliminate(rows: list[dict[int, int]], reduced: bool):
     return pivot_rows, tuple(pivots)
 
 
-def _reduced(srows) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
-    """The nonzero rows of the reduced row echelon form as sparse Fraction
-    rows, and the pivot columns."""
-    rows, pivots = _eliminate(_integer_rows(srows), reduced=True)
-    return [{j: Fraction(x, r[p]) for j, x in r.items()} for r, p in zip(rows, pivots)], pivots
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns (deterministic)."""
-    red, pivots = _reduced(m.srows)
-    return Matrix(m.rows, m.cols, srows=red + [{} for _ in range(m.rows - len(red))]), pivots
+    """Reduced row echelon form and pivot columns (deterministic), over the
+    lcm of the pivot entries of the eliminated integer rows."""
+    rows, pivots = _eliminate(m.num, reduced=True)
+    L = lcm(*(r[p] for r, p in zip(rows, pivots)))
+    red = [{j: x * (L // r[p]) for j, x in r.items()} for r, p in zip(rows, pivots)]
+    red += [{} for _ in range(m.rows - len(red))]
+    return Matrix._from_ints(m.rows, m.cols, red, L), pivots
 
 
 def rank(m: Matrix) -> int:
-    srows = m.srows
+    num = m.num
     if m.rows > m.cols:  # rank m = rank m^T, which has fewer rows to combine
-        srows = [{} for _ in range(m.cols)]
-        for i, row in enumerate(m.srows):
+        num = [{} for _ in range(m.cols)]
+        for i, row in enumerate(m.num):
             for j, x in row.items():
-                srows[j][i] = x
-    return len(_eliminate(_integer_rows(srows), reduced=False)[1])
+                num[j][i] = x
+    return len(_eliminate(num, reduced=False)[1])
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, one vector per free column,
     in reduced echelon form (free variable set to 1, pivots back-filled)."""
-    red, pivots = _reduced(m.srows)
-    pivset = set(pivots)
+    rows, pivots = _eliminate(m.num, reduced=True)
     basis = []
-    for free in range(m.cols):
-        if free in pivset:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for row, p in zip(red, pivots):
+    for free in sorted(set(range(m.cols)) - set(pivots)):
+        v = [Fraction(int(j == free)) for j in range(m.cols)]
+        for row, p in zip(rows, pivots):
             if free in row:
-                v[p] = -row[free]
+                v[p] = Fraction(-row[free], row[p])
         basis.append(tuple(v))
     return basis
 
@@ -285,12 +278,15 @@ def solve(m: Matrix, b) -> tuple[Fraction, ...] | None:
     b = [Fraction(x) for x in b]
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    # b is column m.cols of the augmented rows, stored where it is nonzero
-    red, pivots = _reduced([{**row, m.cols: bb} if bb else row for row, bb in zip(m.srows, b)])
-    if pivots and pivots[-1] == m.cols:
+    # where b_i = p_i / q_i is nonzero, row i of m x = b times den q_i is the
+    # integer row q_i num[i] with den p_i in column C; elsewhere it is num[i]
+    C = m.cols
+    aug = [{**{j: y.denominator * x for j, x in row.items()}, C: m.den * y.numerator} if y else row
+           for row, y in zip(m.num, b)]
+    rows, pivots = _eliminate(aug, reduced=True)
+    if pivots and pivots[-1] == C:
         return None
-    x = [Fraction(0)] * m.cols
-    for row, p in zip(red, pivots):
-        if m.cols in row:
-            x[p] = row[m.cols]
+    x = [Fraction(0)] * C
+    for row, p in zip(rows, pivots):
+        x[p] = Fraction(row.get(C, 0), row[p])
     return tuple(x)

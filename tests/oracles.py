@@ -245,9 +245,9 @@ def reference_check_cubic_jordan(A):
     basis = [tuple(Fraction(int(t == i)) for t in range(d)) for i in range(d)]
 
     def term(a, b, c, y):
-        bc = _mul(A, b, c)
-        return tuple(p - q for p, q in zip(_mul(A, _mul(A, a, y), bc),
-                                           _mul(A, a, _mul(A, y, bc))))
+        bc = naive_product(A, b, c)
+        return tuple(p - q for p, q in zip(naive_product(A, naive_product(A, a, y), bc),
+                                           naive_product(A, a, naive_product(A, y, bc))))
 
     failing = None
     for idx in iproduct(range(d), repeat=4):
@@ -284,8 +284,8 @@ def reference_check_operator_identity(A):
     basis = [tuple(Fraction(int(t == i)) for t in range(d)) for i in range(d)]
 
     def half(a, b, y):
-        return tuple(p - q for p, q in zip(_mul(A, _mul(A, a, b), y),
-                                           _mul(A, a, _mul(A, b, y))))
+        return tuple(p - q for p, q in zip(naive_product(A, naive_product(A, a, b), y),
+                                           naive_product(A, a, naive_product(A, b, y))))
 
     failing = None
     for i, j, k in iproduct(range(d), repeat=3):
@@ -298,8 +298,8 @@ def reference_check_operator_identity(A):
         return IdentityReport(True)
     for i in range(d):
         for j in range(d):
-            left = _mul(A, _mul(A, basis[i], basis[i]), basis[j])
-            right = _mul(A, basis[i], _mul(A, basis[i], basis[j]))
+            left = naive_product(A, naive_product(A, basis[i], basis[i]), basis[j])
+            right = naive_product(A, basis[i], naive_product(A, basis[i], basis[j]))
             if left != right:
                 return IdentityReport(False, Witness(
                     inputs=(basis[i], basis[j]), left=left, right=right,
@@ -361,7 +361,8 @@ def derivation_dimension(A):
 # ---------------------------------------------------------------------------
 # direct identity evaluation (own product expansion)
 
-def _mul(A, x, y):
+def naive_product(A, x, y):
+    """x * y expanded over A.sc, without the package's product."""
     d = A.dim
     out = [Fraction(0)] * d
     for i in range(d):
@@ -376,14 +377,15 @@ def _mul(A, x, y):
 
 def cubic_jordan_sides(A, x, y):
     """Sides of (x*y)*(x*x) = x*(y*(x*x))."""
-    xx = _mul(A, x, x)
-    return _mul(A, _mul(A, x, y), xx), _mul(A, x, _mul(A, y, xx))
+    xx = naive_product(A, x, x)
+    return (naive_product(A, naive_product(A, x, y), xx),
+            naive_product(A, x, naive_product(A, y, xx)))
 
 
 def six_term_sum(A, x, y, z):
     def assoc(a, b, c):
-        return tuple(p - q for p, q in zip(_mul(A, _mul(A, a, b), c),
-                                           _mul(A, a, _mul(A, b, c))))
+        return tuple(p - q for p, q in zip(naive_product(A, naive_product(A, a, b), c),
+                                           naive_product(A, a, naive_product(A, b, c))))
     parts = [assoc(x, y, z), assoc(y, z, x), assoc(z, x, y)]
     return tuple(sum(col) for col in zip(*parts))
 

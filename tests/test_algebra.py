@@ -15,7 +15,7 @@ from symlie.algebra import associator
 from symlie.cli import run
 from symlie.exactla import Matrix, vec_to_strs
 
-from oracles import (cubic_jordan_sides, derivation_dimension, random_commutative,
+from oracles import (cubic_jordan_sides, derivation_dimension, naive_product, random_commutative,
                      random_vector, reference_check_cubic_jordan,
                      reference_check_operator_identity, six_term_sum)
 
@@ -80,6 +80,19 @@ def test_multiplication_operator():
     swap = Matrix.from_rows([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
     assert multiplication_operator(A, U2) == swap
     assert multiplication_operator(A, (0, 0)).is_zero()
+    with pytest.raises(ValueError):
+        multiplication_operator(A, (1, 0, 0))
+
+
+def test_multiplication_operator_columns_are_oracle_products():
+    rng = random.Random(73)
+    algebras = [make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)])]
+    algebras += [random_commutative(rng, 1 + t % 4, (0.5, 1)[t % 2]) for t in range(24)]
+    for A in algebras:
+        v = tuple(x + Fraction(1, 3) for x in random_vector(rng, A.dim))
+        L = multiplication_operator(A, v)
+        for j in range(A.dim):
+            assert L.column(j) == naive_product(A, A.basis_vector(j), v)
 
 
 def test_cubic_checker_verdicts():

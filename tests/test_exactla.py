@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symlie import InsertionMode, make_spin
-from symlie.complexes import differential_matrix
+from symlie import InsertionMode, algebra_from_entries, make_spin
+from symlie.complexes import ad_half_bracket_matrix, differential_matrix
 from symlie.exactla import (Matrix, kernel_basis, rank, rat_from_str, rat_to_str,
                             rref, solve)
 
@@ -151,8 +153,11 @@ def matrices(draw, rows=None, cols=None):
     return Matrix(rows, cols, data)
 
 
-def _stores_no_zero(m):
-    return all(type(x) is Fraction and x for row in m.srows for x in row.values())
+def _stored_form(m):
+    """num / den with int entries, no stored zeros, den > 0 and no common factor."""
+    entries = [x for row in m.num for x in row.values()]
+    return (len(m.num) == m.rows and all(type(x) is int and x for x in entries)
+            and type(m.den) is int and m.den > 0 and gcd(m.den, *entries) == 1)
 
 
 @given(st.data())
@@ -173,7 +178,7 @@ def test_sparse_matrix_matches_dense_reference(data):
         [dense_column(A, j) for j in range(a.cols)], a.rows)
     assert a.is_zero() == all(x == 0 for row in A for x in row)
     assert results[3].is_zero() and results[3] == Matrix.zeros(a.rows, a.cols)
-    assert all(_stores_no_zero(m) for m in [a, b, c, rref(a)[0]] + results)
+    assert all(_stored_form(m) for m in [a, b, c, rref(a)[0]] + results)
 
 
 @given(matrices())
@@ -230,3 +235,21 @@ def test_elimination_on_spin_differentials(n, mode):
     unit = [Fraction(int(i == m.rows - 1)) for i in range(m.rows)]
     for b in (consistent, unit):
         assert solve(m, b) == reference_solve(m, b)
+
+
+def _dense_rational(rng, d):
+    """Structure constants p/q with p in -3..3 and q in 1..4, on every triple."""
+    return algebra_from_entries(d, [f"b{i}" for i in range(d)], [
+        (a, b, k, c) for i, j in combinations_with_replacement(range(d), 2) for k in range(d)
+        if (c := Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+        for a, b in {(i, j), (j, i)}])
+
+
+@pytest.mark.parametrize("mode", list(InsertionMode))
+def test_operator_matrices_keep_the_stored_form(mode):
+    dense = _dense_rational(random.Random(5), 3)
+    assert differential_matrix(dense, 1, mode).matrix.den > 1
+    for A in (make_spin([1, Fraction(-1, 2), 3]), dense):
+        for n in range(3):
+            d, ad = differential_matrix(A, n, mode).matrix, ad_half_bracket_matrix(A, n, mode)
+            assert all(_stored_form(m) for m in (d, ad, rref(d)[0], rref(ad)[0]))
