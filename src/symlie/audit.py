@@ -20,11 +20,10 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
-from .algebra import (Algebra, IdentityReport, check_cubic_jordan,
+from .algebra import (Algebra, IdentityReport, _cyclic, _table, check_cubic_jordan,
                       check_operator_identity, check_six_term, find_unit,
-                      multiplication_operator, product_cochain, render_linear,
-                      six_term_value)
-from .bracket import (InsertionMode, check_jacobi, check_prelie,
+                      multiplication_operator, product_cochain, render_linear)
+from .bracket import (InsertionMode, _Memo, check_jacobi, check_prelie,
                       first_coefficient_difference, graded_bracket, insert,
                       insert_lowdeg_variant, unshuffles)
 from .cochain import SymCochain, basis_cochains, multisets
@@ -176,11 +175,11 @@ _TRIPLES = (
 )
 
 
-def _claim_triple_family(mode: InsertionMode, claim_id: str, checker, pool) -> ClaimRecord:
+def _claim_triple_family(mode: InsertionMode, claim_id: str, checker, pool, memo) -> ClaimRecord:
     verdicts = []
     first_witness = None
     for label, fa, fb, fc in _TRIPLES:
-        rep = checker(pool[fa], pool[fb], pool[fc], mode)
+        rep = checker(pool[fa], pool[fb], pool[fc], mode, _memo=memo)
         verdicts.append((label, rep.holds))
         if not rep.holds and first_witness is None:
             first_witness = {"triple": label, **rep.witness.to_json_dict()}
@@ -217,14 +216,9 @@ def _bracket_entries(br: SymCochain) -> list[dict]:
             for mset, k, val in br.items()]
 
 
-def _claim_mumu(A: Algebra, mode: InsertionMode, pool) -> ClaimRecord:
+def _claim_mumu(mode: InsertionMode, pool, printed_half: SymCochain) -> ClaimRecord:
     ins, br = pool["P"], pool["B"]
     doubling_ok = br == ins.scale(2)
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    cyc = SymCochain(3, A.dim, {
-        mset: vec for mset in multisets(A.dim, 3)
-        if any(vec := six_term_value(A, *(basis[i] for i in mset)))})
-    printed_half = cyc.scale(Fraction(1, 2))
     diff = first_coefficient_difference(ins, printed_half)
     detail = (f"[mu,mu] == 2 (mu o mu): {'true' if doubling_ok else 'false'}; "
               "printed composite is half the cyclic associator sum, which "
@@ -428,12 +422,16 @@ def audit(A: Algebra, name: str = "<unnamed>") -> AuditReport:
     d_squared = {mode: [check_d_squared(A, n, mode) for n in (0, 1, 2)] for mode in BOTH_MODES}
     cubic, sixterm = check_cubic_jordan(A), check_six_term(A)
     claims = [_claim_sym_closure(A, mode, pools[mode]) for mode in BOTH_MODES]
-    claims += [_claim_triple_family(mode, "PRELIE", check_prelie, pools[mode])
+    memo = _Memo()  # the compositions both triple families share, in both modes
+    claims += [_claim_triple_family(mode, "PRELIE", check_prelie, pools[mode], memo)
                for mode in BOTH_MODES]
-    claims += [_claim_triple_family(mode, "JACOBI", check_jacobi, pools[mode])
+    claims += [_claim_triple_family(mode, "JACOBI", check_jacobi, pools[mode], memo)
                for mode in BOTH_MODES]
     claims.append(_claim_lowdeg_variant(A, pools[InsertionMode.PAPER]))
-    claims += [_claim_mumu(A, mode, pools[mode]) for mode in BOTH_MODES]
+    T, D, E = _table(A)  # half the cyclic associator sum at each basis multiset
+    half_cyc = SymCochain._from_ints(3, A.dim, {
+        mset: _cyclic(T, *(E[i] for i in mset)) for mset in multisets(A.dim, 3)}, 2 * D ** 2)
+    claims += [_claim_mumu(mode, pools[mode], half_cyc) for mode in BOTH_MODES]
     claims += [_claim_mc_iff_jordan(mode, pools[mode], cubic) for mode in BOTH_MODES]
     claims += [_claim_ad_squared(mode, d_squared[mode]) for mode in BOTH_MODES]
     claims += [_claim_d2_sanity(A, mode, d_squared[mode][1]) for mode in BOTH_MODES]

@@ -10,6 +10,8 @@ Two modes are provided and every bracket-dependent operation takes one:
 
 The mode is only a scalar.  `insert`, `graded_bracket` and the operator
 matrices of `complexes` are each one call to one integer kernel, `_scatter`.
+The identity checkers compose through `_Memo`, which an audit builds once: each
+SUM-mode insertion of two primitive forms is made once and serves both modes.
 
 Both modes are sign-free; see the audit module for what that does and does
 not imply about the graded identities.
@@ -20,10 +22,10 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .algebra import IdentityReport, Witness
-from .cochain import SymCochain, multisets
+from .cochain import SymCochain, _combine, multisets
 
 
 class InsertionMode(enum.Enum):
@@ -149,60 +151,96 @@ def first_coefficient_difference(a: SymCochain, b: SymCochain):
     return None
 
 
-def _coeff_witness(A_dim: int, diff, note: str) -> Witness:
+def _coeff_report(a: SymCochain, b: SymCochain, note: str) -> IdentityReport:
+    """a == b holds, or fails with the first differing multiset as basis inputs."""
+    diff = first_coefficient_difference(a, b)
+    if diff is None:
+        return IdentityReport(True)
     mset, left, right = diff
-    basis = tuple(
-        tuple(Fraction(1 if t == i else 0) for t in range(A_dim)) for i in mset)
-    return Witness(inputs=basis, left=left, right=right, note=note)
+    basis = tuple(tuple(Fraction(int(t == i)) for t in range(a.dim)) for i in mset)
+    return IdentityReport(False, Witness(inputs=basis, left=left, right=right, note=note))
 
 
-def _at_arity(c: SymCochain, n: int) -> SymCochain:
-    """A nested term of an identity of target arity n.  Inserting an arity-0
-    cochain into another lands in the zero space of arity -1, which `insert`
-    returns at arity 0; every term built on it is zero, so it is read as the
-    zero cochain of arity n."""
-    return c if c.n == n else SymCochain.zero(n, c.dim)
+class _Memo:
+    """The compositions of one run of identity checks, such as one audit's.
+    A cochain is held as terms [(c, p)], c a Fraction and p its primitive form:
+    its numerators over their gcd, the first nonzero positive, one object per
+    (n, dim, numerators).  By bilinearity a composition of terms is a sum of
+    SUM-mode insertions of primitive forms, each made once, times `_prefactor`."""
+
+    def __init__(self):
+        self.forms, self.inserts = {}, {}  # key -> p, kept alive; (id(p), id(q)) -> p o q terms
+
+    def terms(self, f: SymCochain) -> list:
+        if not f.num:
+            return []
+        g = gcd(*(x for vec in f.num.values() for x in vec))
+        g = g if next(x for x in f.num[min(f.num)] if x) > 0 else -g
+        num = {key: tuple(x // g for x in vec) for key, vec in f.num.items()}
+        key = (f.n, f.dim, tuple(sorted(num.items())))
+        if key not in self.forms:
+            self.forms[key] = SymCochain._from_ints(f.n, f.dim, num, 1)
+        return [(Fraction(g, f.den), self.forms[key])]
+
+    def insert(self, xs, ys, mode: InsertionMode, c=1) -> list:
+        """The terms of c (x o y)."""
+        out = []
+        for a, p in xs:
+            for b, q in ys:
+                key = id(p), id(q)
+                if key not in self.inserts:
+                    self.inserts[key] = self.terms(insert(p, q))
+                k = c * a * b * _prefactor(mode, p.n, q.n)
+                out += [(k * s, r) for s, r in self.inserts[key]]
+        return out
+
+    def bracket(self, xs, ys, mode: InsertionMode, c=1) -> list:
+        """The terms of c [x, y] = c (x o y - (-1)^{|x||y|} y o x)."""
+        sign = koszul_sign(xs[0][1].degree, ys[0][1].degree) if xs and ys else 0
+        return self.insert(xs, ys, mode, c) + self.insert(ys, xs, mode, -sign * c)
+
+
+def _operands(memo: _Memo | None, mode: InsertionMode, *cochains):
+    """The memo (a fresh one for None) and each cochain's terms, checked as by `insert`."""
+    _prefactor(mode, 0, 0)  # refuses a mode that is not an InsertionMode
+    if len({f.dim for f in cochains}) > 1:
+        raise ValueError("ambient dimension mismatch")
+    memo = _Memo() if memo is None else memo
+    return memo, [memo.terms(f) for f in cochains]
 
 
 def check_prelie(f: SymCochain, g: SymCochain, h: SymCochain,
-                 mode: InsertionMode = InsertionMode.SUM) -> IdentityReport:
+                 mode: InsertionMode = InsertionMode.SUM, *, _memo=None) -> IdentityReport:
     """Graded right pre-Lie identity:
-    (f o g) o h - f o (g o h) == (-1)^{|g||h|} ((f o h) o g - f o (h o g))."""
+    (f o g) o h - f o (g o h) == (-1)^{|g||h|} ((f o h) o g - f o (h o g)).
+    A term through an insertion of two arity-0 cochains is zero: it has no terms."""
     N = f.n + g.n + h.n - 2
     if N < 0:  # both sides lie in the zero space
         return IdentityReport(True)
+    memo, (F, G, H) = _operands(_memo, mode, f, g, h)
 
-    def assoc(x, y, z):  # (x o y) o z - x o (y o z)
-        return (_at_arity(insert(insert(x, y, mode), z, mode), N)
-                - _at_arity(insert(x, insert(y, z, mode), mode), N))
+    def assoc(x, y, z, c):  # c ((x o y) o z - x o (y o z))
+        return (memo.insert(memo.insert(x, y, mode), z, mode, c)
+                + memo.insert(x, memo.insert(y, z, mode), mode, -c))
 
-    lhs = assoc(f, g, h)
-    rhs = assoc(f, h, g).scale(koszul_sign(g.degree, h.degree))
-    diff = first_coefficient_difference(lhs, rhs)
-    if diff is None:
-        return IdentityReport(True)
-    return IdentityReport(False, _coeff_witness(
-        f.dim, diff,
-        note=f"pre-Lie sides at a basis tuple, arities ({f.n},{g.n},{h.n})"))
+    return _coeff_report(_combine(N, f.dim, assoc(F, G, H, 1)),
+                         _combine(N, f.dim, assoc(F, H, G, koszul_sign(g.degree, h.degree))),
+                         f"pre-Lie sides at a basis tuple, arities ({f.n},{g.n},{h.n})")
 
 
 def check_jacobi(f: SymCochain, g: SymCochain, h: SymCochain,
-                 mode: InsertionMode = InsertionMode.SUM) -> IdentityReport:
+                 mode: InsertionMode = InsertionMode.SUM, *, _memo=None) -> IdentityReport:
     """Graded Jacobi identity for the commutator, in the cyclic form
     (-1)^{|f||h|}[f,[g,h]] + (-1)^{|g||f|}[g,[h,f]] + (-1)^{|h||g|}[h,[f,g]] == 0."""
     N = f.n + g.n + h.n - 2
     if N < 0:  # every term lies in the zero space
         return IdentityReport(True)
-    t1, t2, t3 = (_at_arity(graded_bracket(x, graded_bracket(y, z, mode), mode), N).scale(
-        koszul_sign(x.degree, z.degree)) for x, y, z in ((f, g, h), (g, h, f), (h, f, g)))
-    total = t1 + t2 + t3
-    if total.is_zero():
-        return IdentityReport(True)
-    zero = SymCochain.zero(total.n, total.dim)
-    diff = first_coefficient_difference(total, zero)
-    return IdentityReport(False, _coeff_witness(
-        f.dim, diff,
-        note=f"Jacobi cyclic sum at a basis tuple, arities ({f.n},{g.n},{h.n})"))
+    memo, (F, G, H) = _operands(_memo, mode, f, g, h)
+    total = []
+    for X, Y, Z, x, z in ((F, G, H, f, h), (G, H, F, g, f), (H, F, G, h, g)):
+        total += memo.bracket(X, memo.bracket(Y, Z, mode), mode, koszul_sign(x.degree, z.degree))
+    return _coeff_report(_combine(N, f.dim, total), SymCochain.zero(N, f.dim),
+                         f"Jacobi cyclic sum at a basis tuple, arities ({f.n},{g.n},{h.n})")
 
 
 def insert_lowdeg_variant(f: SymCochain, g: SymCochain) -> SymCochain:

@@ -121,13 +121,7 @@ class SymCochain:
             return NotImplemented
         if self.dim != other.dim or self.n != other.n:
             raise ValueError("cochain arity/dimension mismatch")
-        den = lcm(self.den, other.den)
-        sa, sb = den // self.den, sign * (den // other.den)
-        out = {key: [sa * x for x in vec] for key, vec in self.num.items()}
-        zero = (0,) * self.dim
-        for key, vec in other.num.items():
-            out[key] = [a + sb * b for a, b in zip(out.get(key, zero), vec)]
-        return SymCochain._from_ints(self.n, self.dim, out, den)
+        return _combine(self.n, self.dim, ((1, self), (sign, other)))
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -139,10 +133,7 @@ class SymCochain:
         return self.scale(-1)
 
     def scale(self, c) -> "SymCochain":
-        c = Fraction(c)
-        return SymCochain._from_ints(self.n, self.dim, {
-            key: [c.numerator * x for x in vec] for key, vec in self.num.items()},
-            self.den * c.denominator)
+        return _combine(self.n, self.dim, [(Fraction(c), self)])
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -261,16 +252,29 @@ def symmetrize(table, n: int, dim: int) -> SymCochain:
     return SymCochain(n, dim, coeffs)
 
 
+def _combine(n: int, dim: int, terms) -> SymCochain:
+    """sum s f over the list of (s, f), s an int or Fraction and f of arity n (0 if
+    empty): one integer accumulator over the common denominator, reduced once."""
+    den = lcm(*[s.denominator * f.den for s, f in terms])
+    out = {}
+    for s, f in terms:
+        c = s.numerator * (den // (s.denominator * f.den))
+        for key, vec in f.num.items():
+            acc = out.get(key)
+            out[key] = [c * x for x in vec] if acc is None else [
+                a + c * x for a, x in zip(acc, vec)]
+    return SymCochain._from_ints(n, dim, out, den)
+
+
 def linear_combine(scalars, cochains) -> SymCochain:
+    """sum_i s_i f_i over nonempty lists of cochains of one shape."""
     cochains = list(cochains)
     scalars = [Fraction(s) for s in scalars]
     if len(scalars) != len(cochains) or not cochains:
         raise ValueError("need matching nonempty scalar/cochain lists")
-    first = cochains[0]
-    out = SymCochain.zero(first.n, first.dim)
-    for s, f in zip(scalars, cochains):
-        out = out + f.scale(s)
-    return out
+    if len({(f.n, f.dim) for f in cochains}) > 1:
+        raise ValueError("cochain arity/dimension mismatch")
+    return _combine(cochains[0].n, cochains[0].dim, list(zip(scalars, cochains)))
 
 
 def basis_cochains(dim: int, n: int):

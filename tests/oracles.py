@@ -499,6 +499,60 @@ def reference_bracket(f, g, paper):
     return reference_insert(f, g, paper) - reference_insert(g, f, paper).scale(sign)
 
 
+def _reference_identity_report(lhs, rhs, note):
+    """The report of lhs == rhs: holds, or fails at the first multiset in
+    `multisets` order where the values differ, its basis tuple as inputs."""
+    from symlie import multisets
+    from symlie.algebra import IdentityReport, Witness
+    for mset in multisets(lhs.dim, lhs.n):
+        left, right = lhs.value_at(mset), rhs.value_at(mset)
+        if left != right:
+            basis = tuple(tuple(Fraction(int(t == i)) for t in range(lhs.dim)) for i in mset)
+            return IdentityReport(False, Witness(basis, left, right, note))
+    return IdentityReport(True)
+
+
+def _at_arity(c, N):
+    """A nested term of target arity N.  An insertion of two arity-0 cochains
+    lies in the zero space of arity -1, which reference_insert returns at
+    arity 0, so every term built on it is the zero cochain of arity N."""
+    from symlie import SymCochain
+    return c if c.n == N else SymCochain.zero(N, c.dim)
+
+
+def reference_prelie_report(f, g, h, paper):
+    """check_prelie's report, each nested term one reference_insert."""
+    from symlie.algebra import IdentityReport
+    N = f.n + g.n + h.n - 2
+    if N < 0:
+        return IdentityReport(True)
+
+    def assoc(x, y, z):  # (x o y) o z - x o (y o z)
+        return (_at_arity(reference_insert(reference_insert(x, y, paper), z, paper), N)
+                - _at_arity(reference_insert(x, reference_insert(y, z, paper), paper), N))
+
+    sign = (-1) ** ((g.n - 1) * (h.n - 1))
+    return _reference_identity_report(
+        assoc(f, g, h), assoc(f, h, g).scale(sign),
+        f"pre-Lie sides at a basis tuple, arities ({f.n},{g.n},{h.n})")
+
+
+def reference_jacobi_report(f, g, h, paper):
+    """check_jacobi's report, each bracket one reference_bracket."""
+    from symlie import SymCochain
+    from symlie.algebra import IdentityReport
+    N = f.n + g.n + h.n - 2
+    if N < 0:
+        return IdentityReport(True)
+    zero = SymCochain.zero(N, f.dim)
+    total = zero
+    for x, y, z in ((f, g, h), (g, h, f), (h, f, g)):
+        term = reference_bracket(x, reference_bracket(y, z, paper), paper)
+        total = total + _at_arity(term, N).scale((-1) ** ((x.n - 1) * (z.n - 1)))
+    return _reference_identity_report(
+        total, zero, f"Jacobi cyclic sum at a basis tuple, arities ({f.n},{g.n},{h.n})")
+
+
 def reference_bracket_matrix(g, n, paper, c):
     """Matrix of f -> c [g, f] on arity-n cochains, one bracket per column:
     column j is c [g, e_j] for the j-th basis cochain, written densely, with

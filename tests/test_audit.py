@@ -3,19 +3,22 @@ import hashlib
 import importlib
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from symlie import (Algebra, InsertionMode, algebra_from_entries, audit, audit_all,
-                    check_jacobi, check_prelie, cli, coboundary_c1_explicit,
-                    corpus_entries, graded_bracket, insert, insert_lowdeg_variant,
-                    make_j2, make_non_jordan, make_spin, product_cochain, render_text,
+                    check_cubic_jordan, check_jacobi, check_prelie, cli,
+                    coboundary_c1_explicit, corpus_entries, endomorphism_cochain,
+                    graded_bracket, insert, insert_lowdeg_variant, make_j2, make_non_jordan,
+                    make_spin, multiplication_operator, product_cochain, render_text,
                     SymCochain)
-from symlie.audit import CLAIM_CATALOG, _claim_sym_closure, _mu_pool
+from symlie.audit import CLAIM_CATALOG, LOCATION, _TRIPLES, _claim_sym_closure, _mu_pool
 from symlie.exactla import vec_to_strs
 
-from oracles import d2_sanity_reference, insertion_eval
+from oracles import (d2_sanity_reference, insertion_eval, random_commutative,
+                     reference_insert, reference_jacobi_report, reference_prelie_report)
 
 ALL_IDS = [cid for cid, _ in CLAIM_CATALOG]
 SUM = InsertionMode.SUM
@@ -174,6 +177,57 @@ def test_prelie_jacobi_records_agree_with_checkers(j2_report):
         assert (f"mu,mu,mu: {'holds' if direct else 'fails'}") in rec.detail
         # the arity (2,2,3) triple named in the record
         assert "mu,mu,P" in rec.detail
+
+
+def _oracle_triple_record(A, mode, claim_id, oracle):
+    """The PRELIE or JACOBI record rebuilt from the reference compositions:
+    the audit's pool with P = mu o mu from reference_insert, and the report
+    of each triple from the oracle."""
+    mu, e0 = product_cochain(A), A.basis_vector(0)
+    pool = {"mu": mu, "v0": SymCochain(0, A.dim, {(): e0}),
+            "L0": endomorphism_cochain(multiplication_operator(A, e0)),
+            "P": reference_insert(mu, mu, mode is PAPER)}
+    verdicts, witness = [], None
+    for label, a, b, c in _TRIPLES:
+        rep = oracle(pool[a], pool[b], pool[c], mode is PAPER)
+        verdicts.append(f"{label}: {'holds' if rep.holds else 'fails'}")
+        if not rep.holds and witness is None:
+            witness = {"triple": label, **rep.witness.to_json_dict()}
+    return {"id": claim_id, "location": LOCATION[claim_id], "mode": mode.value,
+            "verdict": "holds" if witness is None else "fails", "witness": witness,
+            "detail": "; ".join(verdicts)}
+
+
+@pytest.mark.parametrize("d, seed", [(2, 3), (2, 6), (3, 7), (3, 11)])
+def test_triple_family_records_match_oracle_compositions_on_non_jordan_algebras(d, seed):
+    A = random_commutative(random.Random(seed), d)
+    assert not check_cubic_jordan(A).holds
+    report = audit(A)
+    failing = 0
+    for mode in (SUM, PAPER):
+        for claim_id, oracle in (("PRELIE", reference_prelie_report),
+                                 ("JACOBI", reference_jacobi_report)):
+            expected = _oracle_triple_record(A, mode, claim_id, oracle)
+            assert report.claim(claim_id, mode.value).to_json_dict() == expected
+            failing += expected["verdict"] == "fails"
+    assert failing  # a failing witness is compared
+
+
+def test_triple_families_insert_each_primitive_pair_once_per_audit(monkeypatch):
+    """PRELIE and JACOBI in both modes compose through one memo per audit, so
+    on a spin factor they make one SUM-mode insertion per pair of primitive
+    forms (19), not one per nested composition (252); a second audit makes
+    them again."""
+    bracket = importlib.import_module("symlie.bracket")
+    calls = []
+    real = bracket.insert
+    monkeypatch.setattr(bracket, "insert",
+                        lambda f, g, *mode: calls.append(mode) or real(f, g, *mode))
+    A = make_spin([1, 2, -3, 5])
+    for _ in range(2):
+        calls.clear()
+        audit(A)
+        assert 0 < len(calls) <= 20 and not any(calls)
 
 
 def test_sixterm_vacuous_everywhere(reports):

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from symlie import (InsertionMode, SymCochain, check_jacobi, check_prelie, cohomology,
                     differential_matrix, graded_bracket, identity_cochain, insert,
                     insert_lowdeg_variant, make_j2, multisets, product_cochain)
-from symlie.bracket import koszul_sign, parse_mode, unshuffle_permutations
+from symlie.bracket import _Memo, koszul_sign, parse_mode, unshuffle_permutations
 
 from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
-                     reference_bracket, reference_insert, right_nested_eval)
+                     reference_bracket, reference_insert, reference_jacobi_report,
+                     reference_prelie_report, right_nested_eval)
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -355,6 +356,59 @@ def test_zero_triples_hold_everywhere():
     for mode in (SUM, PAPER):
         assert check_prelie(z1, z2, z1, mode).holds
         assert check_jacobi(z1, z1, z2, mode).holds
+
+
+# ---------------------------------------------------------------------------
+# one composition memo shared by many checks, against the oracle compositions
+
+CHECKERS = ((check_prelie, reference_prelie_report), (check_jacobi, reference_jacobi_report))
+
+
+@st.composite
+def shared_memo_checks(draw):
+    """Checks in an interleaved order over one pool of arity-0..3 cochains:
+    two drawn ones, the first scaled by a negative non-integer, and a zero."""
+    d = draw(st.integers(1, 3))
+    f, g = (draw(cochains(draw(st.integers(0, 3)), d)) for _ in range(2))
+    c = draw(st.sampled_from((Fraction(-1, 2), Fraction(-3, 2), Fraction(-5, 3))))
+    pool = [f, g, f.scale(c), SymCochain.zero(draw(st.integers(0, 3)), d)]
+    triples = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * 3), min_size=1, max_size=3))
+    return draw(st.permutations(
+        [(t, pair, mode) for t in triples for pair in CHECKERS for mode in (SUM, PAPER)]))
+
+
+@settings(max_examples=120)
+@given(shared_memo_checks())
+def test_checkers_through_one_memo_match_oracle_compositions(checks):
+    """A memo keeps one SUM-mode insertion per pair of primitive forms, so f
+    and c f, both modes and both identities share entries; each report,
+    witness included, is the one the reference compositions give."""
+    memo = _Memo()
+    for (f, g, h), (check, oracle), mode in checks:
+        assert check(f, g, h, mode, _memo=memo) == oracle(f, g, h, mode is PAPER)
+
+
+def test_memo_splits_a_cochain_into_a_scalar_and_one_primitive_form():
+    rng = random.Random(211)
+    f = random_cochain(rng, 2, 2)
+    memo = _Memo()
+    [(a, p)] = memo.terms(f)
+    assert p.den == 1 and gcd(*(x for vec in p.num.values() for x in vec)) == 1
+    assert next(x for x in p.num[min(p.num)] if x) > 0
+    assert p.scale(a) == f
+    for c in (Fraction(-3, 2), 7, Fraction(1, 5)):
+        [(b, q)] = memo.terms(f.scale(c))
+        assert q is p and b == c * a
+    assert memo.terms(SymCochain.zero(2, 2)) == []
+
+
+def test_checkers_refuse_what_insert_refuses_on_zero_operands():
+    z2, z3 = SymCochain.zero(2, 2), SymCochain.zero(2, 3)
+    for check in (check_prelie, check_jacobi):
+        with pytest.raises(TypeError, match="'paper'"):
+            check(z2, z2, z2, "paper")
+        with pytest.raises(ValueError):
+            check(z2, z2, z3, SUM)
 
 
 def test_lowdeg_variant_values():
