@@ -1,7 +1,7 @@
-"""Finite-dimensional commutative algebras given by structure constants,
-multiplication operators, and the three polarized identity checkers
-(cubic Jordan, cyclic six-term, linearized operator identity), all on one
-integer product table through one associator.
+"""Finite-dimensional commutative algebras, each stored once as its product
+2-cochain mu, multiplication operators, and the three polarized identity
+checkers (cubic Jordan, cyclic six-term, linearized operator identity), all
+on one integer product table through one associator.
 """
 
 from __future__ import annotations
@@ -19,47 +19,55 @@ from .exactla import Matrix, json_int, rat_from_str, rat_to_str, solve, vec_to_s
 class Algebra:
     """Commutative algebra on basis e_0..e_{d-1}.
 
-    sc[i][j] is the value vector of e_i * e_j; commutativity
-    (sc[i][j] == sc[j][i]) is enforced at construction time.
-    Instances are immutable in value and hashable; `_ops` is a memo, filled
-    on first use, of the integer product table and of the operator matrices
-    that `complexes` builds from the product.
+    The product is stored once, as its 2-cochain mu (ints over one denominator),
+    so construction follows the nonzero structure constants; sc[i][j], the
+    value vector of e_i * e_j, is a read-only view.  Commutativity is enforced
+    at construction time.  Instances are immutable in value and hashable; `_ops`
+    is a memo, filled on first use, of the integer product table, the `sc` view
+    and the operator matrices of `complexes`.
     """
 
-    __slots__ = ("dim", "labels", "sc", "_hash", "_ops")
+    __slots__ = ("dim", "labels", "_mu", "_ops")
 
     def __init__(self, dim: int, labels, sc):
+        self._build(dim, labels, (((i, j), tuple(Fraction(x) for x in sc[i][j]))
+                                  for i in range(dim) for j in range(dim)))
+
+    def _build(self, dim: int, labels, pairs) -> Algebra:
+        """Store mu from ((i, j), e_i * e_j) pairs, which are read after the
+        shape checks; the first non-commuting (i, j), j < i, is reported."""
         if dim < 1:
             raise ValueError("algebra dimension must be >= 1")
         labels = tuple(str(x) for x in labels)
         if len(labels) != dim:
             raise ValueError("need one label per basis element")
-        table = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                vec = tuple(Fraction(x) for x in sc[i][j])
-                if len(vec) != dim:
-                    raise ValueError("structure constant vector has wrong length")
-                row.append(vec)
-            table.append(tuple(row))
-        for i in range(dim):
-            for j in range(i):
-                if table[i][j] != table[j][i]:
-                    raise ValueError(
-                        f"structure constants not commutative at ({i},{j})")
-        self.dim = dim
-        self.labels = labels
-        self.sc = tuple(table)
-        self._hash = hash((dim, labels, self.sc))
-        self._ops = {}
+        vecs = {}
+        for ij, vec in pairs:
+            if len(vec) != dim:
+                raise ValueError("structure constant vector has wrong length")
+            if any(vec):
+                vecs[ij] = vec
+        bad = [(max(ij), min(ij)) for ij, vec in vecs.items() if vecs.get(ij[::-1]) != vec]
+        if bad:
+            raise ValueError("structure constants not commutative at (%d,%d)" % min(bad))
+        self.dim, self.labels, self._ops = dim, labels, {}
+        self._mu = SymCochain(2, dim, {(i, j): vec for (i, j), vec in vecs.items() if i <= j})
+        return self
+
+    @property
+    def sc(self):
+        """Read-only dense view: sc[i][j] is the value vector of e_i * e_j."""
+        if "sc" not in self._ops:
+            self._ops["sc"] = tuple(tuple(self._mu.value_at((i, j)) for j in range(self.dim))
+                                    for i in range(self.dim))
+        return self._ops["sc"]
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and self.dim == other.dim
-                and self.labels == other.labels and self.sc == other.sc)
+                and self.labels == other.labels and self._mu == other._mu)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.dim, self.labels, self._mu.den, frozenset(self._mu.num.items())))
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
@@ -90,12 +98,12 @@ def render_linear(names, v) -> str:
 
 def algebra_from_entries(dim: int, labels, entries) -> Algebra:
     """Build from sparse (i, j, k, value) entries; omitted triples are zero."""
-    table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    vecs = {}
     for i, j, k, val in entries:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValueError(f"structure constant index out of range: {(i, j, k)}")
-        table[i][j][k] += Fraction(val)
-    return Algebra(dim, labels, table)
+        vecs.setdefault((i, j), [0] * dim)[k] += Fraction(val)
+    return Algebra.__new__(Algebra)._build(dim, labels, ((ij, tuple(v)) for ij, v in vecs.items()))
 
 
 def _table(A: Algebra):
@@ -173,9 +181,8 @@ def find_unit(A: Algebra):
 
 
 def product_cochain(A: Algebra) -> SymCochain:
-    """The product as a symmetric 2-cochain."""
-    return SymCochain(2, A.dim, {(i, j): A.sc[i][j] for i in range(A.dim)
-                                 for j in range(i, A.dim)})
+    """The product as a symmetric 2-cochain: the stored mu, not a copy."""
+    return A._mu
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +266,6 @@ def associator(A: Algebra, x, y, z):
     return _on_fractions(A, _assoc, x, y, z)
 
 
-def six_term_value(A: Algebra, x, y, z):
-    """Cyclic sum A(x,y,z) + A(y,z,x) + A(z,x,y)."""
-    return _on_fractions(A, _cyclic, x, y, z)
-
-
 def check_six_term(A: Algebra) -> IdentityReport:
     T, D, E = _table(A)
     return _report(A, D ** 2, iproduct(range(A.dim), repeat=3),
@@ -288,14 +290,12 @@ def check_operator_identity(A: Algebra) -> IdentityReport:
 # omitted triples are zero, and files violating commutativity are rejected.
 
 def algebra_to_json_dict(A: Algebra) -> dict:
-    sc = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                c = A.sc[i][j][k]
-                if c != 0:
-                    sc.append({"i": i, "j": j, "k": k, "c": rat_to_str(c)})
-    return {"dim": A.dim, "labels": list(A.labels), "sc": sc}
+    """Entries in (i, j, k) order over both orders of each nonzero pair of mu."""
+    mu = A._mu
+    pairs = sorted({p for i, j in mu.num for p in ((i, j), (j, i))})
+    return {"dim": A.dim, "labels": list(A.labels),
+            "sc": [{"i": i, "j": j, "k": k, "c": rat_to_str(Fraction(c, mu.den))}
+                   for i, j in pairs for k, c in enumerate(mu.num[min(i, j), max(i, j)]) if c]}
 
 
 def algebra_from_json_dict(d: dict) -> Algebra:
@@ -312,16 +312,14 @@ def algebra_from_json_dict(d: dict) -> Algebra:
         raise ValueError("labels must be a list of distinct strings")
     if not isinstance(raw, list):
         raise ValueError("sc must be a list")
-    seen = set()
-    entries = []
+    entries = {}
     for item in raw:
         try:
             i, j, k = (json_int(item[key], key) for key in "ijk")
             c = rat_from_str(item["c"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad structure constant entry: {exc}") from None
-        if (i, j, k) in seen:
+        if (i, j, k) in entries:
             raise ValueError(f"duplicate structure constant entry ({i},{j},{k})")
-        seen.add((i, j, k))
-        entries.append((i, j, k, c))
-    return algebra_from_entries(dim, labels, entries)
+        entries[i, j, k] = c
+    return algebra_from_entries(dim, labels, ((*ijk, c) for ijk, c in entries.items()))

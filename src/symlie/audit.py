@@ -337,7 +337,7 @@ def _family_parameters(A: Algebra):
         return None
     if find_unit(A) != (Fraction(1), Fraction(0)):
         return None
-    return A.sc[1][1][0], A.sc[1][1][1]
+    return product_cochain(A).value_at((1, 1))
 
 
 # Generic entries of the printed tables are coefficient coordinates: an

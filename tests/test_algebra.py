@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -294,3 +295,89 @@ def test_loader_rejects_non_commutative():
 def test_loader_rejects_malformed(doc):
     with pytest.raises(ValueError):
         algebra_from_json_dict(doc)
+
+
+# e_2 * e_1 = e_0 and e_2 * e_0 = e_1, with nothing at (1,2) or (0,2): asymmetric at
+# (2,1) and at (2,0), listed in that order.  The error names the first pair with
+# i rising, then j < i rising, whatever the order of the entries.
+ASYMMETRIC = [(2, 1, 0, 1), (2, 0, 1, 1)]
+
+
+def test_commutativity_error_names_first_pair(capsys, tmp_path):
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k, c in ASYMMETRIC:
+        table[i][j][k] = c
+    doc = {"dim": 3, "labels": ["a", "b", "c"],
+           "sc": [{"i": i, "j": j, "k": k, "c": str(c)} for i, j, k, c in ASYMMETRIC]}
+    message = "structure constants not commutative at (2,0)"
+    for build in (lambda: Algebra(3, "abc", table),
+                  lambda: algebra_from_entries(3, "abc", ASYMMETRIC),
+                  lambda: algebra_from_json_dict(doc)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and message in captured.err
+
+
+def test_entries_cancelling_to_zero_are_commutative():
+    # (0,1) sums to zero and (1,0) is absent: both products are zero
+    field_plus = algebra_from_entries(2, "ab", [(0, 0, 0, 1), (0, 1, 0, 1), (0, 1, 0, -1)])
+    assert field_plus == algebra_from_entries(2, "ab", [(0, 0, 0, 1)])
+    assert field_plus.sc[0][1] == field_plus.sc[1][0] == (0, 0)
+    doc = {"dim": 2, "labels": ["a", "b"], "sc": [{"i": 0, "j": 1, "k": 0, "c": "0"}]}
+    assert algebra_from_json_dict(doc) == algebra_from_entries(2, "ab", [])
+
+
+def test_constructors_agree():
+    rng = random.Random(89)
+    for t in range(24):
+        d, fill = 1 + t % 4, (0, 0.3, 0.6, 1)[t // 4 % 4]
+        labels = tuple(f"b{i}" for i in range(d))
+        table = [[None] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                table[i][j] = table[j][i] = tuple(
+                    Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < fill
+                    else Fraction(0) for _ in range(d))
+        A = Algebra(d, labels, table)
+        entries = [(i, j, k, c) for i in range(d) for j in range(d)
+                   for k, c in enumerate(table[i][j]) if c]
+        rng.shuffle(entries)
+        if entries:
+            i, j, k, c = entries.pop(rng.randrange(len(entries)))
+            entries.insert(rng.randrange(len(entries) + 1), (i, j, k, c - Fraction(1, 7)))
+            entries.append((i, j, k, Fraction(1, 7)))
+        B = algebra_from_entries(d, labels, entries)
+        C = algebra_from_json_dict(json.loads(json.dumps(algebra_to_json_dict(A))))
+        for X in (B, C):
+            assert X == A and hash(X) == hash(A)
+            assert X.sc == A.sc == tuple(tuple(row) for row in table)
+            assert product_cochain(X) == product_cochain(A)
+        assert product_cochain(A) is product_cochain(A)
+        assert Algebra(d, ("z",) + labels[1:], table) != A
+        changed = [list(row) for row in table]
+        changed[0][0] = (changed[0][0][0] + 1,) + changed[0][0][1:]
+        assert Algebra(d, labels, changed) != A
+
+
+def test_construction_follows_the_entries():
+    # a dense d x d x d table at d = 120 would be 1.7 million Fractions
+    d = 120
+    labels = [f"x{i}" for i in range(d)]
+    docs = [{"dim": d, "labels": labels, "sc": []},
+            {"dim": d, "labels": labels, "sc": [{"i": 0, "j": 0, "k": 0, "c": "1"},
+                                                {"i": 3, "j": 119, "k": 7, "c": "-2/3"},
+                                                {"i": 119, "j": 3, "k": 7, "c": "-2/3"}]}]
+    for doc in docs:
+        tracemalloc.start()
+        try:
+            A = algebra_from_json_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert algebra_to_json_dict(A) == doc
