@@ -210,8 +210,7 @@ class SymCochain:
             raise ValueError(f"cochain document missing field: {exc}") from None
         if not isinstance(raw, list):
             raise ValueError("coeffs must be a list")
-        seen = set()
-        entries = []
+        entries = {}
         for item in raw:
             try:
                 mset = tuple(json_int(i, "multiset entry") for i in item["multiset"])
@@ -223,11 +222,10 @@ class SymCochain:
                 raise ValueError(f"multiset not sorted: {list(mset)}")
             if len(mset) != n or any(not 0 <= i < dim for i in mset) or not 0 <= k < dim:
                 raise ValueError(f"coefficient entry out of range: {item}")
-            if (mset, k) in seen:
+            if (mset, k) in entries:
                 raise ValueError(f"duplicate coefficient key {(list(mset), k)}")
-            seen.add((mset, k))
-            entries.append((mset, k, c))
-        return cls.from_entries(n, dim, entries)
+            entries[mset, k] = c
+        return cls.from_entries(n, dim, ((mset, k, c) for (mset, k), c in entries.items()))
 
 
 def symmetrize(table, n: int, dim: int) -> SymCochain:

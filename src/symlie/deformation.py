@@ -1,7 +1,7 @@
 """Order-by-order deformation machinery: residuals of the quadratic
 deformation equation, the linear solver for each order, obstruction
 classes modulo the image of the differential, and exact truncated
-exponential gauge transport.
+gauge transport, exp(ad_X) on the bracket kernel.
 
 Series are truncated t-power series; everything is exact rational.
 The order-n equation is  d phi_n = -(1/2) sum_{i+j=n, i,j>=1} [phi_i, phi_j]
@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .algebra import Algebra, product_cochain
 from .bracket import InsertionMode, graded_bracket
-from .cochain import SymCochain, coeff_vector, from_coeff_vector, multisets
+from .cochain import SymCochain, _combine, coeff_vector, from_coeff_vector, multisets
 from .errors import InvariantViolation
-from .exactla import Matrix, json_int, rat_to_str, rref, solve, vadd, vzero
+from .exactla import Matrix, json_int, rat_to_str, rref, solve
 from .complexes import coboundary_c1_matrix, differential, differential_matrix
 
 
@@ -221,73 +220,35 @@ def mc_solve_chain(A: Algebra, phi1: SymCochain, order: int,
 # ---------------------------------------------------------------------------
 # gauge transport
 
-def _endo_matrix(f: SymCochain) -> Matrix:
-    """The d x d matrix whose column j is f's value at (j,)."""
-    return Matrix._from_ints(f.dim, f.dim, [{j: v[t] for (j,), v in f.num.items()}
-                                            for t in range(f.dim)], f.den)
-
-
-def _series_mul(a: list[Matrix], b: list[Matrix], N: int, d: int) -> list[Matrix]:
-    out = []
-    for n in range(N + 1):
-        acc = Matrix.zeros(d, d)
-        for i in range(n + 1):
-            if not a[i].is_zero() and not b[n - i].is_zero():
-                acc = acc.add(a[i].mul(b[n - i]))
-        out.append(acc)
-    return out
-
-
-def _exp_series(fmats: list[Matrix], N: int, d: int) -> list[Matrix]:
-    """exp(t f_1 + t^2 f_2 + ...) truncated at t^N, exact rationals."""
-    X = [Matrix.zeros(d, d)] + [fmats[i - 1] if i <= len(fmats) else Matrix.zeros(d, d)
-                                for i in range(1, N + 1)]
-    T = [Matrix.identity(d)] + [Matrix.zeros(d, d) for _ in range(N)]
-    power = X
-    for k in range(1, N + 1):
-        if k > 1:
-            power = _series_mul(power, X, N, d)
-        for n in range(k, N + 1):
-            T[n] = T[n].add(power[n].scale(Fraction(1, factorial(k))))
-    return T
-
-
 def gauge_transport_series(T: GaugeSeries, s: DeformationSeries, N: int) -> DeformationSeries:
-    """Transport a full series: mu_t' (x, y) = T_t mu_t(T_t^{-1} x, T_t^{-1} y),
-    expanded order by order and truncated at t^N."""
-    A = s.base
-    d = A.dim
-    Tm = _exp_series([_endo_matrix(f) for f in T.terms], N, d)
-    Sm = _exp_series([_endo_matrix(f) for f in T.inverse().terms], N, d)
-    mu_terms = [product_cochain(A)] + [s.term(i) for i in range(1, N + 1)]
-    cols = [[S.column(i) for i in range(d)] for S in Sm]
-    pairs = multisets(d, 2)
-    # W[m, i, j] = sum over b + c + e = m of mu_e(S_b e_i, S_c e_j): order n
-    # is sum over a of T_a W[n - a], so each evaluation is made once
-    W = {(m, i, j): [sum(t) for t in zip(*(
-        mu_terms[m - b - c].evaluate((cols[b][i], cols[c][j]))
-        for b in range(m + 1) for c in range(m - b + 1)))]
-        for m in range(N + 1) for i, j in pairs}
+    """Transport a full series: mu_t'(x, y) = T_t mu_t(T_t^{-1} x, T_t^{-1} y)
+    with T_t = exp(X), X = t f_1 + t^2 f_2 + ..., truncated at t^N.
 
-    transported = []
-    for n in range(N + 1):
-        coeffs = {}
-        for i, j in pairs:
-            acc = vzero(d)
-            for a in range(n + 1):
-                if any(w := W[n - a, i, j]):
-                    acc = vadd(acc, Tm[a].mul_vec(w))
-            coeffs[(i, j)] = acc
-        transported.append(SymCochain(2, d, coeffs))
-    if transported[0] != product_cochain(A):
+    Conjugation by exp(X) is exp(ad_X), and ad_X mu = [X, mu] = X o mu - mu o X
+    is the SUM-mode bracket whatever the series' mode.  The k-th term of
+    exp(ad_X) mu_t is (1/k) ad_X of the (k-1)-th, so its order-n part is
+    (1/k) sum_{i>=1} [f_i, (k-1)-th term at order n - i]."""
+    A, d = s.base, s.base.dim
+    if T.order and T.dim != d:
+        raise ValueError(f"gauge series has dimension {T.dim}, but the algebra has dimension {d}")
+    term = [product_cochain(A)] + [s.term(n) for n in range(1, N + 1)]
+    total = term
+    for k in range(1, N + 1):
+        # the k-th term starts at order k
+        term = [SymCochain.zero(2, d)] * k + [_combine(2, d, [
+            (Fraction(1, k), graded_bracket(f, term[n - i], InsertionMode.SUM))
+            for i, f in enumerate(T.terms[:n - k + 1], 1)]) for n in range(k, N + 1)]
+        total = [a + b for a, b in zip(total, term)]
+    if total[0] != product_cochain(A):
         raise InvariantViolation("gauge transport must fix the product at order 0")
-    return DeformationSeries(A, N, transported[1:], s.mode)
+    return DeformationSeries(A, N, total[1:], s.mode)
 
 
 def gauge_transport(T: GaugeSeries, A: Algebra, N: int,
                     mode: InsertionMode = InsertionMode.SUM) -> DeformationSeries:
-    """Transport of the undeformed product.  The order-1 term is the printed
-    arity-1 coboundary of f_1: f_1(x*y) - f_1(x)*y - x*f_1(y)."""
+    """Transport of the undeformed product, exp(ad_X) mu truncated at t^N.
+    The order-1 term is [f_1, mu], the printed arity-1 coboundary of f_1:
+    f_1(x*y) - f_1(x)*y - x*f_1(y)."""
     if N < 1:
         raise ValueError("transport order must be >= 1")
     trivial = DeformationSeries(A, 0, [], mode)

@@ -6,6 +6,7 @@ so the production path is never checking itself.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import (combinations, combinations_with_replacement, permutations,
                        product as iproduct)
 from math import factorial
@@ -452,6 +453,17 @@ def random_commutative(rng, d, fill=1):
     return Algebra(d, tuple(f"b{i}" for i in range(d)), table)
 
 
+def random_rational_commutative(rng, d):
+    """Dense commutative algebra with structure constants p/q, |p| <= 3, q <= 4."""
+    from symlie import Algebra
+    table = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            table[i][j] = table[j][i] = tuple(
+                Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d))
+    return Algebra(d, tuple(f"b{i}" for i in range(d)), table)
+
+
 def random_vector(rng, d, span=2):
     return tuple(Fraction(rng.randint(-span, span), rng.randint(1, 2))
                  for _ in range(d))
@@ -592,4 +604,60 @@ def reference_class_modulo_image(A, residuals, paper):
     for r in residuals:
         quotient = tuple(reference_solve(basis, coeff_vector(r))[len(imvecs):])
         out.append((all(x == 0 for x in quotient), quotient))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# gauge transport by direct conjugation
+
+def _dense_exp(fs, N, d):
+    """exp(t F_1 + t^2 F_2 + ...) truncated at t^N: the dense coefficient
+    matrices of t^0..t^N, summed as X^k / k! with X's powers built term by term."""
+    zero = [[Fraction(0)] * d for _ in range(d)]
+    eye = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    X = [zero] + [fs[n - 1] if n <= len(fs) else zero for n in range(1, N + 1)]
+    power, out = [eye] + [zero] * N, [eye] + [zero] * N
+    for k in range(1, N + 1):
+        power = [reduce(dense_add, (dense_mul(power[a], X[n - a], d) for a in range(n + 1)))
+                 for n in range(N + 1)]
+        out = [dense_add(out[n], dense_scale(Fraction(1, factorial(k)), power[n]))
+               for n in range(N + 1)]
+    return out
+
+
+def reference_gauge_transport(A, gauge_terms, series_terms, N):
+    """T mu_t(T^{-1} x, T^{-1} y) at t^0..t^N, T = exp(t f_1 + t^2 f_2 + ...),
+    by direct conjugation: dense exponentials of X and -X, and at each basis
+    pair (i, j) the sum over a + b + c + e = n of T_a mu_e(S_b e_i, S_c e_j),
+    with mu_0 expanded over A.sc and mu_e (e >= 1) by naive_evaluate.
+    Returns one {(i, j): nonzero value vector} per order."""
+    d = A.dim
+
+    def matrix(f, sign):
+        cols = [f.coeffs.get((j,), (Fraction(0),) * d) for j in range(d)]
+        return [[sign * cols[j][i] for j in range(d)] for i in range(d)]
+
+    T = _dense_exp([matrix(f, 1) for f in gauge_terms], N, d)
+    S = _dense_exp([matrix(f, -1) for f in gauge_terms], N, d)
+
+    def mu(e, x, y):
+        if e == 0:
+            return naive_product(A, x, y)
+        if e <= len(series_terms):
+            return naive_evaluate(series_terms[e - 1], (x, y))
+        return (Fraction(0),) * d
+
+    out = []
+    for n in range(N + 1):
+        coeffs = {}
+        for i, j in combinations_with_replacement(range(d), 2):
+            acc = (Fraction(0),) * d
+            for a in range(n + 1):
+                for b in range(n - a + 1):
+                    for c in range(n - a - b + 1):
+                        w = mu(n - a - b - c, dense_column(S[b], i), dense_column(S[c], j))
+                        acc = tuple(p + q for p, q in zip(acc, dense_mul_vec(T[a], w)))
+            if any(acc):
+                coeffs[(i, j)] = acc
+        out.append(coeffs)
     return out

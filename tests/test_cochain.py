@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symlie import (Algebra, GaugeSeries, InsertionMode, SymCochain, gauge_transport,
+from symlie import (GaugeSeries, InsertionMode, SymCochain, gauge_transport,
                     insert, linear_combine, make_j2, multisets, product_cochain,
                     sym_basis_dim, symmetrize)
 from symlie.exactla import vec_to_strs
 
-from oracles import (naive_evaluate, random_commutative, random_cochain, random_vector,
-                     symmetrize_eval)
+from oracles import (naive_evaluate, random_commutative, random_cochain,
+                     random_rational_commutative, random_vector, symmetrize_eval)
 
 
 def test_sym_basis_dim_examples():
@@ -228,16 +228,6 @@ def test_json_rejects_malformed(doc):
         SymCochain.from_json_dict(doc)
 
 
-def _rational_commutative(rng, d):
-    """Dense commutative algebra with structure constants p/q, |p| <= 3, q <= 4."""
-    table = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            table[i][j] = table[j][i] = tuple(
-                Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d))
-    return Algebra(d, tuple(f"b{i}" for i in range(d)), table)
-
-
 def _big_rat(rng):
     return Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
 
@@ -269,7 +259,7 @@ def _evaluate_pin_doc():
             out["big"].append(vec_to_strs(f.evaluate(args)))
     rng = random.Random(11)
     for d in (2, 3):
-        A = _rational_commutative(rng, d)
+        A = random_rational_commutative(rng, d)
         T = GaugeSeries(3, [random_cochain(rng, 1, d) for _ in range(3)])
         out["gauge"].append(gauge_transport(T, A, 3).to_json_list())
     return json.dumps(out, sort_keys=True, separators=(",", ":"))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -15,7 +16,8 @@ from symlie import deformation
 from symlie.deformation import class_modulo_image, series_from_json_list
 from symlie.exactla import solve
 
-from oracles import random_cochain, random_commutative, reference_class_modulo_image
+from oracles import (random_cochain, random_commutative, random_rational_commutative,
+                     reference_class_modulo_image, reference_gauge_transport)
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -186,19 +188,6 @@ def test_class_is_one_elimination(monkeypatch):
             assert calls == {"rref": n, "solve": 0}
 
 
-def test_gauge_transport_evaluates_each_product_once(monkeypatch):
-    # mu_e(S_b e_i, S_c e_j) for b + c + e = m <= N feeds every order n >= m;
-    # made once, that is C(N + 3, 3) evaluations per sorted pair (i, j)
-    calls = []
-    evaluate = SymCochain.evaluate
-    monkeypatch.setattr(SymCochain, "evaluate",
-                        lambda f, args: calls.append(1) or evaluate(f, args))
-    rng = random.Random(3)
-    A = random_commutative(rng, 3)
-    gauge_transport(GaugeSeries(2, [random_cochain(rng, 1, 3) for _ in range(2)]), A, 4)
-    assert len(calls) == 35 * 6
-
-
 def test_class_rejects_residuals_of_the_wrong_shape():
     A = make_j2(1, 0)
     with pytest.raises(ValueError, match="arity-3 cochain"):
@@ -256,6 +245,66 @@ def test_gauge_roundtrip_restores_series():
         s1 = gauge_transport_series(T, s0, N)
         s2 = gauge_transport_series(T.inverse(), s1, N)
         assert s2.terms == s0.terms
+
+
+# (dim, gauge order, series order, N, mode): gauge orders above and below N,
+# series longer and shorter than N, and both modes of the series
+_TRANSPORT_PIN_CASES = [(2, 2, 3, 5, SUM), (2, 3, 1, 2, PAPER), (3, 3, 2, 4, SUM),
+                        (3, 2, 4, 3, PAPER), (4, 2, 2, 3, SUM), (4, 3, 3, 4, PAPER)]
+
+
+def _transport_pin_doc():
+    """gauge_transport_series on seeded dense rational algebras and nonzero
+    deformation series, with gauge terms f_1, f_2 that do not commute."""
+    rng = random.Random(307)
+    out = []
+    for d, k, m, N, mode in _TRANSPORT_PIN_CASES:
+        A = random_rational_commutative(rng, d)
+        T = GaugeSeries(k, [random_cochain(rng, 1, d) for _ in range(k)])
+        assert not _commute(*T.terms[:2])
+        s = DeformationSeries(A, m, [random_cochain(rng, 2, d, sparsity=0.5)
+                                     for _ in range(m)], mode)
+        moved = gauge_transport_series(T, s, N)
+        out.append({"mode": moved.mode.value, "order": moved.order,
+                    "terms": moved.to_json_list()})
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+# sha256 of _transport_pin_doc(), recorded while the transport still
+# conjugated by dense matrix exponentials exp(X) and exp(-X)
+TRANSPORT_SHA256 = "0ac9d27d0fc1e64ce9f457c8cdf82c2916d9cfb3f21846a57a3f2fd1275eab55"
+
+
+def test_gauge_transport_series_pinned():
+    assert hashlib.sha256(_transport_pin_doc().encode()).hexdigest() == TRANSPORT_SHA256
+
+
+def test_gauge_transport_matches_direct_conjugation():
+    # dense exp(X) and exp(-X) around naive evaluations, against exp(ad_X);
+    # conjugation does not depend on the series' mode
+    rng = random.Random(241)
+    non_commuting = 0
+    for d, k, m, N, mode in [(1, 2, 2, 3, SUM), (2, 2, 0, 4, PAPER), (2, 3, 2, 3, PAPER),
+                             (3, 2, 3, 4, SUM), (3, 3, 1, 2, PAPER), (3, 1, 2, 3, SUM)]:
+        A = random_rational_commutative(rng, d)
+        T = GaugeSeries(k, [random_cochain(rng, 1, d, sparsity=0.2) for _ in range(k)])
+        non_commuting += k > 1 and not _commute(*T.terms[:2])
+        terms = [random_cochain(rng, 2, d, sparsity=0.4) for _ in range(m)]
+        moved = gauge_transport_series(T, DeformationSeries(A, m, terms, mode), N)
+        assert [product_cochain(A).coeffs] + [t.coeffs for t in moved.terms] == \
+            reference_gauge_transport(A, T.terms, terms, N), (d, k, m, N)
+    assert non_commuting >= 3
+
+
+def test_gauge_transport_checks_the_gauge_dimension():
+    A = make_j2(1, 0)
+    with pytest.raises(ValueError, match="^gauge series has dimension 3, "
+                                         "but the algebra has dimension 2$"):
+        gauge_transport(GaugeSeries(1, [identity_cochain(3)]), A, 2)
+    # the empty series has no dimension of its own, and moves nothing
+    s = DeformationSeries(A, 2, [nilpotent_phi(), SymCochain.zero(2, 2)])
+    assert gauge_transport_series(GaugeSeries(0, []), s, 3).terms == \
+        s.terms + [SymCochain.zero(2, 2)]
 
 
 def test_gauge_equiv_first_order():
