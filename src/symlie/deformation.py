@@ -228,6 +228,8 @@ def gauge_transport_series(T: GaugeSeries, s: DeformationSeries, N: int) -> Defo
     is the SUM-mode bracket whatever the series' mode.  The k-th term of
     exp(ad_X) mu_t is (1/k) ad_X of the (k-1)-th, so its order-n part is
     (1/k) sum_{i>=1} [f_i, (k-1)-th term at order n - i]."""
+    if N < 1:
+        raise ValueError("transport order must be >= 1")
     A, d = s.base, s.base.dim
     if T.order and T.dim != d:
         raise ValueError(f"gauge series has dimension {T.dim}, but the algebra has dimension {d}")
@@ -249,10 +251,7 @@ def gauge_transport(T: GaugeSeries, A: Algebra, N: int,
     """Transport of the undeformed product, exp(ad_X) mu truncated at t^N.
     The order-1 term is [f_1, mu], the printed arity-1 coboundary of f_1:
     f_1(x*y) - f_1(x)*y - x*f_1(y)."""
-    if N < 1:
-        raise ValueError("transport order must be >= 1")
-    trivial = DeformationSeries(A, 0, [], mode)
-    return gauge_transport_series(T, trivial, N)
+    return gauge_transport_series(T, DeformationSeries(A, 0, [], mode), N)
 
 
 def gauge_equiv_first_order(A: Algebra, phi: SymCochain, phi2: SymCochain):

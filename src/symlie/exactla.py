@@ -6,13 +6,14 @@ always reduced, positive denominator), so every result is exact.
 A `Matrix` is stored as num / den: sparse integer rows {column: int} with no
 stored zeros over one positive denominator, in lowest terms, so equality is
 structural and products, sums and elimination walk only the nonzeros on ints.
-Elimination takes the nonzero rows as stored, made primitive.  In each column
-the pivot is the first remaining row, in row order, with a nonzero there.  A
-row with entry b in that column, against pivot entry a, becomes (a/g) row -
-(b/g) pivot with g = gcd(a, b), and is then divided by its content, so rows
-stay primitive.  `rank` stops after this forward pass; `rref`, `kernel_basis`
-and `solve` also clear each pivot column from the other pivot rows and read
-their answers off them, `rref` over the lcm of the pivot entries.
+Elimination takes the nonzero rows as stored, made primitive, in the order of
+their leading columns.  In each column the pivot is the first remaining row,
+in row order, with a nonzero there.  A row with entry b in that column, against
+pivot entry a, becomes (a/g) row - (b/g) pivot with g = gcd(a, b), and is then
+divided by its content, so rows stay primitive.  `rank` stops after this
+forward pass; `rref`, `kernel_basis` and `solve` also clear each pivot column
+from the other pivot rows and read their answers off them, `rref` over the lcm
+of the pivot entries.
 
 Results are exact because every step is integer arithmetic.  They are
 deterministic because the reduced row echelon form of a matrix is unique:
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
 from math import gcd, lcm
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -209,32 +211,41 @@ def _combine(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]
 def _eliminate(rows: list[dict[int, int]], reduced: bool):
     """Fraction-free elimination of the nonzero rows, made primitive first.
 
+    The rows wait in a heap keyed by (leading column, row position).  A row
+    holding the top row's leading column c leads at c, so the top row is the
+    pivot for c and each later row leading at c becomes its combination with
+    the pivot: the work follows the nonzeros, not rows x columns.
+
     Returns the pivot rows and their pivot columns, both in column order.
     With `reduced`, each pivot column is also cleared from the other pivot
     rows, so that pivot row i divided by its entry at pivots[i] is row i of
     the reduced row echelon form."""
-    remaining = [_primitive(r) for r in rows if r]
+    heap = [(min(r), i, r) for i, r in enumerate(_primitive(r) for r in rows if r)]
+    heapify(heap)
     pivot_rows: list[dict[int, int]] = []
     pivots: list[int] = []
-    # a combination is nonzero only where one of its rows is, so no other
-    # column can ever hold a pivot
-    for c in sorted(set().union(*remaining)):
-        piv = next((r for r in remaining if c in r), None)
-        if piv is None:
-            continue
+    while heap:
+        c, _, piv = heappop(heap)
         pivot_rows.append(piv)
         pivots.append(c)
-        remaining = [r if c not in r else _combine(r, piv, c) for r in remaining if r is not piv]
-        remaining = [r for r in remaining if r]
-        if not remaining:
-            break
+        while heap and heap[0][0] == c:
+            _, i, r = heap[0]
+            if r := _combine(r, piv, c):
+                # it leads right of c, on dense rows mostly at c + 1
+                heapreplace(heap, (c + 1 if c + 1 in r else min(r), i, r))
+            else:
+                heappop(heap)
     if reduced:
-        # bottom-up: pivot row k is already clear of every later pivot column
+        # holders[c]: the other pivot rows holding pivot column c.  Pivot row k,
+        # clear of later pivots, adds no pivot column to the rows it combines into
+        holders: dict[int, list[int]] = {c: [] for c in pivots}
+        for i, (r, p) in enumerate(zip(pivot_rows, pivots)):
+            for j in (r.keys() & holders.keys()) - {p}:
+                holders[j].append(i)
         for k in range(len(pivots) - 1, 0, -1):
             c, piv = pivots[k], pivot_rows[k]
-            for i in range(k):
-                if c in pivot_rows[i]:
-                    pivot_rows[i] = _combine(pivot_rows[i], piv, c)
+            for i in holders[c]:
+                pivot_rows[i] = _combine(pivot_rows[i], piv, c)
     return pivot_rows, tuple(pivots)
 
 

@@ -189,6 +189,40 @@ def dense_column(a, j):
 
 
 # ---------------------------------------------------------------------------
+# the column scan: the sparse elimination exactla used before it kept its
+# rows in leading-column order, kept as the reference its pivot rows and
+# pivots must equal
+
+def reference_scan_eliminate(rows, reduced):
+    """exactla._eliminate as a scan of every remaining row per column and of
+    every pair of pivot rows; the row operations are exactla's own."""
+    from symlie.exactla import _combine, _primitive
+    remaining = [_primitive(r) for r in rows if r]
+    pivot_rows: list[dict[int, int]] = []
+    pivots: list[int] = []
+    # a combination is nonzero only where one of its rows is, so no other
+    # column can ever hold a pivot
+    for c in sorted(set().union(*remaining)):
+        piv = next((r for r in remaining if c in r), None)
+        if piv is None:
+            continue
+        pivot_rows.append(piv)
+        pivots.append(c)
+        remaining = [r if c not in r else _combine(r, piv, c) for r in remaining if r is not piv]
+        remaining = [r for r in remaining if r]
+        if not remaining:
+            break
+    if reduced:
+        # bottom-up: pivot row k is already clear of every later pivot column
+        for k in range(len(pivots) - 1, 0, -1):
+            c, piv = pivots[k], pivot_rows[k]
+            for i in range(k):
+                if c in pivot_rows[i]:
+                    pivot_rows[i] = _combine(pivot_rows[i], piv, c)
+    return pivot_rows, tuple(pivots)
+
+
+# ---------------------------------------------------------------------------
 # the gather loops the engine used before its insertion became a scatter over
 # nonzeros and its cubic checker a walk over sorted triples, kept as the
 # references their results must equal

@@ -307,6 +307,15 @@ def test_gauge_transport_checks_the_gauge_dimension():
         s.terms + [SymCochain.zero(2, 2)]
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_gauge_transport_refuses_orders_below_one(N):
+    A, T = make_j2(1, 0), GaugeSeries(1, [identity_cochain(2)])
+    for transport in (lambda: gauge_transport(T, A, N),
+                      lambda: gauge_transport_series(T, DeformationSeries(A, 0, []), N)):
+        with pytest.raises(ValueError, match="^transport order must be >= 1$"):
+            transport()
+
+
 def test_gauge_equiv_first_order():
     rng = random.Random(223)
     A = make_j2(1, 0)
