@@ -11,6 +11,10 @@ are three-valued:
 
 A failing claim is a *result*, not an error: the reports are data.  All
 checks are deterministic, so reports are byte-stable across runs.
+
+The `paper` mode is `sum` times one scalar, so an audit builds what its
+claims share once for both modes: the product-derived pools (`paper`'s
+scaled from `sum`'s), the composition memo, d∘d and one SYM-CLOSURE walk.
 """
 
 from __future__ import annotations
@@ -18,22 +22,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial
 
 from .algebra import (Algebra, IdentityReport, _cyclic, _table, check_cubic_jordan,
                       check_operator_identity, check_six_term, find_unit,
                       multiplication_operator, product_cochain, render_linear)
-from .bracket import (InsertionMode, _Memo, check_jacobi, check_prelie,
+from .bracket import (InsertionMode, _Memo, _prefactor, check_jacobi, check_prelie,
                       first_coefficient_difference, graded_bracket, insert,
                       insert_lowdeg_variant, unshuffles)
 from .cochain import SymCochain, basis_cochains, multisets
-from .complexes import (DSquaredReport, check_d_squared, coboundary_c1_explicit,
+from .complexes import (DSquaredReport, _d_squared, coboundary_c1_explicit,
                         coboundary_c1_matrix, coboundary_c2_explicit, cohomology,
                         derivations, endomorphism_cochain)
 from .corpus import corpus_entries
 from .exactla import rat_to_str, vec_to_strs
 
-BOTH_MODES = (InsertionMode.SUM, InsertionMode.PAPER)
+BOTH_MODES = SUM, PAPER = InsertionMode.SUM, InsertionMode.PAPER
 
 # claim id -> printed location of the claim under audit
 CLAIM_CATALOG = (
@@ -96,16 +99,16 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 # claim implementations
 
-def _mu_pool(A: Algebra, mode: InsertionMode):
-    """Deterministic cochains derived from the product (all zero when mu = 0,
-    so the structural claims degenerate to 0 = 0 on a trivial product),
-    built once per mode and shared by the claims: P = mu o mu, B = [mu,mu]."""
-    mu = product_cochain(A)
-    e0 = A.basis_vector(0)
-    v0 = SymCochain(0, A.dim, {(): e0})
-    L0 = endomorphism_cochain(multiplication_operator(A, e0))
-    P = insert(mu, mu, mode)
-    return {"mu": mu, "v0": v0, "L0": L0, "P": P, "B": graded_bracket(mu, mu, mode)}
+def _mu_pools(A: Algebra):
+    """Deterministic cochains derived from the product (all zero when mu = 0, so the
+    structural claims degenerate to 0 = 0 on a trivial product), per mode: P = mu o mu
+    and B = [mu,mu] are built in SUM mode, and PAPER's are these times one prefactor."""
+    mu, e0 = product_cochain(A), A.basis_vector(0)
+    pool = {"mu": mu, "v0": SymCochain(0, A.dim, {(): e0}),
+            "L0": endomorphism_cochain(multiplication_operator(A, e0)),
+            "P": insert(mu, mu, SUM), "B": graded_bracket(mu, mu, SUM)}
+    p = _prefactor(PAPER, 2, 2)
+    return {SUM: pool, PAPER: {**pool, "P": pool["P"].scale(p), "B": pool["B"].scale(p)}}
 
 
 def _raw_insert_value(fi, gi, splits, d: int, idx) -> list[int]:
@@ -118,48 +121,45 @@ def _raw_insert_value(fi, gi, splits, d: int, idx) -> list[int]:
         if w is None:
             continue
         fargs = [idx[p] for p in first]
-        for k in range(d):
-            if not w[k]:
-                continue
-            vec = fi.get(tuple(sorted(fargs + [k])))
-            if vec is None:
-                continue
-            for t in range(d):
-                acc[t] += w[k] * vec[t]
+        for k, wk in enumerate(w):
+            if wk and (vec := fi.get(tuple(sorted(fargs + [k])))):
+                for t, x in enumerate(vec):
+                    acc[t] += wk * x
     return acc
 
 
-def _claim_sym_closure(A: Algebra, mode: InsertionMode, pool) -> ClaimRecord:
-    pairs = [("mu,mu", pool["mu"], pool["mu"]),
-             ("mu,L0", pool["mu"], pool["L0"]),
-             ("L0,mu", pool["L0"], pool["mu"]),
-             ("mu,v0", pool["mu"], pool["v0"]),
-             ("P,mu", pool["P"], pool["mu"])]
-    checked = 0
-    for label, f, g in pairs:
+def _claim_sym_closure(A: Algebra, pools) -> list[ClaimRecord]:
+    """Both modes' records from one walk of the SUM pool: the verdict and the count
+    are the same, and at a failing tuple each mode's witness comes from its own pool."""
+    pairs = (("mu,mu", "mu", "mu"), ("mu,L0", "mu", "L0"), ("L0,mu", "L0", "mu"),
+             ("mu,v0", "mu", "v0"), ("P,mu", "P", "mu"))
+    checked, zero = 0, (0,) * A.dim
+    for label, a, b in pairs:
+        f, g = pools[SUM][a], pools[SUM][b]
         if f.n == 0:
             continue
-        built = insert(f, g, mode)
-        den = f.den * g.den
-        if mode is InsertionMode.PAPER:
-            den *= factorial(f.n - 1) * factorial(g.n)
-        splits = list(unshuffles(f.n - 1, g.n))
-        zero = (0,) * A.dim
+        built, splits = insert(f, g, SUM), list(unshuffles(f.n - 1, g.n))
         for idx in iproduct(range(A.dim), repeat=built.n):
             raw = _raw_insert_value(f.num, g.num, splits, A.dim, idx)
-            mset = tuple(sorted(idx))
-            if any(a * built.den != b * den for a, b in zip(raw, built.num.get(mset, zero))):
-                return ClaimRecord(
-                    "SYM-CLOSURE", LOCATION["SYM-CLOSURE"], mode.value, "fails",
-                    witness={"pair": label, "tuple": list(idx),
-                             "raw": vec_to_strs(Fraction(a, den) for a in raw),
-                             "stored": vec_to_strs(built.value_at(mset))},
-                    detail="insertion value depends on the argument order")
+            if any(x * built.den != y * f.den * g.den
+                   for x, y in zip(raw, built.num.get(tuple(sorted(idx)), zero))):
+                return [_sym_closure_failure(A, mode, pools[mode][a], pools[mode][b], label, idx)
+                        for mode in BOTH_MODES]
             checked += 1
-    return ClaimRecord(
-        "SYM-CLOSURE", LOCATION["SYM-CLOSURE"], mode.value, "holds",
-        detail=f"insertion agrees with its symmetric coefficient form at all "
-               f"{checked} ordered basis tuples over {len(pairs)} product-derived pairs")
+    detail = (f"insertion agrees with its symmetric coefficient form at all "
+              f"{checked} ordered basis tuples over {len(pairs)} product-derived pairs")
+    return [ClaimRecord("SYM-CLOSURE", LOCATION["SYM-CLOSURE"], mode.value, "holds", detail=detail)
+            for mode in BOTH_MODES]
+
+
+def _sym_closure_failure(A: Algebra, mode: InsertionMode, f, g, label, idx) -> ClaimRecord:
+    """The record of a mode whose insertion f o g differs from the formula at idx."""
+    raw = _raw_insert_value(f.num, g.num, list(unshuffles(f.n - 1, g.n)), A.dim, idx)
+    p = _prefactor(mode, f.n, g.n) / (f.den * g.den)
+    return ClaimRecord("SYM-CLOSURE", LOCATION["SYM-CLOSURE"], mode.value, "fails", witness={
+        "pair": label, "tuple": list(idx), "raw": vec_to_strs(p * x for x in raw),
+        "stored": vec_to_strs(insert(f, g, mode).value_at(tuple(sorted(idx))))},
+        detail="insertion value depends on the argument order")
 
 
 _TRIPLES = (
@@ -176,18 +176,13 @@ _TRIPLES = (
 
 
 def _claim_triple_family(mode: InsertionMode, claim_id: str, checker, pool, memo) -> ClaimRecord:
-    verdicts = []
-    first_witness = None
-    for label, fa, fb, fc in _TRIPLES:
-        rep = checker(pool[fa], pool[fb], pool[fc], mode, _memo=memo)
-        verdicts.append((label, rep.holds))
-        if not rep.holds and first_witness is None:
-            first_witness = {"triple": label, **rep.witness.to_json_dict()}
-    ok = all(h for _, h in verdicts)
-    detail = "; ".join(f"{label}: {'holds' if h else 'fails'}" for label, h in verdicts)
-    return ClaimRecord(claim_id, LOCATION[claim_id], mode.value,
-                       "holds" if ok else "fails",
-                       witness=None if ok else first_witness, detail=detail)
+    reports = [(label, checker(pool[fa], pool[fb], pool[fc], mode, _memo=memo))
+               for label, fa, fb, fc in _TRIPLES]
+    failed = [{"triple": label, **rep.witness.to_json_dict()} for label, rep in reports
+              if not rep.holds]
+    detail = "; ".join(f"{label}: {'holds' if rep.holds else 'fails'}" for label, rep in reports)
+    return ClaimRecord(claim_id, LOCATION[claim_id], mode.value, "fails" if failed else "holds",
+                       witness=failed[0] if failed else None, detail=detail)
 
 
 def _claim_lowdeg_variant(A: Algebra, paper_pool) -> ClaimRecord:
@@ -418,16 +413,17 @@ def _claim_s5_inner(A: Algebra) -> ClaimRecord:
 # ---------------------------------------------------------------------------
 
 def audit(A: Algebra, name: str = "<unnamed>") -> AuditReport:
-    pools = {mode: _mu_pool(A, mode) for mode in BOTH_MODES}
-    d_squared = {mode: [check_d_squared(A, n, mode) for n in (0, 1, 2)] for mode in BOTH_MODES}
+    # what the claims share, each built once: the pools, the compositions of
+    # both triple families, and d∘d in both modes from one scatter per degree
+    pools, memo = _mu_pools(A), _Memo()
+    d_squared = dict(zip(BOTH_MODES, zip(*(_d_squared(A, n, BOTH_MODES) for n in (0, 1, 2)))))
     cubic, sixterm = check_cubic_jordan(A), check_six_term(A)
-    claims = [_claim_sym_closure(A, mode, pools[mode]) for mode in BOTH_MODES]
-    memo = _Memo()  # the compositions both triple families share, in both modes
+    claims = _claim_sym_closure(A, pools)
     claims += [_claim_triple_family(mode, "PRELIE", check_prelie, pools[mode], memo)
                for mode in BOTH_MODES]
     claims += [_claim_triple_family(mode, "JACOBI", check_jacobi, pools[mode], memo)
                for mode in BOTH_MODES]
-    claims.append(_claim_lowdeg_variant(A, pools[InsertionMode.PAPER]))
+    claims.append(_claim_lowdeg_variant(A, pools[PAPER]))
     T, D, E = _table(A)  # half the cyclic associator sum at each basis multiset
     half_cyc = SymCochain._from_ints(3, A.dim, {
         mset: _cyclic(T, *(E[i] for i in mset)) for mset in multisets(A.dim, 3)}, 2 * D ** 2)

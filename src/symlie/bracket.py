@@ -9,9 +9,10 @@ Two modes are provided and every bracket-dependent operation takes one:
            averaged-insertion definition under audit.
 
 The mode is only a scalar.  `insert`, `graded_bracket` and the operator
-matrices of `complexes` are each one call to one integer kernel, `_scatter`.
-The identity checkers compose through `_Memo`, which an audit builds once: each
-SUM-mode insertion of two primitive forms is made once and serves both modes.
+matrices of `complexes` (all modes asked for at once from one call) each
+call one integer kernel, `_scatter`.  The checkers compose through `_Memo`,
+which an audit builds once: each SUM-mode insertion of two primitive forms
+is made once for both modes, and summed per form before one combination.
 
 Both modes are sign-free; see the audit module for what that does and does
 not imply about the graded identities.
@@ -151,14 +152,22 @@ def first_coefficient_difference(a: SymCochain, b: SymCochain):
     return None
 
 
-def _coeff_report(a: SymCochain, b: SymCochain, note: str) -> IdentityReport:
-    """a == b holds, or fails with the first differing multiset as basis inputs."""
-    diff = first_coefficient_difference(a, b)
+def _coeff_report(n: int, dim: int, left, right, note: str) -> IdentityReport:
+    """The sums of the terms (c, p) of each side agree, or fail with the first
+    differing multiset as basis inputs.  The coefficients of each primitive form
+    p are added first, so that each form is scaled into its side once."""
+    sides = []
+    for terms in (left, right):
+        by_form = {}
+        for c, p in terms:
+            by_form[id(p)] = by_form.get(id(p), (0,))[0] + c, p
+        sides.append(_combine(n, dim, [t for t in by_form.values() if t[0]]))
+    diff = first_coefficient_difference(*sides)
     if diff is None:
         return IdentityReport(True)
-    mset, left, right = diff
-    basis = tuple(tuple(Fraction(int(t == i)) for t in range(a.dim)) for i in mset)
-    return IdentityReport(False, Witness(inputs=basis, left=left, right=right, note=note))
+    mset, at_left, at_right = diff
+    basis = tuple(tuple(Fraction(int(t == i)) for t in range(dim)) for i in mset)
+    return IdentityReport(False, Witness(inputs=basis, left=at_left, right=at_right, note=note))
 
 
 class _Memo:
@@ -169,18 +178,23 @@ class _Memo:
     SUM-mode insertions of primitive forms, each made once, times `_prefactor`."""
 
     def __init__(self):
-        self.forms, self.inserts = {}, {}  # key -> p, kept alive; (id(p), id(q)) -> p o q terms
+        # key -> p, kept alive; (id(p), id(q)) -> p o q terms; id(f) -> (f, f's terms)
+        self.forms, self.inserts, self.held = {}, {}, {}
 
     def terms(self, f: SymCochain) -> list:
-        if not f.num:
-            return []
-        g = gcd(*(x for vec in f.num.values() for x in vec))
-        g = g if next(x for x in f.num[min(f.num)] if x) > 0 else -g
-        num = {key: tuple(x // g for x in vec) for key, vec in f.num.items()}
-        key = (f.n, f.dim, tuple(sorted(num.items())))
-        if key not in self.forms:
-            self.forms[key] = SymCochain._from_ints(f.n, f.dim, num, 1)
-        return [(Fraction(g, f.den), self.forms[key])]
+        if id(f) in self.held:
+            return self.held[id(f)][1]
+        out = []
+        if f.num:
+            g = gcd(*(x for vec in f.num.values() for x in vec))
+            g = g if next(x for x in f.num[min(f.num)] if x) > 0 else -g
+            num = {key: tuple(x // g for x in vec) for key, vec in f.num.items()}
+            key = (f.n, f.dim, tuple(sorted(num.items())))
+            if key not in self.forms:
+                self.forms[key] = SymCochain._from_ints(f.n, f.dim, num, 1)
+            out = [(Fraction(g, f.den), self.forms[key])]
+        self.held[id(f)] = f, out
+        return out
 
     def insert(self, xs, ys, mode: InsertionMode, c=1) -> list:
         """The terms of c (x o y)."""
@@ -223,8 +237,8 @@ def check_prelie(f: SymCochain, g: SymCochain, h: SymCochain,
         return (memo.insert(memo.insert(x, y, mode), z, mode, c)
                 + memo.insert(x, memo.insert(y, z, mode), mode, -c))
 
-    return _coeff_report(_combine(N, f.dim, assoc(F, G, H, 1)),
-                         _combine(N, f.dim, assoc(F, H, G, koszul_sign(g.degree, h.degree))),
+    return _coeff_report(N, f.dim, assoc(F, G, H, 1),
+                         assoc(F, H, G, koszul_sign(g.degree, h.degree)),
                          f"pre-Lie sides at a basis tuple, arities ({f.n},{g.n},{h.n})")
 
 
@@ -239,7 +253,7 @@ def check_jacobi(f: SymCochain, g: SymCochain, h: SymCochain,
     total = []
     for X, Y, Z, x, z in ((F, G, H, f, h), (G, H, F, g, f), (H, F, G, h, g)):
         total += memo.bracket(X, memo.bracket(Y, Z, mode), mode, koszul_sign(x.degree, z.degree))
-    return _coeff_report(_combine(N, f.dim, total), SymCochain.zero(N, f.dim),
+    return _coeff_report(N, f.dim, total, [],
                          f"Jacobi cyclic sum at a basis tuple, arities ({f.n},{g.n},{h.n})")
 
 

@@ -2,10 +2,11 @@
 printed low-degree coboundary formulas, the d-squared comparison against
 (1/2) ad_{[mu,mu]}, and kernel/image/cohomology data with validity flags.
 
-The matrix of f -> [g, f], g = mu or [mu, mu], is one call to the insertion
-kernel `bracket._scatter` with g's nonzeros on one side and the basis
-cochains on the other, so no bracket is taken per column, and the mode
-enters only as the two prefactors.
+The matrix of f -> [g, f], g = mu or [mu, mu], comes from one call to the
+insertion kernel `bracket._scatter` with g's nonzeros on one side and the
+basis cochains on the other, so no bracket is taken per column.  It gives
+the SUM-mode pieces f -> g o f and f -> f o g, and every mode asked for at
+once is a scalar combination of that one scatter.  The pieces are not kept.
 
 d o d = 0 is never assumed: cohomology reports carry an explicit
 `complex_valid` flag and the rank of the composite.  The matrices of d_n
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .algebra import Algebra, Witness, product_cochain
 from .bracket import (InsertionMode, _compose, _prefactor, _scatter, _terms, graded_bracket,
@@ -67,45 +69,64 @@ class DifferentialData:
         return rank(self.matrix)
 
 
-def _bracket_matrix(g: SymCochain, n: int, mode: InsertionMode, c) -> Matrix:
-    """Matrix of f -> c [g, f] on arity-n cochains, as one `_scatter`.
-
-    Column (F, t) is c p_L (g o e) - c (-1)^{(m-1)(n-1)} p_R (e o g) for the basis
-    cochain e = e_{F,t}, 1 at coordinate t of F and 0 elsewhere.  In g o e each e is
-    an inner term tagged with its column j d + t.  In e o g one outer term per F,
-    tagged j d, carries every t: its coordinate t lies in column j d + t."""
-    m, d = g.n, g.dim
-    terms, den = _terms(g)
+def _bracket_matrices(g: SymCochain, n: int, scalars) -> list[Matrix]:
+    """Matrices of f -> c [g, f] on arity-n cochains, one per (mode, c) in `scalars`,
+    from one `_scatter` of the SUM-mode pieces L: e -> g o e and R: e -> e o g on the
+    basis cochains e = e_{F,t}, 1 at coordinate t of F.  In g o e each e is an inner
+    term tagged with its column j d + t; in e o g one outer term per F, tagged j d,
+    carries every t.  A mode's matrix is c p_L L - c (-1)^{(m-1)(n-1)} p_R R."""
+    (terms, den), m, d = _terms(g), g.n, g.dim
     columns = multisets(d, n)
     inner = [(F, j * d + t, [(t, 1)]) for j, F in enumerate(columns) for t in range(d)]
     outer = [(F, j * d, [(t, 1) for t in range(d)]) for j, F in enumerate(columns)]
-    out, q = _scatter([(c * _prefactor(mode, m, n), terms, inner),
-                       (-c * koszul_sign(m - 1, n - 1) * _prefactor(mode, n, m), outer, terms)], d)
+    out, _ = _scatter([(1, terms, inner), (1, outer, terms)], d)
     row_of = {M: i * d for i, M in enumerate(multisets(d, m + n - 1))}
-    srows: list[dict[int, int]] = [{} for _ in range(len(row_of) * d)]  # index(M) d + t
-    for (M, block, col), acc in out.items():
-        for t, x in enumerate(acc):
-            if x:
-                row, j = srows[row_of[M] + t], col if block is None else block + t
-                row[j] = row.get(j, 0) + x
-    return Matrix._from_ints(len(srows), len(columns) * d, srows, q * den)
+    mats = []
+    for mode, c in scalars:
+        p_L = c * _prefactor(mode, m, n)
+        p_R = -c * koszul_sign(m - 1, n - 1) * _prefactor(mode, n, m)
+        q = lcm(p_L.denominator, p_R.denominator)
+        a, b = int(q * p_L), int(q * p_R)
+        rows: list[dict[int, int]] = [{} for _ in range(len(row_of) * d)]  # index(M) d + t
+        for (M, block, col), acc in out.items():  # block is None on L's keys
+            s = a if block is None else b
+            for t, x in enumerate(acc):
+                if x:
+                    row, j = rows[row_of[M] + t], col if block is None else block + t
+                    row[j] = row.get(j, 0) + s * x
+        mats.append(Matrix._from_ints(len(rows), len(columns) * d, rows, q * den))
+    return mats
+
+
+def _differentials(A: Algebra, n: int, modes) -> list[DifferentialData]:
+    """d_n in each of `modes`, kept on A; the ones not yet kept from one scatter."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    missing = [mode for mode in modes if ("d", n, mode) not in A._ops]
+    if missing:
+        mats = _bracket_matrices(product_cochain(A), n, [(mode, 1) for mode in missing])
+        for mode, mat in zip(missing, mats):
+            A._ops["d", n, mode] = DifferentialData(mode, n, mat)
+    return [A._ops["d", n, mode] for mode in modes]
 
 
 def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DifferentialData:
     """Matrix of d from arity-n to arity-(n+1) coefficients,
     column j = d(basis cochain j).  Kept on A."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    key = ("d", n, mode)
-    if key not in A._ops:
-        A._ops[key] = DifferentialData(mode, n, _bracket_matrix(product_cochain(A), n, mode, 1))
-    return A._ops[key]
+    return _differentials(A, n, (mode,))[0]
+
+
+def _ad_halves(A: Algebra, n: int, modes) -> list[Matrix]:
+    """f -> (1/2) [[mu, mu], f] in each of `modes`, from one scatter of the SUM-mode
+    B = [mu, mu]: in a mode of prefactor p = `_prefactor(mode, 2, 2)`, [mu, mu] is p B."""
+    mu = product_cochain(A)
+    return _bracket_matrices(graded_bracket(mu, mu), n,
+                             [(mode, _prefactor(mode, 2, 2) / 2) for mode in modes])
 
 
 def ad_half_bracket_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> Matrix:
     """Matrix of f -> (1/2) [[mu, mu], f] on arity-n cochains."""
-    mu = product_cochain(A)
-    return _bracket_matrix(graded_bracket(mu, mu, mode), n, mode, Fraction(1, 2))
+    return _ad_halves(A, n, (mode,))[0]
 
 
 def _composite(A: Algebra, n: int, mode: InsertionMode) -> Matrix:
@@ -129,18 +150,26 @@ class DSquaredReport:
 def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DSquaredReport:
     """Compare the matrix of d o d (arity n -> n+2) against the matrix of
     f -> (1/2)[[mu,mu],f]; reports equality and whether both vanish."""
-    composite = _composite(A, n, mode)
-    ad_half = ad_half_bracket_matrix(A, n, mode)
-    both_zero = composite.is_zero() and ad_half.is_zero()
-    if composite == ad_half:
-        return DSquaredReport(n, mode, True, both_zero)
-    # the first differing column, located back on its basis cochain
-    j = min(col for row in composite.add(ad_half.scale(-1)).num for col in row)
-    mset, k = multisets(A.dim, n)[j // A.dim], j % A.dim
-    e_j = tuple(Fraction(int(i == j)) for i in range(composite.cols))
-    wit = Witness((e_j,), composite.column(j), ad_half.column(j),
-                  f"columns of d∘d vs (1/2)ad on basis cochain ({list(mset)}, k={k})")
-    return DSquaredReport(n, mode, False, both_zero, wit)
+    return _d_squared(A, n, (mode,))[0]
+
+
+def _d_squared(A: Algebra, n: int, modes) -> list[DSquaredReport]:
+    """`check_d_squared` in each of `modes`: d_n, d_{n+1} and (1/2)ad from one scatter each."""
+    for k in (n, n + 1):
+        _differentials(A, k, modes)
+    reports = []
+    for mode, ad_half in zip(modes, _ad_halves(A, n, modes)):
+        composite = _composite(A, n, mode)
+        rep = DSquaredReport(n, mode, composite == ad_half,
+                             composite.is_zero() and ad_half.is_zero())
+        if not rep.equal:  # the first differing column, located back on its basis cochain
+            j = min(col for row in composite.add(ad_half.scale(-1)).num for col in row)
+            mset, k = multisets(A.dim, n)[j // A.dim], j % A.dim
+            e_j = tuple(Fraction(int(i == j)) for i in range(composite.cols))
+            rep.witness = Witness((e_j,), composite.column(j), ad_half.column(j), f"columns of "
+                                  f"d∘d vs (1/2)ad on basis cochain ({list(mset)}, k={k})")
+        reports.append(rep)
+    return reports
 
 
 @dataclass

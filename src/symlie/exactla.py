@@ -67,14 +67,6 @@ def vzero(n: int) -> tuple[Fraction, ...]:
     return (Fraction(0),) * n
 
 
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_to_strs(v) -> list[str]:
     return [rat_to_str(x) for x in v]
 
@@ -273,12 +265,16 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, one vector per free column,
     in reduced echelon form (free variable set to 1, pivots back-filled)."""
     rows, pivots = _eliminate(m.num, reduced=True)
-    basis = []
+    at: dict[int, list] = {}  # free column -> (pivot, entry) of the vector it spans
+    for row, p in zip(rows, pivots):
+        for j in row.keys() - {p}:  # reduced: every column but p is free
+            at.setdefault(j, []).append((p, Fraction(-row[j], row[p])))
+    zero, basis = Fraction(0), []
     for free in sorted(set(range(m.cols)) - set(pivots)):
-        v = [Fraction(int(j == free)) for j in range(m.cols)]
-        for row, p in zip(rows, pivots):
-            if free in row:
-                v[p] = Fraction(-row[free], row[p])
+        v = [zero] * m.cols
+        v[free] = Fraction(1)
+        for p, x in at.get(free, ()):
+            v[p] = x
         basis.append(tuple(v))
     return basis
 

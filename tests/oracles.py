@@ -425,11 +425,19 @@ def six_term_sum(A, x, y, z):
     return tuple(sum(col) for col in zip(*parts))
 
 
+def vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def printed_coboundary_c1(A, f):
     """The printed arity-1 coboundary (d f)(x,y) = f(x*y) - f(x)*y - x*f(y),
     expanded at each basis pair, independently of the bracket."""
     from symlie import SymCochain, multisets, product
-    from symlie.exactla import vsub, vzero
+    from symlie.exactla import vzero
     d = A.dim
 
     def fv(v):
@@ -459,7 +467,6 @@ def printed_coboundary_c2(A, phi):
     expanded cyclically at each basis triple through `product` and
     `evaluate`, independently of the insertion kernel."""
     from symlie import SymCochain, multisets, product
-    from symlie.exactla import vadd, vsub
     d = A.dim
     basis = [A.basis_vector(i) for i in range(d)]
 

@@ -14,11 +14,12 @@ from symlie import (Algebra, InsertionMode, algebra_from_entries, audit, audit_a
                     graded_bracket, insert, insert_lowdeg_variant, make_j2, make_non_jordan,
                     make_spin, multiplication_operator, product_cochain, render_text,
                     SymCochain)
-from symlie.audit import CLAIM_CATALOG, LOCATION, _TRIPLES, _claim_sym_closure, _mu_pool
+from symlie.audit import CLAIM_CATALOG, LOCATION, _TRIPLES, _claim_sym_closure, _mu_pools
 from symlie.exactla import vec_to_strs
 
 from oracles import (d2_sanity_reference, insertion_eval, random_commutative,
-                     reference_insert, reference_jacobi_report, reference_prelie_report)
+                     random_rational_commutative, reference_insert, reference_jacobi_report,
+                     reference_prelie_report)
 
 ALL_IDS = [cid for cid, _ in CLAIM_CATALOG]
 SUM = InsertionMode.SUM
@@ -77,7 +78,8 @@ def test_sym_closure_reports_a_changed_coefficient(monkeypatch, label, mode):
     # rational structure constants give mu a denominator; in paper mode the
     # pairs mu,mu, L0,mu and P,mu carry a prefactor 1/((m-1)! n!) != 1
     A = make_j2(Fraction(1, 2), Fraction(-3, 4))
-    pool = _mu_pool(A, mode)
+    pools = _mu_pools(A)
+    pool = pools[mode]
     f, g = (pool[name] for name in _SYM_PAIRS[label])
     N = f.n + g.n - 1
     target = (1,) if N == 1 else (0,) + (1,) * (N - 1)
@@ -92,12 +94,43 @@ def test_sym_closure_reports_a_changed_coefficient(monkeypatch, label, mode):
         return SymCochain(built.n, built.dim, {**built.coeffs, target: (vec[0] + 1, *vec[1:])})
 
     monkeypatch.setattr(module, "insert", tampered)
-    rec = _claim_sym_closure(A, mode, pool)
+    # one walk gives both modes' records; this mode's is checked
+    rec = {r.mode: r for r in _claim_sym_closure(A, pools)}[mode.value]
     raw = insertion_eval(f, g, [A.basis_vector(i) for i in target], mode is PAPER)
     assert any(raw)
     assert (rec.verdict, rec.mode) == ("fails", mode.value)
     assert rec.witness == {"pair": label, "tuple": list(target), "raw": vec_to_strs(raw),
                            "stored": vec_to_strs((raw[0] + 1, *raw[1:]))}
+
+
+def test_paper_pool_is_the_paper_insertion_and_bracket():
+    # the paper pool scales P and B from the sum pool by one prefactor
+    algebras = [entry.algebra for entry in corpus_entries()]
+    algebras += [make_j2(Fraction(1, 2), Fraction(-3, 4)), make_spin([1, Fraction(-1, 2), 3]),
+                 random_rational_commutative(random.Random(3), 3)]
+    for A in algebras:
+        mu = product_cochain(A)
+        pool = _mu_pools(A)[PAPER]
+        assert pool["P"] == insert(mu, mu, PAPER)
+        assert pool["B"] == graded_bracket(mu, mu, PAPER)
+
+
+def test_mumu_reads_the_bracket_in_both_modes(monkeypatch):
+    # MUMU-FORMULA compares B, built by graded_bracket, with 2P: a wrong
+    # bracket must show in both modes, since the paper B is scaled from it
+    module = importlib.import_module("symlie.audit")
+    real_bracket = module.graded_bracket
+
+    def tampered(a, b, m):
+        built = real_bracket(a, b, m)
+        return built + SymCochain(built.n, built.dim,
+                                  {(0,) * built.n: (1,) + (0,) * (built.dim - 1)})
+
+    monkeypatch.setattr(module, "graded_bracket", tampered)
+    report = audit(make_spin([1, Fraction(-1, 2)]))
+    for mode in ("sum", "paper"):
+        assert report.claim("MUMU-FORMULA", mode).detail.startswith(
+            "[mu,mu] == 2 (mu o mu): false;"), mode
 
 
 def test_mc_iff_jordan_fails_forward_on_unital_example(j2_report):

@@ -21,8 +21,8 @@ from symlie.deformation import class_modulo_image
 from symlie.exactla import rank
 
 from oracles import (derivation_dimension, printed_coboundary_c1, printed_coboundary_c2,
-                     random_cochain, random_commutative, random_vector, reference_bracket,
-                     reference_bracket_matrix)
+                     random_cochain, random_commutative, random_rational_commutative,
+                     random_vector, reference_bracket, reference_bracket_matrix)
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -169,6 +169,53 @@ def test_operator_matrices_match_per_column_brackets(mode):
                 reference_bracket_matrix(mu, n, paper, 1), (A.labels, n)
             assert ad_half_bracket_matrix(A, n, mode) == \
                 reference_bracket_matrix(B, n, paper, Fraction(1, 2)), (A.labels, n)
+
+
+# one scatter per (g, n) serves every mode asked for at once; the order in
+# which the modes are asked for, and whether one or both are, must not matter
+_BUILD_ORDERS = {"sum": [(SUM,)], "paper": [(PAPER,)], "sum_first": [(SUM,), (PAPER,)],
+                 "paper_first": [(PAPER,), (SUM,)], "audit": None}
+_FRESH = {"spin": lambda: make_spin([1, Fraction(-1, 2)]),
+          "dense": lambda: random_rational_commutative(random.Random(20), 3)}
+
+
+@pytest.fixture(scope="module")
+def per_column_matrices():
+    """(kind, n, mode) -> (d_n, (1/2)ad) built one bracket per column."""
+    out = {}
+    for kind, make in _FRESH.items():
+        mu = product_cochain(make())
+        B = reference_bracket(mu, mu, False)
+        for n in range(4):
+            for mode in (SUM, PAPER):
+                paper = mode is PAPER  # [mu,mu] in paper mode is half of B
+                out[kind, n, mode] = (reference_bracket_matrix(mu, n, paper, 1),
+                                      reference_bracket_matrix(B, n, paper,
+                                                               Fraction(1, 4 if paper else 2)))
+    return out
+
+
+@pytest.mark.parametrize("order", list(_BUILD_ORDERS))
+def test_operator_matrices_in_any_mode_order(order, per_column_matrices):
+    for kind, make in _FRESH.items():
+        A = make()  # fresh, so nothing is kept on it yet
+        if order == "audit":
+            audit(A)
+        for modes in _BUILD_ORDERS[order] or [(SUM, PAPER)]:
+            for n in range(4):
+                for mode in modes:
+                    d, half_ad = per_column_matrices[kind, n, mode]
+                    assert differential_matrix(A, n, mode).matrix == d, (order, kind, n, mode)
+                    assert ad_half_bracket_matrix(A, n, mode) == half_ad, (order, kind, n, mode)
+
+
+def test_audit_keeps_no_operator_pieces():
+    # only the table, d_n (n = 0..3) and d_{n+1} d_n (n = 0..2) per mode
+    # stay on the algebra: the pieces both modes are combined from do not
+    A = make_spin([1, Fraction(-1, 2)])
+    audit(A)
+    assert set(A._ops) == {"table"} | {(key, n, mode) for mode in (SUM, PAPER)
+                                       for key, top in (("d", 4), ("dd", 3)) for n in range(top)}
 
 
 def test_d_squared_matches_half_ad_at_degree_one():

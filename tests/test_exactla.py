@@ -307,19 +307,24 @@ def test_spin_d8_degree_4_cohomology_pinned(mode):
         "complex_valid": False, "defect_rank": 960, "dim_H": None}
 
 
+def _d3_and_transpose(A):
+    """d_3 (SUM) of A and its transpose, sparse."""
+    m = differential_matrix(A, 3, InsertionMode.SUM).matrix
+    cols = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.num):
+        for j, x in row.items():
+            cols[j][i] = x
+    return m, Matrix._from_ints(m.cols, m.rows, cols, m.den)
+
+
 def _elimination_pin_doc():
     """rref and kernel_basis of d_3 (SUM) and of its transpose, sparse, for
     the spin factor of dimension 7 and a dense rational algebra of dimension
-    4.  The spin transpose's kernel is left out: building its 882 dense
-    vectors of length 1470 takes seconds."""
+    4.  The spin transpose's kernel is left out of this pin; it has its own,
+    test_spin_transpose_kernel_pinned."""
     out = []
     for A in (make_spin(SPIN_Q[:6]), _dense_rational(random.Random(5), 4)):
-        m = differential_matrix(A, 3, InsertionMode.SUM).matrix
-        cols = [{} for _ in range(m.cols)]
-        for i, row in enumerate(m.num):
-            for j, x in row.items():
-                cols[j][i] = x
-        for a in (m, Matrix._from_ints(m.cols, m.rows, cols, m.den)):
+        for a in _d3_and_transpose(A):
             red, pivots = rref(a)
             kernel = kernel_basis(a) if a.cols < 1000 else []
             out.append({"den": red.den, "num": [sorted(r.items()) for r in red.num],
@@ -336,3 +341,19 @@ ELIMINATION_SHA256 = "00be8c637ddb8bede601a3314175d7a530fd7a7b0abcdca49ff020addd
 
 def test_larger_eliminations_pinned():
     assert hashlib.sha256(_elimination_pin_doc().encode()).hexdigest() == ELIMINATION_SHA256
+
+
+# sha256 of the kernel the pin above leaves out: 882 vectors of length 1470,
+# from the transpose of the spin d = 7 d_3, recorded while kernel_basis still
+# built each vector from fresh Fractions and scanned every pivot row per free
+# column
+SPIN_KERNEL_SHA256 = "353b21d2e75cf7aa7b95f09877c9776eba23ea24f6a7b56b20bf86e5d7c6841d"
+
+
+def test_spin_transpose_kernel_pinned():
+    _, a = _d3_and_transpose(make_spin(SPIN_Q[:6]))
+    kernel = kernel_basis(a)
+    assert (a.rows, a.cols, len(kernel)) == (588, 1470, 882)
+    doc = json.dumps([[[j, rat_to_str(x)] for j, x in enumerate(v) if x] for v in kernel],
+                     separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == SPIN_KERNEL_SHA256
