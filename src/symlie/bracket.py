@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
 
@@ -59,14 +60,13 @@ def koszul_sign(deg_f: int, deg_g: int) -> int:
     return -1 if (deg_f * deg_g) % 2 else 1
 
 
+@cache
 def _prefactor(mode: InsertionMode, m: int, n: int) -> Fraction:
     """The scalar before the sum inserting arity n into arity m: 1 in SUM mode,
     1/((m-1)! n!) in PAPER mode, and 1 for m = 0, where the sum is empty."""
     if not isinstance(mode, InsertionMode):
         raise TypeError(f"insertion mode must be an InsertionMode, got {mode!r}")
-    if mode is InsertionMode.SUM or m == 0:
-        return Fraction(1)
-    return Fraction(1, factorial(m - 1) * factorial(n))
+    return Fraction(1, factorial(m - 1) * factorial(n) if mode is InsertionMode.PAPER and m else 1)
 
 
 def _unshuffle_count(rest: tuple[int, ...], G: tuple[int, ...]) -> int:
@@ -153,15 +153,15 @@ def first_coefficient_difference(a: SymCochain, b: SymCochain):
 
 
 def _coeff_report(n: int, dim: int, left, right, note: str) -> IdentityReport:
-    """The sums of the terms (c, p) of each side agree, or fail with the first
-    differing multiset as basis inputs.  The coefficients of each primitive form
-    p are added first, so that each form is scaled into its side once."""
+    """The sums of the terms (a, b, p), a/b p, of each side agree, or fail with the first
+    differing multiset as basis inputs.  The coefficients of each primitive form p are
+    added first, as ints over one denominator, so that p is scaled into its side once."""
     sides = []
     for terms in (left, right):
-        by_form = {}
-        for c, p in terms:
-            by_form[id(p)] = by_form.get(id(p), (0,))[0] + c, p
-        sides.append(_combine(n, dim, [t for t in by_form.values() if t[0]]))
+        L, by_form = lcm(*(b for _, b, _ in terms)), {}
+        for a, b, p in terms:
+            by_form[id(p)] = by_form.get(id(p), (0,))[0] + a * (L // b), p
+        sides.append(_combine(n, dim, [(Fraction(s, L), p) for s, p in by_form.values() if s]))
     diff = first_coefficient_difference(*sides)
     if diff is None:
         return IdentityReport(True)
@@ -172,10 +172,10 @@ def _coeff_report(n: int, dim: int, left, right, note: str) -> IdentityReport:
 
 class _Memo:
     """The compositions of one run of identity checks, such as one audit's.
-    A cochain is held as terms [(c, p)], c a Fraction and p its primitive form:
-    its numerators over their gcd, the first nonzero positive, one object per
-    (n, dim, numerators).  By bilinearity a composition of terms is a sum of
-    SUM-mode insertions of primitive forms, each made once, times `_prefactor`."""
+    A cochain is held as terms [(a, b, p)], ints a/b (b > 0) times p, its primitive
+    form: its numerators over their gcd, the first nonzero positive, one object per
+    (n, dim, numerators).  By bilinearity a composition of terms is a sum of SUM-mode
+    insertions of primitive forms, each made once, over `_prefactor`'s denominator."""
 
     def __init__(self):
         # key -> p, kept alive; (id(p), id(q)) -> p o q terms; id(f) -> (f, f's terms)
@@ -192,25 +192,25 @@ class _Memo:
             key = (f.n, f.dim, tuple(sorted(num.items())))
             if key not in self.forms:
                 self.forms[key] = SymCochain._from_ints(f.n, f.dim, num, 1)
-            out = [(Fraction(g, f.den), self.forms[key])]
+            out = [(g, f.den, self.forms[key])]
         self.held[id(f)] = f, out
         return out
 
     def insert(self, xs, ys, mode: InsertionMode, c=1) -> list:
-        """The terms of c (x o y)."""
+        """The terms of c (x o y), c an int."""
         out = []
-        for a, p in xs:
-            for b, q in ys:
+        for a, b, p in xs:
+            for x, y, q in ys:
                 key = id(p), id(q)
                 if key not in self.inserts:
                     self.inserts[key] = self.terms(insert(p, q))
-                k = c * a * b * _prefactor(mode, p.n, q.n)
-                out += [(k * s, r) for s, r in self.inserts[key]]
+                k, den = c * a * x, b * y * _prefactor(mode, p.n, q.n).denominator
+                out += [(k * s, den * t, r) for s, t, r in self.inserts[key]]
         return out
 
     def bracket(self, xs, ys, mode: InsertionMode, c=1) -> list:
         """The terms of c [x, y] = c (x o y - (-1)^{|x||y|} y o x)."""
-        sign = koszul_sign(xs[0][1].degree, ys[0][1].degree) if xs and ys else 0
+        sign = koszul_sign(xs[0][2].degree, ys[0][2].degree) if xs and ys else 0
         return self.insert(xs, ys, mode, c) + self.insert(ys, xs, mode, -sign * c)
 
 

@@ -163,9 +163,10 @@ def _d_squared(A: Algebra, n: int, modes) -> list[DSquaredReport]:
         rep = DSquaredReport(n, mode, composite == ad_half,
                              composite.is_zero() and ad_half.is_zero())
         if not rep.equal:  # the first differing column, located back on its basis cochain
-            j = min(col for row in composite.add(ad_half.scale(-1)).num for col in row)
+            j = min(c for ra, rb in zip(composite.num, ad_half.num) for c in ra.keys() | rb.keys()
+                    if ra.get(c, 0) * ad_half.den != rb.get(c, 0) * composite.den)
             mset, k = multisets(A.dim, n)[j // A.dim], j % A.dim
-            e_j = tuple(Fraction(int(i == j)) for i in range(composite.cols))
+            e_j = (Fraction(0),) * j + (Fraction(1),) + (Fraction(0),) * (composite.cols - j - 1)
             rep.witness = Witness((e_j,), composite.column(j), ad_half.column(j), f"columns of "
                                   f"d∘d vs (1/2)ad on basis cochain ({list(mset)}, k={k})")
         reports.append(rep)

@@ -54,10 +54,8 @@ def json_int(x, name: str) -> int:
 
 
 def rat_to_str(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    x = x if type(x) is Fraction else Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +85,11 @@ class Matrix:
                                    for j, x in enumerate(r) if x} for r in data], den)
 
     def _reduce(self, rows: int, cols: int, num: list[dict[int, int]], den: int) -> None:
-        """Store num / den (den > 0) in lowest terms, dropping stored zeros."""
+        """Store num / den (den > 0) in lowest terms, no stored zeros; rows already so are kept."""
         g = gcd(den, *(x for r in num for x in r.values()))
         self.rows, self.cols, self.den = rows, cols, den // g
-        self.num = [{j: x // g for j, x in r.items() if x} for r in num]
+        self.num = num if g == 1 and all(map(all, map(dict.values, num))) else [
+            {j: x // g for j, x in r.items() if x} for r in num]
 
     @classmethod
     def _from_ints(cls, rows: int, cols: int, num: list[dict[int, int]], den: int) -> "Matrix":
@@ -127,7 +126,8 @@ class Matrix:
         return cls(rows, len(cols), [[col[i] for col in cols] for i in range(rows)])
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(r.get(j, 0), self.den) for r in self.num)
+        zero = Fraction(0)
+        return tuple(Fraction(r[j], self.den) if j in r else zero for r in self.num)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

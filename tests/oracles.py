@@ -271,6 +271,69 @@ def reference_insert(f, g, paper):
     return SymCochain(N, d, out)
 
 
+# SYM-CLOSURE's pairs (label, f, g) of product-derived pool cochains
+SYM_CLOSURE_PAIRS = (("mu,mu", "mu", "mu"), ("mu,L0", "mu", "L0"), ("L0,mu", "L0", "mu"),
+                     ("mu,v0", "mu", "v0"), ("P,mu", "P", "mu"))
+
+
+def _raw_insert_value(fi, gi, splits, d, idx):
+    """The insertion formula f o g evaluated directly at one ordered basis
+    tuple, unnormalized, from the numerators fi of f and gi of g, summed over
+    `splits`, the (m-1, n)-unshuffles."""
+    acc = [0] * d
+    for first, second in splits:
+        w = gi.get(tuple(sorted(idx[p] for p in second)))
+        if w is None:
+            continue
+        fargs = [idx[p] for p in first]
+        for k, wk in enumerate(w):
+            if wk and (vec := fi.get(tuple(sorted(fargs + [k])))):
+                for t, x in enumerate(vec):
+                    acc[t] += wk * x
+    return acc
+
+
+def reference_sym_closure(A, pools, insert):
+    """SYM-CLOSURE's records (as JSON dicts) by the walk the audit made before it
+    followed the nonzeros: the raw formula at every one of the d^N ordered basis
+    tuples of each pair, in `iproduct` order, against `insert` (which a test may
+    tamper); at the first failing tuple each mode's witness from its own pool."""
+    from symlie import InsertionMode
+    from symlie.bracket import _prefactor, unshuffles
+    from symlie.exactla import vec_to_strs
+    SUM, d = InsertionMode.SUM, A.dim
+
+    def record(mode, verdict, witness, detail):
+        return {"id": "SYM-CLOSURE", "location": "Lemma 2.1", "mode": mode.value,
+                "verdict": verdict, "witness": witness, "detail": detail}
+
+    def failure(mode, f, g, label, idx):
+        raw = _raw_insert_value(f.num, g.num, list(unshuffles(f.n - 1, g.n)), d, idx)
+        p = _prefactor(mode, f.n, g.n) / (f.den * g.den)
+        return record(mode, "fails", {
+            "pair": label, "tuple": list(idx), "raw": vec_to_strs(p * x for x in raw),
+            "stored": vec_to_strs(insert(f, g, mode).value_at(tuple(sorted(idx))))},
+            "insertion value depends on the argument order")
+
+    checked, zero = 0, (0,) * d
+    for label, a, b in SYM_CLOSURE_PAIRS:
+        f, g = pools[SUM][a], pools[SUM][b]
+        if f.n == 0:
+            continue
+        built, splits = insert(f, g, SUM), list(unshuffles(f.n - 1, g.n))
+        for idx in iproduct(range(d), repeat=built.n):
+            raw = _raw_insert_value(f.num, g.num, splits, d, idx)
+            if any(x * built.den != y * f.den * g.den
+                   for x, y in zip(raw, built.num.get(tuple(sorted(idx)), zero))):
+                return [failure(mode, pools[mode][a], pools[mode][b], label, idx)
+                        for mode in (SUM, InsertionMode.PAPER)]
+            checked += 1
+    detail = (f"insertion agrees with its symmetric coefficient form at all "
+              f"{checked} ordered basis tuples over {len(SYM_CLOSURE_PAIRS)} "
+              "product-derived pairs")
+    return [record(mode, "holds", None, detail) for mode in (SUM, InsertionMode.PAPER)]
+
+
 def reference_check_cubic_jordan(A):
     """The cubic-identity report from the full polarization over all d^4
     basis tuples, with the same basis-pair witness preference."""

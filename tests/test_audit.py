@@ -19,7 +19,7 @@ from symlie.exactla import vec_to_strs
 
 from oracles import (d2_sanity_reference, insertion_eval, random_commutative,
                      random_rational_commutative, reference_insert, reference_jacobi_report,
-                     reference_prelie_report)
+                     reference_prelie_report, reference_sym_closure)
 
 ALL_IDS = [cid for cid, _ in CLAIM_CATALOG]
 SUM = InsertionMode.SUM
@@ -101,6 +101,48 @@ def test_sym_closure_reports_a_changed_coefficient(monkeypatch, label, mode):
     assert (rec.verdict, rec.mode) == ("fails", mode.value)
     assert rec.witness == {"pair": label, "tuple": list(target), "raw": vec_to_strs(raw),
                            "stored": vec_to_strs((raw[0] + 1, *raw[1:]))}
+
+
+def _tampered_insert(real_insert, arities, mset, k, delta):
+    """`real_insert`, with delta added at coordinate k of the value at mset
+    whenever the operands have the given arities."""
+    def tampered(a, b, m=SUM):
+        built = real_insert(a, b, m)
+        if (a.n, b.n) != arities:
+            return built
+        vec = list(built.value_at(mset))
+        vec[k] += delta
+        return SymCochain(built.n, built.dim, {**built.coeffs, mset: tuple(vec)})
+    return tampered
+
+
+@pytest.mark.parametrize("seed", range(14))
+def test_sym_closure_walk_matches_the_dense_walk(monkeypatch, seed):
+    # spin and dense rational algebras of dimension 2-4; at each pair one value
+    # of the built insertion is changed (sometimes to zero), and the walk over
+    # the nonzeros must give the dense walk's records: pair, first tuple in
+    # iproduct order, raw, stored, and on a pass the count of tuples
+    rng = random.Random(seed)
+    d = 2 + seed % 3
+    A = (make_spin([Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for _ in range(d - 1)])
+         if seed % 2 else random_rational_commutative(rng, d))
+    pools = _mu_pools(A)
+    module = importlib.import_module("symlie.audit")
+    real_insert = module.insert
+    assert ([r.to_json_dict() for r in _claim_sym_closure(A, pools)]
+            == reference_sym_closure(A, pools, real_insert))
+    for label in ("mu,mu", "mu,L0", "P,mu"):
+        f, g = (pools[SUM][name] for name in _SYM_PAIRS[label])
+        mset = tuple(sorted(rng.randrange(d) for _ in range(f.n + g.n - 1)))
+        k = rng.randrange(d)
+        value = real_insert(f, g, SUM).value_at(mset)[k]
+        delta = (-value if value and rng.random() < 0.3
+                 else Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)))
+        tampered = _tampered_insert(real_insert, (f.n, g.n), mset, k, delta)
+        monkeypatch.setattr(module, "insert", tampered)
+        records = [r.to_json_dict() for r in _claim_sym_closure(A, pools)]
+        assert records == reference_sym_closure(A, pools, tampered)
+        assert [(r["verdict"], r["witness"]["pair"]) for r in records] == [("fails", label)] * 2
 
 
 def test_paper_pool_is_the_paper_insertion_and_bracket():
@@ -373,6 +415,24 @@ def test_audit_all_stdout_pinned():
 ])
 def test_spin_audit_pinned(q, digest):
     doc = json.dumps(audit(make_spin(q)).to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+# sha256 of the canonical JSON of audit() where the witnesses are not the
+# corpus's: two dense rational non-Jordan algebras of dimension 3, whose
+# d∘d, PRELIE and JACOBI witnesses carry rational entries, and a spin factor
+# of dimension 6.  Recorded while SYM-CLOSURE still walked every ordered
+# basis tuple and d∘d still located its witness on a difference matrix
+@pytest.mark.parametrize("make, digest", [
+    (lambda: random_rational_commutative(random.Random(0), 3),
+     "e0bcc191a0e6b6807ac75acbf3470225e503f6dee97ecf8c4433a7eac3a354ae"),
+    (lambda: random_rational_commutative(random.Random(1), 3),
+     "471b58ffaf79ae2a78302b66976aa7ae28c275f2255efdfafc55cc981d342614"),
+    (lambda: make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4), 2]),
+     "9a7681f3af4b16495ddeb1b9b6af750f44cab4315c3df5eb9ad389b147f6a0da"),
+], ids=["dense3_seed0", "dense3_seed1", "spin6"])
+def test_nontrivial_witness_audit_pinned(make, digest):
+    doc = json.dumps(audit(make()).to_json_dict(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 

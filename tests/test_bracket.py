@@ -392,13 +392,15 @@ def test_memo_splits_a_cochain_into_a_scalar_and_one_primitive_form():
     rng = random.Random(211)
     f = random_cochain(rng, 2, 2)
     memo = _Memo()
-    [(a, p)] = memo.terms(f)
+    # a term's scalar is held as ints a / b with b > 0
+    [(a, b, p)] = memo.terms(f)
+    assert type(a) is int and type(b) is int and b > 0
     assert p.den == 1 and gcd(*(x for vec in p.num.values() for x in vec)) == 1
     assert next(x for x in p.num[min(p.num)] if x) > 0
-    assert p.scale(a) == f
+    assert p.scale(Fraction(a, b)) == f
     for c in (Fraction(-3, 2), 7, Fraction(1, 5)):
-        [(b, q)] = memo.terms(f.scale(c))
-        assert q is p and b == c * a
+        [(x, y, q)] = memo.terms(f.scale(c))
+        assert q is p and Fraction(x, y) == c * Fraction(a, b)
     assert memo.terms(SymCochain.zero(2, 2)) == []
 
 

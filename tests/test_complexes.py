@@ -16,7 +16,8 @@ from symlie import (Algebra, InsertionMode, Matrix, SymCochain, audit, check_d_s
                     sym_basis_dim)
 from symlie import complexes
 from symlie.cochain import basis_cochains
-from symlie.complexes import _composite, ad_half_bracket_matrix, coboundary_c1_matrix
+from symlie.complexes import (_composite, _d_squared, ad_half_bracket_matrix,
+                              coboundary_c1_matrix)
 from symlie.deformation import class_modulo_image
 from symlie.exactla import rank
 
@@ -230,6 +231,29 @@ def test_d_squared_fails_at_even_degrees_on_unital_example():
     A = make_j2(1, 0)
     assert not check_d_squared(A, 0, SUM).equal
     assert not check_d_squared(A, 2, SUM).equal
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_d_squared_witness_is_the_first_column_of_the_difference(seed):
+    # the witness column is found without building composite - ad_half; it
+    # must be the least column where that difference is nonzero, in each mode
+    rng = random.Random(seed)
+    d = 2 + seed % 2
+    A = (random_commutative(rng, d, 0.5), random_rational_commutative(rng, d),
+         make_spin([Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(d - 1)]))[seed % 3]
+    for n in (0, 1, 2):
+        for rep in _d_squared(A, n, (SUM, PAPER)):
+            composite = _composite(A, n, rep.mode)
+            ad_half = ad_half_bracket_matrix(A, n, rep.mode)
+            diff = composite.add(ad_half.scale(-1))
+            assert rep.equal == diff.is_zero()
+            if rep.equal:
+                assert rep.witness is None
+                continue
+            j = rep.witness.inputs[0].index(1)
+            assert j == min(col for row in diff.num for col in row)
+            assert rep.witness.left == composite.column(j)
+            assert rep.witness.right == ad_half.column(j)
 
 
 @pytest.mark.parametrize("n", [0, 2])

@@ -23,6 +23,37 @@ def M(rows):
     return Matrix.from_rows([[Fraction(x) for x in r] for r in rows])
 
 
+def _dense(cols, num, den):
+    return [[Fraction(r.get(j, 0), den) for j in range(cols)] for r in num]
+
+
+def test_reduced_rows_are_kept_as_given():
+    # gcd 1 and no stored zero: nothing to divide out or drop
+    rng = random.Random(5)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        num = [{j: rng.choice([-3, -1, 1, 2, 5]) for j in range(cols) if rng.random() < 0.6}
+               for _ in range(rows)]
+        den = rng.choice([1, 2, 7])
+        if gcd(den, *(x for r in num for x in r.values())) != 1:
+            continue
+        m = Matrix._from_ints(rows, cols, num, den)
+        assert m.num is num and m.den == den
+        assert m == Matrix(rows, cols, _dense(cols, num, den))
+
+
+@pytest.mark.parametrize("num, den, want_num, want_den", [
+    ([{0: 2, 1: 0}, {2: -4}], 6, [{0: 1}, {2: -2}], 3),          # a stored zero and a factor 2
+    ([{0: 3, 2: 0}, {}], 1, [{0: 3}, {}], 1),                     # a stored zero only
+    ([{0: 6, 1: -9}, {1: 3}], 3, [{0: 2, 1: -3}, {1: 1}], 1),     # a common factor only
+    ([{0: 0}, {1: 0}], 5, [{}, {}], 1),                           # only zeros
+])
+def test_reduce_still_divides_out_and_drops_zeros(num, den, want_num, want_den):
+    m = Matrix._from_ints(2, 3, num, den)
+    assert (m.num, m.den) == (want_num, want_den)
+    assert m == Matrix(2, 3, _dense(3, num, den))
+
+
 def test_rank_identity_and_zero():
     assert rank(Matrix.identity(3)) == 3
     assert rank(Matrix.zeros(2, 4)) == 0
