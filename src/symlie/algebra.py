@@ -1,14 +1,13 @@
 """Finite-dimensional commutative algebras, each stored once as its product
 2-cochain mu, multiplication operators, and the three polarized identity
 checkers (cubic Jordan, cyclic six-term, linearized operator identity), all
-on one integer product table through one associator.
+reading one sparse integer associator table built from mu's nonzero pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations_with_replacement, product as iproduct
 from math import lcm
 
@@ -23,8 +22,8 @@ class Algebra:
     so construction follows the nonzero structure constants; sc[i][j], the
     value vector of e_i * e_j, is a read-only view.  Commutativity is enforced
     at construction time.  Instances are immutable in value and hashable; `_ops`
-    is a memo, filled on first use, of the integer product table, the `sc` view
-    and the operator matrices of `complexes`.
+    is a memo, filled on first use, of the integer product table, the sparse
+    associator table, the `sc` view and the operator matrices of `complexes`.
     """
 
     __slots__ = ("dim", "labels", "_mu", "_ops")
@@ -134,28 +133,38 @@ def _sides(T, x, y, z):
     return _mul(T, _mul(T, x, y), z), _mul(T, x, _mul(T, y, z))
 
 
-def _assoc(T, x, y, z) -> list:
-    """The associator (x*y)*z - x*(y*z) on the table, over two more factors D."""
-    return [a - b for a, b in zip(*_sides(T, x, y, z))]
-
-
-def _cyclic(T, x, y, z) -> list:
-    """_assoc(x,y,z) + _assoc(y,z,x) + _assoc(z,x,y)."""
-    return [sum(t) for t in zip(_assoc(T, x, y, z), _assoc(T, y, z, x), _assoc(T, z, x, y))]
+def _assoc_table(A: Algebra) -> dict:
+    """{(i, j, k): D^2 A(e_i, e_j, e_k) as d ints} at the nonzero triples, D the
+    product table's denominator.  Built from the nonzero pairs of mu: w = D^2
+    (e_i*e_j)*e_k is added at (i, j, k) and, as e_k*(e_i*e_j), subtracted at
+    (k, i, j), so its cost follows mu's nonzeros.  Kept on A."""
+    if "assoc" not in A._ops:
+        (T, _, _), d, acc = _table(A), A.dim, {}
+        rows, zero = [[(k, t) for k, t in enumerate(T[m]) if any(t)] for m in range(d)], (0,) * d
+        for (a, b), v in A._mu.num.items():
+            ws = {}  # k: D^2 (e_a*e_b)*e_k
+            for m, c in enumerate(v):
+                for k, t in rows[m] if c else ():
+                    ws[k] = [w + c * x for w, x in zip(ws.get(k, zero), t)]
+            for (i, j), (k, w) in iproduct({(a, b), (b, a)}, ws.items()):
+                acc[i, j, k] = [r + x for r, x in zip(acc.get((i, j, k), zero), w)]
+                acc[k, i, j] = [r - x for r, x in zip(acc.get((k, i, j), zero), w)]
+        A._ops["assoc"] = {key: tuple(row) for key, row in acc.items() if any(row)}
+    return A._ops["assoc"]
 
 
 def _on_fractions(A: Algebra, op, *vecs) -> tuple[Fraction, ...]:
-    """op on the table at general vectors, as Fractions."""
+    """op(*vecs), ints over D ** (len(vecs) - 1), at general vectors, as Fractions."""
     vecs = [[Fraction(t) for t in v] for v in vecs]
     if any(len(v) != A.dim for v in vecs):
         raise ValueError("vector length does not match algebra dimension")
-    T, D, _ = _table(A)
-    return tuple(Fraction(t) / D ** (len(vecs) - 1) for t in op(T, *vecs))
+    D = _table(A)[1]
+    return tuple(Fraction(t) / D ** (len(vecs) - 1) for t in op(*vecs))
 
 
 def product(A: Algebra, x, y) -> tuple[Fraction, ...]:
     """Bilinear extension of the structure constants."""
-    return _on_fractions(A, _mul, x, y)
+    return _on_fractions(A, lambda x, y: _mul(_table(A)[0], x, y), x, y)
 
 
 def multiplication_operator(A: Algebra, v) -> Matrix:
@@ -244,42 +253,56 @@ def check_cubic_jordan(A: Algebra) -> IdentityReport:
     (e_i, e_j, e_k; e_l), twice the sum of A(e_a, e_l, e_b*e_c) over the three
     picks of a from (i, j, k).  That is symmetric in (i, j, k), so only sorted
     triples are walked; the first failing 4-tuple in order is among them."""
-    T, D, E = _table(A)
+    (T, D, E), R = _table(A), _assoc_table(A)
+    nz = [[[(m, t) for m, t in enumerate(v) if t] for v in row] for row in T]
 
-    @cache
-    def term(a, l, b, c):
-        return _assoc(T, E[a], E[l], _mul(T, E[b], E[c]))
-
-    def polarized(i, j, k, l):
-        return [2 * sum(t) for t in zip(term(i, l, j, k), term(j, l, i, k), term(k, l, i, j))]
+    def polarized(i, j, k, l):  # A(e_a, e_l, e_b*e_c) = sum_m (e_b*e_c)_m R[a, l, m]
+        out = [0] * A.dim
+        for a, b, c in ((i, j, k), (j, i, k), (k, i, j)):
+            for m, t in nz[b][c]:
+                for n, x in enumerate(R.get((a, l, m), ())):
+                    out[n] += 2 * t * x
+        return out
 
     return _report(
         A, D ** 3, (ijk + (l,) for ijk in combinations_with_replacement(range(A.dim), 3)
                     for l in range(A.dim)), polarized,
         "trilinear polarization of the cubic identity at a basis 4-tuple",
-        lambda i, j: _sides(T, E[i], E[j], _mul(T, E[i], E[i])),
+        lambda i, j: _sides(T, E[i], E[j], T[i][i]),
         "cubic identity at a basis pair (x, y)")
 
 
 def associator(A: Algebra, x, y, z):
     """A(x,y,z) = (x*y)*z - x*(y*z)."""
-    return _on_fractions(A, _assoc, x, y, z)
+    def on_table(x, y, z):  # sum x_i y_j z_k R[i, j, k]
+        out = [0] * A.dim
+        for (i, j, k), r in _assoc_table(A).items():
+            for n, t in enumerate(r if (c := x[i] * y[j] * z[k]) else ()):
+                out[n] += c * t
+        return out
+    return _on_fractions(A, on_table, x, y, z)
+
+
+def _six_term_at(A: Algebra, i: int, j: int, k: int) -> list:
+    """R[i,j,k] + R[j,k,i] + R[k,i,j] on the table R: the cyclic associator sum, over D^2."""
+    R, zero = _assoc_table(A), (0,) * A.dim
+    return [p + q + r for p, q, r in zip(R.get((i, j, k), zero), R.get((j, k, i), zero),
+                                         R.get((k, i, j), zero))]
 
 
 def check_six_term(A: Algebra) -> IdentityReport:
-    T, D, E = _table(A)
-    return _report(A, D ** 2, iproduct(range(A.dim), repeat=3),
-                   lambda i, j, k: _cyclic(T, E[i], E[j], E[k]),
+    return _report(A, _table(A)[1] ** 2, iproduct(range(A.dim), repeat=3),
+                   lambda i, j, k: _six_term_at(A, i, j, k),
                    "cyclic associator sum at a basis triple")
 
 
 def check_operator_identity(A: Algebra) -> IdentityReport:
     """L_{x*x} == L_x L_x, decided via A(e_i, e_j, e_k) + A(e_j, e_i, e_k) == 0."""
     T, D, E = _table(A)
+    R, zero = _assoc_table(A), (0,) * A.dim
     return _report(
         A, D ** 2, iproduct(range(A.dim), repeat=3),
-        lambda i, j, k: [p + q for p, q in zip(_assoc(T, E[i], E[j], E[k]),
-                                               _assoc(T, E[j], E[i], E[k]))],
+        lambda i, j, k: [p + q for p, q in zip(R.get((i, j, k), zero), R.get((j, i, k), zero))],
         "polarized operator identity at a basis triple",
         lambda i, j: _sides(T, E[i], E[i], E[j]),
         "operator identity (x*x)*y vs x*(x*y) at a basis pair")

@@ -267,13 +267,11 @@ def insert_lowdeg_variant(f: SymCochain, g: SymCochain) -> SymCochain:
         raise ValueError("two-term variant is defined for arity-2 cochains only")
     if f.dim != g.dim:
         raise ValueError("ambient dimension mismatch")
-    d = f.dim
-    half = Fraction(1, 2)
-    basis = [tuple(int(t == i) for t in range(d)) for i in range(d)]
-    coeffs = {}
-    for mset in multisets(d, 3):
-        x, y, z = mset
-        term1 = f.evaluate((g.value_at((x, y)), basis[z]))
-        term2 = f.evaluate((g.value_at((x, z)), basis[y]))
-        coeffs[mset] = tuple(half * (a + b) for a, b in zip(term1, term2))
-    return SymCochain(3, d, coeffs)
+    d, num = f.dim, {}
+    for x, y, z in multisets(d, 3):  # g(e_x, e_p) = w / g.den, f(e_i, e_r) over f.den
+        out = num[x, y, z] = [0] * d
+        for p, r in ((y, z), (z, y)):
+            for i, w in enumerate(g.num.get((x, p), ())):
+                for k, t in enumerate(f.num.get((min(i, r), max(i, r)), ()) if w else ()):
+                    out[k] += w * t
+    return SymCochain._from_ints(3, d, num, 2 * f.den * g.den)

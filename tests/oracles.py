@@ -334,6 +334,21 @@ def reference_sym_closure(A, pools, insert):
     return [record(mode, "holds", None, detail) for mode in (SUM, InsertionMode.PAPER)]
 
 
+def reference_lowdeg_variant(f, g):
+    """The printed two-term arity-2 composition
+    (f o g)(x,y,z) = 1/2 (f(g(x,y),z) + f(g(x,z),y)), by SymCochain.evaluate
+    on Fractions at each sorted basis tuple."""
+    from symlie import SymCochain, multisets
+    d = f.dim
+    basis = [tuple(int(t == i) for t in range(d)) for i in range(d)]
+    coeffs = {}
+    for x, y, z in multisets(d, 3):
+        term1 = f.evaluate((g.value_at((x, y)), basis[z]))
+        term2 = f.evaluate((g.value_at((x, z)), basis[y]))
+        coeffs[x, y, z] = tuple(Fraction(1, 2) * (a + b) for a, b in zip(term1, term2))
+    return SymCochain(3, d, coeffs)
+
+
 def reference_check_cubic_jordan(A):
     """The cubic-identity report from the full polarization over all d^4
     basis tuples, with the same basis-pair witness preference."""

@@ -5,6 +5,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -12,12 +13,12 @@ from symlie import (Algebra, algebra_from_entries, algebra_from_json_dict, algeb
                     check_cubic_jordan, check_operator_identity, check_six_term, find_unit,
                     make_field, make_j2, make_non_jordan, make_spin, multiplication_operator,
                     product, product_cochain)
-from symlie.algebra import associator
+from symlie.algebra import _assoc_table, _table, associator
 from symlie.cli import run
 from symlie.exactla import Matrix, vec_to_strs
 
 from oracles import (cubic_jordan_sides, derivation_dimension, naive_product, random_commutative,
-                     random_vector, reference_check_cubic_jordan,
+                     random_rational_commutative, random_vector, reference_check_cubic_jordan,
                      reference_check_operator_identity, six_term_sum)
 
 E2 = (Fraction(1), Fraction(0))
@@ -163,6 +164,36 @@ def test_six_term_always_zero_for_commutative():
         assert check_six_term(A).holds
         x, y, z = (random_vector(rng, A.dim) for _ in range(3))
         assert all(c == 0 for c in six_term_sum(A, x, y, z))
+
+
+def _naive_associator(A, x, y, z):
+    return tuple(p - q for p, q in zip(naive_product(A, naive_product(A, x, y), z),
+                                       naive_product(A, x, naive_product(A, y, z))))
+
+
+@pytest.mark.parametrize("make, den", [
+    (lambda: make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)]), 4),
+    (lambda: random_rational_commutative(random.Random(7), 3), 12),
+    (make_non_jordan, 1),
+    (lambda: Algebra(3, "abc", [[(0, 0, 0)] * 3] * 3), 1),
+    (make_field, 1),
+    (lambda: Algebra(1, "a", [[(Fraction(2, 3),)]]), 3),
+], ids=["spin", "dense-rational", "non-jordan", "zero-product", "field", "rational-d1"])
+def test_associator_table_matches_naive_products(make, den):
+    A = make()
+    d, R, D = A.dim, _assoc_table(A), _table(A)[1]
+    assert D == den
+    basis = [A.basis_vector(i) for i in range(d)]
+    for i, j, k in iproduct(range(d), repeat=3):
+        expect = _naive_associator(A, basis[i], basis[j], basis[k])
+        assert tuple(Fraction(t, D ** 2) for t in R.get((i, j, k), (0,) * d)) == expect
+    assert all(len(r) == d and any(r) for r in R.values())  # no zero vector is stored
+    rng = random.Random(97)
+    for _ in range(8):
+        x, y, z = (random_vector(rng, d, span=5) for _ in range(3))
+        assert associator(A, x, y, z) == _naive_associator(A, x, y, z)
+    with pytest.raises(ValueError):
+        associator(A, x, y, z + (1,))
 
 
 def test_operator_identity_verdicts():

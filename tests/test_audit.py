@@ -14,6 +14,7 @@ from symlie import (Algebra, InsertionMode, algebra_from_entries, audit, audit_a
                     graded_bracket, insert, insert_lowdeg_variant, make_j2, make_non_jordan,
                     make_spin, multiplication_operator, product_cochain, render_text,
                     SymCochain)
+from symlie import algebra as algebra_module
 from symlie.audit import CLAIM_CATALOG, LOCATION, _TRIPLES, _claim_sym_closure, _mu_pools
 from symlie.exactla import vec_to_strs
 
@@ -466,3 +467,26 @@ def test_s5_coeffs_records_pinned(a, b, mismatches):
         "id": "S5-COEFFS", "location": "Section 5", "mode": None, "verdict": "fails",
         "witness": {"a": str(Fraction(a)), "b": str(Fraction(b)), "mismatches": mismatches},
         "detail": _S5_DETAIL}
+
+
+def test_cold_audit_builds_the_associator_table_once(monkeypatch):
+    # every identity stage reads the one table kept on the algebra; the
+    # dense product loop is left to the operator matrices and the pair witnesses
+    builds, muls = [], [0]
+    real_table, real_mul = algebra_module._assoc_table, algebra_module._mul
+
+    def table(A):
+        if "assoc" not in A._ops:
+            builds.append(A)
+        return real_table(A)
+
+    def mul(*args):
+        muls[0] += 1
+        return real_mul(*args)
+
+    monkeypatch.setattr(algebra_module, "_assoc_table", table)
+    monkeypatch.setattr(algebra_module, "_mul", mul)
+    A = make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)])
+    audit(A)
+    assert builds == [A] and A._ops["assoc"] is real_table(A)
+    assert muls[0] < 100

@@ -14,7 +14,7 @@ from symlie.bracket import _Memo, koszul_sign, parse_mode, unshuffle_permutation
 
 from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
                      reference_bracket, reference_insert, reference_jacobi_report,
-                     reference_prelie_report, right_nested_eval)
+                     reference_lowdeg_variant, reference_prelie_report, right_nested_eval)
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -436,3 +436,17 @@ def test_lowdeg_variant_direct_substitution():
         expect = tuple(Fraction(1, 2) * (p + q) for p, q in zip(
             f.evaluate((g.evaluate((x, y)), z)), f.evaluate((g.evaluate((x, z)), y))))
         assert out.value_at(mset) == expect
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lowdeg_variant_matches_the_evaluate_reference(d):
+    # f != g over different denominators, with sparse, one-entry and zero operands
+    rng = random.Random(300 + d)
+    cochains = [random_cochain(rng, 2, d, span=4, sparsity=s).scale(Fraction(1, q))
+                for q, s in ((3, 0.0), (5, 0.5), (7, 0.8))]
+    cochains += [SymCochain.from_entries(2, d, [((0, d - 1), d - 1, Fraction(-5, 3))]),
+                 SymCochain.zero(2, d)]
+    assert len({c.den for c in cochains[:2]}) == 2
+    for f in cochains:
+        for g in cochains:
+            assert insert_lowdeg_variant(f, g) == reference_lowdeg_variant(f, g)

@@ -211,12 +211,14 @@ def test_operator_matrices_in_any_mode_order(order, per_column_matrices):
 
 
 def test_audit_keeps_no_operator_pieces():
-    # only the table, d_n (n = 0..3) and d_{n+1} d_n (n = 0..2) per mode
-    # stay on the algebra: the pieces both modes are combined from do not
+    # only the product and associator tables, d_n (n = 0..3) and d_{n+1} d_n
+    # (n = 0..2) per mode stay on the algebra: the pieces both modes are
+    # combined from do not
     A = make_spin([1, Fraction(-1, 2)])
     audit(A)
-    assert set(A._ops) == {"table"} | {(key, n, mode) for mode in (SUM, PAPER)
-                                       for key, top in (("d", 4), ("dd", 3)) for n in range(top)}
+    assert set(A._ops) == {"table", "assoc"} | {(key, n, mode) for mode in (SUM, PAPER)
+                                                for key, top in (("d", 4), ("dd", 3))
+                                                for n in range(top)}
 
 
 def test_d_squared_matches_half_ad_at_degree_one():
