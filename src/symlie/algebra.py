@@ -2,6 +2,8 @@
 2-cochain mu, multiplication operators, and the three polarized identity
 checkers (cubic Jordan, cyclic six-term, linearized operator identity), all
 reading one sparse integer associator table built from mu's nonzero pairs.
+Products read mu's sparse rows mu.num[min(i, j), max(i, j)] directly, on
+vectors held as {index: nonzero}.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ class Algebra:
     so construction follows the nonzero structure constants; sc[i][j], the
     value vector of e_i * e_j, is a read-only view.  Commutativity is enforced
     at construction time.  Instances are immutable in value and hashable; `_ops`
-    is a memo, filled on first use, of the integer product table, the sparse
-    associator table, the `sc` view and the operator matrices of `complexes`.
+    is a memo, filled on first use, of the sparse associator table, the `sc`
+    view and the operator matrices of `complexes`.
     """
 
     __slots__ = ("dim", "labels", "_mu", "_ops")
@@ -66,7 +68,7 @@ class Algebra:
                 and self.labels == other.labels and self._mu == other._mu)
 
     def __hash__(self):
-        return hash((self.dim, self.labels, self._mu.den, frozenset(self._mu.num.items())))
+        return hash((self.dim, self.labels, tuple(self._mu.items())))
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
@@ -105,88 +107,83 @@ def algebra_from_entries(dim: int, labels, entries) -> Algebra:
     return Algebra.__new__(Algebra)._build(dim, labels, ((ij, tuple(v)) for ij, v in vecs.items()))
 
 
-def _table(A: Algebra):
-    """(T, D, E): ints T[i][j] == D * (e_i * e_j), unit vectors E.  Kept on A."""
-    if "table" not in A._ops:
-        mu = product_cochain(A)
-        E = [tuple(int(t == i) for t in range(A.dim)) for i in range(A.dim)]
-        A._ops["table"] = ([[mu.num.get((min(i, j), max(i, j)), (0,) * A.dim)
-                             for j in range(A.dim)] for i in range(A.dim)], mu.den, E)
-    return A._ops["table"]
+def _mul(mu, x, y) -> dict:
+    """sum x_i y_j mu[i, j] on mu.num, x and y as {index: value}: the product, over one
+    more factor of mu's denominator, with no zero entry."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            for k, t in mu.get((min(i, j), max(i, j)), {}).items():
+                out[k] = out.get(k, 0) + a * b * t
+    return {k: v for k, v in out.items() if v}
 
 
-def _mul(T, x, y) -> list:
-    """sum x_i y_j T[i][j]: the product of x and y, over one more factor D."""
-    out = [0] * len(x)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                if b:
-                    for k, t in enumerate(T[i][j]):
-                        if t:
-                            out[k] += a * b * t
-    return out
-
-
-def _sides(T, x, y, z):
-    """((x*y)*z, x*(y*z)) on the table, over two more factors D."""
-    return _mul(T, _mul(T, x, y), z), _mul(T, x, _mul(T, y, z))
+def _sides(mu, x, y, z):
+    """((x*y)*z, x*(y*z)) on mu.num, over two more factors of its denominator."""
+    return _mul(mu, _mul(mu, x, y), z), _mul(mu, x, _mul(mu, y, z))
 
 
 def _assoc_table(A: Algebra) -> dict:
-    """{(i, j, k): D^2 A(e_i, e_j, e_k) as d ints} at the nonzero triples, D the
-    product table's denominator.  Built from the nonzero pairs of mu: w = D^2
-    (e_i*e_j)*e_k is added at (i, j, k) and, as e_k*(e_i*e_j), subtracted at
-    (k, i, j), so its cost follows mu's nonzeros.  Kept on A."""
+    """{(i, j, k): D^2 A(e_i, e_j, e_k) as {n: nonzero int}} at the nonzero triples, D
+    mu's denominator.  Built from the nonzero pairs of mu: w = D^2 (e_i*e_j)*e_k is
+    added at (i, j, k) and, as e_k*(e_i*e_j), subtracted at (k, i, j), so its cost
+    follows mu's nonzeros.  Kept on A."""
     if "assoc" not in A._ops:
-        (T, _, _), d, acc = _table(A), A.dim, {}
-        rows, zero = [[(k, t) for k, t in enumerate(T[m]) if any(t)] for m in range(d)], (0,) * d
-        for (a, b), v in A._mu.num.items():
+        mu, d, acc = A._mu.num, A.dim, {}
+        rows = [[(k, mu[ij]) for k in range(d) if (ij := (min(m, k), max(m, k))) in mu]
+                for m in range(d)]  # rows[m]: the (k, D e_m*e_k) with e_m*e_k nonzero
+        for (a, b), v in mu.items():
             ws = {}  # k: D^2 (e_a*e_b)*e_k
-            for m, c in enumerate(v):
-                for k, t in rows[m] if c else ():
-                    ws[k] = [w + c * x for w, x in zip(ws.get(k, zero), t)]
+            for m, c in v.items():
+                for k, t in rows[m]:
+                    w = ws.setdefault(k, {})
+                    for n, x in t.items():
+                        w[n] = w.get(n, 0) + c * x
             for (i, j), (k, w) in iproduct({(a, b), (b, a)}, ws.items()):
-                acc[i, j, k] = [r + x for r, x in zip(acc.get((i, j, k), zero), w)]
-                acc[k, i, j] = [r - x for r, x in zip(acc.get((k, i, j), zero), w)]
-        A._ops["assoc"] = {key: tuple(row) for key, row in acc.items() if any(row)}
+                for key, s in (((i, j, k), 1), ((k, i, j), -1)):
+                    r = acc.setdefault(key, {})
+                    for n, x in w.items():
+                        r[n] = r.get(n, 0) + s * x
+        A._ops["assoc"] = {key: r for key, row in acc.items()
+                           if (r := {n: x for n, x in row.items() if x})}
     return A._ops["assoc"]
 
 
 def _on_fractions(A: Algebra, op, *vecs) -> tuple[Fraction, ...]:
-    """op(*vecs), ints over D ** (len(vecs) - 1), at general vectors, as Fractions."""
+    """op(*vecs), a {k: value} over D ** (len(vecs) - 1), at general vectors, as Fractions."""
     vecs = [[Fraction(t) for t in v] for v in vecs]
     if any(len(v) != A.dim for v in vecs):
         raise ValueError("vector length does not match algebra dimension")
-    D = _table(A)[1]
-    return tuple(Fraction(t) / D ** (len(vecs) - 1) for t in op(*vecs))
+    out, D = op(*({i: t for i, t in enumerate(v) if t} for v in vecs)), A._mu.den
+    return tuple(Fraction(out.get(k, 0)) / D ** (len(vecs) - 1) for k in range(A.dim))
 
 
 def product(A: Algebra, x, y) -> tuple[Fraction, ...]:
     """Bilinear extension of the structure constants."""
-    return _on_fractions(A, lambda x, y: _mul(_table(A)[0], x, y), x, y)
+    return _on_fractions(A, lambda x, y: _mul(A._mu.num, x, y), x, y)
 
 
 def multiplication_operator(A: Algebra, v) -> Matrix:
-    """Matrix of x -> x * v in the chosen basis: column j is e_j * v on the table."""
+    """Matrix of x -> x * v in the chosen basis: column j is e_j * v on mu."""
     v = [Fraction(t) for t in v]
     if len(v) != A.dim:
         raise ValueError("vector length does not match algebra dimension")
-    T, D, E = _table(A)
     s = lcm(*(t.denominator for t in v))
-    cols = [_mul(T, E[j], [t.numerator * (s // t.denominator) for t in v]) for j in range(A.dim)]
-    return Matrix._from_ints(A.dim, A.dim, [{j: c[k] for j, c in enumerate(cols)}
-                                            for k in range(A.dim)], D * s)
+    v = {i: t.numerator * (s // t.denominator) for i, t in enumerate(v) if t}
+    cols = [_mul(A._mu.num, {j: 1}, v) for j in range(A.dim)]
+    return Matrix._from_ints(A.dim, A.dim, [{j: c[k] for j, c in enumerate(cols) if k in c}
+                                            for k in range(A.dim)], A._mu.den * s)
 
 
 def find_unit(A: Algebra):
-    """Unique two-sided unit, or None.  Solves e * e_j = e_j for all j on the
-    table: row (j, k) holds coordinate k of e_i * e_j at column i."""
-    T, D, E = _table(A)
-    d = A.dim
-    return solve(Matrix._from_ints(d * d, d, [{i: T[i][j][k] for i in range(d)}
-                                               for j in range(d) for k in range(d)], D),
-                 [Fraction(x) for e in E for x in e])
+    """Unique two-sided unit, or None.  Solves e * e_j = e_j for all j on mu:
+    row (j, k) holds coordinate k of e_i * e_j at column i."""
+    d, rows = A.dim, [{} for _ in range(A.dim ** 2)]
+    for (i, j), v in A._mu.num.items():
+        for k, t in v.items():
+            rows[j * d + k][i] = rows[i * d + k][j] = t
+    return solve(Matrix._from_ints(d * d, d, rows, A._mu.den),
+                 [Fraction(int(j == k)) for j in range(d) for k in range(d)])
 
 
 def product_cochain(A: Algebra) -> SymCochain:
@@ -232,19 +229,19 @@ class IdentityReport:
 
 def _report(A: Algebra, den: int, tuples, value, note: str,
             pair=None, pair_note: str = "") -> IdentityReport:
-    """The identity fails where value(*idx), ints over den, is nonzero at a
+    """The identity fails where value(*idx), {n: int} over den, is nonzero at a
     basis tuple of `tuples`.  The witness is then the first basis pair (i, j)
     whose sides pair(i, j) differ, else the first failing tuple."""
-    failing = next(((idx, v) for idx in tuples if any(v := value(*idx))), None)
+    failing = next(((idx, v) for idx in tuples if any((v := value(*idx)).values())), None)
     if failing is None:
         return IdentityReport(True)
-    (idx, left), right = failing, (0,) * A.dim
+    (idx, left), right = failing, {}
     for ij in iproduct(range(A.dim), repeat=2) if pair else ():
         sides = pair(*ij)
         if sides[0] != sides[1]:
             idx, (left, right), note = ij, sides, pair_note
             break
-    left, right = (tuple(Fraction(t, den) for t in v) for v in (left, right))
+    left, right = (tuple(Fraction(v.get(t, 0), den) for t in range(A.dim)) for v in (left, right))
     return IdentityReport(False, Witness(tuple(A.basis_vector(i) for i in idx), left, right, note))
 
 
@@ -253,58 +250,60 @@ def check_cubic_jordan(A: Algebra) -> IdentityReport:
     (e_i, e_j, e_k; e_l), twice the sum of A(e_a, e_l, e_b*e_c) over the three
     picks of a from (i, j, k).  That is symmetric in (i, j, k), so only sorted
     triples are walked; the first failing 4-tuple in order is among them."""
-    (T, D, E), R = _table(A), _assoc_table(A)
-    nz = [[[(m, t) for m, t in enumerate(v) if t] for v in row] for row in T]
+    mu, R = A._mu.num, _assoc_table(A)
 
-    def polarized(i, j, k, l):  # A(e_a, e_l, e_b*e_c) = sum_m (e_b*e_c)_m R[a, l, m]
-        out = [0] * A.dim
+    def polarized(i, j, k, l):  # A(e_a, e_l, e_b*e_c) = sum_m (e_b*e_c)_m R[a, l, m], b <= c
+        out = {}
         for a, b, c in ((i, j, k), (j, i, k), (k, i, j)):
-            for m, t in nz[b][c]:
-                for n, x in enumerate(R.get((a, l, m), ())):
-                    out[n] += 2 * t * x
+            for m, t in mu.get((b, c), {}).items():
+                for n, x in R.get((a, l, m), {}).items():
+                    out[n] = out.get(n, 0) + 2 * t * x
         return out
 
     return _report(
-        A, D ** 3, (ijk + (l,) for ijk in combinations_with_replacement(range(A.dim), 3)
-                    for l in range(A.dim)), polarized,
+        A, A._mu.den ** 3, (ijk + (l,) for ijk in combinations_with_replacement(range(A.dim), 3)
+                            for l in range(A.dim)), polarized,
         "trilinear polarization of the cubic identity at a basis 4-tuple",
-        lambda i, j: _sides(T, E[i], E[j], T[i][i]),
+        lambda i, j: _sides(mu, {i: 1}, {j: 1}, mu.get((i, i), {})),
         "cubic identity at a basis pair (x, y)")
 
 
 def associator(A: Algebra, x, y, z):
     """A(x,y,z) = (x*y)*z - x*(y*z)."""
     def on_table(x, y, z):  # sum x_i y_j z_k R[i, j, k]
-        out = [0] * A.dim
+        out = {}
         for (i, j, k), r in _assoc_table(A).items():
-            for n, t in enumerate(r if (c := x[i] * y[j] * z[k]) else ()):
-                out[n] += c * t
+            if i in x and j in y and k in z:
+                c = x[i] * y[j] * z[k]
+                for n, t in r.items():
+                    out[n] = out.get(n, 0) + c * t
         return out
     return _on_fractions(A, on_table, x, y, z)
 
 
-def _six_term_at(A: Algebra, i: int, j: int, k: int) -> list:
-    """R[i,j,k] + R[j,k,i] + R[k,i,j] on the table R: the cyclic associator sum, over D^2."""
-    R, zero = _assoc_table(A), (0,) * A.dim
-    return [p + q + r for p, q, r in zip(R.get((i, j, k), zero), R.get((j, k, i), zero),
-                                         R.get((k, i, j), zero))]
+def _assoc_sum(A: Algebra, *keys) -> dict:
+    """The sum of the rows R[key] of the associator table, {n: int} over D^2; at the
+    keys (i, j, k), (j, k, i), (k, i, j) it is the cyclic associator sum."""
+    out, R = {}, _assoc_table(A)
+    for key in keys:
+        for n, x in R.get(key, {}).items():
+            out[n] = out.get(n, 0) + x
+    return out
 
 
 def check_six_term(A: Algebra) -> IdentityReport:
-    return _report(A, _table(A)[1] ** 2, iproduct(range(A.dim), repeat=3),
-                   lambda i, j, k: _six_term_at(A, i, j, k),
+    return _report(A, A._mu.den ** 2, iproduct(range(A.dim), repeat=3),
+                   lambda i, j, k: _assoc_sum(A, (i, j, k), (j, k, i), (k, i, j)),
                    "cyclic associator sum at a basis triple")
 
 
 def check_operator_identity(A: Algebra) -> IdentityReport:
     """L_{x*x} == L_x L_x, decided via A(e_i, e_j, e_k) + A(e_j, e_i, e_k) == 0."""
-    T, D, E = _table(A)
-    R, zero = _assoc_table(A), (0,) * A.dim
     return _report(
-        A, D ** 2, iproduct(range(A.dim), repeat=3),
-        lambda i, j, k: [p + q for p, q in zip(R.get((i, j, k), zero), R.get((j, i, k), zero))],
+        A, A._mu.den ** 2, iproduct(range(A.dim), repeat=3),
+        lambda i, j, k: _assoc_sum(A, (i, j, k), (j, i, k)),
         "polarized operator identity at a basis triple",
-        lambda i, j: _sides(T, E[i], E[i], E[j]),
+        lambda i, j: _sides(A._mu.num, {i: 1}, {i: 1}, {j: 1}),
         "operator identity (x*x)*y vs x*(x*y) at a basis pair")
 
 
@@ -318,7 +317,7 @@ def algebra_to_json_dict(A: Algebra) -> dict:
     pairs = sorted({p for i, j in mu.num for p in ((i, j), (j, i))})
     return {"dim": A.dim, "labels": list(A.labels),
             "sc": [{"i": i, "j": j, "k": k, "c": rat_to_str(Fraction(c, mu.den))}
-                   for i, j in pairs for k, c in enumerate(mu.num[min(i, j), max(i, j)]) if c]}
+                   for i, j in pairs for k, c in sorted(mu.num[min(i, j), max(i, j)].items())]}
 
 
 def algebra_from_json_dict(d: dict) -> Algebra:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
-from .algebra import (Algebra, IdentityReport, _six_term_at, _table, check_cubic_jordan,
+from .algebra import (Algebra, IdentityReport, _assoc_sum, check_cubic_jordan,
                       check_operator_identity, check_six_term, find_unit,
                       multiplication_operator, product_cochain, render_linear)
 from .bracket import (InsertionMode, _Memo, _prefactor, check_jacobi, check_prelie,
@@ -115,18 +115,20 @@ def _formula_values(f: SymCochain, g: SymCochain) -> dict:
     """f o g by the insertion formula, over f.den g.den, at the ordered basis tuples where
     it can be nonzero: f[F] g[G]_k, k in F, lands at every tuple that holds an arrangement
     of F - {k} at `first` and one of G at `second`, per (m-1, n)-unshuffle (first, second)."""
-    parts, out, zero = {}, {}, (0,) * f.dim  # parts: (F - {k}, G) -> sum of f[F] g[G]_k
+    parts, out = {}, {}  # parts: (F - {k}, G) -> sum of f[F] g[G]_k, as {t: int}
     for (F, v), (G, w) in iproduct(f.num.items(), g.num.items()):
-        for k in {k for k in F if w[k]}:
-            key = F[:F.index(k)] + F[F.index(k) + 1:], G
-            parts[key] = [a + w[k] * x for a, x in zip(parts.get(key, zero), v)]
+        for k in set(F) & w.keys():
+            acc = parts.setdefault((F[:F.index(k)] + F[F.index(k) + 1:], G), {})
+            for t, x in v.items():
+                acc[t] = acc.get(t, 0) + w[k] * x
     # the tuple with arrangements r at `first` and h at `second` is (r + h)[place]
     places = [sorted(range(f.n + g.n - 1), key=(first + second).__getitem__)
               for first, second in unshuffles(f.n - 1, g.n)]
     for (rest, G), v in parts.items():
         for r, h, place in iproduct(set(permutations(rest)), set(permutations(G)), places):
-            idx = tuple([(r + h)[i] for i in place])
-            out[idx] = [a + x for a, x in zip(out[idx], v)] if idx in out else v
+            acc = out.setdefault(tuple([(r + h)[i] for i in place]), {})
+            for t, x in v.items():
+                acc[t] = acc.get(t, 0) + x
     return out
 
 
@@ -135,13 +137,13 @@ def _claim_sym_closure(A: Algebra, pools) -> list[ClaimRecord]:
     be nonzero: the same verdict and count, and each mode's witness from its own pool."""
     pairs = (("mu,mu", "mu", "mu"), ("mu,L0", "mu", "L0"), ("L0,mu", "L0", "mu"),
              ("mu,v0", "mu", "v0"), ("P,mu", "P", "mu"))
-    checked, zero = 0, [0] * A.dim
-    for label, a, b in pairs:
+    checked = 0
+    for label, a, b in pairs:  # each side's nonzeros, over f.den g.den built.den
         f, g = pools[SUM][a], pools[SUM][b]
-        built, raw = insert(f, g, SUM), _formula_values(f, g)
+        built, raw, fg = insert(f, g, SUM), _formula_values(f, g), f.den * g.den
         failing = [idx for idx in raw.keys() | {i for M in built.num for i in permutations(M)}
-                   if [x * built.den for x in raw.get(idx, zero)]
-                   != [y * f.den * g.den for y in built.num.get(tuple(sorted(idx)), zero)]]
+                   if {t: x * built.den for t, x in raw.get(idx, {}).items() if x}
+                   != {t: y * fg for t, y in built.num.get(tuple(sorted(idx)), {}).items()}]
         if failing:
             return [_sym_closure_failure(mode, pools[mode][a], pools[mode][b], label, min(failing))
                     for mode in BOTH_MODES]
@@ -154,10 +156,11 @@ def _claim_sym_closure(A: Algebra, pools) -> list[ClaimRecord]:
 
 def _sym_closure_failure(mode: InsertionMode, f, g, label, idx) -> ClaimRecord:
     """The record of a mode whose insertion f o g differs from the formula at idx."""
-    raw = _formula_values(f, g).get(idx, (0,) * f.dim)
+    raw = _formula_values(f, g).get(idx, {})
     p = _prefactor(mode, f.n, g.n) / (f.den * g.den)
     return ClaimRecord("SYM-CLOSURE", LOCATION["SYM-CLOSURE"], mode.value, "fails", witness={
-        "pair": label, "tuple": list(idx), "raw": vec_to_strs(p * x for x in raw),
+        "pair": label, "tuple": list(idx),
+        "raw": vec_to_strs(p * raw.get(t, 0) for t in range(f.dim)),
         "stored": vec_to_strs(insert(f, g, mode).value_at(tuple(sorted(idx))))},
         detail="insertion value depends on the argument order")
 
@@ -188,10 +191,11 @@ def _claim_triple_family(mode: InsertionMode, claim_id: str, checker, pool, memo
 def _claim_lowdeg_variant(A: Algebra, paper_pool) -> ClaimRecord:
     mu, averaged = paper_pool["mu"], paper_pool["P"]
     two_term = insert_lowdeg_variant(mu, mu)
-    mismatches, zero = [], (0,) * A.dim
-    for mset in multisets(A.dim, 3):  # the rows compared over their denominators
-        va, vb = two_term.num.get(mset, zero), averaged.num.get(mset, zero)
-        for k, (a, b) in enumerate(zip(va, vb)):
+    mismatches = []
+    for mset in sorted(two_term.num.keys() | averaged.num.keys()):  # rows over their dens
+        va, vb = two_term.num.get(mset, {}), averaged.num.get(mset, {})
+        for k in sorted(va.keys() | vb.keys()):
+            a, b = va.get(k, 0), vb.get(k, 0)
             if a * averaged.den != b * two_term.den:
                 mismatches.append({"multiset": list(mset), "k": k,
                                    "two_term": rat_to_str(Fraction(a, two_term.den)),
@@ -423,7 +427,8 @@ def audit(A: Algebra, name: str = "<unnamed>") -> AuditReport:
                for mode in BOTH_MODES]
     claims.append(_claim_lowdeg_variant(A, pools[PAPER]))
     half_cyc = SymCochain._from_ints(3, A.dim, {  # half the cyclic associator sum
-        mset: _six_term_at(A, *mset) for mset in multisets(A.dim, 3)}, 2 * _table(A)[1] ** 2)
+        (i, j, k): _assoc_sum(A, (i, j, k), (j, k, i), (k, i, j))
+        for i, j, k in multisets(A.dim, 3)}, 2 * A._mu.den ** 2)
     claims += [_claim_mumu(mode, pools[mode], half_cyc) for mode in BOTH_MODES]
     claims += [_claim_mc_iff_jordan(mode, pools[mode], cubic) for mode in BOTH_MODES]
     claims += [_claim_ad_squared(mode, d_squared[mode]) for mode in BOTH_MODES]

@@ -79,37 +79,35 @@ def _unshuffle_count(rest: tuple[int, ...], G: tuple[int, ...]) -> int:
     return c
 
 
-def _terms(f: SymCochain):
-    """(terms (multiset, None, nonzero (t, int)), D): f's nonzeros over its denominator D."""
-    return [(F, None, [(t, x) for t, x in enumerate(v) if x]) for F, v in f.num.items()], f.den
+def _scatter(pieces):
+    """The sum of p (outer o inner) over the pieces (p, outer, inner, columns), unnormalized.
 
-
-def _scatter(pieces, d: int):
-    """The sum of p (outer o inner) over the pieces (p, outer, inner), unnormalized.
-
-    Terms are (multiset, tag, nonzero (index, int)).  inner[G]_k outer[F] with k
-    in F lands at N = (F - {k}) + G once per (m-1, n)-unshuffle placing G in N,
-    i.e. prod_a C(mult_N(a), mult_G(a)) times, so the cost follows the nonzeros.
-    Returns {(N, outer tag, inner tag): d ints} and the denominator q of the p."""
-    q = lcm(*(p.denominator for p, _, _ in pieces))
+    Terms are (multiset, {index: nonzero int}), as in `SymCochain.num`.  inner[G]_k
+    outer[F] with k in F lands at N = (F - {k}) + G once per (m-1, n)-unshuffle placing
+    G in N, i.e. prod_a C(mult_N(a), mult_G(a)) times, so the cost follows the nonzeros.
+    Returns {(N, tag): {index: int}} and the denominator q of the p.  The tag is None,
+    or with `columns` {G: j d} the column j d + k of the basis cochain e_{G,k} whose
+    slot k was filled: the matrix of e -> outer o e, inner terms 1 at every slot."""
+    q = lcm(*(p.denominator for p, _, _, _ in pieces))
     out = {}
-    for p, outer, inner in pieces:
+    for p, outer, inner, columns in pieces:
         if not p:
             continue
-        by_slot = {}  # k -> [(G, tag, q p inner[G]_k)]
-        for G, tag, nonzero in inner:
-            for k, w in nonzero:
-                by_slot.setdefault(k, []).append((G, tag, p.numerator * (q // p.denominator) * w))
-        for F, ftag, nonzero in outer:
+        s, by_slot = p.numerator * (q // p.denominator), {}  # k -> [(G, tag, s inner[G]_k)]
+        for G, vec in inner:
+            for k, w in vec.items():
+                tag = None if columns is None else columns[G] + k
+                by_slot.setdefault(k, []).append((G, tag, s * w))
+        for F, vec in outer:
             for pos, k in enumerate(F):
                 if pos and F[pos - 1] == k:  # one slot per distinct k
                     continue
                 rest = F[:pos] + F[pos + 1:]
-                for G, gtag, w in by_slot.get(k, ()):
+                for G, tag, w in by_slot.get(k, ()):
                     c = _unshuffle_count(rest, G) * w
-                    acc = out.setdefault((tuple(sorted(rest + G)), ftag, gtag), [0] * d)
-                    for t, x in nonzero:
-                        acc[t] += c * x
+                    acc = out.setdefault((tuple(sorted(rest + G)), tag), {})
+                    for t, x in vec.items():
+                        acc[t] = acc.get(t, 0) + c * x
     return out, q
 
 
@@ -118,10 +116,10 @@ def _compose(f: SymCochain, g: SymCochain, mode: InsertionMode, sign: int) -> Sy
     p_fg, p_gf = _prefactor(mode, f.n, g.n), sign * _prefactor(mode, g.n, f.n)
     if f.dim != g.dim:
         raise ValueError("ambient dimension mismatch")
-    (f_terms, df), (g_terms, dg) = _terms(f), _terms(g)
-    out, q = _scatter([(p_fg, f_terms, g_terms), (p_gf, g_terms, f_terms)], f.dim)
+    out, q = _scatter([(p_fg, f.num.items(), g.num.items(), None),
+                       (p_gf, g.num.items(), f.num.items(), None)])
     return SymCochain._from_ints(max(f.n + g.n - 1, 0), f.dim,
-                                 {N: acc for (N, _, _), acc in out.items()}, q * df * dg)
+                                 {N: acc for (N, _), acc in out.items()}, q * f.den * g.den)
 
 
 def insert(f: SymCochain, g: SymCochain, mode: InsertionMode = InsertionMode.SUM) -> SymCochain:
@@ -144,10 +142,9 @@ def first_coefficient_difference(a: SymCochain, b: SymCochain):
     """First (multiset, k) where two same-shape cochains differ, or None."""
     if a.n != b.n or a.dim != b.dim:
         raise ValueError("cochain shape mismatch")
-    zero = (0,) * a.dim
     for mset in sorted(a.num.keys() | b.num.keys()):  # the order of `multisets`
-        va, vb = a.num.get(mset, zero), b.num.get(mset, zero)
-        if any(x * b.den != y * a.den for x, y in zip(va, vb)):
+        va, vb = a.num.get(mset, {}), b.num.get(mset, {})
+        if va.keys() != vb.keys() or any(x * b.den != vb[k] * a.den for k, x in va.items()):
             return mset, a.value_at(mset), b.value_at(mset)
     return None
 
@@ -186,10 +183,10 @@ class _Memo:
             return self.held[id(f)][1]
         out = []
         if f.num:
-            g = gcd(*(x for vec in f.num.values() for x in vec))
-            g = g if next(x for x in f.num[min(f.num)] if x) > 0 else -g
-            num = {key: tuple(x // g for x in vec) for key, vec in f.num.items()}
-            key = (f.n, f.dim, tuple(sorted(num.items())))
+            g, first = gcd(*(x for vec in f.num.values() for x in vec.values())), f.num[min(f.num)]
+            g = g if first[min(first)] > 0 else -g
+            num = {key: {k: x // g for k, x in vec.items()} for key, vec in f.num.items()}
+            key = (f.n, f.dim, frozenset((M, frozenset(v.items())) for M, v in num.items()))
             if key not in self.forms:
                 self.forms[key] = SymCochain._from_ints(f.n, f.dim, num, 1)
             out = [(g, f.den, self.forms[key])]
@@ -267,11 +264,11 @@ def insert_lowdeg_variant(f: SymCochain, g: SymCochain) -> SymCochain:
         raise ValueError("two-term variant is defined for arity-2 cochains only")
     if f.dim != g.dim:
         raise ValueError("ambient dimension mismatch")
-    d, num = f.dim, {}
-    for x, y, z in multisets(d, 3):  # g(e_x, e_p) = w / g.den, f(e_i, e_r) over f.den
-        out = num[x, y, z] = [0] * d
+    num = {}
+    for x, y, z in multisets(f.dim, 3):  # g(e_x, e_p) = w / g.den, f(e_i, e_r) over f.den
+        out = num[x, y, z] = {}
         for p, r in ((y, z), (z, y)):
-            for i, w in enumerate(g.num.get((x, p), ())):
-                for k, t in enumerate(f.num.get((min(i, r), max(i, r)), ()) if w else ()):
-                    out[k] += w * t
-    return SymCochain._from_ints(3, d, num, 2 * f.den * g.den)
+            for i, w in g.num.get((x, p), {}).items():
+                for k, t in f.num.get((min(i, r), max(i, r)), {}).items():
+                    out[k] = out.get(k, 0) + w * t
+    return SymCochain._from_ints(3, f.dim, num, 2 * f.den * g.den)

@@ -7,9 +7,12 @@ coefficient), is num[M] / den.  Symmetry of evaluation is therefore an
 invariant of the representation itself.
 
 The stored form is integer numerators over one positive denominator, in
-lowest terms, with no all-zero vector, so equality is structural.  Every
-constructor ends in one reducer.  The integer kernels read `num` and `den`
-directly; `coeffs`, `value_at`, `items` and JSON present Fractions.
+lowest terms: num maps a sorted multiset to its sparse value vector
+{k: nonzero int}, with no zero entry and no empty vector, so equality is
+structural.  It is the shape of a `Matrix` row.  Every constructor ends in
+one reducer.  The integer kernels read `num` and `den` directly and follow
+the nonzeros; the constructor's input, `coeffs`, `value_at`, `items`,
+`evaluate` and JSON are dense Fraction vectors.
 
 The bracket grading assigns a cochain of arity n the degree n - 1.
 """
@@ -21,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, gcd, lcm
 
-from .exactla import json_int, rat_from_str, rat_to_str, vzero
+from .exactla import json_int, rat_from_str, rat_to_str
 
 
 @lru_cache(maxsize=None)
@@ -41,30 +44,24 @@ class SymCochain:
     __slots__ = ("n", "dim", "num", "den")
 
     def __init__(self, n: int, dim: int, coeffs=None):
-        if n < 0 or dim < 1:
-            raise ValueError("bad cochain shape")
-        clean: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+        vecs = {}
         for key, vec in (coeffs or {}).items():
-            key = tuple(key)
-            if len(key) != n or tuple(sorted(key)) != key or any(not 0 <= i < dim for i in key):
-                raise ValueError(f"bad multiset key {key} for arity {n}, dim {dim}")
-            vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
+            vec = [x if type(x) is Fraction else Fraction(x) for x in vec]
             if len(vec) != dim:
                 raise ValueError("value vector has wrong length")
-            clean[key] = vec
-        den = lcm(*(x.denominator for vec in clean.values() for x in vec))
-        self._reduce(n, dim, {key: [x.numerator * (den // x.denominator) for x in vec]
-                              for key, vec in clean.items()}, den)
+            vecs[tuple(key)] = {k: x for k, x in enumerate(vec) if x}
+        self._reduce(n, dim, *_over_one_den(n, dim, vecs))
 
     def _reduce(self, n: int, dim: int, num, den: int) -> None:
-        """Store num / den (den > 0) in lowest terms, dropping all-zero vectors."""
-        g = gcd(den, *(x for vec in num.values() for x in vec))
+        """Store num / den (den > 0) in lowest terms, dropping zero entries and empty vectors."""
+        g = gcd(den, *(x for vec in num.values() for x in vec.values()))
         self.n, self.dim, self.den = n, dim, den // g
-        self.num = {key: tuple(x // g for x in vec) for key, vec in num.items() if any(vec)}
+        self.num = {key: v for key, vec in num.items()
+                    if (v := {k: x // g for k, x in vec.items() if x})}
 
     @classmethod
     def _from_ints(cls, n: int, dim: int, num, den: int) -> "SymCochain":
-        """num / den from {sorted multiset: d ints} and den > 0; keys are trusted."""
+        """num / den from {sorted multiset: {k: int}} and den > 0; keys are trusted."""
         out = cls.__new__(cls)
         out._reduce(n, dim, num, den)
         return out
@@ -82,25 +79,24 @@ class SymCochain:
     @classmethod
     def from_entries(cls, n: int, dim: int, entries) -> "SymCochain":
         """entries: iterable of (multiset, k, value)."""
-        coeffs: dict[tuple[int, ...], list[Fraction]] = {}
+        vecs: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for mset, k, val in entries:
             if not 0 <= k < dim:
                 raise ValueError(f"output index k={k} out of range for dim {dim}")
-            key = tuple(sorted(mset))
-            vec = coeffs.setdefault(key, [Fraction(0)] * dim)
-            vec[k] += Fraction(val)
-        return cls(n, dim, coeffs)
+            vec = vecs.setdefault(tuple(sorted(mset)), {})
+            vec[k] = vec.get(k, 0) + Fraction(val)
+        return cls._from_ints(n, dim, *_over_one_den(n, dim, vecs))
 
     # -- access ------------------------------------------------------------
     @property
     def coeffs(self) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
         """{multiset: value vector} over the nonzero multisets, as Fractions."""
-        return {key: tuple(Fraction(x, self.den) for x in vec) for key, vec in self.num.items()}
+        return {key: self.value_at(key) for key in self.num}
 
     def value_at(self, mset) -> tuple[Fraction, ...]:
         """Value vector at the basis tuple of the given multiset."""
-        vec = self.num.get(tuple(sorted(mset)))
-        return vzero(self.dim) if vec is None else tuple(Fraction(x, self.den) for x in vec)
+        vec = self.num.get(tuple(sorted(mset)), {})
+        return tuple(Fraction(vec.get(k, 0), self.den) for k in range(self.dim))
 
     def coeff(self, mset, k: int) -> Fraction:
         return self.value_at(mset)[k]
@@ -111,9 +107,8 @@ class SymCochain:
     def items(self):
         """Deterministic iteration: sorted multisets, then output index."""
         for key in sorted(self.num):
-            for k, x in enumerate(self.num[key]):
-                if x:
-                    yield key, k, Fraction(x, self.den)
+            for k, x in sorted(self.num[key].items()):
+                yield key, k, Fraction(x, self.den)
 
     # -- linear structure ----------------------------------------------------
     def _binop(self, other: "SymCochain", sign: int) -> "SymCochain":
@@ -160,14 +155,12 @@ class SymCochain:
             raise ValueError(f"expected {self.n} arguments, got {len(args)}")
         if any(len(a) != self.dim for a in args):
             raise ValueError("argument vector has wrong length")
-        if not self.num:
-            return vzero(self.dim)
         cur, den = self.num, self.den
         for v in args:
             s = lcm(*(x.denominator for x in v))
             den *= s
             v = [x.numerator * (s // x.denominator) for x in v]
-            nxt: dict[tuple[int, ...], list[int]] = {}
+            nxt: dict[tuple[int, ...], dict[int, int]] = {}
             for mset, vec in cur.items():
                 prev = None
                 for pos, i in enumerate(mset):
@@ -178,14 +171,12 @@ class SymCochain:
                     if not c:
                         continue
                     red = mset[:pos] + mset[pos + 1:]
-                    acc = nxt.get(red)
-                    if acc is None:
-                        nxt[red] = [c * x for x in vec]
-                    else:
-                        nxt[red] = [a + c * x for a, x in zip(acc, vec)]
+                    acc = nxt.setdefault(red, {})
+                    for k, x in vec.items():
+                        acc[k] = acc.get(k, 0) + c * x
             cur = nxt
-        out = cur.get(())
-        return vzero(self.dim) if out is None else tuple(Fraction(x, den) for x in out)
+        out = cur.get((), {})
+        return tuple(Fraction(out.get(k, 0), den) for k in range(self.dim))
 
     # -- serialization --------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -235,19 +226,23 @@ def symmetrize(table, n: int, dim: int) -> SymCochain:
     tuples count as zero.  Idempotent on already-symmetric input.
     """
     fact = factorial(n)
-    coeffs = {}
-    for mset in multisets(dim, n):
-        tot = list(vzero(dim))
-        for perm in permutations(mset):
-            vec = table.get(perm)
-            if vec is None:
-                continue
-            for k in range(dim):
-                tot[k] += Fraction(vec[k])
-        vec = tuple(x / fact for x in tot)
-        if any(vec):
-            coeffs[mset] = vec
-    return SymCochain(n, dim, coeffs)
+    return SymCochain.from_entries(n, dim, (
+        (mset, k, Fraction(vec[k]) / fact) for mset in multisets(dim, n)
+        for perm in permutations(mset) if (vec := table.get(perm)) is not None
+        for k in range(dim)))
+
+
+def _over_one_den(n: int, dim: int, vecs) -> tuple[dict, int]:
+    """(num, den): {sorted multiset: {k: Fraction}} as ints over the lcm of its
+    denominators, once the shape and the multiset keys are checked."""
+    if n < 0 or dim < 1:
+        raise ValueError("bad cochain shape")
+    for key in vecs:
+        if len(key) != n or tuple(sorted(key)) != key or any(not 0 <= i < dim for i in key):
+            raise ValueError(f"bad multiset key {key} for arity {n}, dim {dim}")
+    den = lcm(*(x.denominator for vec in vecs.values() for x in vec.values()))
+    return {key: {k: x.numerator * (den // x.denominator) for k, x in vec.items()}
+            for key, vec in vecs.items()}, den
 
 
 def _combine(n: int, dim: int, terms) -> SymCochain:
@@ -258,9 +253,9 @@ def _combine(n: int, dim: int, terms) -> SymCochain:
     for s, f in terms:
         c = s.numerator * (den // (s.denominator * f.den))
         for key, vec in f.num.items():
-            acc = out.get(key)
-            out[key] = [c * x for x in vec] if acc is None else [
-                a + c * x for a, x in zip(acc, vec)]
+            acc = out.setdefault(key, {})
+            for k, x in vec.items():
+                acc[k] = acc.get(k, 0) + c * x
     return SymCochain._from_ints(n, dim, out, den)
 
 
@@ -279,8 +274,7 @@ def basis_cochains(dim: int, n: int):
     """Yield ((multiset, k), cochain) in the canonical flat order."""
     for mset in multisets(dim, n):
         for k in range(dim):
-            yield (mset, k), SymCochain(n, dim, {mset: tuple(
-                Fraction(1 if t == k else 0) for t in range(dim))})
+            yield (mset, k), SymCochain._from_ints(n, dim, {mset: {k: 1}}, 1)
 
 
 def coeff_vector(f: SymCochain) -> list[Fraction]:

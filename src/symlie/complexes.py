@@ -22,8 +22,7 @@ from functools import cached_property
 from math import lcm
 
 from .algebra import Algebra, Witness, product_cochain
-from .bracket import (InsertionMode, _compose, _prefactor, _scatter, _terms, graded_bracket,
-                      koszul_sign)
+from .bracket import InsertionMode, _compose, _prefactor, _scatter, graded_bracket, koszul_sign
 from .cochain import SymCochain, multisets
 from .exactla import Matrix, kernel_basis, rank
 
@@ -72,14 +71,16 @@ class DifferentialData:
 def _bracket_matrices(g: SymCochain, n: int, scalars) -> list[Matrix]:
     """Matrices of f -> c [g, f] on arity-n cochains, one per (mode, c) in `scalars`,
     from one `_scatter` of the SUM-mode pieces L: e -> g o e and R: e -> e o g on the
-    basis cochains e = e_{F,t}, 1 at coordinate t of F.  In g o e each e is an inner
-    term tagged with its column j d + t; in e o g one outer term per F, tagged j d,
-    carries every t.  A mode's matrix is c p_L L - c (-1)^{(m-1)(n-1)} p_R R."""
-    (terms, den), m, d = _terms(g), g.n, g.dim
-    columns = multisets(d, n)
-    inner = [(F, j * d + t, [(t, 1)]) for j, F in enumerate(columns) for t in range(d)]
-    outer = [(F, j * d, [(t, 1) for t in range(d)]) for j, F in enumerate(columns)]
-    out, _ = _scatter([(1, terms, inner), (1, outer, terms)], d)
+    basis cochains e = e_{F,t}, 1 at coordinate t of F, column j d + t for F the j-th
+    multiset.  In g o e one inner term per F, 1 at every slot, tags each key with the
+    column of the slot filled; in e o g one outer term per F holds 1 at each column
+    j d + t, which lands in row coordinate t.  A mode's matrix is
+    c p_L L - c (-1)^{(m-1)(n-1)} p_R R."""
+    m, d = g.n, g.dim
+    col_of = {F: j * d for j, F in enumerate(multisets(d, n))}
+    units = [(F, dict.fromkeys(range(d), 1)) for F in col_of]  # g o e: 1 at every slot
+    blocks = [(F, dict.fromkeys(range(j, j + d), 1)) for F, j in col_of.items()]  # e o g
+    out, _ = _scatter([(1, g.num.items(), units, col_of), (1, blocks, g.num.items(), None)])
     row_of = {M: i * d for i, M in enumerate(multisets(d, m + n - 1))}
     mats = []
     for mode, c in scalars:
@@ -88,13 +89,15 @@ def _bracket_matrices(g: SymCochain, n: int, scalars) -> list[Matrix]:
         q = lcm(p_L.denominator, p_R.denominator)
         a, b = int(q * p_L), int(q * p_R)
         rows: list[dict[int, int]] = [{} for _ in range(len(row_of) * d)]  # index(M) d + t
-        for (M, block, col), acc in out.items():  # block is None on L's keys
-            s = a if block is None else b
-            for t, x in enumerate(acc):
-                if x:
-                    row, j = rows[row_of[M] + t], col if block is None else block + t
-                    row[j] = row.get(j, 0) + s * x
-        mats.append(Matrix._from_ints(len(rows), len(columns) * d, rows, q * den))
+        for (M, col), acc in out.items():  # col is None on R's keys
+            for t, x in acc.items():
+                # L: row coordinate t in the column col; R: column t, row coordinate t % d
+                row, j, x = (rows[row_of[M] + t % d], t, b * x) if col is None else (
+                    rows[row_of[M] + t], col, a * x)
+                row[j] = row.get(j, 0) + x
+                if not row[j]:  # none stored where terms cancel
+                    del row[j]
+        mats.append(Matrix._from_ints(len(rows), len(col_of) * d, rows, q * g.den))
     return mats
 
 
@@ -228,8 +231,8 @@ def endomorphism_cochain(mat: Matrix) -> SymCochain:
     """View a d x d matrix as an arity-1 cochain: column j is the value at (j,)."""
     if mat.rows != mat.cols:
         raise ValueError("endomorphism matrix must be square")
-    return SymCochain._from_ints(1, mat.rows, {(j,): [r.get(j, 0) for r in mat.num]
-                                               for j in range(mat.cols)}, mat.den)
+    return SymCochain._from_ints(1, mat.rows, {
+        (j,): {k: r[j] for k, r in enumerate(mat.num) if j in r} for j in range(mat.cols)}, mat.den)
 
 
 def identity_cochain(d: int) -> SymCochain:

@@ -160,9 +160,11 @@ def class_modulo_image(A: Algebra, r: SymCochain, mode: InsertionMode) -> Obstru
     D = differential_matrix(A, 2, mode).matrix
     C, R = D.cols, D.rows
     # every row times D.den r.den, which keeps the row space: integer rows
-    rnum = [x for M in multisets(A.dim, 3) for x in r.num.get(M, (0,) * A.dim)]
-    aug = [{**{j: r.den * x for j, x in row.items()}, C + i: D.den * r.den, C + R: D.den * y}
-           for i, (row, y) in enumerate(zip(D.num, rnum))]
+    aug = [{**{j: r.den * x for j, x in row.items()}, C + i: D.den * r.den}
+           for i, row in enumerate(D.num)]
+    for i, M in enumerate(multisets(A.dim, 3)):  # r's nonzeros, at rows index(M) d + k
+        for k, y in r.num.get(M, {}).items():
+            aug[i * A.dim + k][C + R] = D.den * y
     red, pivots = rref(Matrix._from_ints(R, C + R + 1, aug, 1))
     if pivots[-1] == C + R:
         raise InvariantViolation("[d_2 | I] failed to span the cochain space")

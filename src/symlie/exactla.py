@@ -61,10 +61,6 @@ def rat_to_str(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # vectors: plain tuples of Fractions
 
-def vzero(n: int) -> tuple[Fraction, ...]:
-    return (Fraction(0),) * n
-
-
 def vec_to_strs(v) -> list[str]:
     return [rat_to_str(x) for x in v]
 
@@ -138,7 +134,7 @@ class Matrix:
             for k, a in row.items():
                 for j, x in other.num[k].items():
                     acc[j] = acc.get(j, 0) + a * x
-            out.append(acc)
+            out.append({j: x for j, x in acc.items() if x})  # none stored where terms cancel
         return Matrix._from_ints(self.rows, other.cols, out, self.den * other.den)
 
     def mul_vec(self, v) -> tuple[Fraction, ...]:

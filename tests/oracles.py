@@ -276,10 +276,15 @@ SYM_CLOSURE_PAIRS = (("mu,mu", "mu", "mu"), ("mu,L0", "mu", "L0"), ("L0,mu", "L0
                      ("mu,v0", "mu", "v0"), ("P,mu", "P", "mu"))
 
 
+def _dense_num(f):
+    """f's numerators as {multiset: d-long list of ints}, zeros included."""
+    return {M: [v.get(t, 0) for t in range(f.dim)] for M, v in f.num.items()}
+
+
 def _raw_insert_value(fi, gi, splits, d, idx):
     """The insertion formula f o g evaluated directly at one ordered basis
-    tuple, unnormalized, from the numerators fi of f and gi of g, summed over
-    `splits`, the (m-1, n)-unshuffles."""
+    tuple, unnormalized, from the dense numerators fi of f and gi of g (see
+    `_dense_num`), summed over `splits`, the (m-1, n)-unshuffles."""
     acc = [0] * d
     for first, second in splits:
         w = gi.get(tuple(sorted(idx[p] for p in second)))
@@ -308,7 +313,8 @@ def reference_sym_closure(A, pools, insert):
                 "verdict": verdict, "witness": witness, "detail": detail}
 
     def failure(mode, f, g, label, idx):
-        raw = _raw_insert_value(f.num, g.num, list(unshuffles(f.n - 1, g.n)), d, idx)
+        raw = _raw_insert_value(_dense_num(f), _dense_num(g), list(unshuffles(f.n - 1, g.n)),
+                                d, idx)
         p = _prefactor(mode, f.n, g.n) / (f.den * g.den)
         return record(mode, "fails", {
             "pair": label, "tuple": list(idx), "raw": vec_to_strs(p * x for x in raw),
@@ -321,10 +327,11 @@ def reference_sym_closure(A, pools, insert):
         if f.n == 0:
             continue
         built, splits = insert(f, g, SUM), list(unshuffles(f.n - 1, g.n))
+        fi, gi, stored = _dense_num(f), _dense_num(g), _dense_num(built)
         for idx in iproduct(range(d), repeat=built.n):
-            raw = _raw_insert_value(f.num, g.num, splits, d, idx)
+            raw = _raw_insert_value(fi, gi, splits, d, idx)
             if any(x * built.den != y * f.den * g.den
-                   for x, y in zip(raw, built.num.get(tuple(sorted(idx)), zero))):
+                   for x, y in zip(raw, stored.get(tuple(sorted(idx)), zero))):
                 return [failure(mode, pools[mode][a], pools[mode][b], label, idx)
                         for mode in (SUM, InsertionMode.PAPER)]
             checked += 1
@@ -515,11 +522,10 @@ def printed_coboundary_c1(A, f):
     """The printed arity-1 coboundary (d f)(x,y) = f(x*y) - f(x)*y - x*f(y),
     expanded at each basis pair, independently of the bracket."""
     from symlie import SymCochain, multisets, product
-    from symlie.exactla import vzero
     d = A.dim
 
     def fv(v):
-        acc = list(vzero(d))
+        acc = [Fraction(0)] * d
         for i in range(d):
             if v[i] == 0:
                 continue

@@ -13,7 +13,7 @@ from symlie import (Algebra, algebra_from_entries, algebra_from_json_dict, algeb
                     check_cubic_jordan, check_operator_identity, check_six_term, find_unit,
                     make_field, make_j2, make_non_jordan, make_spin, multiplication_operator,
                     product, product_cochain)
-from symlie.algebra import _assoc_table, _table, associator
+from symlie.algebra import _assoc_table, associator
 from symlie.cli import run
 from symlie.exactla import Matrix, vec_to_strs
 
@@ -181,13 +181,15 @@ def _naive_associator(A, x, y, z):
 ], ids=["spin", "dense-rational", "non-jordan", "zero-product", "field", "rational-d1"])
 def test_associator_table_matches_naive_products(make, den):
     A = make()
-    d, R, D = A.dim, _assoc_table(A), _table(A)[1]
+    d, R, D = A.dim, _assoc_table(A), product_cochain(A).den
     assert D == den
     basis = [A.basis_vector(i) for i in range(d)]
     for i, j, k in iproduct(range(d), repeat=3):
         expect = _naive_associator(A, basis[i], basis[j], basis[k])
-        assert tuple(Fraction(t, D ** 2) for t in R.get((i, j, k), (0,) * d)) == expect
-    assert all(len(r) == d and any(r) for r in R.values())  # no zero vector is stored
+        row = R.get((i, j, k), {})
+        assert tuple(Fraction(row.get(n, 0), D ** 2) for n in range(d)) == expect
+    # rows are {n: int} in range, with no zero entry and no empty row stored
+    assert all(r and all(0 <= n < d and x for n, x in r.items()) for r in R.values())
     rng = random.Random(97)
     for _ in range(8):
         x, y, z = (random_vector(rng, d, span=5) for _ in range(3))

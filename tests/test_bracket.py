@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symlie import (InsertionMode, SymCochain, check_jacobi, check_prelie, cohomology,
-                    differential_matrix, graded_bracket, identity_cochain, insert,
-                    insert_lowdeg_variant, make_j2, multisets, product_cochain)
+from symlie import (InsertionMode, Matrix, SymCochain, basis_cochains, check_jacobi,
+                    check_prelie, cohomology, differential_matrix, endomorphism_cochain,
+                    from_coeff_vector, graded_bracket, identity_cochain, insert,
+                    insert_lowdeg_variant, linear_combine, make_j2, multisets, product_cochain,
+                    symmetrize)
 from symlie.bracket import _Memo, koszul_sign, parse_mode, unshuffle_permutations
 
 from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
@@ -136,15 +138,67 @@ def test_insert_matches_reference_gather(inputs):
     for out in (built, bracket):
         assert (out.n, out.dim) == (max(f.n + g.n - 1, 0), f.dim)
         assert all(type(x) is Fraction for vec in out.coeffs.values() for x in vec)
-        # the stored form: numerators over one positive denominator, in lowest
-        # terms, with no all-zero vector
-        assert out.den > 0
-        assert gcd(out.den, *(x for vec in out.num.values() for x in vec)) == 1
-        assert all(any(vec) for vec in out.num.values())
+        assert_stored_form(out)
         assert (out - out).is_zero()
         for c in (Fraction(-3, 2), 0):
             assert out.scale(c) == SymCochain(out.n, out.dim, {
                 key: [c * x for x in vec] for key, vec in out.coeffs.items()})
+
+
+def assert_stored_form(c):
+    """The stored form: {sorted multiset: {k: int}} over one positive denominator, in
+    lowest terms, with no zero entry and no empty vector."""
+    entries = [x for vec in c.num.values() for x in vec.values()]
+    assert type(c.den) is int and c.den > 0 and gcd(c.den, *entries) == 1
+    assert all(type(x) is int and x for x in entries)
+    assert all(vec and all(0 <= k < c.dim for k in vec) for vec in c.num.values())
+    assert all(len(M) == c.n and list(M) == sorted(M) for M in c.num)
+
+
+def _produced() -> dict:
+    """Each producer's cochains, on seeded rational operands at d = 3, sparse ones
+    and a zero one; every producer but `basis_cochains` makes a cancelling one."""
+    rng = random.Random(503)
+    f1, f2, f3 = (random_cochain(rng, n, 3, sparsity=0.5) for n in (1, 2, 3))
+    z, half = SymCochain.zero(2, 3), Fraction(1, 2)
+    return {
+        "init": [SymCochain(2, 3, {(0, 1): (half, 0, Fraction(-3, 4)), (1, 1): (0, 0, 0),
+                                   (2, 2): ("2/6", 0, 0)}),
+                 SymCochain(1, 3, {(0,): (0, 0, 0)})],
+        "from_entries": [
+            SymCochain.from_entries(2, 3, [((0, 1), 0, 1), ((1, 0), 0, -1), ((1, 1), 2, "4/6"),
+                                           ((2, 2), 1, 0), ((0, 2), 1, 1)]),
+            SymCochain.from_entries(1, 3, [((0,), 1, half), ((0,), 1, -half)])],
+        "add": [f2 + f2, f2 + (-f2), f2 + z, f2 + f2.scale(-half)],
+        "sub": [f2 - f2, f2 - z, f2 - f2.scale(3), z - f2],
+        "scale": [f2.scale(0), f3.scale(Fraction(-2, 7)), -f1],
+        "linear_combine": [linear_combine([1, -2], [f2, f2.scale(half)]),
+                           linear_combine([3, Fraction(1, 3), 0], [f2, z, f2])],
+        "insert": [insert(a, b, mode) for mode in (SUM, PAPER)
+                   for a, b in ((f2, f1), (f1, f3), (f3, f2), (f2, z), (z, f2))],
+        "graded_bracket": [graded_bracket(a, b, mode) for mode in (SUM, PAPER)  # [f, f] = 0
+                           for a, b in ((f1, f1), (f3, f3), (f2, f2), (f2, f3), (f1, z))],
+        "insert_lowdeg_variant": [insert_lowdeg_variant(a, b) for a, b in ((f2, f2), (f2, z))],
+        "endomorphism_cochain": [
+            endomorphism_cochain(Matrix.from_rows([[0, half, 0], [0, 3, 0], [0, 0, 0]])),
+            endomorphism_cochain(Matrix.zeros(3, 3))],
+        "from_coeff_vector": [from_coeff_vector(3, 1, [0, 0, 0, Fraction(2, 4), 0, -1, 0, 0, 0]),
+                              from_coeff_vector(3, 1, [0] * 9)],
+        "basis_cochains": [c for _, c in basis_cochains(3, 2)],
+        "symmetrize": [
+            symmetrize({(0, 1): (1, 0, 0), (1, 0): (-1, 0, 0), (0, 0): (Fraction(1, 3), 2, 0)},
+                       2, 3),
+            symmetrize({(0, 1): (0, 5, 0), (1, 0): (0, -5, 0)}, 2, 3)],
+    }
+
+
+@pytest.mark.parametrize("producer", sorted(_produced()))
+def test_every_producer_stores_the_reduced_sparse_form(producer):
+    out = _produced()[producer]
+    assert any(c.is_zero() for c in out) or producer == "basis_cochains"
+    for c in out:
+        assert_stored_form(c)
+        assert SymCochain(c.n, c.dim, c.coeffs) == c  # the dense boundary gives it back
 
 
 def test_insert_bilinear():
@@ -395,8 +449,9 @@ def test_memo_splits_a_cochain_into_a_scalar_and_one_primitive_form():
     # a term's scalar is held as ints a / b with b > 0
     [(a, b, p)] = memo.terms(f)
     assert type(a) is int and type(b) is int and b > 0
-    assert p.den == 1 and gcd(*(x for vec in p.num.values() for x in vec)) == 1
-    assert next(x for x in p.num[min(p.num)] if x) > 0
+    assert p.den == 1 and gcd(*(x for vec in p.num.values() for x in vec.values())) == 1
+    first = p.num[min(p.num)]
+    assert first[min(first)] > 0
     assert p.scale(Fraction(a, b)) == f
     for c in (Fraction(-3, 2), 7, Fraction(1, 5)):
         [(x, y, q)] = memo.terms(f.scale(c))

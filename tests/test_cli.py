@@ -1,9 +1,14 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
-from symlie import SymCochain, graded_bracket, identity_cochain, make_j2, product_cochain
+from symlie import (SymCochain, algebra_to_json_dict, differential, graded_bracket,
+                    identity_cochain, make_j2, make_spin, product_cochain)
 from symlie.cli import run
 from symlie.errors import InvariantViolation
+
+from oracles import random_cochain, random_rational_commutative
 
 
 def run_capture(capsys, argv):
@@ -215,3 +220,67 @@ def test_internal_invariant_exits_1(capsys, corpus_dir, monkeypatch):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def _cli_pin_doc(tmp_path, monkeypatch, capsys) -> str:
+    """In-process stdout of the commands that `audit --all`'s pin does not cover, on
+    seeded rational algebra and cochain files at d = 2-4, zero operands included.
+    The files are named relative to tmp_path, so the documents do not name it."""
+    monkeypatch.chdir(tmp_path)
+    runs = []
+
+    def write(name, doc):
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        return name
+
+    def call(*argv):
+        code = run(list(argv))
+        runs.append({"argv": list(argv), "code": code, "out": capsys.readouterr().out})
+
+    rng = random.Random(4099)
+    zero_alg = write("zero.json", {"dim": 2, "labels": ["e", "u"], "sc": []})
+    call("derivations", zero_alg)
+    for d in (2, 3, 4):
+        A = random_rational_commutative(rng, d)
+        spin = make_spin([Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+                          for _ in range(d - 1)])
+        a, s = (write(f"{name}{d}.json", algebra_to_json_dict(B))
+                for name, B in (("A", A), ("spin", spin)))
+        f, g, h = (random_cochain(rng, n, d, sparsity=0.4) for n in (2, 1, 3))
+        names = {name: write(f"{name}{d}.json", c.to_json_dict()) for name, c in (
+            ("f", f), ("g", g), ("h", h), ("z", SymCochain.zero(2, d)))}
+        for mode in ("sum", "paper"):
+            for x, y in (("f", "g"), ("f", "f"), ("g", "g"), ("h", "f"), ("f", "z"), ("z", "g")):
+                call("bracket", "--mode", mode, names[x], names[y])
+        # phi1 = mu/2 is solvable at order 2, as [mu, mu] = d mu; a gauge-orbit
+        # coboundary on the spin factor and a random term are obstructed
+        half_mu = write(f"mu{d}.json", product_cochain(A).scale(Fraction(1, 2)).to_json_dict())
+        call("mc-solve", "--phi1", half_mu, "--order", "3", a)
+        phi = write(f"phi{d}.json", differential(spin, g).to_json_dict())
+        call("mc-solve", "--phi1", phi, "--order", "3", s)
+        call("mc-solve", "--phi1", names["f"], "--order", "2", "--mode", "paper", a)
+        call("mc-solve", "--phi1", names["z"], "--order", "2", s)
+        series = write(f"series{d}.json", [dict(g.to_json_dict(), order=1),
+                                           dict(random_cochain(rng, 1, d).to_json_dict(), order=3)])
+        call("gauge", "--series", series, "--order", "3", a)
+        for alg in (a, s):
+            call("derivations", alg)
+        for mode in ("sum", "paper"):
+            call("cohomology", "--degree", "3", "--mode", mode, s if d == 4 else a)
+    e = write("e.json", SymCochain.from_entries(2, 2, [((0, 0), 0, 1)]).to_json_dict())
+    call("mc-solve", "--phi1", e, "--order", "2", zero_alg)
+    statuses = {o["status"] for r in runs if r["argv"][0] == "mc-solve"
+                for o in json.loads(r["out"])["orders"]}
+    assert statuses == {"given", "solved", "obstructed"}
+    assert all(r["code"] == 0 for r in runs)
+    return json.dumps(runs, sort_keys=True)
+
+
+# sha256 of _cli_pin_doc: bracket, mc-solve, gauge, derivations and cohomology stdout,
+# recorded while cochains stored d-long value vectors
+CLI_SHA256 = "e874de9ab092b823d436ad46b34aa83d868ca28ffade39ec6cb490695490c5fa"
+
+
+def test_cli_commands_pinned(tmp_path, monkeypatch, capsys):
+    doc = _cli_pin_doc(tmp_path, monkeypatch, capsys)
+    assert hashlib.sha256(doc.encode()).hexdigest() == CLI_SHA256

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -211,14 +212,14 @@ def test_operator_matrices_in_any_mode_order(order, per_column_matrices):
 
 
 def test_audit_keeps_no_operator_pieces():
-    # only the product and associator tables, d_n (n = 0..3) and d_{n+1} d_n
+    # only the associator table, d_n (n = 0..3) and d_{n+1} d_n
     # (n = 0..2) per mode stay on the algebra: the pieces both modes are
     # combined from do not
     A = make_spin([1, Fraction(-1, 2)])
     audit(A)
-    assert set(A._ops) == {"table", "assoc"} | {(key, n, mode) for mode in (SUM, PAPER)
-                                                for key, top in (("d", 4), ("dd", 3))
-                                                for n in range(top)}
+    assert set(A._ops) == {"assoc"} | {(key, n, mode) for mode in (SUM, PAPER)
+                                       for key, top in (("d", 4), ("dd", 3))
+                                       for n in range(top)}
 
 
 def test_d_squared_matches_half_ad_at_degree_one():
@@ -339,6 +340,33 @@ def test_each_composite_is_built_once(monkeypatch):
     for mode in (SUM, PAPER):
         cohomology(A, 3, mode)
     assert sorted(shapes) == sorted([(40, 16, 4), (80, 40, 16), (140, 80, 40)] * 2)
+
+
+def test_operator_rows_reach_the_matrix_without_zeros(monkeypatch):
+    # the rows that Matrix.mul and _bracket_matrices hand to _from_ints store no
+    # entry where terms cancel, over audits of spin factors at d = 3-5 and of a
+    # dense rational algebra, and the H^3 data read after them
+    handed = {"mul": [0, 0], "_bracket_matrices": [0, 0]}  # caller -> [matrices, rows]
+    from_ints = Matrix._from_ints.__func__
+
+    def checking_from_ints(cls, rows, cols, num, den):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in handed:
+            assert all(x for row in num for x in row.values()), caller
+            handed[caller][0] += 1
+            handed[caller][1] += len(num)
+        return from_ints(cls, rows, cols, num, den)
+
+    monkeypatch.setattr(Matrix, "_from_ints", classmethod(checking_from_ints))
+    q = [1, Fraction(-1, 2), 3, Fraction(5, 4)]
+    for A in [make_spin(q[:d - 1]) for d in (3, 4, 5)] + [
+            random_rational_commutative(random.Random(7), 3)]:
+        audit(A)
+        for mode in (SUM, PAPER):
+            cohomology(A, 3, mode)
+    # per algebra and mode: d_0-d_3 and (1/2)ad at n = 0-2; d_{n+1} d_n at n = 0-2
+    assert handed["_bracket_matrices"][0] == 4 * (4 * 2 + 3 * 2)
+    assert handed["mul"][0] == 4 * 3 * 2
 
 
 def test_each_differential_is_ranked_once(monkeypatch):
