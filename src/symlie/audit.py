@@ -140,7 +140,8 @@ def _claim_sym_closure(A: Algebra, pools) -> list[ClaimRecord]:
     checked = 0
     for label, a, b in pairs:  # each side's nonzeros, over f.den g.den built.den
         f, g = pools[SUM][a], pools[SUM][b]
-        built, raw, fg = insert(f, g, SUM), _formula_values(f, g), f.den * g.den
+        built = pools[SUM]["P"] if label == "mu,mu" else insert(f, g, SUM)
+        raw, fg = _formula_values(f, g), f.den * g.den
         failing = [idx for idx in raw.keys() | {i for M in built.num for i in permutations(M)}
                    if {t: x * built.den for t, x in raw.get(idx, {}).items() if x}
                    != {t: y * fg for t, y in built.num.get(tuple(sorted(idx)), {}).items()}]

@@ -53,11 +53,12 @@ class SymCochain:
         self._reduce(n, dim, *_over_one_den(n, dim, vecs))
 
     def _reduce(self, n: int, dim: int, num, den: int) -> None:
-        """Store num / den (den > 0) in lowest terms, dropping zero entries and empty vectors."""
+        """Store num / den (den > 0) in lowest terms, dropping zero entries and empty
+        vectors; vectors already so are kept."""
         g = gcd(den, *(x for vec in num.values() for x in vec.values()))
         self.n, self.dim, self.den = n, dim, den // g
-        self.num = {key: v for key, vec in num.items()
-                    if (v := {k: x // g for k, x in vec.items() if x})}
+        self.num = num if g == 1 and all(vec and all(vec.values()) for vec in num.values()) else {
+            key: v for key, vec in num.items() if (v := {k: x // g for k, x in vec.items() if x})}
 
     @classmethod
     def _from_ints(cls, n: int, dim: int, num, den: int) -> "SymCochain":

@@ -18,7 +18,7 @@ from .algebra import Algebra, product_cochain
 from .bracket import InsertionMode, graded_bracket
 from .cochain import SymCochain, _combine, coeff_vector, from_coeff_vector, multisets
 from .errors import InvariantViolation
-from .exactla import Matrix, json_int, rat_to_str, rref, solve
+from .exactla import _eliminate, json_int, rat_to_str, solve
 from .complexes import coboundary_c1_matrix, differential, differential_matrix
 
 
@@ -150,11 +150,12 @@ def class_modulo_image(A: Algebra, r: SymCochain, mode: InsertionMode) -> Obstru
     """Coordinates of an arity-3 cochain modulo the image of d at arity 2,
     in a fixed complement basis.
 
-    One rref of [d_2 | I | r]: pivots fall greedily from the left, so those
-    in the d_2 block are its independent columns and those in the I block
-    the standard basis vectors that complete them to a basis.  The last
-    column holds r in that basis; its entries in the complement rows are
-    the class."""
+    One elimination of [d_2 | I | r]: pivots fall greedily from the left, so
+    those in the d_2 block are its independent columns and those in the I
+    block the standard basis vectors that complete them to a basis.  The last
+    column of the reduced row echelon form holds r in that basis; its entries
+    in the complement rows are the class.  Those rows hold no d_2 column, so
+    only they are cleared of each other's pivots."""
     if r.n != 3 or r.dim != A.dim:
         raise ValueError("an obstruction residual must be an arity-3 cochain on the algebra")
     D = differential_matrix(A, 2, mode).matrix
@@ -165,11 +166,10 @@ def class_modulo_image(A: Algebra, r: SymCochain, mode: InsertionMode) -> Obstru
     for i, M in enumerate(multisets(A.dim, 3)):  # r's nonzeros, at rows index(M) d + k
         for k, y in r.num.get(M, {}).items():
             aug[i * A.dim + k][C + R] = D.den * y
-    red, pivots = rref(Matrix._from_ints(R, C + R + 1, aug, 1))
+    rows, pivots = _eliminate(aug, C)
     if pivots[-1] == C + R:
         raise InvariantViolation("[d_2 | I] failed to span the cochain space")
-    image_rank = sum(1 for p in pivots if p < C)
-    quotient = tuple(Fraction(row.get(C + R, 0), red.den) for row in red.num[image_rank:])
+    quotient = tuple(Fraction(row.get(C + R, 0), row[p]) for row, p in zip(rows, pivots) if p >= C)
     return ObstructionClass(r, all(x == 0 for x in quotient), quotient)
 
 

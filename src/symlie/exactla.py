@@ -7,13 +7,15 @@ A `Matrix` is stored as num / den: sparse integer rows {column: int} with no
 stored zeros over one positive denominator, in lowest terms, so equality is
 structural and products, sums and elimination walk only the nonzeros on ints.
 Elimination takes the nonzero rows as stored, made primitive, in the order of
-their leading columns.  In each column the pivot is the first remaining row,
-in row order, with a nonzero there.  A row with entry b in that column, against
-pivot entry a, becomes (a/g) row - (b/g) pivot with g = gcd(a, b), and is then
-divided by its content, so rows stay primitive.  `rank` stops after this
-forward pass; `rref`, `kernel_basis` and `solve` also clear each pivot column
-from the other pivot rows and read their answers off them, `rref` over the lcm
-of the pivot entries.
+their leading columns.  In each column the pivot is the remaining row leading
+there with the smallest |entry|, ties going to the earlier row: a small pivot
+keeps the coefficients of the rows combined with it small (Bareiss 1968 on
+growth, Markowitz 1957 on choosing pivots by cost).  A row with entry b in that
+column, against pivot entry a, becomes (a/g) row - (b/g) pivot with
+g = gcd(a, b), and is then divided by its content, so rows stay primitive.
+`rank` stops after this forward pass; `rref`, `kernel_basis` and `solve` also
+clear each pivot column from the other pivot rows and read their answers off
+them, `rref` over the lcm of the pivot entries.
 
 Results are exact because every step is integer arithmetic.  They are
 deterministic because the reduced row echelon form of a matrix is unique:
@@ -196,41 +198,46 @@ def _combine(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]
     return _primitive(out) if out else out
 
 
-def _eliminate(rows: list[dict[int, int]], reduced: bool):
+def _eliminate(rows: list[dict[int, int]], cleared: int | None):
     """Fraction-free elimination of the nonzero rows, made primitive first.
 
-    The rows wait in a heap keyed by (leading column, row position).  A row
-    holding the top row's leading column c leads at c, so the top row is the
-    pivot for c and each later row leading at c becomes its combination with
-    the pivot: the work follows the nonzeros, not rows x columns.
+    The rows wait in a heap keyed by (leading column, |leading entry|, row
+    position).  A row holding the top row's leading column c leads at c, so the
+    top row, the one leading at c with the smallest pivot entry, is the pivot for
+    c and each later row leading at c becomes its combination with the pivot:
+    the work follows the nonzeros, not rows x columns.
 
     Returns the pivot rows and their pivot columns, both in column order.
-    With `reduced`, each pivot column is also cleared from the other pivot
-    rows, so that pivot row i divided by its entry at pivots[i] is row i of
-    the reduced row echelon form."""
-    heap = [(min(r), i, r) for i, r in enumerate(_primitive(r) for r in rows if r)]
+    Unless `cleared` is None, each pivot column from `cleared` on is also
+    cleared from the other pivot rows with pivots from `cleared` on, so that
+    such a pivot row i divided by its entry at pivots[i] is row i of the
+    reduced row echelon form (clearing them needs no row with an earlier
+    pivot).  The pivot columns and that form do not depend on which row pivots."""
+    heap = [(c := min(r), abs(r[c]), i, r) for i, r in enumerate(_primitive(r) for r in rows if r)]
     heapify(heap)
     pivot_rows: list[dict[int, int]] = []
     pivots: list[int] = []
     while heap:
-        c, _, piv = heappop(heap)
+        c, _, _, piv = heappop(heap)
         pivot_rows.append(piv)
         pivots.append(c)
         while heap and heap[0][0] == c:
-            _, i, r = heap[0]
+            _, _, i, r = heap[0]
             if r := _combine(r, piv, c):
                 # it leads right of c, on dense rows mostly at c + 1
-                heapreplace(heap, (c + 1 if c + 1 in r else min(r), i, r))
+                lead = c + 1 if c + 1 in r else min(r)
+                heapreplace(heap, (lead, abs(r[lead]), i, r))
             else:
                 heappop(heap)
-    if reduced:
-        # holders[c]: the other pivot rows holding pivot column c.  Pivot row k,
-        # clear of later pivots, adds no pivot column to the rows it combines into
-        holders: dict[int, list[int]] = {c: [] for c in pivots}
-        for i, (r, p) in enumerate(zip(pivot_rows, pivots)):
-            for j in (r.keys() & holders.keys()) - {p}:
+    if cleared is not None:
+        # holders[c]: the other pivot rows from lo on holding pivot column c.  Pivot
+        # row k, clear of later pivots, adds no pivot column to the rows it combines into
+        lo = sum(p < cleared for p in pivots)
+        holders: dict[int, list[int]] = {c: [] for c in pivots[lo:]}
+        for i in range(lo, len(pivots)):
+            for j in (pivot_rows[i].keys() & holders.keys()) - {pivots[i]}:
                 holders[j].append(i)
-        for k in range(len(pivots) - 1, 0, -1):
+        for k in range(len(pivots) - 1, lo, -1):
             c, piv = pivots[k], pivot_rows[k]
             for i in holders[c]:
                 pivot_rows[i] = _combine(pivot_rows[i], piv, c)
@@ -240,7 +247,7 @@ def _eliminate(rows: list[dict[int, int]], reduced: bool):
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (deterministic), over the
     lcm of the pivot entries of the eliminated integer rows."""
-    rows, pivots = _eliminate(m.num, reduced=True)
+    rows, pivots = _eliminate(m.num, 0)
     L = lcm(*(r[p] for r, p in zip(rows, pivots)))
     red = [{j: x * (L // r[p]) for j, x in r.items()} for r, p in zip(rows, pivots)]
     red += [{} for _ in range(m.rows - len(red))]
@@ -254,13 +261,13 @@ def rank(m: Matrix) -> int:
         for i, row in enumerate(m.num):
             for j, x in row.items():
                 num[j][i] = x
-    return len(_eliminate(num, reduced=False)[1])
+    return len(_eliminate(num, None)[1])
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, one vector per free column,
     in reduced echelon form (free variable set to 1, pivots back-filled)."""
-    rows, pivots = _eliminate(m.num, reduced=True)
+    rows, pivots = _eliminate(m.num, 0)
     at: dict[int, list] = {}  # free column -> (pivot, entry) of the vector it spans
     for row, p in zip(rows, pivots):
         for j in row.keys() - {p}:  # reduced: every column but p is free
@@ -286,7 +293,7 @@ def solve(m: Matrix, b) -> tuple[Fraction, ...] | None:
     C = m.cols
     aug = [{**{j: y.denominator * x for j, x in row.items()}, C: m.den * y.numerator} if y else row
            for row, y in zip(m.num, b)]
-    rows, pivots = _eliminate(aug, reduced=True)
+    rows, pivots = _eliminate(aug, 0)
     if pivots and pivots[-1] == C:
         return None
     x = [Fraction(0)] * C

@@ -194,8 +194,9 @@ def dense_column(a, j):
 # pivots must equal
 
 def reference_scan_eliminate(rows, reduced):
-    """exactla._eliminate as a scan of every remaining row per column and of
-    every pair of pivot rows; the row operations are exactla's own."""
+    """Fraction-free elimination as a scan of every remaining row per column and
+    of every pair of pivot rows, pivoting on the first row in row order (exactla
+    pivots on the smallest entry); the row operations are exactla's own."""
     from symlie.exactla import _combine, _primitive
     remaining = [_primitive(r) for r in rows if r]
     pivot_rows: list[dict[int, int]] = []

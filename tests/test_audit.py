@@ -95,8 +95,9 @@ def test_sym_closure_reports_a_changed_coefficient(monkeypatch, label, mode):
         return SymCochain(built.n, built.dim, {**built.coeffs, target: (vec[0] + 1, *vec[1:])})
 
     monkeypatch.setattr(module, "insert", tampered)
-    # one walk gives both modes' records; this mode's is checked
-    rec = {r.mode: r for r in _claim_sym_closure(A, pools)}[mode.value]
+    # one walk gives both modes' records; this mode's is checked.  The walk reads
+    # mu o mu from the pools, so they are built under the tampered insert
+    rec = {r.mode: r for r in _claim_sym_closure(A, _mu_pools(A))}[mode.value]
     raw = insertion_eval(f, g, [A.basis_vector(i) for i in target], mode is PAPER)
     assert any(raw)
     assert (rec.verdict, rec.mode) == ("fails", mode.value)
@@ -141,8 +142,9 @@ def test_sym_closure_walk_matches_the_dense_walk(monkeypatch, seed):
                  else Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)))
         tampered = _tampered_insert(real_insert, (f.n, g.n), mset, k, delta)
         monkeypatch.setattr(module, "insert", tampered)
-        records = [r.to_json_dict() for r in _claim_sym_closure(A, pools)]
-        assert records == reference_sym_closure(A, pools, tampered)
+        tampered_pools = _mu_pools(A)  # the walk reads mu o mu from the pools
+        records = [r.to_json_dict() for r in _claim_sym_closure(A, tampered_pools)]
+        assert records == reference_sym_closure(A, tampered_pools, tampered)
         assert [(r["verdict"], r["witness"]["pair"]) for r in records] == [("fails", label)] * 2
 
 

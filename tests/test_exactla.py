@@ -313,14 +313,38 @@ def _integer_rows(rng):
     return rows
 
 
+def _over_pivots(rows, pivots):
+    """Each row over its entry at its pivot: on cleared rows, rows of the RREF."""
+    return [{j: Fraction(x, r[p]) for j, x in r.items()} for r, p in zip(rows, pivots)]
+
+
 @pytest.mark.parametrize("reduced", [False, True])
 def test_eliminate_matches_the_column_scan(reduced):
+    # the scan pivots on the first row in row order, _eliminate on the smallest
+    # entry, so they agree on what callers read: the pivots, the cleared rows
+    # (from pivot column 0 or 2 on) over their pivot entries, and the row space
     rng = random.Random(1019)
     for _ in range(400):
         rows = _integer_rows(rng)
         before = [dict(r) for r in rows]
-        assert _eliminate(rows, reduced) == reference_scan_eliminate(rows, reduced), rows
+        ref, ref_pivots = reference_scan_eliminate(rows, True)
+        for cleared in (0, 2) if reduced else (None,):
+            got, pivots = _eliminate(rows, cleared)
+            assert pivots == ref_pivots, rows
+            assert all(gcd(*r.values()) == 1 and min(r) == p for r, p in zip(got, pivots)), rows
+            lo = len(pivots) if cleared is None else sum(p < cleared for p in pivots)
+            assert _over_pivots(got, pivots)[lo:] == _over_pivots(ref, ref_pivots)[lo:], rows
+            assert (_over_pivots(*reference_scan_eliminate(got, True))
+                    == _over_pivots(ref, ref_pivots)), rows
         assert rows == before
+
+
+def test_pivot_is_the_smallest_leading_entry():
+    # three rows lead at column 0 with entries 6, 1 and -1: the pivot is the
+    # row of smallest |entry|, the tie going to the earlier row
+    rows = [{0: 6, 1: 1}, {0: 1, 2: 1}, {0: -1, 1: 5}]
+    got, pivots = _eliminate(rows, None)
+    assert got[0] == {0: 1, 2: 1} and pivots == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
