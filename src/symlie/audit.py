@@ -30,7 +30,7 @@ from .bracket import (InsertionMode, _Memo, _prefactor, check_jacobi, check_prel
                       first_coefficient_difference, graded_bracket, insert,
                       insert_lowdeg_variant, unshuffles)
 from .cochain import SymCochain, basis_cochains, multisets
-from .complexes import (DSquaredReport, _d_squared, coboundary_c1_explicit,
+from .complexes import (DSquaredReport, check_d_squared, coboundary_c1_explicit,
                         coboundary_c1_matrix, coboundary_c2_explicit, cohomology,
                         derivations, endomorphism_cochain)
 from .corpus import corpus_entries
@@ -59,11 +59,15 @@ LOCATION = dict(CLAIM_CATALOG)
 @dataclass
 class ClaimRecord:
     claim_id: str
-    location: str
     mode: str | None
     verdict: str            # holds | fails | vacuous
     witness: dict | None = None
     detail: str = ""
+
+    @property
+    def location(self) -> str:
+        """The printed location of the claim, read off the catalog."""
+        return LOCATION[self.claim_id]
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,15 +155,14 @@ def _claim_sym_closure(A: Algebra, pools) -> list[ClaimRecord]:
         checked += A.dim ** built.n
     detail = (f"insertion agrees with its symmetric coefficient form at all "
               f"{checked} ordered basis tuples over {len(pairs)} product-derived pairs")
-    return [ClaimRecord("SYM-CLOSURE", LOCATION["SYM-CLOSURE"], mode.value, "holds", detail=detail)
-            for mode in BOTH_MODES]
+    return [ClaimRecord("SYM-CLOSURE", mode.value, "holds", detail=detail) for mode in BOTH_MODES]
 
 
 def _sym_closure_failure(mode: InsertionMode, f, g, label, idx) -> ClaimRecord:
     """The record of a mode whose insertion f o g differs from the formula at idx."""
     raw = _formula_values(f, g).get(idx, {})
     p = _prefactor(mode, f.n, g.n) / (f.den * g.den)
-    return ClaimRecord("SYM-CLOSURE", LOCATION["SYM-CLOSURE"], mode.value, "fails", witness={
+    return ClaimRecord("SYM-CLOSURE", mode.value, "fails", witness={
         "pair": label, "tuple": list(idx),
         "raw": vec_to_strs(p * raw.get(t, 0) for t in range(f.dim)),
         "stored": vec_to_strs(insert(f, g, mode).value_at(tuple(sorted(idx))))},
@@ -185,7 +188,7 @@ def _claim_triple_family(mode: InsertionMode, claim_id: str, checker, pool, memo
     failed = [{"triple": label, **rep.witness.to_json_dict()} for label, rep in reports
               if not rep.holds]
     detail = "; ".join(f"{label}: {'holds' if rep.holds else 'fails'}" for label, rep in reports)
-    return ClaimRecord(claim_id, LOCATION[claim_id], mode.value, "fails" if failed else "holds",
+    return ClaimRecord(claim_id, mode.value, "fails" if failed else "holds",
                        witness=failed[0] if failed else None, detail=detail)
 
 
@@ -202,10 +205,10 @@ def _claim_lowdeg_variant(A: Algebra, paper_pool) -> ClaimRecord:
                                    "two_term": rat_to_str(Fraction(a, two_term.den)),
                                    "averaged": rat_to_str(Fraction(b, averaged.den))})
     if not mismatches:
-        return ClaimRecord("LOWDEG-VARIANT", LOCATION["LOWDEG-VARIANT"], "paper", "holds",
+        return ClaimRecord("LOWDEG-VARIANT", "paper", "holds",
                            detail="the printed two-term formula matches the averaged insertion")
     return ClaimRecord(
-        "LOWDEG-VARIANT", LOCATION["LOWDEG-VARIANT"], "paper", "fails",
+        "LOWDEG-VARIANT", "paper", "fails",
         witness={"mismatches": mismatches},
         detail="the printed two-term arity-2 formula has two unshuffle terms, "
                "the averaged insertion has three; the coefficients differ")
@@ -224,11 +227,10 @@ def _claim_mumu(mode: InsertionMode, pool, printed_half: SymCochain) -> ClaimRec
               "printed composite is half the cyclic associator sum, which "
               "vanishes termwise for commutative products")
     if diff is None:
-        return ClaimRecord("MUMU-FORMULA", LOCATION["MUMU-FORMULA"], mode.value,
-                           "holds", detail=detail)
+        return ClaimRecord("MUMU-FORMULA", mode.value, "holds", detail=detail)
     mset, left, right = diff
     return ClaimRecord(
-        "MUMU-FORMULA", LOCATION["MUMU-FORMULA"], mode.value, "fails",
+        "MUMU-FORMULA", mode.value, "fails",
         witness={"first_diff": {"multiset": list(mset),
                                 "insertion": vec_to_strs(left),
                                 "printed": vec_to_strs(right)},
@@ -240,7 +242,7 @@ def _claim_mc_iff_jordan(mode: InsertionMode, pool, jordan: IdentityReport) -> C
     br = pool["B"]
     mc_zero = br.is_zero()
     if mc_zero == jordan.holds:
-        return ClaimRecord("MC-IFF-JORDAN", LOCATION["MC-IFF-JORDAN"], mode.value, "holds",
+        return ClaimRecord("MC-IFF-JORDAN", mode.value, "holds",
                            detail=f"both sides agree: bracket zero={mc_zero}, "
                                   f"cubic identity={'holds' if jordan.holds else 'fails'}")
     if jordan.holds:
@@ -252,8 +254,7 @@ def _claim_mc_iff_jordan(mode: InsertionMode, pool, jordan: IdentityReport) -> C
                   "but the cubic identity fails")
         witness = {"jordan": "fails",
                    "jordan_witness": jordan.witness.to_json_dict() if jordan.witness else None}
-    return ClaimRecord("MC-IFF-JORDAN", LOCATION["MC-IFF-JORDAN"], mode.value,
-                       "fails", witness=witness, detail=detail)
+    return ClaimRecord("MC-IFF-JORDAN", mode.value, "fails", witness=witness, detail=detail)
 
 
 def _claim_ad_squared(mode: InsertionMode, reports: list[DSquaredReport]) -> ClaimRecord:
@@ -262,11 +263,10 @@ def _claim_ad_squared(mode: InsertionMode, reports: list[DSquaredReport]) -> Cla
     detail = (f"degrees with d∘d == (1/2)ad: {equal}; "
               f"degrees without: {[r.degree for r in unequal]}")
     if not unequal:
-        return ClaimRecord("AD-SQUARED", LOCATION["AD-SQUARED"], mode.value,
-                           "holds", detail=detail)
+        return ClaimRecord("AD-SQUARED", mode.value, "holds", detail=detail)
     w = unequal[0].witness
     return ClaimRecord(
-        "AD-SQUARED", LOCATION["AD-SQUARED"], mode.value, "fails",
+        "AD-SQUARED", mode.value, "fails",
         witness={"degree": unequal[0].degree, "note": w.note,
                  "dd_column": vec_to_strs(w.left), "ad_column": vec_to_strs(w.right)},
         detail=detail)
@@ -278,13 +278,13 @@ def _claim_d2_sanity(A: Algebra, mode: InsertionMode, rep: DSquaredReport) -> Cl
     endomorphism ((j // d,), k = j % d); its d-sized chunks are the values at
     the arity-3 multisets in canonical order."""
     if rep.equal:
-        return ClaimRecord("D2-SANITY", LOCATION["D2-SANITY"], mode.value, "holds",
+        return ClaimRecord("D2-SANITY", mode.value, "holds",
                            detail="d(d f) == (1/2)[[mu,mu],f] for every basis endomorphism")
     d, left, right = A.dim, rep.witness.left, rep.witness.right
     j = rep.witness.inputs[0].index(1)
     i = next(i for i in range(0, len(left), d) if left[i:i + d] != right[i:i + d])
     return ClaimRecord(
-        "D2-SANITY", LOCATION["D2-SANITY"], mode.value, "fails",
+        "D2-SANITY", mode.value, "fails",
         witness={"basis_cochain": {"multiset": [j // d], "k": j % d},
                  "at_multiset": list(multisets(d, 3)[i // d]),
                  "dd": vec_to_strs(left[i:i + d]), "half_ad": vec_to_strs(right[i:i + d])},
@@ -294,12 +294,11 @@ def _claim_d2_sanity(A: Algebra, mode: InsertionMode, rep: DSquaredReport) -> Cl
 def _claim_sixterm(rep: IdentityReport) -> ClaimRecord:
     if rep.holds:
         return ClaimRecord(
-            "SIXTERM", LOCATION["SIXTERM"], None, "vacuous",
+            "SIXTERM", None, "vacuous",
             detail="the cyclic associator sum cancels termwise for every "
                    "commutative product, so its vanishing carries no information "
                    "about the cubic identity")
-    return ClaimRecord("SIXTERM", LOCATION["SIXTERM"], None, "fails",
-                       witness=rep.witness.to_json_dict(), detail="")
+    return ClaimRecord("SIXTERM", None, "fails", witness=rep.witness.to_json_dict(), detail="")
 
 
 def _claim_cubic_vs_operator(A: Algebra, cubic: IdentityReport,
@@ -310,8 +309,7 @@ def _claim_cubic_vs_operator(A: Algebra, cubic: IdentityReport,
               f"operator identity: {'holds' if op.holds else 'fails'}; "
               f"cubic identity: {'holds' if cubic.holds else 'fails'}")
     if sixterm_zero and op.holds and cubic.holds:
-        return ClaimRecord("CUBIC-VS-OPERATOR", LOCATION["CUBIC-VS-OPERATOR"], None,
-                           "holds", detail=states)
+        return ClaimRecord("CUBIC-VS-OPERATOR", None, "holds", detail=states)
     if op.holds and not cubic.holds:
         detail = "the operator identity holds yet the cubic identity fails; " + states
         witness = cubic.witness.to_json_dict() if cubic.witness else None
@@ -323,8 +321,7 @@ def _claim_cubic_vs_operator(A: Algebra, cubic: IdentityReport,
         detail = ("the six-term sum vanishes while the cubic identity fails, so the "
                   "claimed equivalence breaks; " + states)
         witness = cubic.witness.to_json_dict() if cubic.witness else None
-    return ClaimRecord("CUBIC-VS-OPERATOR", LOCATION["CUBIC-VS-OPERATOR"], None,
-                       "fails", witness=witness, detail=detail)
+    return ClaimRecord("CUBIC-VS-OPERATOR", None, "fails", witness=witness, detail=detail)
 
 
 # -- the printed 2-dimensional worked example ---------------------------------
@@ -349,7 +346,7 @@ _ARITY2_VARS = ("x1", "x2", "y1", "y2", "z1", "z2")
 def _claim_s5_coeffs(A: Algebra) -> ClaimRecord:
     params = _family_parameters(A)
     if params is None:
-        return ClaimRecord("S5-COEFFS", LOCATION["S5-COEFFS"], None, "vacuous",
+        return ClaimRecord("S5-COEFFS", None, "vacuous",
                            detail="not a member of the 2-dimensional unital family; "
                                   "the printed coefficient table does not apply")
     a, b = params
@@ -374,11 +371,11 @@ def _claim_s5_coeffs(A: Algebra) -> ClaimRecord:
                    "printed": [render_linear(names, row) for row in printed]}
                   for at, names, computed, printed in tables if computed != printed]
     if not mismatches:
-        return ClaimRecord("S5-COEFFS", LOCATION["S5-COEFFS"], None, "holds",
+        return ClaimRecord("S5-COEFFS", None, "holds",
                            detail=f"printed tables match direct expansion at (a,b)="
                                   f"({rat_to_str(a)},{rat_to_str(b)})")
     return ClaimRecord(
-        "S5-COEFFS", LOCATION["S5-COEFFS"], None, "fails",
+        "S5-COEFFS", None, "fails",
         witness={"a": rat_to_str(a), "b": rat_to_str(b), "mismatches": mismatches},
         detail="printed coboundary coefficient tables disagree with direct "
                "expansion of the printed formulas (generic endomorphism entries)")
@@ -387,7 +384,7 @@ def _claim_s5_coeffs(A: Algebra) -> ClaimRecord:
 def _claim_s5_inner(A: Algebra) -> ClaimRecord:
     params = _family_parameters(A)
     if params is None or params != (Fraction(1), Fraction(0)):
-        return ClaimRecord("S5-INNER", LOCATION["S5-INNER"], None, "vacuous",
+        return ClaimRecord("S5-INNER", None, "vacuous",
                            detail="claim is specific to the (a,b) = (1,0) member")
     # the map singled out by the printed calculation: f(e) = 0, f(u) = u
     f0 = SymCochain(1, 2, {(1,): (Fraction(0), Fraction(1))})
@@ -397,10 +394,10 @@ def _claim_s5_inner(A: Algebra) -> ClaimRecord:
     inner = endomorphism_cochain(multiplication_operator(A, half_e))
     matches_inner = inner == f0
     if is_derivation and matches_inner:
-        return ClaimRecord("S5-INNER", LOCATION["S5-INNER"], None, "holds",
+        return ClaimRecord("S5-INNER", None, "holds",
                            detail="the singled-out map is a derivation and is inner")
     return ClaimRecord(
-        "S5-INNER", LOCATION["S5-INNER"], None, "fails",
+        "S5-INNER", None, "fails",
         witness={
             "map": {"f(e)": ["0", "0"], "f(u)": ["0", "1"]},
             "derivation_defect_at_uu": vec_to_strs(defect.value_at((1, 1))),
@@ -417,9 +414,10 @@ def _claim_s5_inner(A: Algebra) -> ClaimRecord:
 
 def audit(A: Algebra, name: str = "<unnamed>") -> AuditReport:
     # what the claims share, each built once: the pools, the compositions of
-    # both triple families, and d∘d in both modes from one scatter per degree
+    # both triple families, and d∘d in both modes (each operator matrix is
+    # kept on A, and its first read builds both modes from one scatter)
     pools, memo = _mu_pools(A), _Memo()
-    d_squared = dict(zip(BOTH_MODES, zip(*(_d_squared(A, n, BOTH_MODES) for n in (0, 1, 2)))))
+    d_squared = {mode: [check_d_squared(A, n, mode) for n in (0, 1, 2)] for mode in BOTH_MODES}
     cubic, sixterm = check_cubic_jordan(A), check_six_term(A)
     claims = _claim_sym_closure(A, pools)
     claims += [_claim_triple_family(mode, "PRELIE", check_prelie, pools[mode], memo)

@@ -5,13 +5,14 @@ printed low-degree coboundary formulas, the d-squared comparison against
 The matrix of f -> [g, f], g = mu or [mu, mu], comes from one call to the
 insertion kernel `bracket._scatter` with g's nonzeros on one side and the
 basis cochains on the other, so no bracket is taken per column.  It gives
-the SUM-mode pieces f -> g o f and f -> f o g, and every mode asked for at
-once is a scalar combination of that one scatter.  The pieces are not kept.
+the SUM-mode pieces f -> g o f and f -> f o g, and every mode is a scalar
+combination of that one scatter.  The pieces are not kept.
 
 d o d = 0 is never assumed: cohomology reports carry an explicit
-`complex_valid` flag and the rank of the composite.  The matrices of d_n
-and of d_{n+1} d_n, and the rank of d_n, are kept on the algebra per
-(n, mode): each is computed once and dies with it.
+`complex_valid` flag and the rank of the composite.  The matrices of d_n,
+of (1/2) ad_{[mu,mu]} on arity n and of d_{n+1} d_n, and the rank of d_n,
+are kept on the algebra per (n, mode): each is computed once and dies with
+it, and a miss on d_n or (1/2) ad builds every mode from its one scatter.
 """
 
 from __future__ import annotations
@@ -101,35 +102,31 @@ def _bracket_matrices(g: SymCochain, n: int, scalars) -> list[Matrix]:
     return mats
 
 
-def _differentials(A: Algebra, n: int, modes) -> list[DifferentialData]:
-    """d_n in each of `modes`, kept on A; the ones not yet kept from one scatter."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    missing = [mode for mode in modes if ("d", n, mode) not in A._ops]
-    if missing:
-        mats = _bracket_matrices(product_cochain(A), n, [(mode, 1) for mode in missing])
-        for mode, mat in zip(missing, mats):
-            A._ops["d", n, mode] = DifferentialData(mode, n, mat)
-    return [A._ops["d", n, mode] for mode in modes]
-
-
 def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DifferentialData:
     """Matrix of d from arity-n to arity-(n+1) coefficients,
-    column j = d(basis cochain j).  Kept on A."""
-    return _differentials(A, n, (mode,))[0]
-
-
-def _ad_halves(A: Algebra, n: int, modes) -> list[Matrix]:
-    """f -> (1/2) [[mu, mu], f] in each of `modes`, from one scatter of the SUM-mode
-    B = [mu, mu]: in a mode of prefactor p = `_prefactor(mode, 2, 2)`, [mu, mu] is p B."""
-    mu = product_cochain(A)
-    return _bracket_matrices(graded_bracket(mu, mu), n,
-                             [(mode, _prefactor(mode, 2, 2) / 2) for mode in modes])
+    column j = d(basis cochain j).  Kept on A; a miss builds every mode."""
+    _prefactor(mode, 0, 0)  # refuses a mode that is not an InsertionMode
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    if ("d", n, mode) not in A._ops:
+        mats = _bracket_matrices(product_cochain(A), n, [(m, 1) for m in InsertionMode])
+        for m, mat in zip(InsertionMode, mats):
+            A._ops["d", n, m] = DifferentialData(m, n, mat)
+    return A._ops["d", n, mode]
 
 
 def ad_half_bracket_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> Matrix:
-    """Matrix of f -> (1/2) [[mu, mu], f] on arity-n cochains."""
-    return _ad_halves(A, n, (mode,))[0]
+    """Matrix of f -> (1/2) [[mu, mu], f] on arity-n cochains.  Kept on A; a miss
+    builds every mode from one scatter of the SUM-mode B = [mu, mu]: in a mode of
+    prefactor p = `_prefactor(mode, 2, 2)`, [mu, mu] is p B."""
+    _prefactor(mode, 0, 0)  # refuses a mode that is not an InsertionMode
+    if ("ad", n, mode) not in A._ops:
+        mu = product_cochain(A)
+        mats = _bracket_matrices(graded_bracket(mu, mu), n,
+                                 [(m, _prefactor(m, 2, 2) / 2) for m in InsertionMode])
+        for m, mat in zip(InsertionMode, mats):
+            A._ops["ad", n, m] = mat
+    return A._ops["ad", n, mode]
 
 
 def _composite(A: Algebra, n: int, mode: InsertionMode) -> Matrix:
@@ -153,27 +150,16 @@ class DSquaredReport:
 def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DSquaredReport:
     """Compare the matrix of d o d (arity n -> n+2) against the matrix of
     f -> (1/2)[[mu,mu],f]; reports equality and whether both vanish."""
-    return _d_squared(A, n, (mode,))[0]
-
-
-def _d_squared(A: Algebra, n: int, modes) -> list[DSquaredReport]:
-    """`check_d_squared` in each of `modes`: d_n, d_{n+1} and (1/2)ad from one scatter each."""
-    for k in (n, n + 1):
-        _differentials(A, k, modes)
-    reports = []
-    for mode, ad_half in zip(modes, _ad_halves(A, n, modes)):
-        composite = _composite(A, n, mode)
-        rep = DSquaredReport(n, mode, composite == ad_half,
-                             composite.is_zero() and ad_half.is_zero())
-        if not rep.equal:  # the first differing column, located back on its basis cochain
-            j = min(c for ra, rb in zip(composite.num, ad_half.num) for c in ra.keys() | rb.keys()
-                    if ra.get(c, 0) * ad_half.den != rb.get(c, 0) * composite.den)
-            mset, k = multisets(A.dim, n)[j // A.dim], j % A.dim
-            e_j = (Fraction(0),) * j + (Fraction(1),) + (Fraction(0),) * (composite.cols - j - 1)
-            rep.witness = Witness((e_j,), composite.column(j), ad_half.column(j), f"columns of "
-                                  f"d∘d vs (1/2)ad on basis cochain ({list(mset)}, k={k})")
-        reports.append(rep)
-    return reports
+    composite, ad_half = _composite(A, n, mode), ad_half_bracket_matrix(A, n, mode)
+    rep = DSquaredReport(n, mode, composite == ad_half, composite.is_zero() and ad_half.is_zero())
+    if not rep.equal:  # the first differing column, located back on its basis cochain
+        j = min(c for ra, rb in zip(composite.num, ad_half.num) for c in ra.keys() | rb.keys()
+                if ra.get(c, 0) * ad_half.den != rb.get(c, 0) * composite.den)
+        mset, k = multisets(A.dim, n)[j // A.dim], j % A.dim
+        e_j = (Fraction(0),) * j + (Fraction(1),) + (Fraction(0),) * (composite.cols - j - 1)
+        rep.witness = Witness((e_j,), composite.column(j), ad_half.column(j), f"columns of "
+                              f"d∘d vs (1/2)ad on basis cochain ({list(mset)}, k={k})")
+    return rep
 
 
 @dataclass

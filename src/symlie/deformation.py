@@ -117,10 +117,8 @@ def mc_order0(s: DeformationSeries) -> SymCochain:
 
 def _quadratic(s: DeformationSeries, n: int) -> SymCochain:
     """(1/2) sum_{i+j=n, i,j>=1} [phi_i, phi_j], the quadratic part of the order-n equation."""
-    q = SymCochain.zero(3, s.base.dim)
-    for i in range(1, n):
-        q = q + graded_bracket(s.term(i), s.term(n - i), s.mode)
-    return q.scale(Fraction(1, 2))
+    return _combine(3, s.base.dim, [
+        (Fraction(1, 2), graded_bracket(s.term(i), s.term(n - i), s.mode)) for i in range(1, n)])
 
 
 def mc_residual(s: DeformationSeries, upto: int) -> list[SymCochain]:

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symlie import (InsertionMode, Matrix, SymCochain, basis_cochains, check_jacobi,
-                    check_prelie, cohomology, differential_matrix, endomorphism_cochain,
-                    from_coeff_vector, graded_bracket, identity_cochain, insert,
-                    insert_lowdeg_variant, linear_combine, make_j2, multisets, product_cochain,
-                    symmetrize)
+from symlie import (InsertionMode, Matrix, SymCochain, basis_cochains, check_d_squared,
+                    check_jacobi, check_prelie, cohomology, differential_matrix,
+                    endomorphism_cochain, from_coeff_vector, graded_bracket, identity_cochain,
+                    insert, insert_lowdeg_variant, linear_combine, make_j2, multisets,
+                    product_cochain, symmetrize)
 from symlie.bracket import _Memo, koszul_sign, parse_mode, unshuffle_permutations
+from symlie.complexes import ad_half_bracket_matrix
 
 from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
                      reference_bracket, reference_insert, reference_jacobi_report,
@@ -233,6 +234,14 @@ def test_insert_rejects_a_mode_that_is_not_an_insertion_mode():
         graded_bracket(mu, mu, "paper")
     with pytest.raises(TypeError, match="'paper'"):
         differential_matrix(A, 1, "paper")
+    with pytest.raises(TypeError, match="'paper'"):
+        cohomology(A, 2, "paper")
+    # and still on an algebra whose operator matrices are kept
+    cohomology(A, 2, InsertionMode.SUM)
+    check_d_squared(A, 1, InsertionMode.SUM)
+    for call in (differential_matrix, ad_half_bracket_matrix, check_d_squared):
+        with pytest.raises(TypeError, match="'paper'"):
+            call(A, 1, "paper")
     with pytest.raises(TypeError, match="'paper'"):
         cohomology(A, 2, "paper")
 

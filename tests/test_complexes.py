@@ -17,8 +17,7 @@ from symlie import (Algebra, InsertionMode, Matrix, SymCochain, audit, check_d_s
                     sym_basis_dim)
 from symlie import complexes
 from symlie.cochain import basis_cochains
-from symlie.complexes import (_composite, _d_squared, ad_half_bracket_matrix,
-                              coboundary_c1_matrix)
+from symlie.complexes import _composite, ad_half_bracket_matrix, coboundary_c1_matrix
 from symlie.deformation import class_modulo_image
 from symlie.exactla import rank
 
@@ -198,27 +197,38 @@ def per_column_matrices():
 
 
 @pytest.mark.parametrize("order", list(_BUILD_ORDERS))
-def test_operator_matrices_in_any_mode_order(order, per_column_matrices):
+def test_operator_matrices_in_any_mode_order(order, per_column_matrices, monkeypatch):
+    scatters = []  # one per _bracket_matrices call
+    bracket_matrices = complexes._bracket_matrices
+
+    def counting(*args):
+        scatters.append(args[1])
+        return bracket_matrices(*args)
+
+    monkeypatch.setattr(complexes, "_bracket_matrices", counting)
     for kind, make in _FRESH.items():
         A = make()  # fresh, so nothing is kept on it yet
         if order == "audit":
             audit(A)
-        for modes in _BUILD_ORDERS[order] or [(SUM, PAPER)]:
+        for i, modes in enumerate(_BUILD_ORDERS[order] or [(SUM, PAPER)]):
+            before = len(scatters)
             for n in range(4):
                 for mode in modes:
                     d, half_ad = per_column_matrices[kind, n, mode]
                     assert differential_matrix(A, n, mode).matrix == d, (order, kind, n, mode)
                     assert ad_half_bracket_matrix(A, n, mode) == half_ad, (order, kind, n, mode)
+            if i:  # the first mode's misses built the second mode as well
+                assert len(scatters) == before, (order, kind)
 
 
 def test_audit_keeps_no_operator_pieces():
-    # only the associator table, d_n (n = 0..3) and d_{n+1} d_n
+    # only the associator table, d_n (n = 0..3), (1/2)ad and d_{n+1} d_n
     # (n = 0..2) per mode stay on the algebra: the pieces both modes are
     # combined from do not
     A = make_spin([1, Fraction(-1, 2)])
     audit(A)
     assert set(A._ops) == {"assoc"} | {(key, n, mode) for mode in (SUM, PAPER)
-                                       for key, top in (("d", 4), ("dd", 3))
+                                       for key, top in (("d", 4), ("ad", 3), ("dd", 3))
                                        for n in range(top)}
 
 
@@ -245,7 +255,7 @@ def test_d_squared_witness_is_the_first_column_of_the_difference(seed):
     A = (random_commutative(rng, d, 0.5), random_rational_commutative(rng, d),
          make_spin([Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(d - 1)]))[seed % 3]
     for n in (0, 1, 2):
-        for rep in _d_squared(A, n, (SUM, PAPER)):
+        for rep in (check_d_squared(A, n, mode) for mode in (SUM, PAPER)):
             composite = _composite(A, n, rep.mode)
             ad_half = ad_half_bracket_matrix(A, n, rep.mode)
             diff = composite.add(ad_half.scale(-1))
