@@ -15,8 +15,8 @@ from .complexes import (CohomologyReport, DifferentialData, check_d_squared,
                         coboundary_c1_explicit, coboundary_c2_explicit, cohomology,
                         derivations, differential, differential_matrix,
                         endomorphism_cochain, identity_cochain)
-from .corpus import (CorpusEntry, corpus_algebra, corpus_entries, make_field,
-                     make_j2, make_non_jordan, make_spin, write_corpus)
+from .corpus import (CorpusEntry, corpus_entries, make_field, make_j2, make_non_jordan,
+                     make_spin, write_corpus)
 from .deformation import (DeformationSeries, GaugeSeries, MCStep, ObstructionClass,
                           gauge_equiv_first_order, gauge_transport,
                           gauge_transport_series, mc_order0, mc_residual,

@@ -23,9 +23,10 @@ class Algebra:
     The product is stored once, as its 2-cochain mu (ints over one denominator),
     so construction follows the nonzero structure constants; sc[i][j], the
     value vector of e_i * e_j, is a read-only view.  Commutativity is enforced
-    at construction time.  Instances are immutable in value and hashable; `_ops`
-    is a memo, filled on first use, of the sparse associator table, the `sc`
-    view and the operator matrices of `complexes`.
+    at construction time.  Instances are immutable in value and hashable.  What
+    is derived from mu and kept (the `sc` view, the sparse associator table,
+    [mu, mu] and the operator matrices of `complexes`) lives in `_ops`, read
+    and filled only through `_kept`.
     """
 
     __slots__ = ("dim", "labels", "_mu", "_ops")
@@ -58,10 +59,8 @@ class Algebra:
     @property
     def sc(self):
         """Read-only dense view: sc[i][j] is the value vector of e_i * e_j."""
-        if "sc" not in self._ops:
-            self._ops["sc"] = tuple(tuple(self._mu.value_at((i, j)) for j in range(self.dim))
-                                    for i in range(self.dim))
-        return self._ops["sc"]
+        mu, r = self._mu, range(self.dim)
+        return _kept(self, "sc", lambda: tuple(tuple(mu.value_at((i, j)) for j in r) for i in r))
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and self.dim == other.dim
@@ -79,6 +78,14 @@ class Algebra:
     def render_vector(self, v) -> str:
         """Human-readable combination like "6*u" or "e - 2*u"."""
         return render_linear(self.labels, v)
+
+
+def _kept(A: Algebra, key, build):
+    """A._ops[key], from build() on its first read: each value derived from mu is
+    computed once and dies with A.  The only reader and writer of `_ops`."""
+    if key not in A._ops:
+        A._ops[key] = build()
+    return A._ops[key]
 
 
 def render_linear(names, v) -> str:
@@ -128,7 +135,7 @@ def _assoc_table(A: Algebra) -> dict:
     mu's denominator.  Built from the nonzero pairs of mu: w = D^2 (e_i*e_j)*e_k is
     added at (i, j, k) and, as e_k*(e_i*e_j), subtracted at (k, i, j), so its cost
     follows mu's nonzeros.  Kept on A."""
-    if "assoc" not in A._ops:
+    def build():
         mu, d, acc = A._mu.num, A.dim, {}
         rows = [[(k, mu[ij]) for k in range(d) if (ij := (min(m, k), max(m, k))) in mu]
                 for m in range(d)]  # rows[m]: the (k, D e_m*e_k) with e_m*e_k nonzero
@@ -144,9 +151,9 @@ def _assoc_table(A: Algebra) -> dict:
                     r = acc.setdefault(key, {})
                     for n, x in w.items():
                         r[n] = r.get(n, 0) + s * x
-        A._ops["assoc"] = {key: r for key, row in acc.items()
-                           if (r := {n: x for n, x in row.items() if x})}
-    return A._ops["assoc"]
+        return {key: r for key, row in acc.items()
+                if (r := {n: x for n, x in row.items() if x})}
+    return _kept(A, "assoc", build)
 
 
 def _on_fractions(A: Algebra, op, *vecs) -> tuple[Fraction, ...]:

@@ -27,12 +27,11 @@ from .algebra import (Algebra, IdentityReport, _assoc_sum, check_cubic_jordan,
                       check_operator_identity, check_six_term, find_unit,
                       multiplication_operator, product_cochain, render_linear)
 from .bracket import (InsertionMode, _Memo, _prefactor, check_jacobi, check_prelie,
-                      first_coefficient_difference, graded_bracket, insert,
-                      insert_lowdeg_variant, unshuffles)
+                      first_coefficient_difference, insert, insert_lowdeg_variant, unshuffles)
 from .cochain import SymCochain, basis_cochains, multisets
-from .complexes import (DSquaredReport, check_d_squared, coboundary_c1_explicit,
+from .complexes import (DSquaredReport, _mu_bracket, check_d_squared, coboundary_c1_explicit,
                         coboundary_c1_matrix, coboundary_c2_explicit, cohomology,
-                        derivations, endomorphism_cochain)
+                        differential_matrix, endomorphism_cochain)
 from .corpus import corpus_entries
 from .exactla import rat_to_str, vec_to_strs
 
@@ -106,11 +105,11 @@ class AuditReport:
 def _mu_pools(A: Algebra):
     """Deterministic cochains derived from the product (all zero when mu = 0, so the
     structural claims degenerate to 0 = 0 on a trivial product), per mode: P = mu o mu
-    and B = [mu,mu] are built in SUM mode, and PAPER's are these times one prefactor."""
+    and B = [mu,mu], kept on A, are SUM mode's, and PAPER's are these times one prefactor."""
     mu, e0 = product_cochain(A), A.basis_vector(0)
     pool = {"mu": mu, "v0": SymCochain(0, A.dim, {(): e0}),
             "L0": endomorphism_cochain(multiplication_operator(A, e0)),
-            "P": insert(mu, mu, SUM), "B": graded_bracket(mu, mu, SUM)}
+            "P": insert(mu, mu, SUM), "B": _mu_bracket(A)}
     p = _prefactor(PAPER, 2, 2)
     return {SUM: pool, PAPER: {**pool, "P": pool["P"].scale(p), "B": pool["B"].scale(p)}}
 
@@ -328,9 +327,7 @@ def _claim_cubic_vs_operator(A: Algebra, cubic: IdentityReport,
 
 def _family_parameters(A: Algebra):
     """(a, b) when A is the 2-dimensional unital family with unit e_0."""
-    if A.dim != 2:
-        return None
-    if find_unit(A) != (Fraction(1), Fraction(0)):
+    if A.dim != 2 or find_unit(A) != (1, 0):
         return None
     return product_cochain(A).value_at((1, 1))
 
@@ -437,8 +434,9 @@ def audit(A: Algebra, name: str = "<unnamed>") -> AuditReport:
     claims.append(_claim_s5_coeffs(A))
     claims.append(_claim_s5_inner(A))
 
+    d1 = differential_matrix(A, 1, SUM)  # ranked by h2's sum record: no kernel is built
     data = {
-        "derivations_dim": len(derivations(A)),
+        "derivations_dim": d1.matrix.cols - d1.rank,
         "h2": {mode.value: cohomology(A, 2, mode).to_json_dict() for mode in BOTH_MODES},
     }
     return AuditReport(name, claims, data)

@@ -15,7 +15,7 @@ import sys
 from .algebra import (Algebra, algebra_from_json_dict, check_cubic_jordan,
                       check_operator_identity, check_six_term)
 from .audit import audit, audit_all
-from .bracket import InsertionMode, graded_bracket, parse_mode
+from .bracket import graded_bracket, parse_mode
 from .cochain import SymCochain
 from .complexes import cohomology, derivations
 from .corpus import corpus_entries
@@ -48,13 +48,6 @@ def load_cochain(path: str) -> SymCochain:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _mode(s: str) -> InsertionMode:
-    try:
-        return parse_mode(s)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-
-
 # ---------------------------------------------------------------------------
 # command handlers, each returning the JSON document to print
 
@@ -83,7 +76,7 @@ def _cmd_cohomology(args) -> dict:
     A = load_algebra(args.algebra)
     if args.degree < 0:
         raise FormatError("--degree must be >= 0")
-    return cohomology(A, args.degree, _mode(args.mode)).to_json_dict()
+    return cohomology(A, args.degree, parse_mode(args.mode)).to_json_dict()
 
 
 def _cmd_bracket(args) -> dict:
@@ -91,12 +84,12 @@ def _cmd_bracket(args) -> dict:
     g = load_cochain(args.g)
     if f.dim != g.dim:
         raise FormatError("cochain files have different ambient dimensions")
-    return graded_bracket(f, g, _mode(args.mode)).to_json_dict()
+    return graded_bracket(f, g, parse_mode(args.mode)).to_json_dict()
 
 
 def _cmd_mc_solve(args) -> dict:
     A = load_algebra(args.algebra)
-    mode = _mode(args.mode)
+    mode = parse_mode(args.mode)
     phi1 = load_cochain(args.phi1)
     if phi1.n != 2 or phi1.dim != A.dim:
         raise FormatError("--phi1 must be an arity-2 cochain on the algebra")

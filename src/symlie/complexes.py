@@ -9,10 +9,10 @@ the SUM-mode pieces f -> g o f and f -> f o g, and every mode is a scalar
 combination of that one scatter.  The pieces are not kept.
 
 d o d = 0 is never assumed: cohomology reports carry an explicit
-`complex_valid` flag and the rank of the composite.  The matrices of d_n,
-of (1/2) ad_{[mu,mu]} on arity n and of d_{n+1} d_n, and the rank of d_n,
-are kept on the algebra per (n, mode): each is computed once and dies with
-it, and a miss on d_n or (1/2) ad builds every mode from its one scatter.
+`complex_valid` flag and the rank of the composite.  Through `algebra._kept`
+the SUM-mode [mu, mu] is kept once for all its readers, d_n (with its rank)
+and (1/2) ad_{[mu,mu]} on arity n are kept for every mode, a miss building
+all from one scatter, and d_{n+1} d_n per mode; each dies with the algebra.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .algebra import Algebra, Witness, product_cochain
+from .algebra import Algebra, Witness, _kept, product_cochain
 from .bracket import InsertionMode, _compose, _prefactor, _scatter, graded_bracket, koszul_sign
 from .cochain import SymCochain, multisets
 from .exactla import Matrix, kernel_basis, rank
@@ -69,8 +69,8 @@ class DifferentialData:
         return rank(self.matrix)
 
 
-def _bracket_matrices(g: SymCochain, n: int, scalars) -> list[Matrix]:
-    """Matrices of f -> c [g, f] on arity-n cochains, one per (mode, c) in `scalars`,
+def _bracket_matrices(g: SymCochain, n: int, scalars) -> dict[InsertionMode, Matrix]:
+    """{mode: matrix of f -> c [g, f] on arity-n cochains} over `scalars`, {mode: c},
     from one `_scatter` of the SUM-mode pieces L: e -> g o e and R: e -> e o g on the
     basis cochains e = e_{F,t}, 1 at coordinate t of F, column j d + t for F the j-th
     multiset.  In g o e one inner term per F, 1 at every slot, tags each key with the
@@ -83,8 +83,8 @@ def _bracket_matrices(g: SymCochain, n: int, scalars) -> list[Matrix]:
     blocks = [(F, dict.fromkeys(range(j, j + d), 1)) for F, j in col_of.items()]  # e o g
     out, _ = _scatter([(1, g.num.items(), units, col_of), (1, blocks, g.num.items(), None)])
     row_of = {M: i * d for i, M in enumerate(multisets(d, m + n - 1))}
-    mats = []
-    for mode, c in scalars:
+    mats = {}
+    for mode, c in scalars.items():
         p_L = c * _prefactor(mode, m, n)
         p_R = -c * koszul_sign(m - 1, n - 1) * _prefactor(mode, n, m)
         q = lcm(p_L.denominator, p_R.denominator)
@@ -98,7 +98,7 @@ def _bracket_matrices(g: SymCochain, n: int, scalars) -> list[Matrix]:
                 row[j] = row.get(j, 0) + x
                 if not row[j]:  # none stored where terms cancel
                     del row[j]
-        mats.append(Matrix._from_ints(len(rows), len(col_of) * d, rows, q * g.den))
+        mats[mode] = Matrix._from_ints(len(rows), len(col_of) * d, rows, q * g.den)
     return mats
 
 
@@ -108,34 +108,28 @@ def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.
     _prefactor(mode, 0, 0)  # refuses a mode that is not an InsertionMode
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if ("d", n, mode) not in A._ops:
-        mats = _bracket_matrices(product_cochain(A), n, [(m, 1) for m in InsertionMode])
-        for m, mat in zip(InsertionMode, mats):
-            A._ops["d", n, m] = DifferentialData(m, n, mat)
-    return A._ops["d", n, mode]
+    return _kept(A, ("d", n), lambda: {
+        m: DifferentialData(m, n, mat) for m, mat in _bracket_matrices(
+            product_cochain(A), n, dict.fromkeys(InsertionMode, 1)).items()})[mode]
+
+
+def _mu_bracket(A: Algebra) -> SymCochain:
+    """[mu, mu] in SUM mode, kept on A; a mode's is `_prefactor(mode, 2, 2)` times it."""
+    return _kept(A, "mumu", lambda: graded_bracket(product_cochain(A), product_cochain(A)))
 
 
 def ad_half_bracket_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> Matrix:
     """Matrix of f -> (1/2) [[mu, mu], f] on arity-n cochains.  Kept on A; a miss
-    builds every mode from one scatter of the SUM-mode B = [mu, mu]: in a mode of
-    prefactor p = `_prefactor(mode, 2, 2)`, [mu, mu] is p B."""
+    builds every mode from one scatter of the kept SUM-mode [mu, mu]."""
     _prefactor(mode, 0, 0)  # refuses a mode that is not an InsertionMode
-    if ("ad", n, mode) not in A._ops:
-        mu = product_cochain(A)
-        mats = _bracket_matrices(graded_bracket(mu, mu), n,
-                                 [(m, _prefactor(m, 2, 2) / 2) for m in InsertionMode])
-        for m, mat in zip(InsertionMode, mats):
-            A._ops["ad", n, m] = mat
-    return A._ops["ad", n, mode]
+    return _kept(A, ("ad", n), lambda: _bracket_matrices(
+        _mu_bracket(A), n, {m: _prefactor(m, 2, 2) / 2 for m in InsertionMode}))[mode]
 
 
 def _composite(A: Algebra, n: int, mode: InsertionMode) -> Matrix:
     """Matrix of d o d from arity n to arity n+2, d_{n+1} d_n.  Kept on A."""
-    key = ("dd", n, mode)
-    if key not in A._ops:
-        d_n = differential_matrix(A, n, mode).matrix
-        A._ops[key] = differential_matrix(A, n + 1, mode).matrix.mul(d_n)
-    return A._ops[key]
+    return _kept(A, ("dd", n, mode), lambda: differential_matrix(A, n + 1, mode).matrix.mul(
+        differential_matrix(A, n, mode).matrix))
 
 
 @dataclass

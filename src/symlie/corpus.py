@@ -85,13 +85,6 @@ def corpus_entries() -> list[CorpusEntry]:
     ]
 
 
-def corpus_algebra(name: str) -> Algebra:
-    for entry in corpus_entries():
-        if entry.name == name:
-            return entry.algebra
-    raise KeyError(f"no corpus algebra named {name!r}")
-
-
 def write_corpus(dirpath) -> list[Path]:
     """Write every entry as a JSON file; byte-stable output."""
     dirpath = Path(dirpath)

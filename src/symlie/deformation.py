@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, product_cochain
-from .bracket import InsertionMode, graded_bracket
+from .bracket import InsertionMode, _prefactor, graded_bracket
 from .cochain import SymCochain, _combine, coeff_vector, from_coeff_vector, multisets
 from .errors import InvariantViolation
 from .exactla import _eliminate, json_int, rat_to_str, solve
-from .complexes import coboundary_c1_matrix, differential, differential_matrix
+from .complexes import _mu_bracket, coboundary_c1_matrix, differential, differential_matrix
 
 
 @dataclass
@@ -110,9 +110,8 @@ def series_from_json_list(raw, arity: int) -> list[SymCochain]:
 # residuals and the order-by-order solver
 
 def mc_order0(s: DeformationSeries) -> SymCochain:
-    """The order-0 datum (1/2)[mu, mu] of the quadratic equation."""
-    mu = product_cochain(s.base)
-    return graded_bracket(mu, mu, s.mode).scale(Fraction(1, 2))
+    """The order-0 datum (1/2)[mu, mu], scaled from the SUM-mode [mu, mu] kept on A."""
+    return _mu_bracket(s.base).scale(_prefactor(s.mode, 2, 2) / 2)
 
 
 def _quadratic(s: DeformationSeries, n: int) -> SymCochain:

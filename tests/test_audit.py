@@ -10,11 +10,14 @@ import pytest
 
 from symlie import (Algebra, InsertionMode, algebra_from_entries, audit, audit_all,
                     check_cubic_jordan, check_jacobi, check_prelie, cli,
-                    coboundary_c1_explicit, corpus_entries, endomorphism_cochain,
+                    coboundary_c1_explicit, corpus_entries, derivations, endomorphism_cochain,
                     graded_bracket, insert, insert_lowdeg_variant, make_j2, make_non_jordan,
                     make_spin, multiplication_operator, product_cochain, render_text,
                     SymCochain)
 from symlie import algebra as algebra_module
+from symlie import bracket as bracket_module
+from symlie import complexes as complexes_module
+from symlie import exactla as exactla_module
 from symlie.audit import CLAIM_CATALOG, LOCATION, _TRIPLES, _claim_sym_closure, _mu_pools
 from symlie.exactla import vec_to_strs
 
@@ -161,12 +164,13 @@ def test_paper_pool_is_the_paper_insertion_and_bracket():
 
 
 def test_mumu_reads_the_bracket_in_both_modes(monkeypatch):
-    # MUMU-FORMULA compares B, built by graded_bracket, with 2P: a wrong
-    # bracket must show in both modes, since the paper B is scaled from it
-    module = importlib.import_module("symlie.audit")
+    # MUMU-FORMULA compares B, the [mu,mu] kept on the algebra and built by
+    # graded_bracket, with 2P: a wrong bracket must show in both modes, since
+    # the paper B is scaled from it
+    module = importlib.import_module("symlie.complexes")
     real_bracket = module.graded_bracket
 
-    def tampered(a, b, m):
+    def tampered(a, b, m=SUM):
         built = real_bracket(a, b, m)
         return built + SymCochain(built.n, built.dim,
                                   {(0,) * built.n: (1,) + (0,) * (built.dim - 1)})
@@ -492,3 +496,46 @@ def test_cold_audit_builds_the_associator_table_once(monkeypatch):
     audit(A)
     assert builds == [A] and A._ops["assoc"] is real_table(A)
     assert muls[0] < 100
+
+
+def test_cold_audit_builds_mumu_once_and_no_kernel_basis(monkeypatch):
+    # the pool's B and (1/2)ad at every degree read one [mu,mu] kept on the
+    # algebra, and derivations_dim is read off the rank of d_1, not a kernel
+    A = make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)])
+    mu, builds, kernels = product_cochain(A), [], []
+    real_compose = bracket_module._compose
+
+    def compose(f, g, mode, sign):
+        if sign and f == mu and g == mu:
+            builds.append(mode)
+        return real_compose(f, g, mode, sign)
+
+    def counting(real):
+        def kernel_basis(*args):
+            kernels.append(args)
+            return real(*args)
+        return kernel_basis
+
+    monkeypatch.setattr(bracket_module, "_compose", compose)
+    for module in (exactla_module, complexes_module):  # every module that binds it
+        monkeypatch.setattr(module, "kernel_basis", counting(module.kernel_basis))
+    audit(A)
+    assert builds == [SUM] and kernels == []
+
+
+def _seeded_spin(rng, d):
+    return make_spin([Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 4]))
+                      for _ in range(d - 1)])
+
+
+def test_derivations_dim_is_the_kernel_dimension_of_d1():
+    # rank-nullity on d_1 gives the count that derivations() spans
+    rng = random.Random(26)
+    algebras = [entry.algebra for entry in corpus_entries()]
+    algebras += [_seeded_spin(rng, d) for d in (3, 4, 5)]
+    algebras += [random_rational_commutative(rng, d) for d in (3, 4)]
+    dims = []
+    for A in algebras:
+        dims.append(audit(A).data["derivations_dim"])
+        assert dims[-1] == len(derivations(A)), A
+    assert any(dims)

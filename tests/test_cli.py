@@ -3,6 +3,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from symlie import (SymCochain, algebra_to_json_dict, differential, graded_bracket,
                     identity_cochain, make_j2, make_spin, product_cochain)
 from symlie.cli import run
@@ -188,6 +190,49 @@ def test_audit_single_and_all(capsys, corpus_dir):
 def test_audit_requires_target(capsys):
     code, _, err = run_capture(capsys, ["audit"])
     assert code == 2 and "algebra file or --all" in err
+
+
+@pytest.fixture
+def refusal_files(tmp_path, corpus_dir):
+    """The file arguments of the refusal cases, by the name that stands for them."""
+    def write(name, doc):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        return str(p)
+
+    return {"ALG": corpus_path(corpus_dir, "j2_1_0"),
+            "PHI": write("phi", SymCochain.zero(2, 2).to_json_dict()),
+            "PHI_ARITY3": write("phi_arity3", SymCochain.zero(3, 2).to_json_dict()),
+            "PHI_DIM3": write("phi_dim3", SymCochain.zero(2, 3).to_json_dict()),
+            "SERIES": write("series", [dict(identity_cochain(2).to_json_dict(), order=1)]),
+            "SERIES_DIM3": write("series_dim3", [dict(identity_cochain(3).to_json_dict(),
+                                                      order=1)])}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cohomology", "--degree", "-1", "ALG"], "--degree must be >= 0"),
+    (["mc-solve", "--phi1", "PHI_ARITY3", "--order", "2", "ALG"],
+     "--phi1 must be an arity-2 cochain on the algebra"),
+    (["mc-solve", "--phi1", "PHI_DIM3", "--order", "2", "ALG"],
+     "--phi1 must be an arity-2 cochain on the algebra"),
+    (["mc-solve", "--phi1", "PHI", "--order", "0", "ALG"], "--order must be >= 1"),
+    (["gauge", "--series", "SERIES", "--order", "0", "ALG"], "--order must be >= 1"),
+    (["gauge", "--series", "SERIES_DIM3", "--order", "2", "ALG"],
+     "gauge series dimension does not match the algebra"),
+    (["audit", "--all", "ALG"], "give either an algebra file or --all, not both"),
+], ids=["negative-degree", "phi1-arity", "phi1-dim", "mc-solve-order", "gauge-order",
+        "gauge-dim", "audit-file-and-all"])
+def test_usage_refusals_exit_2(capsys, refusal_files, argv, message):
+    # nothing on stdout and one error line on stderr
+    code, out, err = run_capture(capsys, [refusal_files.get(a, a) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_audit_of_an_algebra_outside_the_corpus_names_its_path(capsys, tmp_path):
+    p = tmp_path / "spin.json"
+    p.write_text(json.dumps(algebra_to_json_dict(make_spin([1, 2]))), encoding="utf-8")
+    code, out, _ = run_capture(capsys, ["audit", str(p)])
+    assert code == 0 and json.loads(out)["algebra"] == str(p)
 
 
 def test_audit_discrepancies_exit_zero(capsys, corpus_dir):

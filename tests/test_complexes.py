@@ -222,14 +222,13 @@ def test_operator_matrices_in_any_mode_order(order, per_column_matrices, monkeyp
 
 
 def test_audit_keeps_no_operator_pieces():
-    # only the associator table, d_n (n = 0..3), (1/2)ad and d_{n+1} d_n
-    # (n = 0..2) per mode stay on the algebra: the pieces both modes are
-    # combined from do not
+    # only the associator table, [mu,mu], d_n (n = 0..3) and (1/2)ad
+    # (n = 0..2) for both modes, and d_{n+1} d_n (n = 0..2) per mode stay on
+    # the algebra: the pieces both modes are combined from do not
     A = make_spin([1, Fraction(-1, 2)])
     audit(A)
-    assert set(A._ops) == {"assoc"} | {(key, n, mode) for mode in (SUM, PAPER)
-                                       for key, top in (("d", 4), ("ad", 3), ("dd", 3))
-                                       for n in range(top)}
+    assert set(A._ops) == {"assoc", "mumu"} | {("d", n) for n in range(4)} | {
+        ("ad", n) for n in range(3)} | {("dd", n, mode) for mode in (SUM, PAPER) for n in range(3)}
 
 
 def test_d_squared_matches_half_ad_at_degree_one():

@@ -12,7 +12,7 @@ from symlie import (Algebra, DeformationSeries, GaugeSeries, InsertionMode,
                     make_non_jordan, make_spin, mc_order0, mc_residual,
                     mc_solve_chain, mc_solve_step, obstruction_class,
                     product_cochain)
-from symlie import deformation
+from symlie import bracket, deformation
 from symlie.deformation import class_modulo_image, series_from_json_list
 from symlie.exactla import solve
 
@@ -40,6 +40,29 @@ def test_mc_order0_is_half_self_bracket():
         mu = product_cochain(A)
         s = DeformationSeries(A, 0, [])
         assert mc_order0(s) == graded_bracket(mu, mu).scale(Fraction(1, 2))
+
+
+def test_mc_order0_scales_the_kept_bracket_in_both_modes(monkeypatch):
+    # both modes read the one SUM-mode [mu, mu] kept on the algebra: in paper
+    # mode each insertion term of [mu, mu] carries 1/(1! 2!)
+    rng = random.Random(5)
+    for A in [make_j2(1, 0), make_j2(-1, 2), make_non_jordan()] + [
+            random_rational_commutative(rng, d) for d in (2, 3)]:
+        mu = product_cochain(A)
+        expected = {mode: graded_bracket(mu, mu, mode).scale(Fraction(1, 2))
+                    for mode in (SUM, PAPER)}
+        builds = []
+        real_compose = bracket._compose
+
+        def compose(f, g, mode, sign):
+            builds.append((f, g, mode, sign))
+            return real_compose(f, g, mode, sign)
+
+        with monkeypatch.context() as m:
+            m.setattr(bracket, "_compose", compose)
+            for mode in (PAPER, SUM, PAPER):
+                assert mc_order0(DeformationSeries(A, 0, [], mode)) == expected[mode], mode
+        assert builds == [(mu, mu, SUM, 1)]  # [mu, mu] = mu o mu + mu o mu, once
 
 
 def test_mc_residual_zero_terms():
