@@ -9,15 +9,17 @@ the SUM-mode pieces f -> g o f and f -> f o g, and every mode is a scalar
 combination of that one scatter.  The pieces are not kept.
 
 d o d = 0 is never assumed: cohomology reports carry an explicit
-`complex_valid` flag and the rank of the composite.  Through `algebra._kept`
-the SUM-mode [mu, mu] is kept once for all its readers, d_n (with its rank)
-and (1/2) ad_{[mu,mu]} on arity n are kept for every mode, a miss building
-all from one scatter, and d_{n+1} d_n per mode; each dies with the algebra.
+`complex_valid` flag and the defect rank(d_n d_{n-1}), read off the ranks
+when d_n is injective.  Through `algebra._kept` the SUM-mode [mu, mu] is
+kept once for all its readers, d_n (with its rank, shared by a mode whose
+d_n is a nonzero multiple of SUM's) and (1/2) ad_{[mu,mu]} on arity n are
+kept for every mode, a miss building all from one scatter, and d_{n+1} d_n
+per mode; each dies with the algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -62,11 +64,13 @@ class DifferentialData:
     mode: InsertionMode
     degree: int
     matrix: Matrix
+    # SUM's d_n when this one is a nonzero multiple of it, which has the same rank
+    multiple_of: DifferentialData | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def rank(self) -> int:
-        """The rank of d_n, computed on first read."""
-        return rank(self.matrix)
+        """The rank of d_n, computed on first read (once per proportional pair)."""
+        return self.multiple_of.rank if self.multiple_of else rank(self.matrix)
 
 
 def _bracket_matrices(g: SymCochain, n: int, scalars) -> dict[InsertionMode, Matrix]:
@@ -104,13 +108,20 @@ def _bracket_matrices(g: SymCochain, n: int, scalars) -> dict[InsertionMode, Mat
 
 def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DifferentialData:
     """Matrix of d from arity-n to arity-(n+1) coefficients,
-    column j = d(basis cochain j).  Kept on A; a miss builds every mode."""
+    column j = d(basis cochain j).  Kept on A; a miss builds every mode.  A mode's
+    d_n is p_L L - s p_R R, p_L = `_prefactor(mode, 2, n)`, p_R = `_prefactor(mode, n, 2)`:
+    where p_L = p_R (PAPER at n = 0, 2) it is p_L times SUM's, and reads SUM's rank."""
     _prefactor(mode, 0, 0)  # refuses a mode that is not an InsertionMode
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return _kept(A, ("d", n), lambda: {
-        m: DifferentialData(m, n, mat) for m, mat in _bracket_matrices(
-            product_cochain(A), n, dict.fromkeys(InsertionMode, 1)).items()})[mode]
+
+    def build():
+        mats = _bracket_matrices(product_cochain(A), n, dict.fromkeys(InsertionMode, 1))
+        s = DifferentialData(InsertionMode.SUM, n, mats[InsertionMode.SUM])
+        return {m: s if m is InsertionMode.SUM else DifferentialData(
+            m, n, mats[m], s if _prefactor(m, 2, n) == _prefactor(m, n, 2) else None)
+            for m in InsertionMode}
+    return _kept(A, ("d", n), build)[mode]
 
 
 def _mu_bracket(A: Algebra) -> SymCochain:
@@ -179,6 +190,10 @@ class CohomologyReport:
 
 
 def cohomology(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> CohomologyReport:
+    """dim ker d_n, rank d_{n-1} and the defect rank(d_n d_{n-1}); H^n when it is 0.
+    Sylvester: rank(d_n d_{n-1}) = rank(d_{n-1}) - dim(ker d_n & im d_{n-1}), so an
+    injective d_n gives defect rank(d_{n-1}); otherwise the kept composite is ranked.
+    A mode whose d_n is a nonzero multiple of SUM's reads SUM's rank (a scalar keeps it)."""
     d_n = differential_matrix(A, n, mode)
     dim_kernel = d_n.matrix.cols - d_n.rank
     if n == 0:
@@ -186,7 +201,7 @@ def cohomology(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> C
         defect = 0
     else:
         dim_image = differential_matrix(A, n - 1, mode).rank
-        defect = rank(_composite(A, n - 1, mode))
+        defect = dim_image if dim_kernel == 0 else rank(_composite(A, n - 1, mode))
     valid = defect == 0
     dim_H = dim_kernel - dim_image if valid else None
     return CohomologyReport(n, mode, dim_kernel, dim_image, valid, defect, dim_H)

@@ -5,12 +5,13 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from symlie import (Algebra, InsertionMode, Matrix, SymCochain, audit, check_d_squared,
-                    check_jacobi, coboundary_c1_explicit, coboundary_c2_explicit,
-                    coeff_vector, cohomology, derivations, differential,
+from symlie import (Algebra, InsertionMode, Matrix, SymCochain, algebra_from_json_dict,
+                    audit, check_d_squared, check_jacobi, coboundary_c1_explicit,
+                    coboundary_c2_explicit, coeff_vector, cohomology, derivations, differential,
                     differential_matrix, endomorphism_cochain, graded_bracket,
                     insert, make_field, make_j2, make_non_jordan, mc_solve_chain,
                     make_spin, multiplication_operator, product, product_cochain,
@@ -21,9 +22,13 @@ from symlie.complexes import _composite, ad_half_bracket_matrix, coboundary_c1_m
 from symlie.deformation import class_modulo_image
 from symlie.exactla import rank
 
-from oracles import (derivation_dimension, printed_coboundary_c1, printed_coboundary_c2,
-                     random_cochain, random_commutative, random_rational_commutative,
-                     random_vector, reference_bracket, reference_bracket_matrix)
+from oracles import (_row_echelon_rank, dense_mul, derivation_dimension,
+                     printed_coboundary_c1, printed_coboundary_c2, random_cochain,
+                     random_commutative, random_rational_commutative, random_vector,
+                     reference_bracket, reference_bracket_matrix)
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import dense_doc, spin_doc  # the benchmark's seeded algebra documents
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -380,8 +385,9 @@ def test_operator_rows_reach_the_matrix_without_zeros(monkeypatch):
 
 def test_each_differential_is_ranked_once(monkeypatch):
     # cohomology(A, n) reads the rank of d_{n-1}, which cohomology(A, n - 1)
-    # has just taken: over degrees 2 then 3 that is d_2, d_1, d_2 d_1, d_3
-    # and d_3 d_2 per mode, here (rows, columns)
+    # has just taken: over degrees 2 then 3 that is d_2, d_1 and d_3 per mode,
+    # here (rows, columns).  d_2 and d_3 are injective, so neither d_2 d_1 nor
+    # d_3 d_2 is ranked, and PAPER d_2 is 1/2 SUM d_2, so it reads SUM's rank
     shapes = []
 
     def counting_rank(m):
@@ -393,7 +399,90 @@ def test_each_differential_is_ranked_once(monkeypatch):
     for mode in (SUM, PAPER):
         cohomology(A, 2, mode)
         cohomology(A, 3, mode)
-    assert sorted(shapes) == sorted([(80, 40), (40, 16), (80, 16), (140, 80), (140, 40)] * 2)
+    assert sorted(shapes) == sorted([(80, 40)] + [(40, 16), (140, 80)] * 2)
+
+
+def _oracle_defect(A, n, mode):
+    """rank(d_n d_{n-1}) from per-column brackets, a dense product and plain
+    Gaussian elimination, independent of `complexes`."""
+    mu = product_cochain(A)
+    lo, hi = (reference_bracket_matrix(mu, k, mode is PAPER, 1) for k in (n - 1, n))
+    return _row_echelon_rank(dense_mul(hi.data, lo.data, lo.cols))
+
+
+def _doc_algebra(make_doc, seed, *args):
+    return lambda: algebra_from_json_dict(make_doc(random.Random(seed), *args))
+
+
+@pytest.mark.parametrize("make, degrees, injective", [
+    # d_n has a kernel and the defect is not rank(d_{n-1}): the composite is ranked
+    (make_non_jordan, (2,), False),
+    (_doc_algebra(dense_doc, 1, 2, 0.2), (1, 2, 3), False),
+    # d_n is injective at n >= 2 (SUM d_1 of a spin factor is not)
+    (_doc_algebra(spin_doc, 3, 3), (1, 2, 3), True),
+    (_doc_algebra(spin_doc, 4, 4), (1, 2), True),
+    (_doc_algebra(spin_doc, 5, 5), (1,), True),  # the oracle's degree-2 product takes over 1 s
+    (_doc_algebra(dense_doc, 0, 3), (1, 2, 3), True),
+], ids=["non_jordan", "dense-d2-fill0.2", "spin-d3", "spin-d4", "spin-d5", "dense-d3"])
+def test_defect_is_the_rank_of_the_oracle_composite(make, degrees, injective):
+    A = make()
+    for n in degrees:
+        for mode in (SUM, PAPER):
+            rep = cohomology(A, n, mode)
+            assert rep.defect_rank == _oracle_defect(A, n, mode), (n, mode)
+            if not injective:
+                assert rep.dim_kernel > 0 and rep.defect_rank != rep.dim_image_from_below
+            elif n >= 2:
+                assert rep.dim_kernel == 0
+
+
+def test_non_jordan_degree_two_defect_pinned():
+    for mode in (SUM, PAPER):
+        rep = cohomology(make_non_jordan(), 2, mode)
+        assert (rep.dim_kernel, rep.dim_image_from_below, rep.defect_rank) == (1, 4, 3)
+
+
+def test_modes_share_a_rank_only_where_their_scalars_agree():
+    # PAPER d_n is a multiple of SUM d_n at n = 0, 2 only; at n = 1 and n = 3
+    # the ranks differ, (rank, columns) per mode, so sharing there is wrong
+    spin = make_spin((1, 1))  # the corpus spin_1_1
+    assert [(differential_matrix(spin, 1, m).rank, differential_matrix(spin, 1, m).matrix.cols)
+            for m in (SUM, PAPER)] == [(8, 9), (9, 9)]
+    A = algebra_from_json_dict(dense_doc(random.Random(0), 2, 0.4))
+    assert [differential_matrix(A, 3, m).rank for m in (SUM, PAPER)] == [7, 8]
+
+
+@pytest.mark.parametrize("order", [(SUM, PAPER), (PAPER, SUM)], ids=["sum-first", "paper-first"])
+def test_degree_two_ranks_d2_once_in_either_mode_order(order, monkeypatch):
+    shapes = []
+
+    def counting_rank(m):
+        shapes.append((m.rows, m.cols))
+        return rank(m)
+
+    monkeypatch.setattr(complexes, "rank", counting_rank)
+    reports = {m: cohomology(make_spin([1, 2, -3]), 2, m).to_json_dict() for m in (SUM, PAPER)}
+    A = make_spin([1, 2, -3])
+    shapes.clear()
+    assert {m: cohomology(A, 2, m).to_json_dict() for m in order} == reports
+    assert shapes.count((80, 40)) == 1
+
+
+def test_injective_degree_builds_no_composite(monkeypatch):
+    calls = []
+
+    def counting_composite(A, n, mode):
+        calls.append(n)
+        return _composite(A, n, mode)
+
+    monkeypatch.setattr(complexes, "_composite", counting_composite)
+    for mode in (SUM, PAPER):
+        rep = cohomology(algebra_from_json_dict(dense_doc(random.Random(0), 3)), 3, mode)
+        assert rep.dim_kernel == 0 and calls == []
+    for mode in (SUM, PAPER):
+        calls.clear()
+        cohomology(make_non_jordan(), 2, mode)
+        assert calls == [1]
 
 
 def test_operator_matrices_die_with_their_algebra():
