@@ -82,8 +82,7 @@ class SymCochain:
         """entries: iterable of (multiset, k, value)."""
         vecs: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for mset, k, val in entries:
-            if not 0 <= k < dim:
-                raise ValueError(f"output index k={k} out of range for dim {dim}")
+            _check_k(k, dim)
             vec = vecs.setdefault(tuple(sorted(mset)), {})
             vec[k] = vec.get(k, 0) + Fraction(val)
         return cls._from_ints(n, dim, *_over_one_den(n, dim, vecs))
@@ -95,11 +94,16 @@ class SymCochain:
         return {key: self.value_at(key) for key in self.num}
 
     def value_at(self, mset) -> tuple[Fraction, ...]:
-        """Value vector at the basis tuple of the given multiset."""
-        vec = self.num.get(tuple(sorted(mset)), {})
+        """Value vector at the basis tuple of the given multiset, in any order;
+        ValueError unless it has n indices in [0, dim)."""
+        key = tuple(sorted(mset))
+        _check_key(key, self.n, self.dim)
+        vec = self.num.get(key, {})
         return tuple(Fraction(vec.get(k, 0), self.den) for k in range(self.dim))
 
     def coeff(self, mset, k: int) -> Fraction:
+        """Output coordinate k of `value_at(mset)`; ValueError unless 0 <= k < dim."""
+        _check_k(k, self.dim)
         return self.value_at(mset)[k]
 
     def is_zero(self) -> bool:
@@ -145,39 +149,52 @@ class SymCochain:
     def evaluate(self, args) -> tuple[Fraction, ...]:
         """Multilinear symmetric extension at general vectors.
 
-        Contracts one argument at a time; by the storage convention the
-        result at a basis tuple is exactly the stored coefficient vector.
-        The contraction runs on integers: numerators over the cochain's
-        common denominator, each argument scaled by the lcm of its own
-        denominators, one division per output coordinate at the end.
+        f(v_1..v_n) = sum over stored M of W[M] f[M], where W[M] is the
+        coefficient of t^M in prod_p (sum_i v_p[i] t_i).  That is exact
+        because f[M] is the value at the basis tuple of M, not a divided
+        power.  W is built by a running product over the arguments, keyed by
+        M as base-(n+1) digits, sum over i in M of (n+1)^i: no index occurs
+        more than n times, so the digits never carry, and multiplying in
+        index i adds (n+1)^i to the key.  The end is one dot product of the
+        scalar weights with the stored vectors.  It runs on integers:
+        numerators over the cochain's denominator, each argument scaled by
+        the lcm of its own denominators, one division per output coordinate.
+
+        Cost: W spans every multiset of the arguments' nonzero coordinates,
+        whatever f stores, so a call costs about what a dense f of the same
+        shape costs.  Against contracting f's stored vectors one argument at
+        a time (Python 3.11, one core of a 2-core VM), a dense f gains most
+        (d = 8, n = 4, 311 of 330 multisets: 1210 -> 490 us; d = 3, n = 5:
+        74 -> 30 us), while a very sparse f at larger d pays for the whole W
+        (d = 8, n = 4, 5 multisets: 119 -> 177 us), bounded by the dense cost.
         """
-        args = [tuple(x if type(x) is Fraction else Fraction(x) for x in a) for a in args]
-        if len(args) != self.n:
-            raise ValueError(f"expected {self.n} arguments, got {len(args)}")
-        if any(len(a) != self.dim for a in args):
-            raise ValueError("argument vector has wrong length")
-        cur, den = self.num, self.den
-        for v in args:
-            s = lcm(*(x.denominator for x in v))
+        n, dim = self.n, self.dim
+        args = [[x if type(x) is Fraction else Fraction(x) for x in a] for a in args]
+        if len(args) != n:
+            raise ValueError(f"expected {n} arguments, got {len(args)}")
+        base, weights, den = n + 1, {0: 1}, self.den
+        for a in args:
+            if len(a) != dim:
+                raise ValueError("argument vector has wrong length")
+            s = lcm(*[x.denominator for x in a])
             den *= s
-            v = [x.numerator * (s // x.denominator) for x in v]
-            nxt: dict[tuple[int, ...], dict[int, int]] = {}
-            for mset, vec in cur.items():
-                prev = None
-                for pos, i in enumerate(mset):
-                    if i == prev:
-                        continue
-                    prev = i
-                    c = v[i]
-                    if not c:
-                        continue
-                    red = mset[:pos] + mset[pos + 1:]
-                    acc = nxt.setdefault(red, {})
-                    for k, x in vec.items():
-                        acc[k] = acc.get(k, 0) + c * x
-            cur = nxt
-        out = cur.get((), {})
-        return tuple(Fraction(out.get(k, 0), den) for k in range(self.dim))
+            nxt, step = {}, 1
+            for x in a:
+                if x:
+                    c = x.numerator * (s // x.denominator)
+                    for key, w in weights.items():
+                        key += step
+                        nxt[key] = nxt.get(key, 0) + w * c
+                step *= base
+            weights = nxt
+        pw = [base ** i for i in range(dim)]
+        out = [0] * dim
+        for mset, vec in self.num.items():
+            w = weights.get(sum(map(pw.__getitem__, mset)))
+            if w:
+                for k, x in vec.items():
+                    out[k] += w * x
+        return tuple([Fraction(x, den) for x in out])
 
     # -- serialization --------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -239,11 +256,21 @@ def _over_one_den(n: int, dim: int, vecs) -> tuple[dict, int]:
     if n < 0 or dim < 1:
         raise ValueError("bad cochain shape")
     for key in vecs:
-        if len(key) != n or tuple(sorted(key)) != key or any(not 0 <= i < dim for i in key):
-            raise ValueError(f"bad multiset key {key} for arity {n}, dim {dim}")
+        _check_key(key, n, dim)
     den = lcm(*(x.denominator for vec in vecs.values() for x in vec.values()))
     return {key: {k: x.numerator * (den // x.denominator) for k, x in vec.items()}
             for key, vec in vecs.items()}, den
+
+
+def _check_key(key: tuple, n: int, dim: int) -> None:
+    """Refuse a multiset key unless it is sorted, of size n, with indices in [0, dim)."""
+    if len(key) != n or tuple(sorted(key)) != key or any(not 0 <= i < dim for i in key):
+        raise ValueError(f"bad multiset key {key} for arity {n}, dim {dim}")
+
+
+def _check_k(k: int, dim: int) -> None:
+    if not 0 <= k < dim:
+        raise ValueError(f"output index k={k} out of range for dim {dim}")
 
 
 def _combine(n: int, dim: int, terms) -> SymCochain:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
@@ -156,16 +157,60 @@ def test_linear_combine_shape_mismatch():
 
 def test_evaluate_arity_mismatch():
     f = SymCochain.zero(2, 2)
-    with pytest.raises(ValueError):
-        f.evaluate([(1, 0)])
-    with pytest.raises(ValueError):
-        f.evaluate([(1, 0), (1, 0, 0)])
+    for args, msg in [([(1, 0)], "expected 2 arguments, got 1"),
+                      ([], "expected 2 arguments, got 0"),
+                      (iter([(1, 0)] * 3), "expected 2 arguments, got 3"),
+                      # the count is checked before any vector's length
+                      ([(1,), (1, 0), (1, 0, 0)], "expected 2 arguments, got 3"),
+                      ([(1, 0), (1, 0, 0)], "argument vector has wrong length"),
+                      ([(1,), (1, 0)], "argument vector has wrong length")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            f.evaluate(args)
+    with pytest.raises(ValueError, match=r"^expected 0 arguments, got 1$"):
+        SymCochain.zero(0, 2).evaluate([(1, 0)])
 
 
 @pytest.mark.parametrize("k", [-1, 2, 7])
 def test_from_entries_rejects_output_index_out_of_range(k):
     with pytest.raises(ValueError, match=f"k={k} .*dim 2"):
         SymCochain.from_entries(1, 2, [((0,), k, 1)])
+
+
+@pytest.mark.parametrize("mset", [(0,), (0, 1, 1), (0, 5), (2, 0), (-1, 0), ()])
+def test_value_at_and_coeff_refuse_malformed_multisets(mset):
+    f = SymCochain.from_entries(2, 2, [((0, 1), 1, 3)])
+    key = re.escape(str(tuple(sorted(mset))))
+    with pytest.raises(ValueError, match=f"bad multiset key {key} for arity 2, dim 2"):
+        f.value_at(mset)
+    with pytest.raises(ValueError, match=f"bad multiset key {key} for arity 2, dim 2"):
+        f.coeff(mset, 0)
+
+
+@pytest.mark.parametrize("k", [-1, 2, 7])
+def test_coeff_refuses_output_index_out_of_range(k):
+    f = SymCochain.from_entries(2, 2, [((0, 1), 1, 3)])
+    with pytest.raises(ValueError, match=f"k={k} .*dim 2"):
+        f.coeff((0, 1), k)
+
+
+def test_value_at_and_coeff_sort_their_multiset():
+    f = SymCochain.from_entries(2, 2, [((0, 1), 1, 3)])
+    assert f.value_at((1, 0)) == f.value_at((0, 1)) == (0, 3)
+    assert f.coeff((1, 0), 1) == f.coeff([0, 1], 1) == 3
+    assert f.coeff((1, 1), 1) == 0
+    c = SymCochain.from_entries(0, 2, [((), 0, Fraction(1, 2))])
+    assert c.value_at(()) == (Fraction(1, 2), 0)
+
+
+def test_evaluate_accepts_iterators_and_int_str_fraction_entries():
+    rng = random.Random(61)
+    f = random_cochain(rng, 3, 3, sparsity=0.3)
+    args = [(1, "2/3", Fraction(-1, 2)), ("-3", 0, 2), (Fraction(5, 4), "0", -1)]
+    want = naive_evaluate(f, [[Fraction(x) for x in a] for a in args])
+    assert f.evaluate(args) == want
+    assert f.evaluate(iter([iter(a) for a in args])) == want
+    assert f.evaluate(map(iter, args)) == want
+    assert f.evaluate(tuple(list(a) for a in args)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +252,41 @@ def test_evaluate_matches_naive_oracle_on_generated_inputs(inputs):
     out = f.evaluate(args)
     assert out == naive_evaluate(f, args)
     assert len(out) == f.dim and all(type(x) is Fraction for x in out)
+
+
+def _cochain_at(rng, n, d, msets):
+    return SymCochain(n, d, {m: random_vector(rng, d, span=5) for m in msets})
+
+
+def test_evaluate_matches_oracle_on_few_multisets_at_larger_d():
+    # the weights span every multiset of the arguments' nonzero coordinates,
+    # so a sparse f at larger d reads few of many weights
+    rng = random.Random(71)
+    for d in range(5, 9):
+        for n in range(5):
+            msets = multisets(d, n)
+            f = _cochain_at(rng, n, d, rng.sample(msets, min(len(msets), rng.randint(1, 5))))
+            args = [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+                     for _ in range(d)] for _ in range(n)]
+            assert f.evaluate(args) == naive_evaluate(f, args), (d, n, sorted(f.num))
+
+
+@pytest.mark.parametrize("d, n", [(2, 8), (3, 6), (2, 1), (3, 1)])
+def test_evaluate_matches_oracle_at_full_multiplicity(d, n):
+    # one index n times, and multisets whose digit-keys collide in too small
+    # a base: at d = 3, n = 6, (1^6) and (0^5, 2) are one key in base 5, and
+    # at n = 1 every index is one key in base 1
+    rng = random.Random(73 + 10 * d + n)
+    full = [(i,) * n for i in range(d)]
+    mixed = [(0,) * (n - 1) + (d - 1,), tuple(sorted(i % d for i in range(n))),
+             (0,) * (n // 2) + (1,) * (n - n // 2)]
+    for msets in [full[:1], full[-1:], full, full + mixed, mixed]:
+        f = _cochain_at(rng, n, d, sorted({tuple(sorted(m)) for m in msets}))
+        for _ in range(3):
+            args = [random_vector(rng, d, span=4) for _ in range(n)]
+            assert f.evaluate(args) == naive_evaluate(f, args), (d, n, sorted(f.num))
+        ones = [(Fraction(1),) * d] * n
+        assert f.evaluate(ones) == naive_evaluate(f, ones)
 
 
 def test_json_round_trip():
