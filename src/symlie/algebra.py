@@ -13,8 +13,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product as iproduct
 from math import lcm
 
-from .cochain import SymCochain
-from .exactla import Matrix, json_int, rat_from_str, rat_to_str, solve, vec_to_strs
+from .cochain import SymCochain, _over_one_den
+from .exactla import (Matrix, json_fields, json_int, json_list, rat_from_str, rat_to_str, solve,
+                      vec_to_strs)
 
 
 class Algebra:
@@ -32,28 +33,35 @@ class Algebra:
     __slots__ = ("dim", "labels", "_mu", "_ops")
 
     def __init__(self, dim: int, labels, sc):
-        self._build(dim, labels, (((i, j), tuple(Fraction(x) for x in sc[i][j]))
-                                  for i in range(dim) for j in range(dim)))
+        def entries():  # the dense table sc[i][j][k] as entries, each vector's length checked
+            for i, j in iproduct(range(dim), repeat=2):
+                if len(sc[i][j]) != dim:
+                    raise ValueError("structure constant vector has wrong length")
+                yield from ((i, j, k, x) for k, x in enumerate(sc[i][j]))
+        self._build(dim, labels, entries())
 
-    def _build(self, dim: int, labels, pairs) -> Algebra:
-        """Store mu from ((i, j), e_i * e_j) pairs, which are read after the
-        shape checks; the first non-commuting (i, j), j < i, is reported."""
+    def _build(self, dim: int, labels, entries) -> Algebra:
+        """Store mu from sparse (i, j, k, value) entries, read after the dim and
+        label checks: repeated entries add up and zero sums drop out, so only the
+        nonzero pairs are held; the first non-commuting (i, j), j < i, is reported."""
         if dim < 1:
             raise ValueError("algebra dimension must be >= 1")
         labels = tuple(str(x) for x in labels)
         if len(labels) != dim:
             raise ValueError("need one label per basis element")
-        vecs = {}
-        for ij, vec in pairs:
-            if len(vec) != dim:
-                raise ValueError("structure constant vector has wrong length")
-            if any(vec):
-                vecs[ij] = vec
-        bad = [(max(ij), min(ij)) for ij, vec in vecs.items() if vecs.get(ij[::-1]) != vec]
+        rows = {}
+        for i, j, k, val in entries:
+            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                raise ValueError(f"structure constant index out of range: {(i, j, k)}")
+            row = rows.setdefault((i, j), {})
+            row[k] = row.get(k, 0) + Fraction(val)
+        rows = {ij: r for ij, row in rows.items() if (r := {k: x for k, x in row.items() if x})}
+        bad = [(max(ij), min(ij)) for ij, row in rows.items() if rows.get(ij[::-1]) != row]
         if bad:
             raise ValueError("structure constants not commutative at (%d,%d)" % min(bad))
         self.dim, self.labels, self._ops = dim, labels, {}
-        self._mu = SymCochain(2, dim, {(i, j): vec for (i, j), vec in vecs.items() if i <= j})
+        self._mu = SymCochain._from_ints(2, dim, *_over_one_den(2, dim, {
+            (i, j): row for (i, j), row in rows.items() if i <= j}))
         return self
 
     @property
@@ -106,12 +114,7 @@ def render_linear(names, v) -> str:
 
 def algebra_from_entries(dim: int, labels, entries) -> Algebra:
     """Build from sparse (i, j, k, value) entries; omitted triples are zero."""
-    vecs = {}
-    for i, j, k, val in entries:
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise ValueError(f"structure constant index out of range: {(i, j, k)}")
-        vecs.setdefault((i, j), [0] * dim)[k] += Fraction(val)
-    return Algebra.__new__(Algebra)._build(dim, labels, ((ij, tuple(v)) for ij, v in vecs.items()))
+    return Algebra.__new__(Algebra)._build(dim, labels, entries)
 
 
 def _mul(mu, x, y) -> dict:
@@ -328,27 +331,17 @@ def algebra_to_json_dict(A: Algebra) -> dict:
 
 
 def algebra_from_json_dict(d: dict) -> Algebra:
-    if not isinstance(d, dict):
-        raise ValueError("algebra document must be an object")
-    try:
-        dim = json_int(d["dim"], "dim")
-        labels = d["labels"]
-        raw = d["sc"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"algebra document missing field: {exc}") from None
+    dim, labels, raw = json_fields(d, "algebra document", ("dim", "labels", "sc"))
+    dim = json_int(dim, "dim")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels) \
             or len(set(labels)) != len(labels):
         raise ValueError("labels must be a list of distinct strings")
-    if not isinstance(raw, list):
-        raise ValueError("sc must be a list")
     entries = {}
-    for item in raw:
-        try:
-            i, j, k = (json_int(item[key], key) for key in "ijk")
-            c = rat_from_str(item["c"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad structure constant entry: {exc}") from None
-        if (i, j, k) in entries:
-            raise ValueError(f"duplicate structure constant entry ({i},{j},{k})")
-        entries[i, j, k] = c
+    for item in json_list(raw, "sc"):
+        *ijk, c = json_fields(item, "structure constant entry", "ijkc",
+                              "bad structure constant entry")
+        ijk = tuple(json_int(x, key) for x, key in zip(ijk, "ijk"))
+        if ijk in entries:
+            raise ValueError("duplicate structure constant entry (%d,%d,%d)" % ijk)
+        entries[ijk] = rat_from_str(c)
     return algebra_from_entries(dim, labels, ((*ijk, c) for ijk, c in entries.items()))

@@ -24,28 +24,24 @@ from .deformation import (GaugeSeries, gauge_transport, mc_order0, mc_residual,
 from .errors import FormatError, InvariantViolation
 
 
-def _load_json(path: str):
+def _load(path: str, read):
+    """read(the JSON document at path); an unreadable or invalid file, or a
+    document that read refuses with ValueError, is a FormatError naming path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return read(json.load(fh))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{path} is nested too deeply to read") from None
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def load_algebra(path: str) -> Algebra:
-    try:
-        return algebra_from_json_dict(_load_json(path))
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-
-
-def load_cochain(path: str) -> SymCochain:
-    try:
-        return SymCochain.from_json_dict(_load_json(path))
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _load(path, algebra_from_json_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +76,8 @@ def _cmd_cohomology(args) -> dict:
 
 
 def _cmd_bracket(args) -> dict:
-    f = load_cochain(args.f)
-    g = load_cochain(args.g)
+    f = _load(args.f, SymCochain.from_json_dict)
+    g = _load(args.g, SymCochain.from_json_dict)
     if f.dim != g.dim:
         raise FormatError("cochain files have different ambient dimensions")
     return graded_bracket(f, g, parse_mode(args.mode)).to_json_dict()
@@ -90,7 +86,7 @@ def _cmd_bracket(args) -> dict:
 def _cmd_mc_solve(args) -> dict:
     A = load_algebra(args.algebra)
     mode = parse_mode(args.mode)
-    phi1 = load_cochain(args.phi1)
+    phi1 = _load(args.phi1, SymCochain.from_json_dict)
     if phi1.n != 2 or phi1.dim != A.dim:
         raise FormatError("--phi1 must be an arity-2 cochain on the algebra")
     if args.order < 1:
@@ -113,10 +109,8 @@ def _cmd_gauge(args) -> dict:
     A = load_algebra(args.algebra)
     if args.order < 1:
         raise FormatError("--order must be >= 1")
-    try:
-        terms = series_from_json_list(_load_json(args.series), arity=1)
-    except ValueError as exc:
-        raise FormatError(f"{args.series}: {exc}") from None
+    # transport truncated at t^N reads f_1..f_N only
+    terms = _load(args.series, lambda doc: series_from_json_list(doc, 1, upto=args.order))
     if any(t.dim != A.dim for t in terms):
         raise FormatError("gauge series dimension does not match the algebra")
     T = GaugeSeries(len(terms), terms)

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, gcd, lcm
 
-from .exactla import json_int, rat_from_str, rat_to_str
+from .exactla import json_fields, json_int, json_list, rat_from_str, rat_to_str
 
 
 @lru_cache(maxsize=None)
@@ -209,24 +209,14 @@ class SymCochain:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SymCochain":
-        if not isinstance(d, dict):
-            raise ValueError("cochain document must be an object")
-        try:
-            n = json_int(d["n"], "n")
-            dim = json_int(d["dim"], "dim")
-            raw = d["coeffs"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"cochain document missing field: {exc}") from None
-        if not isinstance(raw, list):
-            raise ValueError("coeffs must be a list")
+        n, dim, raw = json_fields(d, "cochain document", ("n", "dim", "coeffs"))
+        n, dim = json_int(n, "n"), json_int(dim, "dim")
         entries = {}
-        for item in raw:
-            try:
-                mset = tuple(json_int(i, "multiset entry") for i in item["multiset"])
-                k = json_int(item["k"], "k")
-                c = rat_from_str(item["c"])
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"bad coefficient entry: {exc}") from None
+        for item in json_list(raw, "coeffs"):
+            mset, k, c = json_fields(item, "coefficient entry", ("multiset", "k", "c"),
+                                     "bad coefficient entry")
+            mset = tuple(json_int(i, "multiset entry") for i in json_list(mset, "multiset"))
+            k, c = json_int(k, "k"), rat_from_str(c)
             if tuple(sorted(mset)) != mset:
                 raise ValueError(f"multiset not sorted: {list(mset)}")
             if len(mset) != n or any(not 0 <= i < dim for i in mset) or not 0 <= k < dim:

@@ -77,9 +77,11 @@ class GaugeSeries:
         return [dict(t.to_json_dict(), order=i + 1) for i, t in enumerate(self.terms)]
 
 
-def series_from_json_list(raw, arity: int) -> list[SymCochain]:
+def series_from_json_list(raw, arity: int, upto: int | None = None) -> list[SymCochain]:
     """Read a series file: a list of cochain objects carrying an "order" field.
-    Missing orders are zero; duplicate orders are rejected."""
+    Missing orders are zero; duplicate orders are rejected.  With `upto`, the
+    list stops at order `upto`: every entry is still read and checked, but no
+    term past it is built."""
     if not isinstance(raw, list):
         raise ValueError("series document must be a list of cochain objects")
     by_order: dict[int, SymCochain] = {}
@@ -101,7 +103,7 @@ def series_from_json_list(raw, arity: int) -> list[SymCochain]:
         by_order[i] = c
     if not by_order:
         raise ValueError("series document is empty")
-    top = max(by_order)
+    top = max(by_order) if upto is None else min(max(by_order), upto)
     dim = next(iter(by_order.values())).dim
     return [by_order.get(i, SymCochain.zero(arity, dim)) for i in range(1, top + 1)]
 
@@ -245,12 +247,11 @@ def gauge_transport_series(T: GaugeSeries, s: DeformationSeries, N: int) -> Defo
     return DeformationSeries(A, N, total[1:], s.mode)
 
 
-def gauge_transport(T: GaugeSeries, A: Algebra, N: int,
-                    mode: InsertionMode = InsertionMode.SUM) -> DeformationSeries:
-    """Transport of the undeformed product, exp(ad_X) mu truncated at t^N.
-    The order-1 term is [f_1, mu], the printed arity-1 coboundary of f_1:
-    f_1(x*y) - f_1(x)*y - x*f_1(y)."""
-    return gauge_transport_series(T, DeformationSeries(A, 0, [], mode), N)
+def gauge_transport(T: GaugeSeries, A: Algebra, N: int) -> DeformationSeries:
+    """Transport of the undeformed product, exp(ad_X) mu truncated at t^N, as a
+    SUM-mode series.  The order-1 term is [f_1, mu], the printed arity-1
+    coboundary of f_1: f_1(x*y) - f_1(x)*y - x*f_1(y)."""
+    return gauge_transport_series(T, DeformationSeries(A, 0, []), N)
 
 
 def gauge_equiv_first_order(A: Algebra, phi: SymCochain, phi2: SymCochain):

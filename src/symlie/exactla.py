@@ -55,6 +55,25 @@ def json_int(x, name: str) -> int:
     return x
 
 
+def json_fields(d, what: str, names, missing: str = "") -> list:
+    """[d[x] for x in names] from a JSON object d: ValueError "<what> must be an
+    object" if d is not one, and "<missing>: 'x'" at the first absent field x,
+    `missing` being "<what> missing field" unless given."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object")
+    try:
+        return [d[x] for x in names]
+    except KeyError as exc:
+        raise ValueError(f"{missing or what + ' missing field'}: {exc}") from None
+
+
+def json_list(x, what: str) -> list:
+    """x if it is a JSON list, else ValueError "<what> must be a list"."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list")
+    return x
+
+
 def rat_to_str(x: Fraction) -> str:
     x = x if type(x) is Fraction else Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

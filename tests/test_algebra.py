@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
@@ -317,17 +318,35 @@ def test_loader_rejects_non_commutative():
         algebra_from_json_dict(doc)
 
 
-@pytest.mark.parametrize("doc", [
-    {"dim": 2, "labels": ["a"], "sc": []},
-    {"dim": 0, "labels": [], "sc": []},
-    {"dim": 2, "labels": ["a", "b"], "sc": [{"i": 0, "j": 0, "k": 5, "c": "1"}]},
-    {"dim": 2, "labels": ["a", "b"], "sc": [{"i": 0, "j": 0, "c": "1"}]},
-    {"dim": 2, "labels": ["a", "b"],
-     "sc": [{"i": 0, "j": 0, "k": 0, "c": "1"}, {"i": 0, "j": 0, "k": 0, "c": "1"}]},
-])
-def test_loader_rejects_malformed(doc):
-    with pytest.raises(ValueError):
-        algebra_from_json_dict(doc)
+# (document, its refusal); a callable stands for a constructor call instead
+MALFORMED = [
+    ({"dim": 2, "labels": ["a"], "sc": []}, "need one label per basis element"),
+    ({"dim": 0, "labels": [], "sc": []}, "algebra dimension must be >= 1"),
+    ({"dim": 2, "labels": ["a", "b"], "sc": [{"i": 0, "j": 0, "k": 5, "c": "1"}]},
+     "structure constant index out of range: (0, 0, 5)"),
+    ({"dim": 2, "labels": ["a", "b"], "sc": [{"i": 0, "j": 0, "c": "1"}]},
+     "bad structure constant entry: 'k'"),
+    ({"dim": 2, "labels": ["a", "b"],
+      "sc": [{"i": 0, "j": 0, "k": 0, "c": "1"}, {"i": 0, "j": 0, "k": 0, "c": "1"}]},
+     "duplicate structure constant entry (0,0,0)"),
+    ([2, ["a", "b"], []], "algebra document must be an object"),
+    ({"dim": 2, "labels": ["a", "b"]}, "algebra document missing field: 'sc'"),
+    ({"dim": 2, "labels": ["a", "b"], "sc": {"i": 0, "j": 0, "k": 0, "c": "1"}},
+     "sc must be a list"),
+    ({"dim": 2, "labels": ["a", "b"], "sc": [[0, 0, 0, "1"]]},
+     "structure constant entry must be an object"),
+    ({"dim": 2, "labels": ["a", "b"], "sc": ["i"]}, "structure constant entry must be an object"),
+    (lambda: Algebra(2, "ab", [[(1, 0), (0, 1)], [(0, 1), (0,)]]),
+     "structure constant vector has wrong length"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED, ids=[f"doc{i}" for i in range(5)] + [
+    "not-an-object", "missing-field", "sc-not-a-list", "entry-a-list", "entry-a-string",
+    "vector-of-wrong-length"])
+def test_loader_rejects_malformed(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        doc() if callable(doc) else algebra_from_json_dict(doc)
 
 
 # e_2 * e_1 = e_0 and e_2 * e_0 = e_1, with nothing at (1,2) or (0,2): asymmetric at
@@ -414,3 +433,33 @@ def test_construction_follows_the_entries():
             tracemalloc.stop()
         assert peak < 1_000_000
         assert algebra_to_json_dict(A) == doc
+
+
+def _peak_of(build):
+    """(the result of build(), or its ValueError, and tracemalloc's peak in bytes)."""
+    tracemalloc.start()
+    try:
+        out = build()
+    except ValueError as exc:
+        out = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_loading_builds_no_vector_of_the_declared_dimension():
+    # 500 entries on 250 pairs at dim 5000: d-long vectors per pair took 20 MB and
+    # more, and a dim of 3 000 000 with one label allocated 72 MB before refusal
+    d = 5000
+    sc = [{"i": i, "j": j, "k": (7 * p) % d, "c": f"{2 * p + 1}/2"}
+          for p in range(250) for i, j in ((2 * p, 2 * p + 1), (2 * p + 1, 2 * p))]
+    wide = {"dim": d, "labels": [f"x{i}" for i in range(d)], "sc": sc}
+    A, peak = _peak_of(lambda: algebra_from_json_dict(wide))
+    assert peak < 4_000_000
+    assert len(product_cochain(A).num) == 250 and algebra_to_json_dict(A)["sc"] == sorted(
+        sc, key=lambda e: (e["i"], e["j"]))
+    huge = {"dim": 3_000_000, "labels": ["a"], "sc": sc[:3]}
+    exc, peak = _peak_of(lambda: algebra_from_json_dict(huge))
+    assert peak < 2_000_000
+    assert str(exc) == "need one label per basis element"

@@ -1,9 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
+import tempfile
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symlie import (SymCochain, algebra_to_json_dict, differential, graded_bracket,
                     identity_cochain, make_j2, make_spin, product_cochain)
@@ -175,6 +182,42 @@ def test_gauge_rejects_series_of_mixed_dimensions(capsys, tmp_path, corpus_dir):
                    "but the term at order 1 has dimension 2\n")
 
 
+def test_gauge_builds_no_series_term_past_the_order(capsys, tmp_path, corpus_dir):
+    # transport at t^1 reads f_1 only: a term at order 200 000 is read and
+    # checked, but the 199 999 zero terms below it are not built
+    f1 = dict(identity_cochain(2).to_json_dict(), order=1)
+    far = dict(random_cochain(random.Random(3), 1, 2).to_json_dict(), order=200_000)
+    outs = []
+    for name, series in (("near", [f1]), ("far", [f1, far])):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(series), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = run(["gauge", "--series", str(p), "--order", "1",
+                        corpus_path(corpus_dir, "j2_1_0")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 2_000_000, (name, peak)
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    # an entry past the order is still checked
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps([f1, dict(far, order=200_000, n=2)]), encoding="utf-8")
+    code, out, err = run_capture(capsys, ["gauge", "--series", str(p), "--order", "1",
+                                          corpus_path(corpus_dir, "j2_1_0")])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {p}: ")
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run_capture(capsys, ["check", str(p)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {p} is nested too deeply to read\n"
+
+
 def test_audit_single_and_all(capsys, corpus_dir):
     code, out, _ = run_capture(capsys, ["audit", corpus_path(corpus_dir, "j2_1_0")])
     assert code == 0
@@ -329,3 +372,80 @@ CLI_SHA256 = "e874de9ab092b823d436ad46b34aa83d868ca28ffade39ec6cb490695490c5fa"
 def test_cli_commands_pinned(tmp_path, monkeypatch, capsys):
     doc = _cli_pin_doc(tmp_path, monkeypatch, capsys)
     assert hashlib.sha256(doc.encode()).hexdigest() == CLI_SHA256
+
+
+# Documents for the reader fuzz: well-formed shapes at dim, arity and order <= 3 on
+# one dimension, now and then with an index, a field or an entry spoiled, and
+# arbitrary JSON values.
+SMALL = st.integers(-1, 3)
+RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "-2/3", "3"])
+JSON = st.recursive(
+    st.none() | st.booleans() | SMALL | st.floats(-3, 3) | st.text(max_size=4)
+    | st.sampled_from(["1/0", "x", "0.5", "2"]),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(["dim", "labels", "sc", "i", "j", "k", "c", "n", "coeffs",
+                         "multiset", "order"]) | st.text(max_size=3), kids, max_size=5),
+    max_leaves=12)
+
+
+def _rarely(draw, strategy, value):
+    """value, or about once in eight draws, a draw from strategy."""
+    return draw(strategy) if draw(st.integers(0, 7)) == 7 else value
+
+
+def _spoil(draw, doc):
+    """doc, or rarely doc with one field swapped for arbitrary JSON."""
+    key = draw(st.sampled_from(sorted(doc)))
+    return _rarely(draw, JSON.map(lambda v: dict(doc, **{key: v})), doc)
+
+
+def _algebra_doc(draw, d):
+    def index():
+        return _rarely(draw, SMALL, draw(st.integers(0, d - 1)))
+    labels = _rarely(draw, st.lists(st.sampled_from("ab"), max_size=3),
+                     [f"e{i}" for i in range(d)])
+    sc = []
+    for _ in range(draw(st.integers(0, 4))):
+        i, j, k, c = index(), index(), index(), draw(RATIONALS)
+        sc.append({"i": i, "j": j, "k": k, "c": c})
+        if i != j and _rarely(draw, st.just(False), True):
+            sc.append({"i": j, "j": i, "k": k, "c": c})
+    dim = _rarely(draw, SMALL, d)
+    return _spoil(draw, {"dim": dim, "labels": labels, "sc": [_spoil(draw, e) for e in sc]})
+
+
+def _cochain_doc(draw, d, n):
+    def index():
+        return _rarely(draw, SMALL, draw(st.integers(0, d - 1)))
+    coeffs = [{"multiset": sorted(index() for _ in range(n)), "k": index(), "c": draw(RATIONALS)}
+              for _ in range(draw(st.integers(0, 3)))]
+    return _spoil(draw, {"n": n, "dim": d, "coeffs": [_spoil(draw, e) for e in coeffs]})
+
+
+@st.composite
+def _documents(draw):
+    """(algebra, cochain f, cochain g, series), each rarely arbitrary JSON."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    series = [_spoil(draw, dict(_cochain_doc(draw, d, 1), order=_rarely(draw, SMALL, i)))
+              for i in range(1, draw(st.integers(1, 3)) + 1)]
+    docs = (_algebra_doc(draw, d), _cochain_doc(draw, d, n),
+            _cochain_doc(draw, d, _rarely(draw, st.integers(0, 3), 3 - n)), series)
+    return tuple(_rarely(draw, JSON, doc) for doc in docs)
+
+
+@given(_documents())
+def test_cli_readers_refuse_cleanly(docs):
+    """Generated and arbitrary documents through check, bracket and gauge, in
+    process: each run exits 0, or exits 2 with nothing on stdout, and none raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        alg, f, g, series = (str(Path(tmp, f"{name}.json")) for name in "afgs")
+        for path, doc in zip((alg, f, g, series), docs):
+            Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["check", alg], ["bracket", f, g],
+                     ["gauge", "--series", series, "--order", "1", alg]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 2), (argv, docs, err.getvalue())
+            if code == 2:
+                assert not out.getvalue() and err.getvalue().startswith("error: ")

@@ -295,16 +295,34 @@ def test_json_round_trip():
     assert SymCochain.from_json_dict(f.to_json_dict()) == f
 
 
-@pytest.mark.parametrize("doc", [
-    {"n": 2, "dim": 2},                                             # missing coeffs
-    {"n": 2, "dim": 2, "coeffs": [{"multiset": [1, 0], "k": 0, "c": "1"}]},   # unsorted
-    {"n": 2, "dim": 2, "coeffs": [{"multiset": [0, 1], "k": 5, "c": "1"}]},   # k range
-    {"n": 2, "dim": 2, "coeffs": [{"multiset": [0, 1], "k": 0, "c": "x"}]},   # bad rational
-    {"n": 2, "dim": 2, "coeffs": [{"multiset": [0, 1], "k": 0, "c": "1"},
-                                  {"multiset": [0, 1], "k": 0, "c": "2"}]},   # duplicate
-])
-def test_json_rejects_malformed(doc):
-    with pytest.raises(ValueError):
+MALFORMED = [  # (document, its refusal)
+    ({"n": 2, "dim": 2}, "cochain document missing field: 'coeffs'"),
+    ({"n": 2, "dim": 2, "coeffs": [{"multiset": [1, 0], "k": 0, "c": "1"}]},
+     "multiset not sorted: [1, 0]"),
+    ({"n": 2, "dim": 2, "coeffs": [{"multiset": [0, 1], "k": 5, "c": "1"}]},
+     "coefficient entry out of range: {'multiset': [0, 1], 'k': 5, 'c': '1'}"),
+    ({"n": 2, "dim": 2, "coeffs": [{"multiset": [0, 1], "k": 0, "c": "x"}]},
+     "not a rational literal: 'x'"),
+    ({"n": 2, "dim": 2, "coeffs": [{"multiset": [0, 1], "k": 0, "c": "1"},
+                                   {"multiset": [0, 1], "k": 0, "c": "2"}]},
+     "duplicate coefficient key ([0, 1], 0)"),
+    ("n=2, dim=2", "cochain document must be an object"),
+    ({"n": 2, "dim": 2, "coeffs": {"multiset": [0, 1], "k": 0, "c": "1"}},
+     "coeffs must be a list"),
+    ({"n": 2, "dim": 2, "coeffs": [[[0, 1], 0, "1"]]}, "coefficient entry must be an object"),
+    ({"n": 2, "dim": 2, "coeffs": [{"multiset": [0, 1], "k": 0}]}, "bad coefficient entry: 'c'"),
+    ({"n": 2, "dim": 2, "coeffs": [{"multiset": 1, "k": 0, "c": "1"}]},
+     "multiset must be a list"),
+    ({"n": 0, "dim": 2, "coeffs": [{"multiset": {}, "k": 0, "c": "1"}]},
+     "multiset must be a list"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED, ids=[f"doc{i}" for i in range(5)] + [
+    "not-an-object", "coeffs-not-a-list", "entry-a-list", "missing-field", "multiset-an-int",
+    "multiset-an-object"])
+def test_json_rejects_malformed(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SymCochain.from_json_dict(doc)
 
 
