@@ -8,14 +8,13 @@ vectors held as {index: nonzero}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iproduct
 from math import lcm
 
 from .cochain import SymCochain, _over_one_den
-from .exactla import (Matrix, json_fields, json_int, json_list, rat_from_str, rat_to_str, solve,
-                      vec_to_strs)
+from .exactla import (Matrix, Record, json_fields, json_int, json_list, rat_from_str, rat_to_str,
+                      solve, vec_to_strs)
 
 
 class Algebra:
@@ -204,12 +203,11 @@ def product_cochain(A: Algebra) -> SymCochain:
 # ---------------------------------------------------------------------------
 # identity reports
 
-@dataclass
-class Witness:
-    inputs: tuple
-    left: tuple
-    right: tuple
-    note: str = ""
+class Witness(Record):
+    __slots__ = _fields = ("inputs", "left", "right", "note")
+
+    def __init__(self, inputs: tuple, left: tuple, right: tuple, note: str = ""):
+        self.inputs, self.left, self.right, self.note = inputs, left, right, note
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,10 +218,11 @@ class Witness:
         }
 
 
-@dataclass
-class IdentityReport:
-    holds: bool
-    witness: Witness | None = None
+class IdentityReport(Record):
+    __slots__ = _fields = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: Witness | None = None):
+        self.holds, self.witness = holds, witness
 
     def to_json_dict(self) -> dict:
         return {

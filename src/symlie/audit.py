@@ -19,7 +19,6 @@ scaled from `sum`'s), the composition memo, d∘d and one SYM-CLOSURE walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
@@ -33,7 +32,7 @@ from .complexes import (DSquaredReport, _mu_bracket, check_d_squared, coboundary
                         coboundary_c1_matrix, coboundary_c2_explicit, cohomology,
                         differential_matrix, endomorphism_cochain)
 from .corpus import corpus_entries
-from .exactla import rat_to_str, vec_to_strs
+from .exactla import Record, rat_to_str, vec_to_strs
 
 BOTH_MODES = SUM, PAPER = InsertionMode.SUM, InsertionMode.PAPER
 
@@ -55,13 +54,13 @@ CLAIM_CATALOG = (
 LOCATION = dict(CLAIM_CATALOG)
 
 
-@dataclass
-class ClaimRecord:
-    claim_id: str
-    mode: str | None
-    verdict: str            # holds | fails | vacuous
-    witness: dict | None = None
-    detail: str = ""
+class ClaimRecord(Record):
+    __slots__ = _fields = ("claim_id", "mode", "verdict", "witness", "detail")
+
+    def __init__(self, claim_id: str, mode: str | None, verdict: str,  # holds | fails | vacuous
+                 witness: dict | None = None, detail: str = ""):
+        self.claim_id, self.mode, self.verdict = claim_id, mode, verdict
+        self.witness, self.detail = witness, detail
 
     @property
     def location(self) -> str:
@@ -79,11 +78,11 @@ class ClaimRecord:
         }
 
 
-@dataclass
-class AuditReport:
-    algebra: str
-    claims: list[ClaimRecord]
-    data: dict = field(default_factory=dict)
+class AuditReport(Record):
+    __slots__ = _fields = ("algebra", "claims", "data")
+
+    def __init__(self, algebra: str, claims: list[ClaimRecord], data: dict | None = None):
+        self.algebra, self.claims, self.data = algebra, claims, {} if data is None else data
 
     def claim(self, claim_id: str, mode: str | None = None) -> ClaimRecord:
         for rec in self.claims:

@@ -60,12 +60,16 @@ def koszul_sign(deg_f: int, deg_g: int) -> int:
     return -1 if (deg_f * deg_g) % 2 else 1
 
 
-@cache
 def _prefactor(mode: InsertionMode, m: int, n: int) -> Fraction:
     """The scalar before the sum inserting arity n into arity m: 1 in SUM mode,
     1/((m-1)! n!) in PAPER mode, and 1 for m = 0, where the sum is empty."""
-    if not isinstance(mode, InsertionMode):
+    if not isinstance(mode, InsertionMode):  # before the cache, which an unhashable mode fails
         raise TypeError(f"insertion mode must be an InsertionMode, got {mode!r}")
+    return _cached_prefactor(mode, m, n)
+
+
+@cache
+def _cached_prefactor(mode: InsertionMode, m: int, n: int) -> Fraction:
     return Fraction(1, factorial(m - 1) * factorial(n) if mode is InsertionMode.PAPER and m else 1)
 
 

@@ -19,15 +19,13 @@ per mode; each dies with the algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .algebra import Algebra, Witness, _kept, product_cochain
 from .bracket import InsertionMode, _compose, _prefactor, _scatter, graded_bracket, koszul_sign
 from .cochain import SymCochain, multisets
-from .exactla import Matrix, kernel_basis, rank
+from .exactla import Matrix, Record, kernel_basis, rank
 
 
 def differential(A: Algebra, f: SymCochain, mode: InsertionMode = InsertionMode.SUM) -> SymCochain:
@@ -59,18 +57,22 @@ def coboundary_c2_explicit(A: Algebra, phi: SymCochain) -> SymCochain:
     return _compose(product_cochain(A), phi, InsertionMode.SUM, -1)
 
 
-@dataclass
-class DifferentialData:
-    mode: InsertionMode
-    degree: int
-    matrix: Matrix
-    # SUM's d_n when this one is a nonzero multiple of it, which has the same rank
-    multiple_of: DifferentialData | None = field(default=None, repr=False, compare=False)
+class DifferentialData(Record):
+    _fields = ("mode", "degree", "matrix")
+    __slots__ = _fields + ("multiple_of", "_rank")
 
-    @cached_property
+    def __init__(self, mode: InsertionMode, degree: int, matrix: Matrix,
+                 multiple_of: DifferentialData | None = None):
+        self.mode, self.degree, self.matrix = mode, degree, matrix
+        # SUM's d_n when this one is a nonzero multiple of it, which has the same rank
+        self.multiple_of, self._rank = multiple_of, None
+
+    @property
     def rank(self) -> int:
         """The rank of d_n, computed on first read (once per proportional pair)."""
-        return self.multiple_of.rank if self.multiple_of else rank(self.matrix)
+        if self._rank is None:
+            self._rank = self.multiple_of.rank if self.multiple_of else rank(self.matrix)
+        return self._rank
 
 
 def _bracket_matrices(g: SymCochain, n: int, scalars) -> dict[InsertionMode, Matrix]:
@@ -143,13 +145,13 @@ def _composite(A: Algebra, n: int, mode: InsertionMode) -> Matrix:
         differential_matrix(A, n, mode).matrix))
 
 
-@dataclass
-class DSquaredReport:
-    degree: int
-    mode: InsertionMode
-    equal: bool
-    both_zero: bool
-    witness: Witness | None = None
+class DSquaredReport(Record):
+    __slots__ = _fields = ("degree", "mode", "equal", "both_zero", "witness")
+
+    def __init__(self, degree: int, mode: InsertionMode, equal: bool, both_zero: bool,
+                 witness: Witness | None = None):
+        self.degree, self.mode, self.equal, self.both_zero = degree, mode, equal, both_zero
+        self.witness = witness
 
 
 def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DSquaredReport:
@@ -167,15 +169,16 @@ def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM)
     return rep
 
 
-@dataclass
-class CohomologyReport:
-    degree: int
-    mode: InsertionMode
-    dim_kernel: int
-    dim_image_from_below: int
-    complex_valid: bool
-    defect_rank: int
-    dim_H: int | None
+class CohomologyReport(Record):
+    __slots__ = _fields = ("degree", "mode", "dim_kernel", "dim_image_from_below",
+                           "complex_valid", "defect_rank", "dim_H")
+
+    def __init__(self, degree: int, mode: InsertionMode, dim_kernel: int,
+                 dim_image_from_below: int, complex_valid: bool, defect_rank: int,
+                 dim_H: int | None):
+        self.degree, self.mode, self.dim_kernel = degree, mode, dim_kernel
+        self.dim_image_from_below, self.complex_valid = dim_image_from_below, complex_valid
+        self.defect_rank, self.dim_H = defect_rank, dim_H
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from dataclasses import dataclass, field
 
 from .algebra import Algebra, algebra_from_entries, algebra_to_json_dict
+from .exactla import Record
 
 
 def make_j2(a, b) -> Algebra:
@@ -60,11 +60,11 @@ def make_field() -> Algebra:
     return algebra_from_entries(1, ("e",), [(0, 0, 0, 1)])
 
 
-@dataclass
-class CorpusEntry:
-    name: str
-    algebra: Algebra
-    expected: dict = field(default_factory=dict)
+class CorpusEntry(Record):
+    __slots__ = _fields = ("name", "algebra", "expected")
+
+    def __init__(self, name: str, algebra: Algebra, expected: dict | None = None):
+        self.name, self.algebra, self.expected = name, algebra, {} if expected is None else expected
 
 
 def corpus_entries() -> list[CorpusEntry]:

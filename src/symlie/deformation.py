@@ -11,31 +11,28 @@ The order-n equation is  d phi_n = -(1/2) sum_{i+j=n, i,j>=1} [phi_i, phi_j]
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, product_cochain
 from .bracket import InsertionMode, _prefactor, graded_bracket
 from .cochain import SymCochain, _combine, coeff_vector, from_coeff_vector, multisets
 from .errors import InvariantViolation
-from .exactla import _eliminate, json_int, rat_to_str, solve
+from .exactla import Record, _eliminate, json_int, rat_to_str, solve
 from .complexes import _mu_bracket, coboundary_c1_matrix, differential, differential_matrix
 
 
-@dataclass
-class DeformationSeries:
+class DeformationSeries(Record):
     """mu_t = mu + t phi_1 + ... + t^N phi_N with arity-2 terms."""
-    base: Algebra
-    order: int
-    terms: list[SymCochain]
-    mode: InsertionMode = InsertionMode.SUM
+    __slots__ = _fields = ("base", "order", "terms", "mode")
 
-    def __post_init__(self):
-        if len(self.terms) != self.order:
+    def __init__(self, base: Algebra, order: int, terms: list[SymCochain],
+                 mode: InsertionMode = InsertionMode.SUM):
+        if len(terms) != order:
             raise ValueError("need exactly `order` series terms")
-        for t in self.terms:
-            if t.n != 2 or t.dim != self.base.dim:
+        for t in terms:
+            if t.n != 2 or t.dim != base.dim:
                 raise ValueError("series terms must be arity-2 cochains on the base algebra")
+        self.base, self.order, self.terms, self.mode = base, order, terms, mode
 
     def term(self, i: int) -> SymCochain:
         """phi_i, with phi_i = 0 beyond the truncation order."""
@@ -49,21 +46,20 @@ class DeformationSeries:
         return [dict(t.to_json_dict(), order=i + 1) for i, t in enumerate(self.terms)]
 
 
-@dataclass
-class GaugeSeries:
+class GaugeSeries(Record):
     """T_t = exp(t f_1 + t^2 f_2 + ...) with arity-1 terms f_i."""
-    order: int
-    terms: list[SymCochain]
+    __slots__ = _fields = ("order", "terms")
 
-    def __post_init__(self):
-        if len(self.terms) != self.order:
+    def __init__(self, order: int, terms: list[SymCochain]):
+        if len(terms) != order:
             raise ValueError("need exactly `order` series terms")
-        for i, t in enumerate(self.terms, 1):
+        for i, t in enumerate(terms, 1):
             if t.n != 1:
                 raise ValueError("gauge terms must be arity-1 cochains")
-            if t.dim != self.terms[0].dim:
+            if t.dim != terms[0].dim:
                 raise ValueError(f"gauge term at order {i} has dimension {t.dim}, "
-                                 f"but the term at order 1 has dimension {self.terms[0].dim}")
+                                 f"but the term at order 1 has dimension {terms[0].dim}")
+        self.order, self.terms = order, terms
 
     @property
     def dim(self) -> int:
@@ -131,11 +127,13 @@ def mc_residual(s: DeformationSeries, upto: int) -> list[SymCochain]:
             for n in range(1, upto + 1)]
 
 
-@dataclass
-class ObstructionClass:
-    representative: SymCochain
-    in_image: bool
-    quotient_coords: tuple[Fraction, ...]
+class ObstructionClass(Record):
+    __slots__ = _fields = ("representative", "in_image", "quotient_coords")
+
+    def __init__(self, representative: SymCochain, in_image: bool,
+                 quotient_coords: tuple[Fraction, ...]):
+        self.representative, self.in_image, self.quotient_coords = \
+            representative, in_image, quotient_coords
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,12 +177,13 @@ def obstruction_class(A: Algebra, phi1: SymCochain,
     return class_modulo_image(A, r, mode)
 
 
-@dataclass
-class MCStep:
-    order: int
-    solvable: bool
-    solution: SymCochain | None = None
-    obstruction: ObstructionClass | None = None
+class MCStep(Record):
+    __slots__ = _fields = ("order", "solvable", "solution", "obstruction")
+
+    def __init__(self, order: int, solvable: bool, solution: SymCochain | None = None,
+                 obstruction: ObstructionClass | None = None):
+        self.order, self.solvable, self.solution, self.obstruction = \
+            order, solvable, solution, obstruction
 
 
 def mc_solve_step(s: DeformationSeries, n: int) -> MCStep:

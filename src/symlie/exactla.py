@@ -74,6 +74,26 @@ def json_list(x, what: str) -> list:
     return x
 
 
+class Record:
+    """Base of the package's records, plain classes with `__slots__`.  `_fields`
+    names the compared fields: records are equal when of one type with equal
+    fields, their repr shows those fields, and they are unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ \
+            else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 def rat_to_str(x: Fraction) -> str:
     x = x if type(x) is Fraction else Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

@@ -224,7 +224,8 @@ def test_insert_rejects_a_mode_that_is_not_an_insertion_mode():
     A = make_j2(1, 0)
     mu = product_cochain(A)
     const = SymCochain.zero(0, 2)
-    for bad in ("paper", "sum", None, 1):
+    # a list or dict mode is refused before the cache, which cannot hash it
+    for bad in ("paper", "sum", None, 1, ["sum"], {}):
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
             insert(mu, mu, bad)
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
@@ -236,6 +237,8 @@ def test_insert_rejects_a_mode_that_is_not_an_insertion_mode():
         differential_matrix(A, 1, "paper")
     with pytest.raises(TypeError, match="'paper'"):
         cohomology(A, 2, "paper")
+    with pytest.raises(TypeError, match="^insertion mode must be an InsertionMode, got \\['sum'\\]$"):
+        cohomology(A, 1, ["sum"])
     # and still on an algebra whose operator matrices are kept
     cohomology(A, 2, InsertionMode.SUM)
     check_d_squared(A, 1, InsertionMode.SUM)
@@ -244,6 +247,8 @@ def test_insert_rejects_a_mode_that_is_not_an_insertion_mode():
             call(A, 1, "paper")
     with pytest.raises(TypeError, match="'paper'"):
         cohomology(A, 2, "paper")
+    with pytest.raises(TypeError, match="^insertion mode must be an InsertionMode, got \\['sum'\\]$"):
+        cohomology(A, 1, ["sum"])
 
 
 def test_degree_bookkeeping():

@@ -1,0 +1,168 @@
+"""The package's records: construction, defaults, equality and validation, and
+what importing the package loads."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from symlie import (AuditReport, ClaimRecord, CohomologyReport, CorpusEntry, DeformationSeries,
+                    DifferentialData, GaugeSeries, IdentityReport, InsertionMode, MCStep,
+                    Matrix, ObstructionClass, SymCochain, Witness, complexes,
+                    differential_matrix, identity_cochain, make_j2, make_spin)
+from symlie.complexes import DSquaredReport
+
+ROOT = Path(__file__).resolve().parent.parent
+SUM, PAPER = InsertionMode.SUM, InsertionMode.PAPER
+J2 = make_j2(1, 0)
+MU, PHI = SymCochain.zero(2, 2), identity_cochain(2)
+WIT = Witness((), (Fraction(1),), (Fraction(2),))
+OBS = ObstructionClass(SymCochain.zero(3, 2), True, ())
+
+# (record type, its positional arguments, its defaulted fields with their defaults)
+RECORDS = [
+    (Witness, ((), (Fraction(1),), (Fraction(2),)), {"note": ""}),
+    (IdentityReport, (False,), {"witness": None}),
+    (ClaimRecord, ("PRELIE", "sum", "fails"), {"witness": None, "detail": ""}),
+    (AuditReport, ("j2_1_0", []), {"data": {}}),
+    (DifferentialData, (SUM, 1, Matrix.zeros(3, 2)), {"multiple_of": None}),
+    (DSquaredReport, (1, PAPER, True, False), {"witness": None}),
+    (CohomologyReport, (2, SUM, 3, 4, True, 4, None), {}),
+    (CorpusEntry, ("j2_1_0", J2), {"expected": {}}),
+    (DeformationSeries, (J2, 1, [MU]), {"mode": SUM}),
+    (GaugeSeries, (1, [PHI]), {}),
+    (ObstructionClass, (SymCochain.zero(3, 2), False, (Fraction(1, 2),)), {}),
+    (MCStep, (2, True), {"solution": None, "obstruction": None}),
+]
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+# a value for each defaulted field that differs from its default
+OTHER = {"note": "n", "witness": WIT, "detail": "d", "data": {"k": 1},
+         "multiple_of": DifferentialData(SUM, 1, Matrix.zeros(3, 2)), "expected": {"cubic": "holds"},
+         "mode": PAPER, "solution": MU, "obstruction": OBS}
+
+
+def _names(cls):
+    init = cls.__init__.__code__
+    return init.co_varnames[1:init.co_argcount]
+
+
+@pytest.mark.parametrize("cls, args, defaults", RECORDS, ids=IDS)
+def test_construction_positional_and_by_keyword_with_defaults(cls, args, defaults):
+    names = _names(cls)
+    assert names[len(args):] == tuple(defaults)
+    rec = cls(*args)
+    for name, value in zip(names, args + tuple(defaults.values())):
+        assert getattr(rec, name) == value, name
+    assert cls(**dict(zip(names, args))) == rec
+    given = args + tuple(OTHER[name] for name in defaults)
+    by_position, by_keyword = cls(*given), cls(**dict(zip(names, given)))
+    for name, value in zip(names, given):
+        assert getattr(by_position, name) is value and getattr(by_keyword, name) is value, name
+
+
+def test_default_dicts_are_not_shared():
+    a, b = AuditReport("x", []), AuditReport("x", [])
+    a.data["k"] = 1
+    assert b.data == {} and a.data is not b.data
+    c, d = CorpusEntry("x", J2), CorpusEntry("x", J2)
+    c.expected["cubic"] = "holds"
+    assert d.expected == {} and c.expected is not d.expected
+
+
+@pytest.mark.parametrize("cls, args, defaults", RECORDS, ids=IDS)
+def test_equality_by_type_and_fields_and_unhashable(cls, args, defaults):
+    rec = cls(*args)
+    assert rec == cls(*args) and not rec != cls(*args)
+    if defaults:
+        name = next(iter(defaults))
+        if name != "multiple_of":
+            assert rec != cls(*args, OTHER[name])
+    assert rec != args and rec != object()
+    assert cls.__name__ in repr(rec)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(rec)
+
+
+def test_records_of_different_types_are_unequal():
+    assert IdentityReport(True) != ClaimRecord(True, None, "holds")
+
+    class Sub(Witness):
+        pass
+
+    assert Sub(*RECORDS[0][1]) != Witness(*RECORDS[0][1])
+    assert Witness(*RECORDS[0][1]) != Sub(*RECORDS[0][1])
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The shapes of the matrices `complexes` ranks, in call order."""
+    shapes, real_rank = [], complexes.rank
+
+    def counting_rank(m):
+        shapes.append((m.rows, m.cols))
+        return real_rank(m)
+
+    monkeypatch.setattr(complexes, "rank", counting_rank)
+    return shapes
+
+
+def test_differential_data_compares_and_prints_without_multiple_of_and_rank(ranked):
+    s = DifferentialData(SUM, 0, differential_matrix(make_spin([1, 2, -3]), 0, SUM).matrix)
+    alone, tied = DifferentialData(PAPER, 0, s.matrix), DifferentialData(PAPER, 0, s.matrix, s)
+    assert alone == tied and repr(alone) == repr(tied)
+    assert "multiple_of" not in repr(tied) and "rank" not in repr(tied)
+    assert tied.rank == alone.rank == tied.rank == alone.rank == s.rank == 4
+    assert alone == tied and repr(alone) == repr(tied)
+    # alone ranks its matrix once; tied reads s's rank, which ranks it once more
+    assert ranked == [(16, 4)] * 2
+
+
+def test_paper_d0_reads_the_sum_rank(ranked):
+    A = make_spin([1, 2, -3])
+    paper, sum_ = differential_matrix(A, 0, PAPER), differential_matrix(A, 0, SUM)
+    assert paper.multiple_of is sum_
+    assert [paper.rank, sum_.rank, paper.rank, sum_.rank] == [4] * 4
+    assert ranked == [(16, 4)]
+
+
+def test_series_refuse_wrong_terms_with_their_messages():
+    with pytest.raises(ValueError, match="^need exactly `order` series terms$"):
+        DeformationSeries(J2, 2, [MU])
+    with pytest.raises(ValueError, match="^series terms must be arity-2 cochains on the base "
+                                         "algebra$"):
+        DeformationSeries(J2, 1, [SymCochain.zero(1, 2)])
+    with pytest.raises(ValueError, match="^series terms must be arity-2 cochains on the base "
+                                         "algebra$"):
+        DeformationSeries(J2, 1, [SymCochain.zero(2, 3)])
+    with pytest.raises(ValueError, match="^need exactly `order` series terms$"):
+        GaugeSeries(0, [PHI])
+    with pytest.raises(ValueError, match="^gauge terms must be arity-1 cochains$"):
+        GaugeSeries(1, [MU])
+    with pytest.raises(ValueError, match="^gauge term at order 2 has dimension 3, "
+                                         "but the term at order 1 has dimension 2$"):
+        GaugeSeries(2, [PHI, identity_cochain(3)])
+
+
+def _modules(code: str) -> set:
+    """The modules loaded after running `code` in a fresh interpreter on ./src."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+                         capture_output=True, text=True, env=env, cwd=ROOT, timeout=60, check=True)
+    return set(out.stdout.split())
+
+
+def test_import_graph():
+    # the CLI starts without the code generation of `dataclasses` and what it
+    # imports; whatever `site` loads in a bare interpreter does not count
+    bare = _modules("")
+    added = _modules("import symlie.cli") - bare
+    assert "symlie.cli" in added
+    assert {"dataclasses", "inspect"} & added == set()
+    # the package is eager: importing it loads every layer, so a tracer that
+    # wraps the loaded symlie.* modules sees them all
+    layers = {f"symlie.{p.stem}" for p in (ROOT / "src" / "symlie").glob("*.py")
+              if p.stem not in ("__init__", "__main__", "cli")}
+    assert layers <= _modules("import symlie")
