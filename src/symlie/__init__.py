@@ -9,8 +9,8 @@ from .algebra import (Algebra, IdentityReport, Witness, algebra_from_entries,
 from .audit import AuditReport, ClaimRecord, audit, audit_all, render_text
 from .bracket import (InsertionMode, check_jacobi, check_prelie, graded_bracket,
                       insert, insert_lowdeg_variant, unshuffles)
-from .cochain import (SymCochain, basis_cochains, coeff_vector, from_coeff_vector,
-                      linear_combine, multisets, sym_basis_dim, symmetrize)
+from .cochain import (SymCochain, basis_cochains, coeff_vector, from_coeff_vector, multisets,
+                      sym_basis_dim)
 from .complexes import (CohomologyReport, DifferentialData, check_d_squared,
                         coboundary_c1_explicit, coboundary_c2_explicit, cohomology,
                         derivations, differential, differential_matrix,
@@ -22,6 +22,6 @@ from .deformation import (DeformationSeries, GaugeSeries, MCStep, ObstructionCla
                           gauge_transport_series, mc_order0, mc_residual,
                           mc_solve_chain, mc_solve_step, obstruction_class)
 from .errors import FormatError, InvariantViolation
-from .exactla import Matrix, kernel_basis, rank, rat_from_str, rat_to_str, rref, solve
+from .exactla import Matrix, kernel_basis, rank, rat_from_str, rat_to_str, solve
 
 __version__ = "0.1.0"

@@ -21,12 +21,12 @@ class Algebra:
     """Commutative algebra on basis e_0..e_{d-1}.
 
     The product is stored once, as its 2-cochain mu (ints over one denominator),
-    so construction follows the nonzero structure constants; sc[i][j], the
-    value vector of e_i * e_j, is a read-only view.  Commutativity is enforced
-    at construction time.  Instances are immutable in value and hashable.  What
-    is derived from mu and kept (the `sc` view, the sparse associator table,
-    [mu, mu] and the operator matrices of `complexes`) lives in `_ops`, read
-    and filled only through `_kept`.
+    so construction follows the nonzero structure constants; `product_cochain`
+    returns it, and `mu.value_at((i, j))` is the value vector of e_i * e_j.
+    Commutativity is enforced at construction time.  Instances are immutable
+    in value and hashable.  What is derived from mu and kept (the sparse
+    associator table, [mu, mu] and the operator matrices of `complexes`) lives
+    in `_ops`, read and filled only through `_kept`.
     """
 
     __slots__ = ("dim", "labels", "_mu", "_ops")
@@ -62,12 +62,6 @@ class Algebra:
         self._mu = SymCochain._from_ints(2, dim, *_over_one_den(2, dim, {
             (i, j): row for (i, j), row in rows.items() if i <= j}))
         return self
-
-    @property
-    def sc(self):
-        """Read-only dense view: sc[i][j] is the value vector of e_i * e_j."""
-        mu, r = self._mu, range(self.dim)
-        return _kept(self, "sc", lambda: tuple(tuple(mu.value_at((i, j)) for j in r) for i in r))
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and self.dim == other.dim
@@ -158,18 +152,13 @@ def _assoc_table(A: Algebra) -> dict:
     return _kept(A, "assoc", build)
 
 
-def _on_fractions(A: Algebra, op, *vecs) -> tuple[Fraction, ...]:
-    """op(*vecs), a {k: value} over D ** (len(vecs) - 1), at general vectors, as Fractions."""
-    vecs = [[Fraction(t) for t in v] for v in vecs]
-    if any(len(v) != A.dim for v in vecs):
-        raise ValueError("vector length does not match algebra dimension")
-    out, D = op(*({i: t for i, t in enumerate(v) if t} for v in vecs)), A._mu.den
-    return tuple(Fraction(out.get(k, 0)) / D ** (len(vecs) - 1) for k in range(A.dim))
-
-
 def product(A: Algebra, x, y) -> tuple[Fraction, ...]:
     """Bilinear extension of the structure constants."""
-    return _on_fractions(A, lambda x, y: _mul(A._mu.num, x, y), x, y)
+    x, y = ([Fraction(t) for t in v] for v in (x, y))
+    if len(x) != A.dim or len(y) != A.dim:
+        raise ValueError("vector length does not match algebra dimension")
+    out = _mul(A._mu.num, *({i: t for i, t in enumerate(v) if t} for v in (x, y)))
+    return tuple(Fraction(out.get(k, 0)) / A._mu.den for k in range(A.dim))
 
 
 def multiplication_operator(A: Algebra, v) -> Matrix:
@@ -275,19 +264,6 @@ def check_cubic_jordan(A: Algebra) -> IdentityReport:
         "trilinear polarization of the cubic identity at a basis 4-tuple",
         lambda i, j: _sides(mu, {i: 1}, {j: 1}, mu.get((i, i), {})),
         "cubic identity at a basis pair (x, y)")
-
-
-def associator(A: Algebra, x, y, z):
-    """A(x,y,z) = (x*y)*z - x*(y*z)."""
-    def on_table(x, y, z):  # sum x_i y_j z_k R[i, j, k]
-        out = {}
-        for (i, j, k), r in _assoc_table(A).items():
-            if i in x and j in y and k in z:
-                c = x[i] * y[j] * z[k]
-                for n, t in r.items():
-                    out[n] = out.get(n, 0) + c * t
-        return out
-    return _on_fractions(A, on_table, x, y, z)
 
 
 def _assoc_sum(A: Algebra, *keys) -> dict:

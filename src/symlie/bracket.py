@@ -51,11 +51,6 @@ def unshuffles(p: int, q: int):
         yield first, tuple(i for i in range(n) if i not in in_first)
 
 
-def unshuffle_permutations(p: int, q: int):
-    """The same set as one-line permutation tuples (sigma(0), sigma(1), ...)."""
-    return [first + second for first, second in unshuffles(p, q)]
-
-
 def koszul_sign(deg_f: int, deg_g: int) -> int:
     return -1 if (deg_f * deg_g) % 2 else 1
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, gcd, lcm
+from itertools import combinations_with_replacement
+from math import comb, gcd, lcm
 
 from .exactla import json_fields, json_int, json_list, rat_from_str, rat_to_str
 
@@ -227,19 +227,6 @@ class SymCochain:
         return cls.from_entries(n, dim, ((mset, k, c) for (mset, k), c in entries.items()))
 
 
-def symmetrize(table, n: int, dim: int) -> SymCochain:
-    """Average a full multilinear table over all argument orders.
-
-    `table` maps ordered basis index tuples to value vectors; missing
-    tuples count as zero.  Idempotent on already-symmetric input.
-    """
-    fact = factorial(n)
-    return SymCochain.from_entries(n, dim, (
-        (mset, k, Fraction(vec[k]) / fact) for mset in multisets(dim, n)
-        for perm in permutations(mset) if (vec := table.get(perm)) is not None
-        for k in range(dim)))
-
-
 def _over_one_den(n: int, dim: int, vecs) -> tuple[dict, int]:
     """(num, den): {sorted multiset: {k: Fraction}} as ints over the lcm of its
     denominators, once the shape and the multiset keys are checked."""
@@ -275,17 +262,6 @@ def _combine(n: int, dim: int, terms) -> SymCochain:
             for k, x in vec.items():
                 acc[k] = acc.get(k, 0) + c * x
     return SymCochain._from_ints(n, dim, out, den)
-
-
-def linear_combine(scalars, cochains) -> SymCochain:
-    """sum_i s_i f_i over nonempty lists of cochains of one shape."""
-    cochains = list(cochains)
-    scalars = [Fraction(s) for s in scalars]
-    if len(scalars) != len(cochains) or not cochains:
-        raise ValueError("need matching nonempty scalar/cochain lists")
-    if len({(f.n, f.dim) for f in cochains}) > 1:
-        raise ValueError("cochain arity/dimension mismatch")
-    return _combine(cochains[0].n, cochains[0].dim, list(zip(scalars, cochains)))
 
 
 def basis_cochains(dim: int, n: int):

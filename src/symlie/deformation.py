@@ -65,10 +65,6 @@ class GaugeSeries(Record):
     def dim(self) -> int:
         return self.terms[0].dim if self.terms else 0
 
-    def inverse(self) -> "GaugeSeries":
-        """exp(X)^{-1} = exp(-X): negate every exponent term."""
-        return GaugeSeries(self.order, [-t for t in self.terms])
-
     def to_json_list(self) -> list:
         return [dict(t.to_json_dict(), order=i + 1) for i, t in enumerate(self.terms)]
 

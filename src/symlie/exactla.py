@@ -13,9 +13,8 @@ keeps the coefficients of the rows combined with it small (Bareiss 1968 on
 growth, Markowitz 1957 on choosing pivots by cost).  A row with entry b in that
 column, against pivot entry a, becomes (a/g) row - (b/g) pivot with
 g = gcd(a, b), and is then divided by its content, so rows stay primitive.
-`rank` stops after this forward pass; `rref`, `kernel_basis` and `solve` also
-clear each pivot column from the other pivot rows and read their answers off
-them, `rref` over the lcm of the pivot entries.
+`rank` stops after this forward pass; `kernel_basis` and `solve` also clear
+each pivot column from the other pivot rows and read their answers off them.
 
 Results are exact because every step is integer arithmetic.  They are
 deterministic because the reduced row echelon form of a matrix is unique:
@@ -109,7 +108,7 @@ def vec_to_strs(v) -> list[str]:
 class Matrix:
     """Sparse rational matrix num / den, never mutated: rows {column: int} with no
     stored zeros over one den > 0, in lowest terms.  `data` (a dense copy per read),
-    `column`, `mul_vec` and `to_strs` present Fractions."""
+    `column` and `to_strs` present Fractions."""
 
     __slots__ = ("rows", "cols", "num", "den")
 
@@ -140,19 +139,8 @@ class Matrix:
         return [[Fraction(r.get(j, 0), self.den) for j in range(self.cols)] for r in self.num]
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._from_ints(rows, cols, [{} for _ in range(rows)], 1)
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls._from_ints(n, n, [{i: 1} for i in range(n)], 1)
-
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        if not rows:
-            raise ValueError("need at least one row")
-        return cls(len(rows), len(rows[0]), rows)
 
     @classmethod
     def from_columns(cls, cols, rows: int) -> "Matrix":
@@ -177,22 +165,6 @@ class Matrix:
                     acc[j] = acc.get(j, 0) + a * x
             out.append({j: x for j, x in acc.items() if x})  # none stored where terms cancel
         return Matrix._from_ints(self.rows, other.cols, out, self.den * other.den)
-
-    def mul_vec(self, v) -> tuple[Fraction, ...]:
-        v = list(v)
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(sum((x * v[j] for j, x in row.items()), Fraction(0)) / self.den
-                     for row in self.num)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        den = lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        return Matrix._from_ints(self.rows, self.cols, [
-            {j: sa * ra.get(j, 0) + sb * rb.get(j, 0) for j in ra.keys() | rb.keys()}
-            for ra, rb in zip(self.num, other.num)], den)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
@@ -281,16 +253,6 @@ def _eliminate(rows: list[dict[int, int]], cleared: int | None):
             for i in holders[c]:
                 pivot_rows[i] = _combine(pivot_rows[i], piv, c)
     return pivot_rows, tuple(pivots)
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns (deterministic), over the
-    lcm of the pivot entries of the eliminated integer rows."""
-    rows, pivots = _eliminate(m.num, 0)
-    L = lcm(*(r[p] for r, p in zip(rows, pivots)))
-    red = [{j: x * (L // r[p]) for j, x in r.items()} for r, p in zip(rows, pivots)]
-    red += [{} for _ in range(m.rows - len(red))]
-    return Matrix._from_ints(m.rows, m.cols, red, L), pivots
 
 
 def rank(m: Matrix) -> int:

@@ -90,18 +90,6 @@ def right_nested_eval(f, g, h, args):
     return tuple(total)
 
 
-def symmetrize_eval(table, n, dim, mset):
-    """Direct symmetric-group average of a multilinear table at one multiset."""
-    tot = [Fraction(0)] * dim
-    for perm in permutations(tuple(mset)):
-        vec = table.get(perm)
-        if vec is None:
-            continue
-        for k in range(dim):
-            tot[k] += Fraction(vec[k])
-    return tuple(x / factorial(n) for x in tot)
-
-
 # ---------------------------------------------------------------------------
 # dense Fraction Gauss-Jordan: the elimination exactla used before it moved
 # to sparse integer rows, kept as the reference its results must equal
@@ -465,16 +453,18 @@ def derivation_dimension(A):
     Unknowns F[p][q] flattened as p*d + q; one equation per (i, j, k):
     sum_m c[i][j][m] F[k][m] = sum_m F[m][i] c[m][j][k] + sum_m F[m][j] c[i][m][k].
     """
-    d = A.dim
+    from symlie import product_cochain
+    d, mu = A.dim, product_cochain(A)
+    sc = [[mu.value_at((i, j)) for j in range(d)] for i in range(d)]
     rows = []
     for i in range(d):
         for j in range(d):
             for k in range(d):
                 row = [Fraction(0)] * (d * d)
                 for m in range(d):
-                    row[k * d + m] += A.sc[i][j][m]
-                    row[m * d + i] -= A.sc[m][j][k]
-                    row[m * d + j] -= A.sc[i][m][k]
+                    row[k * d + m] += sc[i][j][m]
+                    row[m * d + i] -= sc[m][j][k]
+                    row[m * d + j] -= sc[i][m][k]
                 rows.append(row)
     return d * d - _row_echelon_rank(rows)
 
@@ -483,16 +473,19 @@ def derivation_dimension(A):
 # direct identity evaluation (own product expansion)
 
 def naive_product(A, x, y):
-    """x * y expanded over A.sc, without the package's product."""
-    d = A.dim
+    """x * y expanded over the structure constants mu(e_i, e_j), without the
+    package's product."""
+    from symlie import product_cochain
+    d, mu = A.dim, product_cochain(A)
     out = [Fraction(0)] * d
     for i in range(d):
         for j in range(d):
             c = Fraction(x[i]) * Fraction(y[j])
             if c == 0:
                 continue
+            vec = mu.value_at((i, j))
             for k in range(d):
-                out[k] += c * A.sc[i][j][k]
+                out[k] += c * vec[k]
     return tuple(out)
 
 
@@ -522,7 +515,7 @@ def vsub(a, b):
 def printed_coboundary_c1(A, f):
     """The printed arity-1 coboundary (d f)(x,y) = f(x*y) - f(x)*y - x*f(y),
     expanded at each basis pair, independently of the bracket."""
-    from symlie import SymCochain, multisets, product
+    from symlie import SymCochain, multisets, product, product_cochain
     d = A.dim
 
     def fv(v):
@@ -539,7 +532,7 @@ def printed_coboundary_c1(A, f):
     for mset in multisets(d, 2):
         i, j = mset
         ei, ej = A.basis_vector(i), A.basis_vector(j)
-        val = vsub(vsub(fv(A.sc[i][j]), product(A, f.value_at((i,)), ej)),
+        val = vsub(vsub(fv(product_cochain(A).value_at((i, j))), product(A, f.value_at((i,)), ej)),
                    product(A, ei, f.value_at((j,))))
         if any(val):
             coeffs[mset] = val
@@ -755,7 +748,7 @@ def reference_gauge_transport(A, gauge_terms, series_terms, N):
     """T mu_t(T^{-1} x, T^{-1} y) at t^0..t^N, T = exp(t f_1 + t^2 f_2 + ...),
     by direct conjugation: dense exponentials of X and -X, and at each basis
     pair (i, j) the sum over a + b + c + e = n of T_a mu_e(S_b e_i, S_c e_j),
-    with mu_0 expanded over A.sc and mu_e (e >= 1) by naive_evaluate.
+    with mu_0 expanded by naive_product and mu_e (e >= 1) by naive_evaluate.
     Returns one {(i, j): nonzero value vector} per order."""
     d = A.dim
 

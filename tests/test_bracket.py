@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from symlie import (InsertionMode, Matrix, SymCochain, basis_cochains, check_d_squared,
                     check_jacobi, check_prelie, cohomology, differential_matrix,
                     endomorphism_cochain, from_coeff_vector, graded_bracket, identity_cochain,
-                    insert, insert_lowdeg_variant, linear_combine, make_j2, multisets,
-                    product_cochain, symmetrize)
-from symlie.bracket import _Memo, koszul_sign, parse_mode, unshuffle_permutations
+                    insert, insert_lowdeg_variant, make_j2, multisets, product_cochain,
+                    unshuffles)
+from symlie.bracket import _Memo, koszul_sign, parse_mode
 from symlie.complexes import ad_half_bracket_matrix
 
 from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
@@ -27,13 +27,13 @@ U2 = (Fraction(0), Fraction(1))
 
 def test_unshuffle_enumeration():
     for p, q in [(0, 0), (0, 3), (2, 0), (1, 2), (2, 2), (3, 2)]:
-        perms = unshuffle_permutations(p, q)
-        assert len(perms) == comb(p + q, p)
-        assert len(set(perms)) == len(perms)
-        for sigma in perms:
-            assert sorted(sigma) == list(range(p + q))
-            assert list(sigma[:p]) == sorted(sigma[:p])
-            assert list(sigma[p:]) == sorted(sigma[p:])
+        splits = list(unshuffles(p, q))
+        assert len(splits) == comb(p + q, p)
+        assert len(set(splits)) == len(splits)
+        for first, second in splits:
+            assert (len(first), len(second)) == (p, q)
+            assert sorted(first + second) == list(range(p + q))
+            assert list(first) == sorted(first) and list(second) == sorted(second)
 
 
 def test_parse_mode():
@@ -173,23 +173,17 @@ def _produced() -> dict:
         "add": [f2 + f2, f2 + (-f2), f2 + z, f2 + f2.scale(-half)],
         "sub": [f2 - f2, f2 - z, f2 - f2.scale(3), z - f2],
         "scale": [f2.scale(0), f3.scale(Fraction(-2, 7)), -f1],
-        "linear_combine": [linear_combine([1, -2], [f2, f2.scale(half)]),
-                           linear_combine([3, Fraction(1, 3), 0], [f2, z, f2])],
         "insert": [insert(a, b, mode) for mode in (SUM, PAPER)
                    for a, b in ((f2, f1), (f1, f3), (f3, f2), (f2, z), (z, f2))],
         "graded_bracket": [graded_bracket(a, b, mode) for mode in (SUM, PAPER)  # [f, f] = 0
                            for a, b in ((f1, f1), (f3, f3), (f2, f2), (f2, f3), (f1, z))],
         "insert_lowdeg_variant": [insert_lowdeg_variant(a, b) for a, b in ((f2, f2), (f2, z))],
         "endomorphism_cochain": [
-            endomorphism_cochain(Matrix.from_rows([[0, half, 0], [0, 3, 0], [0, 0, 0]])),
-            endomorphism_cochain(Matrix.zeros(3, 3))],
+            endomorphism_cochain(Matrix(3, 3, [[0, half, 0], [0, 3, 0], [0, 0, 0]])),
+            endomorphism_cochain(Matrix(3, 3, [[0] * 3] * 3))],
         "from_coeff_vector": [from_coeff_vector(3, 1, [0, 0, 0, Fraction(2, 4), 0, -1, 0, 0, 0]),
                               from_coeff_vector(3, 1, [0] * 9)],
         "basis_cochains": [c for _, c in basis_cochains(3, 2)],
-        "symmetrize": [
-            symmetrize({(0, 1): (1, 0, 0), (1, 0): (-1, 0, 0), (0, 0): (Fraction(1, 3), 2, 0)},
-                       2, 3),
-            symmetrize({(0, 1): (0, 5, 0), (1, 0): (0, -5, 0)}, 2, 3)],
     }
 
 

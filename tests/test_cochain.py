@@ -3,19 +3,18 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symlie import (GaugeSeries, InsertionMode, SymCochain, gauge_transport,
-                    insert, linear_combine, make_j2, multisets, product_cochain,
-                    sym_basis_dim, symmetrize)
+from symlie import (GaugeSeries, InsertionMode, SymCochain, gauge_transport, insert, make_j2,
+                    multisets, product_cochain, sym_basis_dim)
 from symlie.exactla import vec_to_strs
 
 from oracles import (naive_evaluate, random_commutative, random_cochain,
-                     random_rational_commutative, random_vector, symmetrize_eval)
+                     random_rational_commutative, random_vector)
 
 
 def test_sym_basis_dim_examples():
@@ -107,52 +106,6 @@ def test_round_trip_from_basis_samples():
         mset: vec for mset in multisets(2, 3)
         if any(vec := f.evaluate([basis[i] for i in mset]))})
     assert rebuilt == f
-
-
-def test_symmetrize_idempotent_on_symmetric_input():
-    rng = random.Random(43)
-    f = random_cochain(rng, 2, 2)
-    basis = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    table = {idx: f.evaluate([basis[i] for i in idx])
-             for idx in iproduct(range(2), repeat=2)}
-    assert symmetrize(table, 2, 2) == f
-
-
-def test_symmetrize_halves_single_asymmetric_entry():
-    table = {(0, 1): (Fraction(1), Fraction(0))}  # T(e,u)=e, T(u,e)=0
-    g = symmetrize(table, 2, 2)
-    assert g.coeff((0, 1), 0) == Fraction(1, 2)
-    assert g.coeff((0, 0), 0) == 0
-
-
-def test_symmetrize_matches_orbit_average_oracle():
-    rng = random.Random(47)
-    table = {}
-    for idx in iproduct(range(2), repeat=3):
-        if rng.random() < 0.6:
-            table[idx] = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
-    g = symmetrize(table, 3, 2)
-    for mset in multisets(2, 3):
-        assert g.value_at(mset) == symmetrize_eval(table, 3, 2, mset)
-
-
-def test_linear_combine():
-    rng = random.Random(53)
-    f = random_cochain(rng, 2, 2)
-    g = random_cochain(rng, 2, 2)
-    assert linear_combine([1, -1], [f, f]).is_zero()
-    doubled = linear_combine([2], [f])
-    assert doubled == f + f
-    half_sum = linear_combine([Fraction(1, 2), Fraction(1, 2)], [f, g])
-    args = [random_vector(rng, 2), random_vector(rng, 2)]
-    lhs = half_sum.evaluate(args)
-    fa, ga = f.evaluate(args), g.evaluate(args)
-    assert lhs == tuple(Fraction(1, 2) * (x + y) for x, y in zip(fa, ga))
-
-
-def test_linear_combine_shape_mismatch():
-    with pytest.raises(ValueError):
-        linear_combine([1, 1], [SymCochain.zero(2, 2), SymCochain.zero(3, 2)])
 
 
 def test_evaluate_arity_mismatch():

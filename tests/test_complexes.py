@@ -22,7 +22,7 @@ from symlie.complexes import _composite, ad_half_bracket_matrix, coboundary_c1_m
 from symlie.deformation import class_modulo_image
 from symlie.exactla import rank
 
-from oracles import (_row_echelon_rank, dense_mul, derivation_dimension,
+from oracles import (_row_echelon_rank, dense_mul, dense_mul_vec, derivation_dimension,
                      printed_coboundary_c1, printed_coboundary_c2, random_cochain,
                      random_commutative, random_rational_commutative, random_vector,
                      reference_bracket, reference_bracket_matrix)
@@ -101,7 +101,8 @@ def test_coboundary_c1_is_negative_sum_differential():
         printed = printed_coboundary_c1(A, f)
         assert -differential(A, f, SUM) == printed
         assert coboundary_c1_explicit(A, f) == printed
-        assert list(coboundary_c1_matrix(A).mul_vec(coeff_vector(f))) == coeff_vector(printed)
+        assert list(dense_mul_vec(coboundary_c1_matrix(A).data, coeff_vector(f))) == \
+            coeff_vector(printed)
 
 
 def test_coboundary_c2_is_the_printed_cyclic_sum():
@@ -151,12 +152,12 @@ def test_matrix_action_consistency():
             for mode in (SUM, PAPER):
                 mat = differential_matrix(A, n, mode).matrix
                 f = random_cochain(rng, n, A.dim, sparsity=0.3)
-                assert list(mat.mul_vec(coeff_vector(f))) == \
+                assert list(dense_mul_vec(mat.data, coeff_vector(f))) == \
                     coeff_vector(differential(A, f, mode))
                 half_ad = graded_bracket(graded_bracket(mu, mu, mode), f, mode).scale(
                     Fraction(1, 2))
-                assert list(ad_half_bracket_matrix(A, n, mode).mul_vec(coeff_vector(f))) == \
-                    coeff_vector(half_ad)
+                ad_half = ad_half_bracket_matrix(A, n, mode).data
+                assert list(dense_mul_vec(ad_half, coeff_vector(f))) == coeff_vector(half_ad)
 
 
 @pytest.mark.parametrize("mode", [SUM, PAPER])
@@ -262,13 +263,13 @@ def test_d_squared_witness_is_the_first_column_of_the_difference(seed):
         for rep in (check_d_squared(A, n, mode) for mode in (SUM, PAPER)):
             composite = _composite(A, n, rep.mode)
             ad_half = ad_half_bracket_matrix(A, n, rep.mode)
-            diff = composite.add(ad_half.scale(-1))
-            assert rep.equal == diff.is_zero()
+            assert rep.equal == (composite == ad_half)
             if rep.equal:
                 assert rep.witness is None
                 continue
             j = rep.witness.inputs[0].index(1)
-            assert j == min(col for row in diff.num for col in row)
+            assert j == min(c for c in range(composite.cols)
+                            if composite.column(c) != ad_half.column(c))
             assert rep.witness.left == composite.column(j)
             assert rep.witness.right == ad_half.column(j)
 
@@ -283,8 +284,8 @@ def test_d_squared_witness_input_is_the_basis_cochain(n):
     (e_j,) = w.inputs
     assert len(e_j) == sym_basis_dim(A.dim, n)
     assert sorted(e_j) == [0] * (len(e_j) - 1) + [1]
-    assert composite.mul_vec(e_j) == w.left
-    assert ad_half.mul_vec(e_j) == w.right
+    assert dense_mul_vec(composite.data, e_j) == w.left
+    assert dense_mul_vec(ad_half.data, e_j) == w.right
 
 
 def test_d_squared_zero_product_both_zero():
@@ -546,9 +547,9 @@ def test_derivations_satisfy_leibniz():
             for i in range(A.dim):
                 for j in range(A.dim):
                     x, y = A.basis_vector(i), A.basis_vector(j)
-                    lhs = D.mul_vec(product(A, x, y))
-                    rhs = tuple(p + q for p, q in zip(
-                        product(A, D.mul_vec(x), y), product(A, x, D.mul_vec(y))))
+                    Dx, Dy = dense_mul_vec(D.data, x), dense_mul_vec(D.data, y)
+                    lhs = dense_mul_vec(D.data, product(A, x, y))
+                    rhs = tuple(p + q for p, q in zip(product(A, Dx, y), product(A, x, Dy)))
                     assert lhs == rhs
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from symlie import (algebra_from_json_dict, algebra_to_json_dict, check_cubic_jordan,
                     check_operator_identity, check_six_term, corpus_entries,
-                    find_unit, make_j2, make_spin, product, write_corpus)
+                    find_unit, make_j2, make_spin, product, product_cochain, write_corpus)
 
 
 def test_entry_names_and_order():
@@ -22,15 +22,15 @@ def test_expected_verdicts_match_checkers():
 
 
 def test_j2_structure_constants():
-    A = make_j2(1, 0)
-    assert A.sc[1][1] == (Fraction(1), Fraction(0))
+    A = product_cochain(make_j2(1, 0))
+    assert A.value_at((1, 1)) == (Fraction(1), Fraction(0))
     for j in range(2):
         for k in range(2):
-            assert A.sc[0][j][k] == (1 if j == k else 0)
-    B = make_j2(0, 0)
-    assert B.sc[1][1] == (Fraction(0), Fraction(0))
-    C = make_j2(-1, 2)
-    assert 4 * C.sc[1][1][0] + C.sc[1][1][1] ** 2 == 0  # degenerate discriminant
+            assert A.value_at((0, j))[k] == (1 if j == k else 0)
+    B = product_cochain(make_j2(0, 0))
+    assert B.value_at((1, 1)) == (Fraction(0), Fraction(0))
+    c0, c1 = product_cochain(make_j2(-1, 2)).value_at((1, 1))
+    assert 4 * c0 + c1 ** 2 == 0  # degenerate discriminant
 
 
 def test_spin_products():
@@ -46,7 +46,7 @@ def test_spin_one_matches_j2_1_0():
     S = make_spin((1,))
     A = make_j2(1, 0)
     assert S.dim == A.dim == 2
-    assert S.sc == A.sc
+    assert product_cochain(S) == product_cochain(A)
 
 
 def test_j2_family_is_jordan_for_random_parameters():

@@ -268,7 +268,7 @@ def test_gauge_roundtrip_restores_series():
     cases.append((T, s0, 4))
     for T, s0, N in cases:
         s1 = gauge_transport_series(T, s0, N)
-        s2 = gauge_transport_series(T.inverse(), s1, N)
+        s2 = gauge_transport_series(GaugeSeries(T.order, [-t for t in T.terms]), s1, N)
         assert s2.terms == s0.terms
 
 

@@ -3,7 +3,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -12,15 +12,31 @@ from hypothesis import strategies as st
 from symlie import InsertionMode, algebra_from_entries, make_spin
 from symlie.complexes import ad_half_bracket_matrix, cohomology, differential_matrix
 from symlie.exactla import (Matrix, _eliminate, kernel_basis, rank, rat_from_str,
-                            rat_to_str, rref, solve)
+                            rat_to_str, solve)
 
-from oracles import (dense_add, dense_column, dense_mul, dense_mul_vec, dense_scale,
-                     reference_kernel_basis, reference_rref, reference_scan_eliminate,
-                     reference_solve)
+from oracles import (dense_column, dense_mul, dense_mul_vec, dense_scale, reference_kernel_basis,
+                     reference_rref, reference_scan_eliminate, reference_solve)
 
 
 def M(rows):
-    return Matrix.from_rows([[Fraction(x) for x in r] for r in rows])
+    return Matrix(len(rows), len(rows[0]), rows)
+
+
+def zeros(rows, cols):
+    return Matrix(rows, cols, [[0] * cols for _ in range(rows)])
+
+
+def _over_pivots(rows, pivots):
+    """Each row over its entry at its pivot: on cleared rows, rows of the RREF."""
+    return [{j: Fraction(x, r[p]) for j, x in r.items()} for r, p in zip(rows, pivots)]
+
+
+def _reduced(m):
+    """The RREF and pivots of m from `_eliminate(m.num, 0)`, each pivot row over its
+    pivot entry, in the form of `reference_rref`."""
+    rows, pivots = _eliminate(m.num, 0)
+    red = [[r.get(j, 0) for j in range(m.cols)] for r in _over_pivots(rows, pivots)]
+    return Matrix(m.rows, m.cols, red + [[0] * m.cols] * (m.rows - len(red))), pivots
 
 
 def _dense(cols, num, den):
@@ -56,7 +72,7 @@ def test_reduce_still_divides_out_and_drops_zeros(num, den, want_num, want_den):
 
 def test_rank_identity_and_zero():
     assert rank(Matrix.identity(3)) == 3
-    assert rank(Matrix.zeros(2, 4)) == 0
+    assert rank(zeros(2, 4)) == 0
 
 
 def test_rank_proportional_rows():
@@ -102,18 +118,18 @@ def test_rank_nullity_and_exactness_random():
         basis = kernel_basis(m)
         assert rank(m) + len(basis) == c
         for v in basis:
-            assert all(x == 0 for x in m.mul_vec(v))
-        b = m.mul_vec([Fraction(rng.randint(-2, 2)) for _ in range(c)])
+            assert all(x == 0 for x in dense_mul_vec(m.data, v))
+        b = dense_mul_vec(m.data, [Fraction(rng.randint(-2, 2)) for _ in range(c)])
         x = solve(m, b)
         assert x is not None
-        assert m.mul_vec(x) == tuple(b)
+        assert dense_mul_vec(m.data, x) == tuple(b)
 
 
 def test_rref_pivots_deterministic():
     m = M([[0, 2, 1], [0, 4, 3]])
-    red, pivots = rref(m)
+    rows, pivots = _eliminate(m.num, 0)
     assert pivots == (1, 2)
-    assert red.data[0][1] == 1 and red.data[1][2] == 1
+    assert _over_pivots(rows, pivots) == [{1: 1}, {2: 1}]
 
 
 def test_rat_string_round_trip():
@@ -200,19 +216,17 @@ def test_sparse_matrix_matches_dense_reference(data):
     b = data.draw(matrices(a.rows, a.cols))
     c = data.draw(matrices(a.cols))
     s = data.draw(ENTRIES)
-    v = [data.draw(ENTRIES) for _ in range(a.cols)]
     A, B, C = a.data, b.data, c.data
-    results = [a.mul(c), a.add(b), a.scale(s), a.add(a.scale(-1))]
-    assert [r.data for r in results] == [dense_mul(A, C, c.cols), dense_add(A, B),
-                                         dense_scale(s, A), dense_add(A, dense_scale(-1, A))]
-    assert a.mul_vec(v) == dense_mul_vec(A, v)
+    results = [a.mul(c), a.scale(s), a.scale(0)]
+    assert [r.data for r in results] == [dense_mul(A, C, c.cols), dense_scale(s, A),
+                                         dense_scale(0, A)]
     assert [a.column(j) for j in range(a.cols)] == [dense_column(A, j) for j in range(a.cols)]
     assert (a == b) == (A == B)
     assert a == Matrix(a.rows, a.cols, A) == Matrix.from_columns(
         [dense_column(A, j) for j in range(a.cols)], a.rows)
     assert a.is_zero() == all(x == 0 for row in A for x in row)
-    assert results[3].is_zero() and results[3] == Matrix.zeros(a.rows, a.cols)
-    assert all(_stored_form(m) for m in [a, b, c, rref(a)[0]] + results)
+    assert results[2].is_zero() and results[2] == zeros(a.rows, a.cols)
+    assert all(_stored_form(m) for m in [a, b, c] + results)
 
 
 @given(matrices())
@@ -229,9 +243,8 @@ def test_mutating_data_never_changes_the_matrix(m):
 
 @given(matrices())
 def test_rref_matches_reference(m):
-    red, pivots = rref(m)
-    assert (red, pivots) == reference_rref(m)
-    assert all(type(x) is Fraction for row in red.data for x in row)
+    # the cleared elimination, each pivot row over its pivot entry, is the RREF
+    assert _reduced(m) == reference_rref(m)
 
 
 @given(matrices())
@@ -248,7 +261,7 @@ def test_kernel_basis_matches_reference(m):
 def test_solve_matches_reference(data):
     m = data.draw(matrices())
     if data.draw(st.booleans()):  # consistent by construction
-        b = m.mul_vec([data.draw(ENTRIES) for _ in range(m.cols)])
+        b = dense_mul_vec(m.data, [data.draw(ENTRIES) for _ in range(m.cols)])
     else:  # often inconsistent
         b = [data.draw(ENTRIES) for _ in range(m.rows)]
     assert solve(m, b) == reference_solve(m, b)
@@ -259,13 +272,13 @@ def test_solve_matches_reference(data):
 def test_elimination_on_spin_differentials(n, mode):
     m = differential_matrix(make_spin([1, 2, -3]), n, mode).matrix
     red, pivots = reference_rref(m)
-    assert rref(m) == (red, pivots)
+    assert _reduced(m) == (red, pivots)
     assert rank(m) == len(pivots)
     # d has full column rank; its transpose, whose columns are d's rows, does not
     for a in (m, Matrix.from_columns(m.data, m.cols)):
         assert kernel_basis(a) == reference_kernel_basis(a)
         assert rank(a) == len(pivots)
-    consistent = m.mul_vec([Fraction(j % 5 - 2, j % 3 + 1) for j in range(m.cols)])
+    consistent = dense_mul_vec(m.data, [Fraction(j % 5 - 2, j % 3 + 1) for j in range(m.cols)])
     unit = [Fraction(int(i == m.rows - 1)) for i in range(m.rows)]
     for b in (consistent, unit):
         assert solve(m, b) == reference_solve(m, b)
@@ -286,7 +299,7 @@ def test_operator_matrices_keep_the_stored_form(mode):
     for A in (make_spin([1, Fraction(-1, 2), 3]), dense):
         for n in range(3):
             d, ad = differential_matrix(A, n, mode).matrix, ad_half_bracket_matrix(A, n, mode)
-            assert all(_stored_form(m) for m in (d, ad, rref(d)[0], rref(ad)[0]))
+            assert all(_stored_form(m) for m in (d, ad))
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +324,6 @@ def _integer_rows(rng):
     for _ in range(rng.randint(0, 2)):
         rows[rng.randrange(n)] = {}
     return rows
-
-
-def _over_pivots(rows, pivots):
-    """Each row over its entry at its pivot: on cleared rows, rows of the RREF."""
-    return [{j: Fraction(x, r[p]) for j, x in r.items()} for r, p in zip(rows, pivots)]
 
 
 @pytest.mark.parametrize("reduced", [False, True])
@@ -373,14 +381,19 @@ def _d3_and_transpose(A):
 
 
 def _elimination_pin_doc():
-    """rref and kernel_basis of d_3 (SUM) and of its transpose, sparse, for
-    the spin factor of dimension 7 and a dense rational algebra of dimension
-    4.  The spin transpose's kernel is left out of this pin; it has its own,
-    test_spin_transpose_kernel_pinned."""
+    """The RREF (the cleared elimination's rows over the lcm of their pivot
+    entries, in lowest terms and padded with empty rows) and kernel_basis of
+    d_3 (SUM) and of its transpose, sparse, for the spin factor of dimension 7
+    and a dense rational algebra of dimension 4.  The spin transpose's kernel
+    is left out of this pin; it has its own, test_spin_transpose_kernel_pinned."""
     out = []
     for A in (make_spin(SPIN_Q[:6]), _dense_rational(random.Random(5), 4)):
         for a in _d3_and_transpose(A):
-            red, pivots = rref(a)
+            rows, pivots = _eliminate(a.num, 0)
+            L = lcm(*(r[p] for r, p in zip(rows, pivots)))
+            red = Matrix._from_ints(a.rows, a.cols, [{j: x * (L // r[p]) for j, x in r.items()}
+                                                     for r, p in zip(rows, pivots)]
+                                    + [{} for _ in range(a.rows - len(rows))], L)
             kernel = kernel_basis(a) if a.cols < 1000 else []
             out.append({"den": red.den, "num": [sorted(r.items()) for r in red.num],
                         "pivots": list(pivots),

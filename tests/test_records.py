@@ -1,13 +1,18 @@
-"""The package's records: construction, defaults, equality and validation, and
-what importing the package loads."""
+"""The package's records: construction, defaults, equality and validation; what
+importing the package loads, the names it exports, and the imports of its modules."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import symlie
 
 from symlie import (AuditReport, ClaimRecord, CohomologyReport, CorpusEntry, DeformationSeries,
                     DifferentialData, GaugeSeries, IdentityReport, InsertionMode, MCStep,
@@ -16,11 +21,13 @@ from symlie import (AuditReport, ClaimRecord, CohomologyReport, CorpusEntry, Def
 from symlie.complexes import DSquaredReport
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "symlie"
 SUM, PAPER = InsertionMode.SUM, InsertionMode.PAPER
 J2 = make_j2(1, 0)
 MU, PHI = SymCochain.zero(2, 2), identity_cochain(2)
 WIT = Witness((), (Fraction(1),), (Fraction(2),))
 OBS = ObstructionClass(SymCochain.zero(3, 2), True, ())
+ZERO = Matrix(3, 2, [[0, 0]] * 3)
 
 # (record type, its positional arguments, its defaulted fields with their defaults)
 RECORDS = [
@@ -28,7 +35,7 @@ RECORDS = [
     (IdentityReport, (False,), {"witness": None}),
     (ClaimRecord, ("PRELIE", "sum", "fails"), {"witness": None, "detail": ""}),
     (AuditReport, ("j2_1_0", []), {"data": {}}),
-    (DifferentialData, (SUM, 1, Matrix.zeros(3, 2)), {"multiple_of": None}),
+    (DifferentialData, (SUM, 1, ZERO), {"multiple_of": None}),
     (DSquaredReport, (1, PAPER, True, False), {"witness": None}),
     (CohomologyReport, (2, SUM, 3, 4, True, 4, None), {}),
     (CorpusEntry, ("j2_1_0", J2), {"expected": {}}),
@@ -40,7 +47,7 @@ RECORDS = [
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 # a value for each defaulted field that differs from its default
 OTHER = {"note": "n", "witness": WIT, "detail": "d", "data": {"k": 1},
-         "multiple_of": DifferentialData(SUM, 1, Matrix.zeros(3, 2)), "expected": {"cubic": "holds"},
+         "multiple_of": DifferentialData(SUM, 1, ZERO), "expected": {"cubic": "holds"},
          "mode": PAPER, "solution": MU, "obstruction": OBS}
 
 
@@ -163,6 +170,58 @@ def test_import_graph():
     assert {"dataclasses", "inspect"} & added == set()
     # the package is eager: importing it loads every layer, so a tracer that
     # wraps the loaded symlie.* modules sees them all
-    layers = {f"symlie.{p.stem}" for p in (ROOT / "src" / "symlie").glob("*.py")
+    layers = {f"symlie.{p.stem}" for p in SRC.glob("*.py")
               if p.stem not in ("__init__", "__main__", "cli")}
     assert layers <= _modules("import symlie")
+
+
+# what `symlie` exports: every public name but its submodules.  A name added
+# here is API that README and the tests then have to carry
+EXPORTS = [
+    "Algebra", "AuditReport", "ClaimRecord", "CohomologyReport", "CorpusEntry",
+    "DeformationSeries", "DifferentialData", "FormatError", "GaugeSeries", "IdentityReport",
+    "InsertionMode", "InvariantViolation", "MCStep", "Matrix", "ObstructionClass", "SymCochain",
+    "Witness", "algebra_from_entries", "algebra_from_json_dict", "algebra_to_json_dict", "audit",
+    "audit_all", "basis_cochains", "check_cubic_jordan", "check_d_squared", "check_jacobi",
+    "check_operator_identity", "check_prelie", "check_six_term", "coboundary_c1_explicit",
+    "coboundary_c2_explicit", "coeff_vector", "cohomology", "corpus_entries", "derivations",
+    "differential", "differential_matrix", "endomorphism_cochain", "find_unit",
+    "from_coeff_vector", "gauge_equiv_first_order", "gauge_transport", "gauge_transport_series",
+    "graded_bracket", "identity_cochain", "insert", "insert_lowdeg_variant", "kernel_basis",
+    "make_field", "make_j2", "make_non_jordan", "make_spin", "mc_order0", "mc_residual",
+    "mc_solve_chain", "mc_solve_step", "multiplication_operator", "multisets",
+    "obstruction_class", "product", "product_cochain", "rank", "rat_from_str", "rat_to_str",
+    "render_text", "solve", "sym_basis_dim", "unshuffles", "write_corpus"]
+# helpers that only the tests called, taken out of the package
+REMOVED = ["rref", "symmetrize", "linear_combine", "unshuffle_permutations", "associator",
+           "sc", "zeros", "from_rows", "add", "mul_vec", "inverse"]
+
+
+def test_exported_names_are_pinned():
+    public = sorted(name for name, value in vars(symlie).items()
+                    if not name.startswith("_") and not isinstance(value, ModuleType))
+    assert public == EXPORTS
+    modules = [importlib.import_module(f"symlie.{p.stem}") for p in sorted(SRC.glob("*.py"))
+               if p.stem not in ("__init__", "__main__")]
+    for owner in [symlie, *modules, Matrix, symlie.Algebra, GaugeSeries]:
+        assert [name for name in REMOVED if hasattr(owner, name)] == [], owner
+
+
+def _unused_imports(tree) -> list:
+    """The names a module imports and never reads."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_modules_read_every_name_they_import():
+    # `__init__` imports to export; every other module reads what it imports
+    unused = {p.name: names for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"
+              if (names := _unused_imports(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert unused == {}
