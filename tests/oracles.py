@@ -154,6 +154,24 @@ def reference_solve(m, b):
     return tuple(x)
 
 
+def reference_rank_mod_p(rows, p):
+    """Rank over the integers mod the prime p of dense integer rows, by plain
+    Gaussian elimination on entries reduced mod p after every step."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[rank], a[pr] = a[pr], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
 def dense_mul(a, b, cols):
     """Product of dense row lists, entry by entry; b has `cols` columns."""
     return [[sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)]

@@ -9,14 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from symlie import (Algebra, InsertionMode, Matrix, SymCochain, algebra_from_json_dict,
-                    audit, check_d_squared, check_jacobi, coboundary_c1_explicit,
-                    coboundary_c2_explicit, coeff_vector, cohomology, derivations, differential,
-                    differential_matrix, endomorphism_cochain, graded_bracket,
-                    insert, make_field, make_j2, make_non_jordan, mc_solve_chain,
-                    make_spin, multiplication_operator, product, product_cochain,
+from symlie import (Algebra, DeformationSeries, InsertionMode, Matrix, SymCochain,
+                    algebra_from_json_dict, audit, check_d_squared, check_jacobi,
+                    coboundary_c1_explicit, coboundary_c2_explicit, coeff_vector, cohomology,
+                    derivations, differential, differential_matrix, endomorphism_cochain,
+                    graded_bracket, insert, make_field, make_j2, make_non_jordan, mc_solve_chain,
+                    mc_solve_step, make_spin, multiplication_operator, product, product_cochain,
                     sym_basis_dim)
-from symlie import complexes
+from symlie import complexes, deformation, exactla
 from symlie.cochain import basis_cochains
 from symlie.complexes import _composite, ad_half_bracket_matrix, coboundary_c1_matrix
 from symlie.deformation import class_modulo_image
@@ -28,7 +28,7 @@ from oracles import (_row_echelon_rank, dense_mul, dense_mul_vec, derivation_dim
                      reference_bracket, reference_bracket_matrix)
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
-from workloads import dense_doc, spin_doc  # the benchmark's seeded algebra documents
+from workloads import cochain_doc, dense_doc, spin_doc  # the benchmark's seeded documents
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -403,16 +403,60 @@ def test_each_differential_is_ranked_once(monkeypatch):
     assert sorted(shapes) == sorted([(80, 40)] + [(40, 16), (140, 80)] * 2)
 
 
+def _doc_algebra(make_doc, seed, *args):
+    return lambda: algebra_from_json_dict(make_doc(random.Random(seed), *args))
+
+
+def _count_eliminations(monkeypatch):
+    """Live counts of the `_eliminate` calls made by exactla and by deformation."""
+    calls = {"exactla": 0, "deformation": 0}
+    for name, module in (("exactla", exactla), ("deformation", deformation)):
+        def counted(*args, name=name, eliminate=module._eliminate):
+            calls[name] += 1
+            return eliminate(*args)
+        monkeypatch.setattr(module, "_eliminate", counted)
+    return calls
+
+
+def test_dense_operators_are_certified_without_elimination(monkeypatch):
+    # the benchmark's dense algebra at d = 4: d_1-d_3 have full rank mod the prime,
+    # so their ranks, the (empty) derivations and the inconsistent solve of an
+    # obstructed order-2 step run no elimination; the obstruction class runs one
+    rng = random.Random(0)
+    A = algebra_from_json_dict(dense_doc(rng, 4))
+    phi1 = SymCochain.from_json_dict(cochain_doc(rng, 2, 4, 0.3))
+    calls = _count_eliminations(monkeypatch)
+    for mode in (SUM, PAPER):
+        mats = [differential_matrix(A, n, mode).matrix for n in (1, 2, 3)]
+        assert [rank(m) for m in mats] == [m.cols for m in mats] == [16, 40, 80]
+        step = mc_solve_step(DeformationSeries(A, 1, [phi1], mode), 2)
+        assert not step.solvable
+    assert derivations(A) == []
+    assert calls == {"exactla": 0, "deformation": 2}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_spin([1, 2]), lambda: make_spin([1, Fraction(-1, 2), 3]),
+    lambda: make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)]),
+    _doc_algebra(spin_doc, 0, 3), _doc_algebra(spin_doc, 1, 4), _doc_algebra(spin_doc, 2, 5),
+], ids=["spin-d3", "spin-d4", "spin-d5", "spin_doc-d3", "spin_doc-d4", "spin_doc-d5"])
+def test_sparse_operators_keep_their_elimination(monkeypatch, make):
+    # spin operator matrices hold under 6 nonzeros per line of their short side:
+    # below the gate, each rank is one exact elimination
+    A = make()
+    mats = [differential_matrix(A, n, mode).matrix for n in (1, 2, 3) for mode in (SUM, PAPER)]
+    calls = _count_eliminations(monkeypatch)
+    for i, m in enumerate(mats, 1):
+        rank(m)
+        assert calls == {"exactla": i, "deformation": 0}
+
+
 def _oracle_defect(A, n, mode):
     """rank(d_n d_{n-1}) from per-column brackets, a dense product and plain
     Gaussian elimination, independent of `complexes`."""
     mu = product_cochain(A)
     lo, hi = (reference_bracket_matrix(mu, k, mode is PAPER, 1) for k in (n - 1, n))
     return _row_echelon_rank(dense_mul(hi.data, lo.data, lo.cols))
-
-
-def _doc_algebra(make_doc, seed, *args):
-    return lambda: algebra_from_json_dict(make_doc(random.Random(seed), *args))
 
 
 @pytest.mark.parametrize("make, degrees, injective", [

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from symlie import InsertionMode, algebra_from_entries, make_spin
 from symlie.complexes import ad_half_bracket_matrix, cohomology, differential_matrix
-from symlie.exactla import (Matrix, _eliminate, kernel_basis, rank, rat_from_str,
-                            rat_to_str, solve)
+from symlie.exactla import (Matrix, _eliminate, _full_rank_mod_p, kernel_basis, rank,
+                            rat_from_str, rat_to_str, solve)
 
-from oracles import (dense_column, dense_mul, dense_mul_vec, dense_scale, reference_kernel_basis,
-                     reference_rref, reference_scan_eliminate, reference_solve)
+from oracles import (_row_echelon_rank, dense_column, dense_mul, dense_mul_vec, dense_scale,
+                     reference_kernel_basis, reference_rank_mod_p, reference_rref,
+                     reference_scan_eliminate, reference_solve)
 
 
 def M(rows):
@@ -265,6 +266,98 @@ def test_solve_matches_reference(data):
     else:  # often inconsistent
         b = [data.draw(ENTRIES) for _ in range(m.rows)]
     assert solve(m, b) == reference_solve(m, b)
+
+
+# ---------------------------------------------------------------------------
+# the certified path: on dense rows a rank mod P of min(rows, cols) proves full rank
+
+P = 32749
+MOD_P_ENTRIES = st.one_of(st.sampled_from([1, -1, P, -P, 2 * P, -2 * P, P - 1, P + 1]),
+                          st.integers(-BIG, BIG), st.integers(-BIG, BIG).map(lambda x: P * x))
+
+
+@st.composite
+def gated_matrices(draw):
+    """Integer matrices over a denominator, short side 0-7 and long side 7-10, with
+    about one entry in ten zero: mostly 6 or more nonzeros per line of the short
+    side, the gate of the certified path.  Entries are often multiples of P or
+    -1 mod P, and rows are sometimes integer combinations of the others."""
+    k, n = draw(st.integers(0, 7)), draw(st.integers(7, 10))
+    rows, cols = (k, n) if draw(st.booleans()) else (n, k)
+    data = [[draw(MOD_P_ENTRIES) if draw(st.integers(0, 9)) else 0 for _ in range(cols)]
+            for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        k = draw(st.integers(1, rows - 1))
+        for i in range(k, rows):
+            c = [draw(st.integers(-3, 3)) for _ in range(k)]
+            data[i] = [sum(x * data[t][j] for t, x in enumerate(c)) for j in range(cols)]
+    den = draw(st.sampled_from([1, 6, P]))
+    return Matrix(rows, cols, [[Fraction(x, den) for x in r] for r in data])
+
+
+@given(st.data())
+def test_certified_paths_match_the_oracles(data):
+    m = data.draw(gated_matrices())
+    assert rank(m) == _row_echelon_rank(m.data)
+    assert kernel_basis(m) == reference_kernel_basis(m)
+    if data.draw(st.booleans()):  # consistent by construction
+        b = dense_mul_vec(m.data, [Fraction(data.draw(MOD_P_ENTRIES)) for _ in range(m.cols)])
+    else:  # inconsistent unless m's columns span everything
+        b = [Fraction(data.draw(MOD_P_ENTRIES)) for _ in range(m.rows)]
+    assert solve(m, b) == reference_solve(m, b)
+
+
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+@given(st.data())
+def test_packed_rank_matches_the_rank_mod_p(data):
+    # True exactly when the gate lets the rows in and their rank mod P is full
+    k, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 14))
+    rows = [[data.draw(st.sampled_from([P - 1, P - 1, P - 2, 1, -1, 2 * P - 1, 0]))
+             for _ in range(k)] for _ in range(n)]
+    want = (sum(map(bool, sum(rows, []))) >= 6 * min(n, k)
+            and reference_rank_mod_p(rows, P) == min(n, k))
+    assert _full_rank_mod_p(_sparse(rows), k) == want
+
+
+@pytest.mark.parametrize("k, extra", [(1, 6), (2, 5), (7, 0), (40, 0), (40, 3)])
+def test_packed_lanes_hold_the_largest_updates(k, extra):
+    # row i is u_0 + ... + u_i mod P, u_c having 1 at c and P - 1 right of it: each
+    # step meets lane value 1 and adds P - 1 times a pivot whose lanes are P - 1, so
+    # a lane takes up to k updates of (P - 1)^2, the most its width allows for
+    rows = [[(1 - j if j <= i else -(i + 1)) % P + P for j in range(k)] for i in range(k)]
+    rows += rows[-1:] * extra
+    assert reference_rank_mod_p(rows, P) == k
+    assert _full_rank_mod_p(_sparse(rows), k)
+    assert _full_rank_mod_p(_sparse(zip(*rows)), k + extra)
+    assert _full_rank_mod_p(_sparse([[P - 1] * k] * (k + extra)), k) == (k == 1)
+
+
+def _min_plus_one_times_p(n):
+    """The n x n matrix min(i, j) + 1, all-ones lower times upper unitriangular, with
+    its last column times P: rank n over Q and n - 1 mod P, with no zero entry."""
+    return [[(min(i, j) + 1) * (P if j == n - 1 else 1) for j in range(n)] for i in range(n)]
+
+
+def test_rank_drop_mod_p_falls_back_to_elimination():
+    m = M(_min_plus_one_times_p(7))
+    assert not _full_rank_mod_p(m.num, 7)
+    assert rank(m) == 7 and kernel_basis(m) == []
+
+
+def test_solve_with_a_rank_drop_mod_p_in_the_augmented_rows():
+    # b, the last column, is outside im m, but [m | b] has rank 7 of 8 mod P
+    rows = _min_plus_one_times_p(8)
+    m, b = M([r[:7] for r in rows]), [r[7] for r in rows]
+    assert _full_rank_mod_p(m.num, 7) and not _full_rank_mod_p(_sparse(rows), 8)
+    assert solve(m, b) is None and reference_solve(m, b) is None
+    # a b in the image still gets the particular solution, also where m is square
+    # and [m | b] has full row rank
+    x = tuple(Fraction(j - 3, j + 1) for j in range(7))
+    for a in (m, M([r[:7] for r in rows[:7]])):
+        assert solve(a, dense_mul_vec(a.data, x)) == x
 
 
 @pytest.mark.parametrize("mode", list(InsertionMode))
