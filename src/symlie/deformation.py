@@ -17,7 +17,7 @@ from .algebra import Algebra, product_cochain
 from .bracket import InsertionMode, _prefactor, graded_bracket
 from .cochain import SymCochain, _combine, coeff_vector, from_coeff_vector, multisets
 from .errors import InvariantViolation
-from .exactla import Record, _eliminate, json_int, rat_to_str, solve
+from .exactla import Record, _combine as _combine_rows, _eliminate, _transpose, json_int, rat_to_str, solve
 from .complexes import _mu_bracket, coboundary_c1_matrix, differential, differential_matrix
 
 
@@ -141,28 +141,36 @@ class ObstructionClass(Record):
 
 def class_modulo_image(A: Algebra, r: SymCochain, mode: InsertionMode) -> ObstructionClass:
     """Coordinates of an arity-3 cochain modulo the image of d at arity 2,
-    in a fixed complement basis.
+    in a fixed complement basis: the standard basis vectors e_S that complete
+    im d_2 greedily from the first coordinate.
 
-    One elimination of [d_2 | I | r]: pivots fall greedily from the left, so
-    those in the d_2 block are its independent columns and those in the I
-    block the standard basis vectors that complete them to a basis.  The last
-    column of the reduced row echelon form holds r in that basis; its entries
-    in the complement rows are the class.  Those rows hold no d_2 column, so
-    only they are cleared of each other's pivots."""
+    One forward elimination of the rows of d_2^T, which span im d_2, with
+    coordinate i at column R - 1 - i: e_i is left out of S exactly when im d_2
+    holds a vector whose last nonzero is at i, that is when column R - 1 - i
+    holds a pivot (the greedy basis of a matroid, Edmonds 1971).  r, flipped
+    the same way, is then reduced against the pivot rows in pivot order, so it
+    loses an element of im d_2 and vanishes at every pivot.  What is left lies
+    in span(e_S) and, im d_2 + span(e_S) being direct, its entries at S in
+    ascending order are the class."""
     if r.n != 3 or r.dim != A.dim:
         raise ValueError("an obstruction residual must be an arity-3 cochain on the algebra")
     D = differential_matrix(A, 2, mode).matrix
-    C, R = D.cols, D.rows
-    # every row times D.den r.den, which keeps the row space: integer rows
-    aug = [{**{j: r.den * x for j, x in row.items()}, C + i: D.den * r.den}
-           for i, row in enumerate(D.num)]
-    for i, M in enumerate(multisets(A.dim, 3)):  # r's nonzeros, at rows index(M) d + k
-        for k, y in r.num.get(M, {}).items():
-            aug[i * A.dim + k][C + R] = D.den * y
-    rows, pivots = _eliminate(aug, C)
-    if pivots[-1] == C + R:
-        raise InvariantViolation("[d_2 | I] failed to span the cochain space")
-    quotient = tuple(Fraction(row.get(C + R, 0), row[p]) for row, p in zip(rows, pivots) if p >= C)
+    top = D.rows - 1
+    # the rows of d_2 bottom up, transposed: d_2^T with coordinate i at top - i
+    pivot_rows, pivots = _eliminate(_transpose(D.num[::-1], D.cols), False)
+    # r flipped, with its den at column top + 1, which no pivot row holds: each
+    # combination scales that entry with r, so v / v[top + 1] is always r less
+    # an element of im d_2
+    v = {top - i * A.dim - k: y
+         for i, M in enumerate(multisets(A.dim, 3)) for k, y in r.num.get(M, {}).items()}
+    v[top + 1] = r.den
+    for piv, c in zip(pivot_rows, pivots):
+        if c in v:
+            v = _combine_rows(v, piv, c)
+    scale, held = v.pop(top + 1), set(pivots)
+    if not v.keys().isdisjoint(held):
+        raise InvariantViolation("the reduced residual is nonzero at a pivot of im d_2")
+    quotient = tuple(Fraction(v.get(c, 0), scale) for c in range(top, -1, -1) if c not in held)
     return ObstructionClass(r, all(x == 0 for x in quotient), quotient)
 
 

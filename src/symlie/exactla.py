@@ -204,7 +204,7 @@ def _combine(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]
     a, b = piv[c], row[c]
     g = gcd(a, b)
     a, b = a // g, b // g
-    out = {j: a * x for j, x in row.items()}
+    out = row.copy() if a == 1 else {j: a * x for j, x in row.items()}
     for j, y in piv.items():
         v = out.get(j, 0) - b * y
         if v:
@@ -214,7 +214,7 @@ def _combine(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]
     return _primitive(out) if out else out
 
 
-def _eliminate(rows: list[dict[int, int]], cleared: int | None):
+def _eliminate(rows: list[dict[int, int]], reduced: bool):
     """Fraction-free elimination of the nonzero rows, made primitive first.
 
     The rows wait in a heap keyed by (leading column, |leading entry|, row
@@ -224,11 +224,10 @@ def _eliminate(rows: list[dict[int, int]], cleared: int | None):
     the work follows the nonzeros, not rows x columns.
 
     Returns the pivot rows and their pivot columns, both in column order.
-    Unless `cleared` is None, each pivot column from `cleared` on is also
-    cleared from the other pivot rows with pivots from `cleared` on, so that
-    such a pivot row i divided by its entry at pivots[i] is row i of the
-    reduced row echelon form (clearing them needs no row with an earlier
-    pivot).  The pivot columns and that form do not depend on which row pivots."""
+    When `reduced`, each pivot column is also cleared from the other pivot
+    rows, so that pivot row i divided by its entry at pivots[i] is row i of the
+    reduced row echelon form.  The pivot columns and that form do not depend
+    on which row pivots."""
     heap = [(c := min(r), abs(r[c]), i, r) for i, r in enumerate(_primitive(r) for r in rows if r)]
     heapify(heap)
     pivot_rows: list[dict[int, int]] = []
@@ -245,15 +244,14 @@ def _eliminate(rows: list[dict[int, int]], cleared: int | None):
                 heapreplace(heap, (lead, abs(r[lead]), i, r))
             else:
                 heappop(heap)
-    if cleared is not None:
-        # holders[c]: the other pivot rows from lo on holding pivot column c.  Pivot
-        # row k, clear of later pivots, adds no pivot column to the rows it combines into
-        lo = sum(p < cleared for p in pivots)
-        holders: dict[int, list[int]] = {c: [] for c in pivots[lo:]}
-        for i in range(lo, len(pivots)):
-            for j in (pivot_rows[i].keys() & holders.keys()) - {pivots[i]}:
+    if reduced:
+        # holders[c]: the other pivot rows holding pivot column c.  Pivot row k,
+        # clear of later pivots, adds no pivot column to the rows it combines into
+        holders: dict[int, list[int]] = {c: [] for c in pivots}
+        for i, row in enumerate(pivot_rows):
+            for j in (row.keys() & holders.keys()) - {pivots[i]}:
                 holders[j].append(i)
-        for k in range(len(pivots) - 1, lo, -1):
+        for k in range(len(pivots) - 1, 0, -1):
             c, piv = pivots[k], pivot_rows[k]
             for i in holders[c]:
                 pivot_rows[i] = _combine(pivot_rows[i], piv, c)
@@ -317,7 +315,7 @@ def rank(m: Matrix) -> int:
     if _full_rank_mod_p(m.num, m.cols):
         return min(m.rows, m.cols)
     # rank m = rank m^T, which has fewer rows to combine
-    return len(_eliminate(_transpose(m.num, m.cols) if m.rows > m.cols else m.num, None)[1])
+    return len(_eliminate(_transpose(m.num, m.cols) if m.rows > m.cols else m.num, False)[1])
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
@@ -325,7 +323,7 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     in reduced echelon form (free variable set to 1, pivots back-filled)."""
     if m.rows >= m.cols and _full_rank_mod_p(m.num, m.cols):
         return []
-    rows, pivots = _eliminate(m.num, 0)
+    rows, pivots = _eliminate(m.num, True)
     at: dict[int, list] = {}  # free column -> (pivot, entry) of the vector it spans
     for row, p in zip(rows, pivots):
         for j in row.keys() - {p}:  # reduced: every column but p is free
@@ -353,7 +351,7 @@ def solve(m: Matrix, b) -> tuple[Fraction, ...] | None:
            for row, y in zip(m.num, b)]
     if m.rows > C and _full_rank_mod_p(aug, C + 1):  # b is independent of m's columns
         return None
-    rows, pivots = _eliminate(aug, 0)
+    rows, pivots = _eliminate(aug, True)
     if pivots and pivots[-1] == C:
         return None
     x = [Fraction(0)] * C

@@ -110,11 +110,11 @@ def reference_rref(m):
             continue
         a[r], a[pr] = a[pr], a[r]
         inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        a[r] = [x * inv if x else x for x in a[r]]
         for i in range(m.rows):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == m.rows:
@@ -441,7 +441,8 @@ def reference_check_operator_identity(A):
 # hand-coded linear-system oracle for derivations
 
 def _row_echelon_rank(rows):
-    """Rank of a small rational matrix by plain Gaussian elimination."""
+    """Rank of a small rational matrix by plain Gaussian elimination, exact on
+    int and Fraction entries alike."""
     rows = [list(r) for r in rows]
     if not rows:
         return 0
@@ -459,7 +460,7 @@ def _row_echelon_rank(rows):
         pv = rows[rank][c]
         for i in range(len(rows)):
             if i != rank and rows[i][c] != 0:
-                fct = rows[i][c] / pv
+                fct = Fraction(rows[i][c]) / pv
                 rows[i] = [x - fct * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
@@ -726,7 +727,8 @@ def reference_class_modulo_image(A, residuals, paper):
     modulo the image of d_2, in three steps: the pivot columns of d_2, the
     standard basis vectors that complete them greedily from the left, and a
     solve in that basis.  This is the algorithm the engine ran before it took
-    one elimination of [d_2 | I | r]; d_2 here is reference_bracket_matrix's,
+    one elimination of [d_2 | I | r], and then one forward pass over d_2^T
+    with its coordinates reversed; d_2 here is reference_bracket_matrix's,
     and the basis is built once for all residuals."""
     from symlie import Matrix, coeff_vector, product_cochain
     D = reference_bracket_matrix(product_cochain(A), 2, paper, 1)

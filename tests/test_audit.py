@@ -523,6 +523,23 @@ def test_cold_audit_builds_mumu_once_and_no_kernel_basis(monkeypatch):
     assert builds == [SUM] and kernels == []
 
 
+def test_cold_audit_inserts_mu_into_mu_once(monkeypatch):
+    # the triple families' memo starts from the pool's mu o mu, so the only
+    # insertion of an arity-2 cochain into another is the pool's own
+    A = make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)])
+    calls = []
+    real_compose = bracket_module._compose
+
+    def compose(f, g, mode, sign):
+        calls.append((f.n, g.n, mode, sign))
+        return real_compose(f, g, mode, sign)
+
+    monkeypatch.setattr(bracket_module, "_compose", compose)
+    audit(A)
+    assert len(calls) == 24
+    assert [c for c in calls if c[:2] == (2, 2) and not c[3]] == [(2, 2, SUM, 0)]
+
+
 def _seeded_spin(rng, d):
     return make_spin([Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 4]))
                       for _ in range(d - 1)])

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlie import (Algebra, DeformationSeries, GaugeSeries, InsertionMode,
                     SymCochain, coboundary_c1_explicit, coeff_vector, differential,
@@ -12,12 +16,15 @@ from symlie import (Algebra, DeformationSeries, GaugeSeries, InsertionMode,
                     make_non_jordan, make_spin, mc_order0, mc_residual,
                     mc_solve_chain, mc_solve_step, obstruction_class,
                     product_cochain)
-from symlie import bracket, deformation
+from symlie import algebra_from_json_dict, bracket, deformation, differential_matrix
 from symlie.deformation import class_modulo_image, series_from_json_list
-from symlie.exactla import solve
+from symlie.exactla import rank, solve
 
 from oracles import (random_cochain, random_commutative, random_rational_commutative,
                      reference_class_modulo_image, reference_gauge_transport)
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import dense_doc  # the benchmark's seeded documents
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -178,7 +185,8 @@ def test_obstruction_in_image_agrees_with_direct_solve():
 
 def test_class_matches_reference_algorithm():
     # random r, r = d_2 x (in the image, all-zero class) and r = 0, in both modes;
-    # the dense rational algebra gives the pivot rule and the partial back pass work
+    # the dense rational algebra gives the pivot rule and the reduction of r
+    # against pivot rows with large entries work
     rng = random.Random(229)
     for make, d in ((random_commutative, 1), (random_commutative, 2), (random_commutative, 3),
                     (random_rational_commutative, 3)):
@@ -193,8 +201,63 @@ def test_class_matches_reference_algorithm():
             assert classes[1].in_image and not any(classes[1].quotient_coords)
 
 
+def _doc_algebra(make, seed, *args):
+    return algebra_from_json_dict(make(random.Random(seed), *args))
+
+
+CLASS_ALGEBRAS = {
+    "dense_d3_fill20_seed1": _doc_algebra(dense_doc, 1, 3, 0.2),
+    "dense_d3_fill20_seed2": _doc_algebra(dense_doc, 2, 3, 0.2),
+    "zero_product": zero_product_algebra(3),
+    "spin_d3": make_spin([1, Fraction(-1, 2)]),
+    "spin_d4": make_spin([1, Fraction(-1, 2), 3]),
+    "spin_d5": make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)]),
+    "dense_d4": _doc_algebra(dense_doc, 0, 4),
+}
+
+
+def test_class_algebras_include_rank_deficient_d2():
+    for name, r in (("dense_d3_fill20_seed1", 17), ("dense_d3_fill20_seed2", 16)):
+        for mode in (SUM, PAPER):
+            D = differential_matrix(CLASS_ALGEBRAS[name], 2, mode).matrix
+            assert (D.cols, rank(D)) == (18, r)
+
+
+@pytest.mark.parametrize("name", CLASS_ALGEBRAS)
+def test_class_matches_reference_on_rank_deficient_and_larger_algebras(name):
+    # the reference's class of a random r fixes the complement's size, so the
+    # classes of r = d_2 x and r = 0 are checked as that many zeros
+    A = CLASS_ALGEBRAS[name]
+    rng = random.Random(241)
+    for mode in (SUM, PAPER):
+        r = random_cochain(rng, 3, A.dim, sparsity=0.5)
+        [(in_image, quotient)] = reference_class_modulo_image(A, [r], mode is PAPER)
+        assert not in_image
+        zero = (True, (Fraction(0),) * len(quotient))
+        rs = [r, differential(A, random_cochain(rng, 2, A.dim), mode), SymCochain.zero(3, A.dim)]
+        classes = [class_modulo_image(A, x, mode) for x in rs]
+        assert [oc.representative for oc in classes] == rs
+        assert [(oc.in_image, oc.quotient_coords) for oc in classes] == \
+            [(in_image, quotient), zero, zero], mode
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(CLASS_ALGEBRAS)), st.sampled_from([SUM, PAPER]),
+       st.integers(0, 2 ** 32))
+def test_class_is_constant_on_cosets_of_the_image(name, mode, seed):
+    # class(r + d_2 x) == class(r): the class reads r modulo im d_2
+    A, rng = CLASS_ALGEBRAS[name], random.Random(seed)
+    r = random_cochain(rng, 3, A.dim, sparsity=rng.choice([0.0, 0.5, 0.9]))
+    dx = differential(A, random_cochain(rng, 2, A.dim, span=rng.choice([1, 5])), mode)
+    oc, moved = class_modulo_image(A, r, mode), class_modulo_image(A, r + dx, mode)
+    assert (moved.in_image, moved.quotient_coords) == (oc.in_image, oc.quotient_coords)
+
+
 def test_class_is_one_elimination(monkeypatch):
+    # one forward elimination of the C rows of d_2^T, whose columns are the R
+    # coordinates, and no solve
     calls = {"_eliminate": 0, "solve": 0}
+    shapes = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -202,15 +265,23 @@ def test_class_is_one_elimination(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(deformation, "_eliminate", counted("_eliminate", deformation._eliminate))
+    def eliminate(rows, reduced):
+        shapes.append((len(rows), max((max(r) for r in rows if r), default=-1), reduced))
+        return real_eliminate(rows, reduced)
+
+    real_eliminate = deformation._eliminate
+    monkeypatch.setattr(deformation, "_eliminate", counted("_eliminate", eliminate))
     monkeypatch.setattr(deformation, "solve", counted("solve", deformation.solve))
     rng = random.Random(233)
     n = 0
-    for A in CORPUS:
+    for A in CORPUS + [CLASS_ALGEBRAS["spin_d4"]]:
         for mode in (SUM, PAPER):
             class_modulo_image(A, random_cochain(rng, 3, A.dim), mode)
             n += 1
             assert calls == {"_eliminate": n, "solve": 0}
+            D = differential_matrix(A, 2, mode).matrix
+            rows, last, reduced = shapes[-1]
+            assert rows == D.cols and last < D.rows and not reduced
 
 
 def test_class_rejects_residuals_of_the_wrong_shape():

@@ -33,9 +33,9 @@ def _over_pivots(rows, pivots):
 
 
 def _reduced(m):
-    """The RREF and pivots of m from `_eliminate(m.num, 0)`, each pivot row over its
+    """The RREF and pivots of m from `_eliminate(m.num, True)`, each pivot row over its
     pivot entry, in the form of `reference_rref`."""
-    rows, pivots = _eliminate(m.num, 0)
+    rows, pivots = _eliminate(m.num, True)
     red = [[r.get(j, 0) for j in range(m.cols)] for r in _over_pivots(rows, pivots)]
     return Matrix(m.rows, m.cols, red + [[0] * m.cols] * (m.rows - len(red))), pivots
 
@@ -128,7 +128,7 @@ def test_rank_nullity_and_exactness_random():
 
 def test_rref_pivots_deterministic():
     m = M([[0, 2, 1], [0, 4, 3]])
-    rows, pivots = _eliminate(m.num, 0)
+    rows, pivots = _eliminate(m.num, True)
     assert pivots == (1, 2)
     assert _over_pivots(rows, pivots) == [{1: 1}, {2: 1}]
 
@@ -295,6 +295,12 @@ def gated_matrices(draw):
     return Matrix(rows, cols, [[Fraction(x, den) for x in r] for r in data])
 
 
+def test_row_echelon_rank_oracle_is_exact_on_large_ints():
+    # determinant -1, but float division would see the two rows as proportional
+    rows = [[10**20 + 3, 10**20 + 2], [10**20 + 2, 10**20 + 1]]
+    assert _row_echelon_rank(rows) == rank(M(rows)) == 2
+
+
 @given(st.data())
 def test_certified_paths_match_the_oracles(data):
     m = data.draw(gated_matrices())
@@ -422,21 +428,20 @@ def _integer_rows(rng):
 @pytest.mark.parametrize("reduced", [False, True])
 def test_eliminate_matches_the_column_scan(reduced):
     # the scan pivots on the first row in row order, _eliminate on the smallest
-    # entry, so they agree on what callers read: the pivots, the cleared rows
-    # (from pivot column 0 or 2 on) over their pivot entries, and the row space
+    # entry, so they agree on what callers read: the pivots, the reduced rows
+    # over their pivot entries, and the row space
     rng = random.Random(1019)
     for _ in range(400):
         rows = _integer_rows(rng)
         before = [dict(r) for r in rows]
         ref, ref_pivots = reference_scan_eliminate(rows, True)
-        for cleared in (0, 2) if reduced else (None,):
-            got, pivots = _eliminate(rows, cleared)
-            assert pivots == ref_pivots, rows
-            assert all(gcd(*r.values()) == 1 and min(r) == p for r, p in zip(got, pivots)), rows
-            lo = len(pivots) if cleared is None else sum(p < cleared for p in pivots)
-            assert _over_pivots(got, pivots)[lo:] == _over_pivots(ref, ref_pivots)[lo:], rows
-            assert (_over_pivots(*reference_scan_eliminate(got, True))
-                    == _over_pivots(ref, ref_pivots)), rows
+        got, pivots = _eliminate(rows, reduced)
+        assert pivots == ref_pivots, rows
+        assert all(gcd(*r.values()) == 1 and min(r) == p for r, p in zip(got, pivots)), rows
+        if reduced:
+            assert _over_pivots(got, pivots) == _over_pivots(ref, ref_pivots), rows
+        assert (_over_pivots(*reference_scan_eliminate(got, True))
+                == _over_pivots(ref, ref_pivots)), rows
         assert rows == before
 
 
@@ -444,7 +449,7 @@ def test_pivot_is_the_smallest_leading_entry():
     # three rows lead at column 0 with entries 6, 1 and -1: the pivot is the
     # row of smallest |entry|, the tie going to the earlier row
     rows = [{0: 6, 1: 1}, {0: 1, 2: 1}, {0: -1, 1: 5}]
-    got, pivots = _eliminate(rows, None)
+    got, pivots = _eliminate(rows, False)
     assert got[0] == {0: 1, 2: 1} and pivots == (0, 1, 2)
 
 
@@ -482,7 +487,7 @@ def _elimination_pin_doc():
     out = []
     for A in (make_spin(SPIN_Q[:6]), _dense_rational(random.Random(5), 4)):
         for a in _d3_and_transpose(A):
-            rows, pivots = _eliminate(a.num, 0)
+            rows, pivots = _eliminate(a.num, True)
             L = lcm(*(r[p] for r, p in zip(rows, pivots)))
             red = Matrix._from_ints(a.rows, a.cols, [{j: x * (L // r[p]) for j, x in r.items()}
                                                      for r, p in zip(rows, pivots)]
