@@ -25,8 +25,8 @@ from itertools import permutations, product as iproduct
 from .algebra import (Algebra, IdentityReport, _assoc_sum, check_cubic_jordan,
                       check_operator_identity, check_six_term, find_unit,
                       multiplication_operator, product_cochain, render_linear)
-from .bracket import (InsertionMode, _Memo, _prefactor, check_jacobi, check_prelie,
-                      first_coefficient_difference, insert, insert_lowdeg_variant, unshuffles)
+from .bracket import (InsertionMode, _Memo, _prefactor, check_jacobi, check_prelie, insert,
+                      insert_lowdeg_variant, unshuffles)
 from .cochain import SymCochain, basis_cochains, multisets
 from .complexes import (DSquaredReport, _mu_bracket, check_d_squared, coboundary_c1_explicit,
                         coboundary_c1_matrix, coboundary_c2_explicit, cohomology,
@@ -183,11 +183,11 @@ _TRIPLES = (
 def _claim_triple_family(mode: InsertionMode, claim_id: str, checker, pool, memo) -> ClaimRecord:
     reports = [(label, checker(pool[fa], pool[fb], pool[fc], mode, _memo=memo))
                for label, fa, fb, fc in _TRIPLES]
-    failed = [{"triple": label, **rep.witness.to_json_dict()} for label, rep in reports
-              if not rep.holds]
+    failed = [(label, rep.witness) for label, rep in reports if not rep.holds]
     detail = "; ".join(f"{label}: {'holds' if rep.holds else 'fails'}" for label, rep in reports)
-    return ClaimRecord(claim_id, mode.value, "fails" if failed else "holds",
-                       witness=failed[0] if failed else None, detail=detail)
+    return ClaimRecord(claim_id, mode.value, "fails" if failed else "holds", detail=detail,
+                       witness={"triple": failed[0][0], **failed[0][1].to_json_dict()}
+                       if failed else None)
 
 
 def _claim_lowdeg_variant(A: Algebra, paper_pool) -> ClaimRecord:
@@ -220,18 +220,18 @@ def _bracket_entries(br: SymCochain) -> list[dict]:
 def _claim_mumu(mode: InsertionMode, pool, printed_half: SymCochain) -> ClaimRecord:
     ins, br = pool["P"], pool["B"]
     doubling_ok = br == ins.scale(2)
-    diff = first_coefficient_difference(ins, printed_half)
+    diff = (ins - printed_half).num
     detail = (f"[mu,mu] == 2 (mu o mu): {'true' if doubling_ok else 'false'}; "
               "printed composite is half the cyclic associator sum, which "
               "vanishes termwise for commutative products")
-    if diff is None:
+    if not diff:
         return ClaimRecord("MUMU-FORMULA", mode.value, "holds", detail=detail)
-    mset, left, right = diff
+    mset = min(diff)  # the first multiset where they differ
     return ClaimRecord(
         "MUMU-FORMULA", mode.value, "fails",
         witness={"first_diff": {"multiset": list(mset),
-                                "insertion": vec_to_strs(left),
-                                "printed": vec_to_strs(right)},
+                                "insertion": vec_to_strs(ins.value_at(mset)),
+                                "printed": vec_to_strs(printed_half.value_at(mset))},
                  "bracket_nonzero": _bracket_entries(br)},
         detail=detail)
 

@@ -99,10 +99,10 @@ def _scatter(pieces):
                 by_slot.setdefault(k, []).append((G, tag, s * w))
         for F, vec in outer:
             for pos, k in enumerate(F):
-                if pos and F[pos - 1] == k:  # one slot per distinct k
+                if pos and F[pos - 1] == k or k not in by_slot:  # each distinct k an inner term fills
                     continue
                 rest = F[:pos] + F[pos + 1:]
-                for G, tag, w in by_slot.get(k, ()):
+                for G, tag, w in by_slot[k]:
                     c = _unshuffle_count(rest, G) * w
                     acc = out.setdefault((tuple(sorted(rest + G)), tag), {})
                     for t, x in vec.items():
@@ -137,33 +137,27 @@ def graded_bracket(f: SymCochain, g: SymCochain,
     return _compose(f, g, mode, -koszul_sign(f.degree, g.degree))
 
 
-def first_coefficient_difference(a: SymCochain, b: SymCochain):
-    """First (multiset, k) where two same-shape cochains differ, or None."""
-    if a.n != b.n or a.dim != b.dim:
-        raise ValueError("cochain shape mismatch")
-    for mset in sorted(a.num.keys() | b.num.keys()):  # the order of `multisets`
-        va, vb = a.num.get(mset, {}), b.num.get(mset, {})
-        if va.keys() != vb.keys() or any(x * b.den != vb[k] * a.den for k, x in va.items()):
-            return mset, a.value_at(mset), b.value_at(mset)
-    return None
-
-
 def _coeff_report(n: int, dim: int, left, right, note: str) -> IdentityReport:
     """The sums of the terms (a, b, p), a/b p, of each side agree, or fail with the first
-    differing multiset as basis inputs.  The coefficients of each primitive form p are
-    added first, as ints over one denominator, so that p is scaled into its side once."""
-    sides = []
-    for terms in (left, right):
-        L, by_form = lcm(*(b for _, b, _ in terms)), {}
+    differing multiset as basis inputs.  left - right is added up per primitive form p
+    first, as ints over one denominator: if every form's coefficient cancels the sides
+    agree, and otherwise one combination of the difference is made.  Its least multiset
+    is the witness, where each side's value is summed from the forms holding it."""
+    L, by_form = lcm(*(b for _, b, _ in left), *(b for _, b, _ in right)), {}
+    for sign, terms in ((1, left), (-1, right)):
         for a, b, p in terms:
-            by_form[id(p)] = by_form.get(id(p), (0,))[0] + a * (L // b), p
-        sides.append(_combine(n, dim, [(Fraction(s, L), p) for s, p in by_form.values() if s]))
-    diff = first_coefficient_difference(*sides)
-    if diff is None:
+            by_form[id(p)] = by_form.get(id(p), (0,))[0] + sign * a * (L // b), p
+    diff = [(Fraction(s, L), p) for s, p in by_form.values() if s]
+    if not diff or not (num := _combine(n, dim, diff).num):
         return IdentityReport(True)
-    mset, at_left, at_right = diff
+    mset, at = min(num), ([0] * dim, [0] * dim)  # the order of `multisets`; ints over L
+    for side, terms in zip(at, (left, right)):
+        for a, b, p in terms:  # p's numerators are over 1
+            for k, x in p.num.get(mset, {}).items():
+                side[k] += a * (L // b) * x
     basis = tuple(tuple(Fraction(int(t == i)) for t in range(dim)) for i in mset)
-    return IdentityReport(False, Witness(inputs=basis, left=at_left, right=at_right, note=note))
+    return IdentityReport(False, Witness(basis, *(tuple(Fraction(x, L) for x in v) for v in at),
+                                         note))
 
 
 class _Memo:

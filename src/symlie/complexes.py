@@ -2,19 +2,18 @@
 printed low-degree coboundary formulas, the d-squared comparison against
 (1/2) ad_{[mu,mu]}, and kernel/image/cohomology data with validity flags.
 
-The matrix of f -> [g, f], g = mu or [mu, mu], comes from one call to the
-insertion kernel `bracket._scatter` with g's nonzeros on one side and the
-basis cochains on the other, so no bracket is taken per column.  It gives
-the SUM-mode pieces f -> g o f and f -> f o g, and every mode is a scalar
-combination of that one scatter.  The pieces are not kept.
+d_n comes from one call to the insertion kernel `bracket._scatter` with mu's
+nonzeros on one side and the basis cochains on the other: the SUM-mode pieces
+f -> mu o f and f -> f o mu, not kept, of which every mode's d_n is a scalar
+combination.  (1/2) ad_{[mu,mu]} has no matrix: the d o d check brackets
+[mu,mu] with one basis cochain per column it compares.
 
 d o d = 0 is never assumed: cohomology reports carry an explicit
 `complex_valid` flag and the defect rank(d_n d_{n-1}), read off the ranks
-when d_n is injective.  Through `algebra._kept` the SUM-mode [mu, mu] is
-kept once for all its readers, d_n (with its rank, shared by a mode whose
-d_n is a nonzero multiple of SUM's) and (1/2) ad_{[mu,mu]} on arity n are
-kept for every mode, a miss building all from one scatter, and d_{n+1} d_n
-per mode; each dies with the algebra.
+when d_n is injective.  Through `algebra._kept` the SUM-mode [mu, mu], every
+mode's d_n (with its rank, shared by a mode whose d_n is a nonzero multiple
+of SUM's; a miss builds all modes) and, where cohomology must rank it,
+d_n d_{n-1} per mode are kept once for all their readers and die with A.
 """
 
 from __future__ import annotations
@@ -75,14 +74,13 @@ class DifferentialData(Record):
         return self._rank
 
 
-def _bracket_matrices(g: SymCochain, n: int, scalars) -> dict[InsertionMode, Matrix]:
-    """{mode: matrix of f -> c [g, f] on arity-n cochains} over `scalars`, {mode: c},
-    from one `_scatter` of the SUM-mode pieces L: e -> g o e and R: e -> e o g on the
-    basis cochains e = e_{F,t}, 1 at coordinate t of F, column j d + t for F the j-th
-    multiset.  In g o e one inner term per F, 1 at every slot, tags each key with the
-    column of the slot filled; in e o g one outer term per F holds 1 at each column
-    j d + t, which lands in row coordinate t.  A mode's matrix is
-    c p_L L - c (-1)^{(m-1)(n-1)} p_R R."""
+def _bracket_matrices(g: SymCochain, n: int) -> dict[InsertionMode, Matrix]:
+    """{mode: matrix of f -> [g, f] on arity-n cochains}, from one `_scatter` of the
+    SUM-mode pieces L: e -> g o e and R: e -> e o g on the basis cochains e = e_{F,t},
+    1 at coordinate t of F, column j d + t for F the j-th multiset.  In g o e one inner
+    term per F, 1 at every slot, tags each key with the column of the slot filled; in
+    e o g one outer term per F holds 1 at each column j d + t, which lands in row
+    coordinate t.  A mode's matrix is p_L L - (-1)^{(m-1)(n-1)} p_R R."""
     m, d = g.n, g.dim
     col_of = {F: j * d for j, F in enumerate(multisets(d, n))}
     units = [(F, dict.fromkeys(range(d), 1)) for F in col_of]  # g o e: 1 at every slot
@@ -90,9 +88,9 @@ def _bracket_matrices(g: SymCochain, n: int, scalars) -> dict[InsertionMode, Mat
     out, _ = _scatter([(1, g.num.items(), units, col_of), (1, blocks, g.num.items(), None)])
     row_of = {M: i * d for i, M in enumerate(multisets(d, m + n - 1))}
     mats = {}
-    for mode, c in scalars.items():
-        p_L = c * _prefactor(mode, m, n)
-        p_R = -c * koszul_sign(m - 1, n - 1) * _prefactor(mode, n, m)
+    for mode in InsertionMode:
+        p_L = _prefactor(mode, m, n)
+        p_R = -koszul_sign(m - 1, n - 1) * _prefactor(mode, n, m)
         q = lcm(p_L.denominator, p_R.denominator)
         a, b = int(q * p_L), int(q * p_R)
         rows: list[dict[int, int]] = [{} for _ in range(len(row_of) * d)]  # index(M) d + t
@@ -118,7 +116,7 @@ def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.
         raise ValueError("degree must be >= 0")
 
     def build():
-        mats = _bracket_matrices(product_cochain(A), n, dict.fromkeys(InsertionMode, 1))
+        mats = _bracket_matrices(product_cochain(A), n)
         s = DifferentialData(InsertionMode.SUM, n, mats[InsertionMode.SUM])
         return {m: s if m is InsertionMode.SUM else DifferentialData(
             m, n, mats[m], s if _prefactor(m, 2, n) == _prefactor(m, n, 2) else None)
@@ -129,14 +127,6 @@ def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.
 def _mu_bracket(A: Algebra) -> SymCochain:
     """[mu, mu] in SUM mode, kept on A; a mode's is `_prefactor(mode, 2, 2)` times it."""
     return _kept(A, "mumu", lambda: graded_bracket(product_cochain(A), product_cochain(A)))
-
-
-def ad_half_bracket_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> Matrix:
-    """Matrix of f -> (1/2) [[mu, mu], f] on arity-n cochains.  Kept on A; a miss
-    builds every mode from one scatter of the kept SUM-mode [mu, mu]."""
-    _prefactor(mode, 0, 0)  # refuses a mode that is not an InsertionMode
-    return _kept(A, ("ad", n), lambda: _bracket_matrices(
-        _mu_bracket(A), n, {m: _prefactor(m, 2, 2) / 2 for m in InsertionMode}))[mode]
 
 
 def _composite(A: Algebra, n: int, mode: InsertionMode) -> Matrix:
@@ -154,19 +144,48 @@ class DSquaredReport(Record):
         self.witness = witness
 
 
+def _columns(num: list[dict[int, int]], want: set[int]) -> dict[int, dict[int, int]]:
+    """{j: {row: entry}} for the columns j in `want` of the sparse rows num, in one pass."""
+    out: dict[int, dict[int, int]] = {j: {} for j in want}
+    for i, row in enumerate(num):
+        for j in () if want.isdisjoint(row) else row.keys() & want:  # no set for most rows
+            out[j][i] = row[j]
+    return out
+
+
 def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DSquaredReport:
-    """Compare the matrix of d o d (arity n -> n+2) against the matrix of
-    f -> (1/2)[[mu,mu],f]; reports equality and whether both vanish."""
-    composite, ad_half = _composite(A, n, mode), ad_half_bracket_matrix(A, n, mode)
-    rep = DSquaredReport(n, mode, composite == ad_half, composite.is_zero() and ad_half.is_zero())
-    if not rep.equal:  # the first differing column, located back on its basis cochain
-        j = min(c for ra, rb in zip(composite.num, ad_half.num) for c in ra.keys() | rb.keys()
-                if ra.get(c, 0) * ad_half.den != rb.get(c, 0) * composite.den)
-        mset, k = multisets(A.dim, n)[j // A.dim], j % A.dim
-        e_j = (Fraction(0),) * j + (Fraction(1),) + (Fraction(0),) * (composite.cols - j - 1)
-        rep.witness = Witness((e_j,), composite.column(j), ad_half.column(j), f"columns of "
-                              f"d∘d vs (1/2)ad on basis cochain ({list(mset)}, k={k})")
-    return rep
+    """Compare d o d (arity n -> n+2) with f -> (1/2)[[mu,mu],f] on the basis cochains e_j
+    in order, up to the first column that differs; reports equality and whether both vanish.
+    Column j is the kept d_{n+1} times column j of the kept d_n against the kept SUM-mode
+    [[mu,mu], e_j] times `_prefactor(mode, 2, 2)` / 2.  d_n is read in column blocks [0, 1),
+    [1, 2), [2, 4), ..., each with the columns of d_{n+1} it first needs: no product."""
+    d_n, d_up = differential_matrix(A, n, mode).matrix, differential_matrix(A, n + 1, mode).matrix
+    B, d, c, D = _mu_bracket(A), A.dim, _prefactor(mode, 2, 2) / 2, d_up.den * d_n.den
+    row_of = {M: i * d for i, M in enumerate(multisets(d, n + 2))}
+    up, zero, start = {}, True, 0  # up: the columns of d_{n+1} read so far
+    while start < d_n.cols:
+        block = range(start, min(max(2 * start, 1), d_n.cols))
+        cols = _columns(d_n.num, set(block))
+        up.update(_columns(d_up.num, set().union(*cols.values()) - up.keys()))
+        for j in block:
+            dd: dict[int, int] = {}  # over D
+            for k, x in cols[j].items():
+                for i, y in up[k].items():
+                    dd[i] = dd.get(i, 0) + x * y
+            F = multisets(d, n)[j // d]
+            br = graded_bracket(B, SymCochain._from_ints(n, d, {F: {j % d: 1}}, 1), mode)
+            p, q = c.denominator * br.den, c.numerator * D  # both columns as ints over p D
+            dd = {i: p * x for i, x in dd.items() if x}
+            ad = {row_of[M] + t: q * x for M, v in br.num.items() for t, x in v.items()}
+            if dd != ad:
+                z, rows, den = Fraction(0), range(d_up.rows), p * D
+                return DSquaredReport(n, mode, False, False, Witness(
+                    ((z,) * j + (Fraction(1),) + (z,) * (d_n.cols - j - 1),),
+                    *(tuple(Fraction(v[i], den) if i in v else z for i in rows) for v in (dd, ad)),
+                    f"columns of d∘d vs (1/2)ad on basis cochain ({list(F)}, k={j % d})"))
+            zero = zero and not dd
+        start = block.stop
+    return DSquaredReport(n, mode, True, zero)
 
 
 class CohomologyReport(Record):
@@ -181,15 +200,7 @@ class CohomologyReport(Record):
         self.defect_rank, self.dim_H = defect_rank, dim_H
 
     def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "mode": self.mode.value,
-            "dim_kernel": self.dim_kernel,
-            "dim_image_from_below": self.dim_image_from_below,
-            "complex_valid": self.complex_valid,
-            "defect_rank": self.defect_rank,
-            "dim_H": self.dim_H,
-        }
+        return {**dict(zip(self._fields, self._values())), "mode": self.mode.value}
 
 
 def cohomology(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> CohomologyReport:
@@ -199,15 +210,10 @@ def cohomology(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> C
     A mode whose d_n is a nonzero multiple of SUM's reads SUM's rank (a scalar keeps it)."""
     d_n = differential_matrix(A, n, mode)
     dim_kernel = d_n.matrix.cols - d_n.rank
-    if n == 0:
-        dim_image = 0
-        defect = 0
-    else:
-        dim_image = differential_matrix(A, n - 1, mode).rank
-        defect = dim_image if dim_kernel == 0 else rank(_composite(A, n - 1, mode))
-    valid = defect == 0
-    dim_H = dim_kernel - dim_image if valid else None
-    return CohomologyReport(n, mode, dim_kernel, dim_image, valid, defect, dim_H)
+    dim_image = differential_matrix(A, n - 1, mode).rank if n else 0
+    defect = dim_image if dim_kernel == 0 or not n else rank(_composite(A, n - 1, mode))
+    return CohomologyReport(n, mode, dim_kernel, dim_image, defect == 0, defect,
+                            None if defect else dim_kernel - dim_image)
 
 
 def coboundary_c1_matrix(A: Algebra) -> Matrix:

@@ -25,11 +25,11 @@ from symlie import (Algebra, DeformationSeries, GaugeSeries, InsertionMode,
                     product_cochain, render_text)
 from symlie.bracket import koszul_sign
 from symlie.cochain import basis_cochains, coeff_vector, multisets
-from symlie.complexes import ad_half_bracket_matrix, differential_matrix
+from symlie.complexes import differential_matrix
 
 from oracles import (derivation_dimension, insertion_eval, left_nested_eval,
-                     naive_evaluate, random_cochain, random_vector,
-                     right_nested_eval, six_term_sum)
+                     naive_evaluate, random_cochain, random_vector, reference_bracket,
+                     reference_bracket_matrix, right_nested_eval, six_term_sum)
 
 SUM = InsertionMode.SUM
 PAPER = InsertionMode.PAPER
@@ -202,8 +202,9 @@ def test_criterion_03_ad_squared_identity():
     sides agree; at n = 0 and 2 they differ, which refutes the claimed
     identity (and n = 3 differs too, so odd arity alone does not suffice).
     Asserted:
-      (a) the difference of the two matrices check_d_squared compares is the
-          matrix of that associator expression;
+      (a) the difference of the two sides check_d_squared compares column by
+          column, d_{n+1} d_n and the per-column reference (1/2)ad matrix, is
+          the matrix of that associator expression;
       (b) the sides agree at arity 1 and differ at arities 0 and 2;
       (c) on j2_1_0 at arity 0 with v = e the insertion oracle gives
           d(dv) = mu and (1/2)[[mu,mu],v] = 3 mu, the columns check_d_squared
@@ -217,7 +218,8 @@ def test_criterion_03_ad_squared_identity():
         for n in (0, 1, 2):
             dd = differential_matrix(A, n + 1, mode).matrix.mul(
                 differential_matrix(A, n, mode).matrix)
-            half_ad = ad_half_bracket_matrix(A, n, mode)
+            half_ad = reference_bracket_matrix(reference_bracket(mu, mu, False), n, False,
+                                               Fraction(1, 2))
             for j, (_, f) in enumerate(basis_cochains(A.dim, n)):
                 expr = (_assoc(f, mu, mu, mode).scale(-1)
                         - _assoc(mu, mu, f, mode).scale(1 + (-1) ** n))

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -536,7 +537,12 @@ def test_cold_audit_inserts_mu_into_mu_once(monkeypatch):
 
     monkeypatch.setattr(bracket_module, "_compose", compose)
     audit(A)
-    assert len(calls) == 24
+    # besides the d o d scan's brackets [[mu,mu], e_j], one per column compared:
+    # column 0 of each unequal (n, mode) and all 25 of SUM n = 1
+    scan = Counter(c for c in calls if c[0] == 3 and c[3] == -1)
+    assert scan == Counter([(3, 0, SUM, -1), (3, 2, SUM, -1)] + [
+        (3, n, PAPER, -1) for n in range(3)] + [(3, 1, SUM, -1)] * 25)
+    assert len(calls) - sum(scan.values()) == 24
     assert [c for c in calls if c[:2] == (2, 2) and not c[3]] == [(2, 2, SUM, 0)]
 
 

@@ -14,7 +14,6 @@ from symlie import (InsertionMode, Matrix, SymCochain, basis_cochains, check_d_s
                     unshuffles)
 from symlie import bracket as bracket_module
 from symlie.bracket import _Memo, koszul_sign, parse_mode
-from symlie.complexes import ad_half_bracket_matrix
 
 from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
                      reference_bracket, reference_insert, reference_jacobi_report,
@@ -237,7 +236,7 @@ def test_insert_rejects_a_mode_that_is_not_an_insertion_mode():
     # and still on an algebra whose operator matrices are kept
     cohomology(A, 2, InsertionMode.SUM)
     check_d_squared(A, 1, InsertionMode.SUM)
-    for call in (differential_matrix, ad_half_bracket_matrix, check_d_squared):
+    for call in (differential_matrix, check_d_squared):
         with pytest.raises(TypeError, match="'paper'"):
             call(A, 1, "paper")
     with pytest.raises(TypeError, match="'paper'"):

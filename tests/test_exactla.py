@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symlie import InsertionMode, algebra_from_entries, make_spin
-from symlie.complexes import ad_half_bracket_matrix, cohomology, differential_matrix
+from symlie.complexes import cohomology, differential_matrix
 from symlie.exactla import (Matrix, _eliminate, _full_rank_mod_p, kernel_basis, rank,
                             rat_from_str, rat_to_str, solve)
 
@@ -396,9 +396,8 @@ def test_operator_matrices_keep_the_stored_form(mode):
     dense = _dense_rational(random.Random(5), 3)
     assert differential_matrix(dense, 1, mode).matrix.den > 1
     for A in (make_spin([1, Fraction(-1, 2), 3]), dense):
-        for n in range(3):
-            d, ad = differential_matrix(A, n, mode).matrix, ad_half_bracket_matrix(A, n, mode)
-            assert all(_stored_form(m) for m in (d, ad))
+        for n in range(4):
+            assert _stored_form(differential_matrix(A, n, mode).matrix)
 
 
 # ---------------------------------------------------------------------------
