@@ -83,7 +83,8 @@ def _scatter(pieces):
 
     Terms are (multiset, {index: nonzero int}), as in `SymCochain.num`.  inner[G]_k
     outer[F] with k in F lands at N = (F - {k}) + G once per (m-1, n)-unshuffle placing
-    G in N, i.e. prod_a C(mult_N(a), mult_G(a)) times, so the cost follows the nonzeros.
+    G in N, i.e. prod_a C(mult_N(a), mult_G(a)) times, so the cost follows the nonzeros;
+    inner entries are indexed only at the slots k that some outer term holds.
     Returns {(N, tag): {index: int}} and the denominator q of the p.  The tag is None,
     or with `columns` {G: j d} the column j d + k of the basis cochain e_{G,k} whose
     slot k was filled: the matrix of e -> outer o e, inner terms 1 at every slot."""
@@ -93,10 +94,12 @@ def _scatter(pieces):
         if not p:
             continue
         s, by_slot = p.numerator * (q // p.denominator), {}  # k -> [(G, tag, s inner[G]_k)]
+        held = {k for F, _ in outer for k in F}
         for G, vec in inner:
             for k, w in vec.items():
-                tag = None if columns is None else columns[G] + k
-                by_slot.setdefault(k, []).append((G, tag, s * w))
+                if k in held:
+                    tag = None if columns is None else columns[G] + k
+                    by_slot.setdefault(k, []).append((G, tag, s * w))
         for F, vec in outer:
             for pos, k in enumerate(F):
                 if pos and F[pos - 1] == k or k not in by_slot:  # each distinct k an inner term fills

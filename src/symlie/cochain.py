@@ -41,7 +41,7 @@ def sym_basis_dim(dim: int, n: int) -> int:
 
 
 class SymCochain:
-    __slots__ = ("n", "dim", "num", "den")
+    __slots__ = ("n", "dim", "num", "den", "_plan")
 
     def __init__(self, n: int, dim: int, coeffs=None):
         vecs = {}
@@ -54,9 +54,9 @@ class SymCochain:
 
     def _reduce(self, n: int, dim: int, num, den: int) -> None:
         """Store num / den (den > 0) in lowest terms, dropping zero entries and empty
-        vectors; vectors already so are kept."""
+        vectors; vectors already so are kept.  No evaluation plan: `evaluate` derives one."""
         g = gcd(den, *(x for vec in num.values() for x in vec.values()))
-        self.n, self.dim, self.den = n, dim, den // g
+        self.n, self.dim, self.den, self._plan = n, dim, den // g, None
         self.num = num if g == 1 and all(vec and all(vec.values()) for vec in num.values()) else {
             key: v for key, vec in num.items() if (v := {k: x // g for k, x in vec.items() if x})}
 
@@ -152,32 +152,38 @@ class SymCochain:
         f(v_1..v_n) = sum over stored M of W[M] f[M], where W[M] is the
         coefficient of t^M in prod_p (sum_i v_p[i] t_i).  That is exact
         because f[M] is the value at the basis tuple of M, not a divided
-        power.  W is built by a running product over the arguments, keyed by
-        M as base-(n+1) digits, sum over i in M of (n+1)^i: no index occurs
-        more than n times, so the digits never carry, and multiplying in
-        index i adds (n+1)^i to the key.  The end is one dot product of the
-        scalar weights with the stored vectors.  It runs on integers:
-        numerators over the cochain's denominator, each argument scaled by
-        the lcm of its own denominators, one division per output coordinate.
+        power.  The weights W' of the first n - 1 arguments are built by a
+        running product, keyed by a multiset as base-(n+1) digits, sum over
+        i in it of (n+1)^i: no index occurs more than n times, so the digits
+        never carry, and multiplying in index i adds (n+1)^i to the key.
+        The last argument is contracted at the stored multisets only,
+        W[M] = sum over distinct i in M of v_n[i] W'[M - {i}], inside the dot
+        product with f[M]; the pairs (key of M - {i}, i) depend on f alone and
+        are kept on it from the first call.  It runs on integers: numerators
+        over the cochain's denominator, each argument scaled by the lcm of its
+        own denominators, one division per output coordinate.
 
-        Cost: W spans every multiset of the arguments' nonzero coordinates,
-        whatever f stores, so a call costs about what a dense f of the same
-        shape costs.  Against contracting f's stored vectors one argument at
-        a time (Python 3.11, one core of a 2-core VM), a dense f gains most
-        (d = 8, n = 4, 311 of 330 multisets: 1210 -> 490 us; d = 3, n = 5:
-        74 -> 30 us), while a very sparse f at larger d pays for the whole W
-        (d = 8, n = 4, 5 multisets: 119 -> 177 us), bounded by the dense cost.
+        Cost: W' spans one level fewer than W, and the contraction follows f's
+        stored multisets.  Against expanding all n arguments (Python 3.11, one
+        core of a 2-core VM; d, n, stored multisets), a sparse f at larger d
+        gains most (8, 4, 5: 227 -> 82 us; 10, 2, 3: 40 -> 22 us), a dense one
+        less (8, 4, 311: 525 -> 343 us; 3, 5, 21: 45 -> 34 us), and d = 1
+        holds (1, 5, 1: 8.7 -> 8.4 us).
         """
         n, dim = self.n, self.dim
         args = [[x if type(x) is Fraction else Fraction(x) for x in a] for a in args]
         if len(args) != n:
             raise ValueError(f"expected {n} arguments, got {len(args)}")
+        if not n:
+            return self.value_at(())
         base, weights, den = n + 1, {0: 1}, self.den
-        for a in args:
+        for p, a in enumerate(args, 1):
             if len(a) != dim:
                 raise ValueError("argument vector has wrong length")
             s = lcm(*[x.denominator for x in a])
             den *= s
+            if p == n:  # the last argument is contracted at the stored multisets
+                break
             nxt, step = {}, 1
             for x in a:
                 if x:
@@ -187,14 +193,26 @@ class SymCochain:
                         nxt[key] = nxt.get(key, 0) + w * c
                 step *= base
             weights = nxt
-        pw = [base ** i for i in range(dim)]
-        out = [0] * dim
-        for mset, vec in self.num.items():
-            w = weights.get(sum(map(pw.__getitem__, mset)))
+        last = [x.numerator * (s // x.denominator) for x in a]
+        get, out = weights.get, [0] * dim
+        for pairs, vec in self._eval_plan() if self._plan is None else self._plan:
+            w = 0
+            for key, i in pairs:
+                if c := last[i]:
+                    w += c * get(key, 0)
             if w:
-                for k, x in vec.items():
+                for k, x in vec:
                     out[k] += w * x
         return tuple([Fraction(x, den) for x in out])
+
+    def _eval_plan(self) -> list:
+        """[(pairs, items)] per stored M: pairs (key of M - {i}, i) for each distinct i
+        in M, keys as in `evaluate`, and the items of M's stored vector."""
+        base, self._plan = self.n + 1, []
+        for M, vec in self.num.items():
+            code = sum([base ** i for i in M])
+            self._plan.append(([(code - base ** i, i) for i in {*M}], vec.items()))
+        return self._plan
 
     # -- serialization --------------------------------------------------------
     def to_json_dict(self) -> dict:

@@ -116,11 +116,16 @@ def test_evaluate_arity_mismatch():
                       # the count is checked before any vector's length
                       ([(1,), (1, 0), (1, 0, 0)], "expected 2 arguments, got 3"),
                       ([(1, 0), (1, 0, 0)], "argument vector has wrong length"),
-                      ([(1,), (1, 0)], "argument vector has wrong length")]:
+                      ([(1,), (1, 0)], "argument vector has wrong length"),
+                      # every entry is converted before the count is checked
+                      ([(1, 0), (1, "x"), (1, 0)], "Invalid literal for Fraction: 'x'"),
+                      ([("x",)], "Invalid literal for Fraction: 'x'")]:
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             f.evaluate(args)
     with pytest.raises(ValueError, match=r"^expected 0 arguments, got 1$"):
         SymCochain.zero(0, 2).evaluate([(1, 0)])
+    with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: 'x'$"):
+        SymCochain.zero(0, 2).evaluate([(1, "x")])
 
 
 @pytest.mark.parametrize("k", [-1, 2, 7])
@@ -164,6 +169,8 @@ def test_evaluate_accepts_iterators_and_int_str_fraction_entries():
     assert f.evaluate(iter([iter(a) for a in args])) == want
     assert f.evaluate(map(iter, args)) == want
     assert f.evaluate(tuple(list(a) for a in args)) == want
+    assert f.evaluate((x for x in a) for a in args) == want
+    assert f.evaluate({i: a for i, a in enumerate(args)}.values()) == want
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +214,34 @@ def test_evaluate_matches_naive_oracle_on_generated_inputs(inputs):
     assert len(out) == f.dim and all(type(x) is Fraction for x in out)
 
 
+def _sparse_args(rng, d, n, zeros=0.3):
+    """n arguments of rationals, each coordinate zero with probability `zeros`."""
+    return [[0 if rng.random() < zeros else Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 5))
+             for _ in range(d)] for _ in range(n)]
+
+
 def _cochain_at(rng, n, d, msets):
     return SymCochain(n, d, {m: random_vector(rng, d, span=5) for m in msets})
 
 
 def test_evaluate_matches_oracle_on_few_multisets_at_larger_d():
-    # the weights span every multiset of the arguments' nonzero coordinates,
-    # so a sparse f at larger d reads few of many weights
+    # the weights of the first n - 1 arguments span every multiset of their
+    # nonzero coordinates, and the last is contracted at f's few stored ones;
+    # zero coordinates leave gaps in the weights, and a zero argument zeroes all
     rng = random.Random(71)
     for d in range(5, 9):
-        for n in range(5):
+        for n in range(6):
             msets = multisets(d, n)
             f = _cochain_at(rng, n, d, rng.sample(msets, min(len(msets), rng.randint(1, 5))))
             args = [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
                      for _ in range(d)] for _ in range(n)]
             assert f.evaluate(args) == naive_evaluate(f, args), (d, n, sorted(f.num))
+            for zeros in (0.3, 0.7):
+                args = _sparse_args(rng, d, n, zeros)
+                assert f.evaluate(args) == naive_evaluate(f, args), (d, n, zeros, sorted(f.num))
+            if n:
+                args[rng.randrange(n)] = [0] * d
+                assert f.evaluate(args) == naive_evaluate(f, args) == (0,) * d
 
 
 @pytest.mark.parametrize("d, n", [(2, 8), (3, 6), (2, 1), (3, 1)])
@@ -240,6 +260,88 @@ def test_evaluate_matches_oracle_at_full_multiplicity(d, n):
             assert f.evaluate(args) == naive_evaluate(f, args), (d, n, sorted(f.num))
         ones = [(Fraction(1),) * d] * n
         assert f.evaluate(ones) == naive_evaluate(f, ones)
+
+
+# ---------------------------------------------------------------------------
+# the last argument contracted at the stored multisets, through a kept plan
+
+def _each_construction(rng, n, d):
+    """(path, cochain) for each way a cochain is made, all of arity n on d dimensions.
+    The operands are evaluated first, so a plan carried over to the result shows."""
+    f, g, lo = (random_cochain(rng, m, d, span=3, sparsity=0.6) for m in (n, n, 1))
+    for h in (f, g, lo):
+        h.evaluate(_sparse_args(rng, d, h.n))
+    return [("init", SymCochain(n, d, f.coeffs)), ("zero", SymCochain.zero(n, d)),
+            ("from_entries", SymCochain.from_entries(n, d, g.items())),
+            ("from_json_dict", SymCochain.from_json_dict(g.to_json_dict())),
+            ("insert", insert(f, lo, InsertionMode.PAPER)),
+            ("add", f + g), ("scale", g.scale(Fraction(-3, 4))), ("sub", f - g), ("neg", -f)]
+
+
+@pytest.mark.parametrize("d, n", [(1, 0), (1, 4), (2, 0), (2, 3), (3, 2), (3, 4), (8, 2)])
+def test_evaluate_matches_oracle_from_every_construction(d, n):
+    rng = random.Random(101 + 10 * d + n)
+    for path, f in _each_construction(rng, n, d):
+        for _ in range(2):
+            args = _sparse_args(rng, d, n, zeros=0.2)
+            assert f.evaluate(args) == naive_evaluate(f, args), path
+
+
+@pytest.mark.parametrize("d, n", [(1, 0), (2, 3), (3, 4)])
+def test_evaluation_plan_is_made_once_and_kept(d, n):
+    rng = random.Random(103 + 10 * d + n)
+    for path, f in _each_construction(rng, n, d):
+        assert f._plan is None, path
+        args = _sparse_args(rng, d, n)
+        f.evaluate(args)
+        plan = f._plan
+        if n:
+            assert plan is not None and len(plan) == len(f.num), path
+        f.evaluate(_sparse_args(rng, d, n))
+        assert f._plan is plan, path
+        # a derived cochain starts without one
+        assert (f + f)._plan is None and f.scale(2)._plan is None, path
+
+
+def test_evaluation_plan_is_not_part_of_the_value():
+    rng = random.Random(107)
+    f = random_cochain(rng, 3, 3, sparsity=0.5)
+    g = SymCochain.from_json_dict(f.to_json_dict())
+    f.evaluate(_sparse_args(rng, 3, 3))
+    assert f._plan is not None and g._plan is None
+    assert f == g and g == f
+    assert repr(f) == repr(g)
+    assert f.to_json_dict() == g.to_json_dict()
+
+
+@st.composite
+def alternating_evaluations(draw):
+    """Two cochains of one shape holding a few nonzero coefficients, made by one of
+    the constructors, and argument lists (zero coordinates allowed) for both."""
+    d, n = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    keys = [(mset, k) for mset in multisets(d, n) for k in range(d)]
+    pair = []
+    for _ in range(2):
+        entries = [(mset, k, draw(RATIONALS.filter(bool)))
+                   for mset, k in draw(st.lists(st.sampled_from(keys), max_size=6))]
+        f = SymCochain.from_entries(n, d, entries)
+        path = draw(st.sampled_from(("init", "json", "add", "scale")))
+        pair.append({"init": lambda: SymCochain(n, d, f.coeffs),
+                     "json": lambda: SymCochain.from_json_dict(f.to_json_dict()),
+                     "add": lambda: f + SymCochain.zero(n, d),
+                     "scale": lambda: f.scale(draw(RATIONALS.filter(bool)))}[path]())
+    coords = st.one_of(st.just(0), RATIONALS)
+    arglists = draw(st.lists(st.lists(st.lists(coords, min_size=d, max_size=d),
+                                      min_size=n, max_size=n), min_size=1, max_size=3))
+    return pair, arglists
+
+
+@given(alternating_evaluations())
+def test_alternating_evaluations_match_the_oracle(inputs):
+    (f, g), arglists = inputs
+    for args in arglists:
+        for h in (f, g):
+            assert h.evaluate(args) == naive_evaluate(h, args)
 
 
 def test_json_round_trip():
