@@ -91,17 +91,8 @@ def _kept(A: Algebra, key, build):
 
 def render_linear(names, v) -> str:
     """The linear combination sum v[i]*names[i], e.g. "alpha - 1/2*delta"."""
-    parts = []
-    for name, c in zip(names, v):
-        c = Fraction(c)
-        if c == 0:
-            continue
-        if c == 1:
-            parts.append(name)
-        elif c == -1:
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{rat_to_str(c)}*{name}")
+    parts = [name if c == 1 else f"-{name}" if c == -1 else f"{rat_to_str(c)}*{name}"
+             for name, c in zip(names, map(Fraction, v)) if c]
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 

@@ -137,8 +137,7 @@ def _formula_values(f: SymCochain, g: SymCochain) -> dict:
 def _claim_sym_closure(A: Algebra, pools) -> list[ClaimRecord]:
     """Both modes' records from one walk of the SUM pool over the tuples where a side can
     be nonzero: the same verdict and count, and each mode's witness from its own pool."""
-    pairs = (("mu,mu", "mu", "mu"), ("mu,L0", "mu", "L0"), ("L0,mu", "L0", "mu"),
-             ("mu,v0", "mu", "v0"), ("P,mu", "P", "mu"))
+    pairs = [(label, *label.split(",")) for label in ("mu,mu", "mu,L0", "L0,mu", "mu,v0", "P,mu")]
     checked = 0
     for label, a, b in pairs:  # each side's nonzeros, over f.den g.den built.den
         f, g = pools[SUM][a], pools[SUM][b]
@@ -167,17 +166,9 @@ def _sym_closure_failure(mode: InsertionMode, f, g, label, idx) -> ClaimRecord:
         detail="insertion value depends on the argument order")
 
 
-_TRIPLES = (
-    ("mu,mu,mu", "mu", "mu", "mu"),
-    ("mu,mu,P", "mu", "mu", "P"),
-    ("mu,mu,L0", "mu", "mu", "L0"),
-    ("mu,mu,v0", "mu", "mu", "v0"),
-    ("mu,v0,mu", "mu", "v0", "mu"),
-    ("mu,L0,v0", "mu", "L0", "v0"),
-    ("L0,L0,mu", "L0", "L0", "mu"),
-    ("P,mu,L0", "P", "mu", "L0"),
-    ("mu,L0,L0", "mu", "L0", "L0"),
-)
+_TRIPLES = tuple((label, *label.split(",")) for label in (  # (label, f, g, h)
+    "mu,mu,mu", "mu,mu,P", "mu,mu,L0", "mu,mu,v0", "mu,v0,mu", "mu,L0,v0", "L0,L0,mu",
+    "P,mu,L0", "mu,L0,L0"))
 
 
 def _claim_triple_family(mode: InsertionMode, claim_id: str, checker, pool, memo) -> ClaimRecord:
@@ -431,10 +422,8 @@ def audit(A: Algebra, name: str = "<unnamed>") -> AuditReport:
     claims += [_claim_mc_iff_jordan(mode, pools[mode], cubic) for mode in BOTH_MODES]
     claims += [_claim_ad_squared(mode, d_squared[mode]) for mode in BOTH_MODES]
     claims += [_claim_d2_sanity(A, mode, d_squared[mode][1]) for mode in BOTH_MODES]
-    claims.append(_claim_sixterm(sixterm))
-    claims.append(_claim_cubic_vs_operator(A, cubic, sixterm))
-    claims.append(_claim_s5_coeffs(A))
-    claims.append(_claim_s5_inner(A))
+    claims += [_claim_sixterm(sixterm), _claim_cubic_vs_operator(A, cubic, sixterm),
+               _claim_s5_coeffs(A), _claim_s5_inner(A)]
 
     d1 = differential_matrix(A, 1, SUM)  # ranked by h2's sum record: no kernel is built
     data = {

@@ -10,9 +10,12 @@ Two modes are provided and every bracket-dependent operation takes one:
 
 The mode is only a scalar.  `insert`, `graded_bracket` and the operator
 matrices of `complexes` (all modes asked for at once from one call) each
-call one integer kernel, `_scatter`.  The checkers compose through `_Memo`,
-which an audit builds once: each SUM-mode insertion of two primitive forms
-is made once for both modes, and summed per form before one combination.
+call one integer kernel, `_scatter`, which joins two slot plans on the slot
+filled; a cochain derives its plan on first use and keeps it, so a kept
+operand such as mu or [mu, mu] is indexed once.  The checkers compose
+through `_Memo`, which an audit builds once: each SUM-mode insertion of two
+primitive forms is made once for both modes, and summed per form before one
+combination.
 
 Both modes are sign-free; see the audit module for what that does and does
 not imply about the graded identities.
@@ -79,36 +82,23 @@ def _unshuffle_count(rest: tuple[int, ...], G: tuple[int, ...]) -> int:
 
 
 def _scatter(pieces):
-    """The sum of p (outer o inner) over the pieces (p, outer, inner, columns), unnormalized.
-
-    Terms are (multiset, {index: nonzero int}), as in `SymCochain.num`.  inner[G]_k
-    outer[F] with k in F lands at N = (F - {k}) + G once per (m-1, n)-unshuffle placing
-    G in N, i.e. prod_a C(mult_N(a), mult_G(a)) times, so the cost follows the nonzeros;
-    inner entries are indexed only at the slots k that some outer term holds.
-    Returns {(N, tag): {index: int}} and the denominator q of the p.  The tag is None,
-    or with `columns` {G: j d} the column j d + k of the basis cochain e_{G,k} whose
-    slot k was filled: the matrix of e -> outer o e, inner terms 1 at every slot."""
-    q = lcm(*(p.denominator for p, _, _, _ in pieces))
+    """The sum of p (outer o inner) over the pieces (p, outer, inner), unnormalized.
+    The sides are slot plans (`SymCochain._slot_plan`), or plans of their shape, joined
+    on the slot k: inner (G, tag, w) and outer (F - {k}, F's items) land at N = (F - {k})
+    + G once per (m-1, n)-unshuffle placing G in N, prod_a C(mult_N(a), mult_G(a)) times,
+    so the cost follows the nonzeros at shared slots.  Returns {(N, tag): {index: int}}
+    and the denominator q of the p.  A cochain's tags are None; `complexes` tags columns."""
+    q = lcm(*(p.denominator for p, _, _ in pieces))
     out = {}
-    for p, outer, inner, columns in pieces:
-        if not p:
-            continue
-        s, by_slot = p.numerator * (q // p.denominator), {}  # k -> [(G, tag, s inner[G]_k)]
-        held = {k for F, _ in outer for k in F}
-        for G, vec in inner:
-            for k, w in vec.items():
-                if k in held:
-                    tag = None if columns is None else columns[G] + k
-                    by_slot.setdefault(k, []).append((G, tag, s * w))
-        for F, vec in outer:
-            for pos, k in enumerate(F):
-                if pos and F[pos - 1] == k or k not in by_slot:  # each distinct k an inner term fills
-                    continue
-                rest = F[:pos] + F[pos + 1:]
-                for G, tag, w in by_slot[k]:
+    for p, outer, inner in pieces:
+        s = p.numerator * (q // p.denominator)
+        for k, outs in outer.items():
+            for G, tag, w in inner.get(k, ()):
+                w *= s
+                for rest, vec in outs:
                     c = _unshuffle_count(rest, G) * w
                     acc = out.setdefault((tuple(sorted(rest + G)), tag), {})
-                    for t, x in vec.items():
+                    for t, x in vec:
                         acc[t] = acc.get(t, 0) + c * x
     return out, q
 
@@ -118,8 +108,8 @@ def _compose(f: SymCochain, g: SymCochain, mode: InsertionMode, sign: int) -> Sy
     p_fg, p_gf = _prefactor(mode, f.n, g.n), sign * _prefactor(mode, g.n, f.n)
     if f.dim != g.dim:
         raise ValueError("ambient dimension mismatch")
-    out, q = _scatter([(p_fg, f.num.items(), g.num.items(), None),
-                       (p_gf, g.num.items(), f.num.items(), None)])
+    out, q = _scatter([(p, x._slot_plan()[0], y._slot_plan()[1])
+                       for p, x, y in ((p_fg, f, g), (p_gf, g, f)) if p])
     return SymCochain._from_ints(max(f.n + g.n - 1, 0), f.dim,
                                  {N: acc for (N, _), acc in out.items()}, q * f.den * g.den)
 

@@ -64,8 +64,7 @@ def _cmd_check(args) -> dict:
 def _cmd_derivations(args) -> dict:
     A = load_algebra(args.algebra)
     basis = derivations(A)
-    return {"algebra": args.algebra, "dim": len(basis),
-            "basis": [m.to_strs() for m in basis]}
+    return {"algebra": args.algebra, "dim": len(basis), "basis": [m.to_strs() for m in basis]}
 
 
 def _cmd_cohomology(args) -> dict:
@@ -115,8 +114,7 @@ def _cmd_gauge(args) -> dict:
         raise FormatError("gauge series dimension does not match the algebra")
     T = GaugeSeries(len(terms), terms)
     out = gauge_transport(T, A, args.order)
-    return {"algebra": args.algebra, "order": args.order,
-            "terms": out.to_json_list()}
+    return {"algebra": args.algebra, "order": args.order, "terms": out.to_json_list()}
 
 
 def _cmd_audit(args) -> object:

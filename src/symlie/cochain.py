@@ -41,7 +41,7 @@ def sym_basis_dim(dim: int, n: int) -> int:
 
 
 class SymCochain:
-    __slots__ = ("n", "dim", "num", "den", "_plan")
+    __slots__ = ("n", "dim", "num", "den", "_plan", "_slots")
 
     def __init__(self, n: int, dim: int, coeffs=None):
         vecs = {}
@@ -54,9 +54,9 @@ class SymCochain:
 
     def _reduce(self, n: int, dim: int, num, den: int) -> None:
         """Store num / den (den > 0) in lowest terms, dropping zero entries and empty
-        vectors; vectors already so are kept.  No evaluation plan: `evaluate` derives one."""
+        vectors; vectors already so are kept.  No plans: `evaluate` and the kernel derive them."""
         g = gcd(den, *(x for vec in num.values() for x in vec.values()))
-        self.n, self.dim, self.den, self._plan = n, dim, den // g, None
+        self.n, self.dim, self.den, self._plan, self._slots = n, dim, den // g, None, None
         self.num = num if g == 1 and all(vec and all(vec.values()) for vec in num.values()) else {
             key: v for key, vec in num.items() if (v := {k: x // g for k, x in vec.items() if x})}
 
@@ -195,7 +195,10 @@ class SymCochain:
             weights = nxt
         last = [x.numerator * (s // x.denominator) for x in a]
         get, out = weights.get, [0] * dim
-        for pairs, vec in self._eval_plan() if self._plan is None else self._plan:
+        if self._plan is None:  # per stored M: (key of M - {i}, i) per distinct i, M's items
+            self._plan = [([(c - base ** i, i) for i in {*M}], vec.items())
+                          for M, vec in self.num.items() for c in [sum([base ** i for i in M])]]
+        for pairs, vec in self._plan:
             w = 0
             for key, i in pairs:
                 if c := last[i]:
@@ -205,14 +208,16 @@ class SymCochain:
                     out[k] += w * x
         return tuple([Fraction(x, den) for x in out])
 
-    def _eval_plan(self) -> list:
-        """[(pairs, items)] per stored M: pairs (key of M - {i}, i) for each distinct i
-        in M, keys as in `evaluate`, and the items of M's stored vector."""
-        base, self._plan = self.n + 1, []
-        for M, vec in self.num.items():
-            code = sum([base ** i for i in M])
-            self._plan.append(([(code - base ** i, i) for i in {*M}], vec.items()))
-        return self._plan
+    def _slot_plan(self) -> tuple[dict, dict]:
+        """The sides of the insertion kernel `bracket._scatter`, derived on first use and
+        kept: outer `_outer_terms(num)`, inner {k: [(G, None, entry k of G's vector)]}."""
+        if self._slots is None:
+            inner = {}
+            for G, vec in self.num.items():
+                for k, w in vec.items():
+                    inner.setdefault(k, []).append((G, None, w))
+            self._slots = _outer_terms(self.num), inner
+        return self._slots
 
     # -- serialization --------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -243,6 +248,16 @@ class SymCochain:
                 raise ValueError(f"duplicate coefficient key {(list(mset), k)}")
             entries[mset, k] = c
         return cls.from_entries(n, dim, ((mset, k, c) for (mset, k), c in entries.items()))
+
+
+def _outer_terms(num) -> dict:
+    """{k: [(F - {k}, items of F's vector)]} over each distinct k of each F in num."""
+    out = {}
+    for F, vec in num.items():
+        for pos, k in enumerate(F):
+            if not pos or F[pos - 1] != k:
+                out.setdefault(k, []).append((F[:pos] + F[pos + 1:], vec.items()))
+    return out
 
 
 def _over_one_den(n: int, dim: int, vecs) -> tuple[dict, int]:
@@ -291,11 +306,7 @@ def basis_cochains(dim: int, n: int):
 
 def coeff_vector(f: SymCochain) -> list[Fraction]:
     """Flatten to the canonical coordinate order (multiset-major, then k)."""
-    out = []
-    for mset in multisets(f.dim, f.n):
-        vec = f.value_at(mset)
-        out.extend(vec)
-    return out
+    return [x for mset in multisets(f.dim, f.n) for x in f.value_at(mset)]
 
 
 def from_coeff_vector(dim: int, n: int, vec) -> SymCochain:

@@ -2,11 +2,13 @@
 printed low-degree coboundary formulas, the d-squared comparison against
 (1/2) ad_{[mu,mu]}, and kernel/image/cohomology data with validity flags.
 
-d_n comes from one call to the insertion kernel `bracket._scatter` with mu's
-nonzeros on one side and the basis cochains on the other: the SUM-mode pieces
+d_n comes from the insertion kernel `bracket._scatter`, mu's kept slot plan
+joined with synthetic plans of the basis cochains: the SUM-mode pieces
 f -> mu o f and f -> f o mu, not kept, of which every mode's d_n is a scalar
-combination.  (1/2) ad_{[mu,mu]} has no matrix: the d o d check brackets
-[mu,mu] with one basis cochain per column it compares.
+combination.  f -> f o mu is S (x) I_d, one term per multiset, and a mode with
+the same integer combination as another (PAPER at n = 0, 2) shares its rows.
+(1/2) ad_{[mu,mu]} has no matrix: the d o d check brackets the kept [mu,mu]
+with one basis cochain per column it compares.
 
 d o d = 0 is never assumed: cohomology reports carry an explicit
 `complex_valid` flag and the defect rank(d_n d_{n-1}), read off the ranks
@@ -23,7 +25,7 @@ from math import lcm
 
 from .algebra import Algebra, Witness, _kept, product_cochain
 from .bracket import InsertionMode, _compose, _prefactor, _scatter, graded_bracket, koszul_sign
-from .cochain import SymCochain, multisets
+from .cochain import SymCochain, _outer_terms, multisets
 from .exactla import Matrix, Record, kernel_basis, rank
 
 
@@ -75,34 +77,43 @@ class DifferentialData(Record):
 
 
 def _bracket_matrices(g: SymCochain, n: int) -> dict[InsertionMode, Matrix]:
-    """{mode: matrix of f -> [g, f] on arity-n cochains}, from one `_scatter` of the
-    SUM-mode pieces L: e -> g o e and R: e -> e o g on the basis cochains e = e_{F,t},
-    1 at coordinate t of F, column j d + t for F the j-th multiset.  In g o e one inner
-    term per F, 1 at every slot, tags each key with the column of the slot filled; in
-    e o g one outer term per F holds 1 at each column j d + t, which lands in row
-    coordinate t.  A mode's matrix is p_L L - (-1)^{(m-1)(n-1)} p_R R."""
+    """{mode: matrix of f -> [g, f] on arity-n cochains}, from `_scatter` of the SUM-mode
+    pieces L: e -> g o e and R: e -> e o g on the basis cochains e = e_{F,t}, column j d + t
+    for F the j-th multiset.  L joins g's outer plan with inner terms 1 at each slot k of
+    each F, tagged with the column j d + k filled.  R is S (x) I_d: one outer term per F,
+    1 at j d, gives column j of S, whose entry at (M, F) lands at row index(M) d + t, column
+    j d + t for each t.  A mode's matrix is (a L + b R) / q with p_L = a / q and p_R =
+    -(-1)^{(m-1)(n-1)} b / q; modes with one (a, b) share the rows assembled for it."""
     m, d = g.n, g.dim
     col_of = {F: j * d for j, F in enumerate(multisets(d, n))}
-    units = [(F, dict.fromkeys(range(d), 1)) for F in col_of]  # g o e: 1 at every slot
-    blocks = [(F, dict.fromkeys(range(j, j + d), 1)) for F, j in col_of.items()]  # e o g
-    out, _ = _scatter([(1, g.num.items(), units, col_of), (1, blocks, g.num.items(), None)])
+    units = {k: [(F, j + k, 1) for F, j in col_of.items()] for k in range(d)}
+    blocks = _outer_terms({F: {j: 1} for F, j in col_of.items()})
+    L, _ = _scatter([(1, g._slot_plan()[0], units)])
+    R, _ = _scatter([(1, blocks, g._slot_plan()[1])])
     row_of = {M: i * d for i, M in enumerate(multisets(d, m + n - 1))}
-    mats = {}
+    mats, shared = {}, {}
     for mode in InsertionMode:
         p_L = _prefactor(mode, m, n)
         p_R = -koszul_sign(m - 1, n - 1) * _prefactor(mode, n, m)
         q = lcm(p_L.denominator, p_R.denominator)
         a, b = int(q * p_L), int(q * p_R)
-        rows: list[dict[int, int]] = [{} for _ in range(len(row_of) * d)]  # index(M) d + t
-        for (M, col), acc in out.items():  # col is None on R's keys
-            for t, x in acc.items():
-                # L: row coordinate t in the column col; R: column t, row coordinate t % d
-                row, j, x = (rows[row_of[M] + t % d], t, b * x) if col is None else (
-                    rows[row_of[M] + t], col, a * x)
-                row[j] = row.get(j, 0) + x
-                if not row[j]:  # none stored where terms cancel
-                    del row[j]
-        mats[mode] = Matrix._from_ints(len(rows), len(col_of) * d, rows, q * g.den)
+        if (a, b) not in shared:
+            rows = shared[a, b] = [{} for _ in range(len(row_of) * d)]  # index(M) d + t
+            for (M, col), acc in L.items():  # one entry per row and column
+                i = row_of[M]
+                for t, x in acc.items():
+                    if x:
+                        rows[i + t][col] = a * x
+            for (M, _), acc in R.items():
+                block = rows[row_of[M]:row_of[M] + d]
+                for j, x in acc.items():
+                    x *= b
+                    for t, row in enumerate(block, j):
+                        if v := row.get(t, 0) + x:
+                            row[t] = v
+                        else:  # none stored where terms cancel
+                            row.pop(t, None)
+        mats[mode] = Matrix._from_ints(len(row_of) * d, len(col_of) * d, shared[a, b], q * g.den)
     return mats
 
 

@@ -16,16 +16,17 @@ g = gcd(a, b), and is then divided by its content, so rows stay primitive.
 `rank` stops after this forward pass; `kernel_basis` and `solve` also clear
 each pivot column from the other pivot rows and read their answers off them.
 
-Results are exact because every step is integer arithmetic, or a proof: on rows
-with at least _DENSE nonzeros per line of the short side, `rank`, `kernel_basis`
-and `solve` first eliminate mod the prime _P.  Every minor of the integer rows that
-is nonzero mod _P is a nonzero integer, so a rank mod _P of min(rows, cols) proves
-full rank: `rank` returns it, `kernel_basis` (rows >= cols) an empty basis, and
-`solve` None when [m | b] has full column rank.  Anything else is eliminated as
-above.  Results are deterministic because the reduced row echelon form of a
-matrix is unique: pivot columns, kernel bases (one vector per free column) and
-particular solutions (free variables zeroed) are read off it, so downstream
-reports are byte-stable across runs.
+Results are exact because every step is integer arithmetic, or a proof: when the
+operator m holds at least _DENSE nonzeros per line of its short side, `rank`,
+`kernel_basis` and `solve` first run an online echelon mod the prime _P on packed
+rows, which stops at min(rows, cols) pivots or once too few rows are left.  Every
+minor of the integer rows that is nonzero mod _P is a nonzero integer, so a rank
+mod _P of min(rows, cols) proves full rank: `rank` returns it, `kernel_basis`
+(rows >= cols) an empty basis, and `solve` None when [m | b] has full column rank.
+Anything else is eliminated as above.  Results are deterministic because the
+reduced row echelon form of a matrix is unique: pivot columns, kernel bases (one
+vector per free column) and particular solutions (free variables zeroed) are read
+off it, so downstream reports are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -269,46 +270,53 @@ def _transpose(num: list[dict[int, int]], cols: int) -> list[dict[int, int]]:
 # A 15-bit prime: with 2^31 - 1 the packed rows took 1.5-1.8x as long (dense d = 4-6).
 _P = 32749
 # Nonzeros per line of the short side, nnz / min(rows, cols), below which the packed
-# kernel is not tried.  Measured: the spin factors' operator matrices read at most 5.1
-# (d = 3-10, n = 1-3), where it is 2-1300x slower than `_eliminate`; those of 60%-fill
-# dense algebras read at least 6.7 (d = 3-5, six seeds), where it is up to 25x faster.
+# kernel is not tried.  Measured on the online kernel: spin factors' operator matrices
+# read at most 5.3 ((d, n) = (3, 1-3), (5, 1-3), (8, 1-4), (10, 1-3)), where it is 3-1400x
+# slower than `_eliminate`; those of 60%-fill dense algebras read at least 7.7 (d = 3-5,
+# n = 1-3, seeds 0-2), where it is 2-43x faster.
 _DENSE = 6
 
 
-def _full_rank_mod_p(rows: list[dict[int, int]], ncols: int) -> bool:
-    """True only when the integer rows are proven to have rank k = min(len(rows), ncols),
-    by having it mod _P; False also for rows too sparse to pay for the try.
+def _dense(rows: list[dict[int, int]], ncols: int) -> bool:
+    """The gate of the packed kernel: _DENSE stored nonzeros per line of the short side."""
+    return sum(map(len, rows)) >= _DENSE * min(len(rows), ncols)
 
-    Oriented tall, each row is one int holding its entries mod _P in W-bit lanes, the
-    column being eliminated in the lowest; after each column every row shifts right by
-    a lane.  The pivot, the first row nonzero there mod _P, is scaled to 1 there with
-    lanes in [0, _P), and each other row r with lane value a becomes r + (_P - a) pivot.
-    That is one update per row and column, so lanes stay below _P + k (_P - 1)^2 < 2^W
-    and never carry into each other."""
+
+def _full_rank_mod_p(rows: list[dict[int, int]], ncols: int, gated: bool = True) -> bool:
+    """True only when the integer rows are proven to have rank k = min(len(rows), ncols),
+    by having it mod _P; False also, when gated, for rows too sparse to pay for the try.
+    Oriented tall, each row is one int holding its entries mod _P in W-bit lanes.  Rows are
+    reduced in order against the pivots so far, in the order found: a pivot is 1 at its
+    lane and 0 at earlier pivots' lanes, all in [0, _P), and a row r with lane value a
+    there becomes r + (_P - a) pivot; the lowest lane of the rest nonzero mod _P makes it a
+    pivot.  A row takes at most k - 1 updates, so lanes stay below _P + k (_P - 1)^2 < 2^W
+    and never carry.  True at k pivots, False as soon as too few rows remain to reach k."""
     k = min(len(rows), ncols)
-    if sum(map(len, rows)) < _DENSE * k:
+    if gated and not _dense(rows, ncols):
         return False
     if len(rows) < ncols:
         rows = _transpose(rows, ncols)
     W = (_P + k * (_P - 1) ** 2).bit_length()
-    mask = (1 << W) - 1
-    packed = [r for r in (sum(x % _P << j * W for j, x in row.items()) for row in rows) if r]
-    for c in range(k, 0, -1):  # c columns left
-        if len(packed) < c:
+    mask, pivots, free = (1 << W) - 1, [], list(range(k))  # free: lanes without a pivot
+    for i, row in enumerate(rows):
+        if len(rows) - i < k - len(pivots):
             return False
-        for i, r in enumerate(packed):
-            if a := (r & mask) % _P:
+        r = sum(x % _P << j * W for j, x in row.items())
+        for s, piv in pivots:
+            if a := (r >> s & mask) % _P:
+                r += (_P - a) * piv
+        for t, c in enumerate(free):
+            if a := (r >> c * W & mask) % _P:
                 break
         else:
-            return False
-        piv, inv = packed.pop(i), pow(a, -1, _P)
-        piv = 1 | sum((piv >> j * W & mask) * inv % _P << j * W for j in range(1, c))
-        for i, r in enumerate(packed):
-            if a := (r & mask) % _P:
-                r += (_P - a) * piv
-            packed[i] = r >> W
-        packed = [r for r in packed if r]
-    return True
+            continue
+        del free[t]
+        inv = pow(a, -1, _P)
+        pivots.append((c * W, sum((r >> j * W & mask) * inv % _P << j * W for j in free[t:])
+                       | 1 << c * W))
+        if len(pivots) == k:
+            return True
+    return not k
 
 
 def rank(m: Matrix) -> int:
@@ -349,7 +357,8 @@ def solve(m: Matrix, b) -> tuple[Fraction, ...] | None:
     C = m.cols
     aug = [{**{j: y.denominator * x for j, x in row.items()}, C: m.den * y.numerator} if y else row
            for row, y in zip(m.num, b)]
-    if m.rows > C and _full_rank_mod_p(aug, C + 1):  # b is independent of m's columns
+    # b is outside m's column space; gated on m alone, so a dense b opens no sparse m
+    if m.rows > C and _dense(m.num, C) and _full_rank_mod_p(aug, C + 1, False):
         return None
     rows, pivots = _eliminate(aug, True)
     if pivots and pivots[-1] == C:

@@ -146,6 +146,39 @@ def test_insert_matches_reference_gather(inputs):
                 key: [c * x for x in vec] for key, vec in out.coeffs.items()})
 
 
+@st.composite
+def kept_plan_operands(draw):
+    # f o f and g o g as well as f o g: every output arity 2 max(m, n) - 1 <= 8 - d
+    d = draw(st.integers(1, 4))
+    m, n = (draw(st.integers(0, (9 - d) // 2)) for _ in range(2))
+    return draw(cochains(m, d)), draw(cochains(n, d))
+
+
+@given(kept_plan_operands())
+def test_insertions_on_kept_plans_match_the_references(operands):
+    # the first compositions derive each operand's slot plan; every later one,
+    # in either mode and either order, reads the kept plans
+    f, g = operands
+    for mode in (SUM, PAPER, SUM, PAPER):
+        paper = mode is PAPER
+        for x, y in ((f, g), (g, f), (f, f), (g, g)):
+            assert insert(x, y, mode) == reference_insert(x, y, paper)
+            assert graded_bracket(x, y, mode) == reference_bracket(x, y, paper)
+        assert f._slots is not None and g._slots is not None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_reused_operands_on_kept_plans_match_the_references(d):
+    rng = random.Random(211 + d)
+    ops = [random_cochain(rng, n, d, sparsity=0.5) for n in (0, 1, 2, 2)]
+    for mode in (SUM, PAPER):
+        for x in ops:
+            for y in ops:
+                assert insert(x, y, mode) == reference_insert(x, y, mode is PAPER)
+                assert graded_bracket(x, y, mode) == reference_bracket(x, y, mode is PAPER)
+    assert all(x._slots is not None for x in ops)
+
+
 def assert_stored_form(c):
     """The stored form: {sorted multiset: {k: int}} over one positive denominator, in
     lowest terms, with no zero entry and no empty vector."""

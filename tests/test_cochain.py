@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symlie import (GaugeSeries, InsertionMode, SymCochain, gauge_transport, insert, make_j2,
-                    multisets, product_cochain, sym_basis_dim)
+from symlie import (GaugeSeries, InsertionMode, SymCochain, gauge_transport, graded_bracket,
+                    insert, make_j2, multisets, product_cochain, sym_basis_dim)
 from symlie.exactla import vec_to_strs
 
 from oracles import (naive_evaluate, random_commutative, random_cochain,
@@ -314,6 +314,51 @@ def test_evaluation_plan_is_not_part_of_the_value():
     assert f.to_json_dict() == g.to_json_dict()
 
 
+# ---------------------------------------------------------------------------
+# the slot plan of the insertion kernel, made on first use and kept
+
+def _expected_slot_plan(f):
+    """f's outer and inner terms by slot, as sorted lists, from `f.num` directly."""
+    outer = sorted((k, F[:F.index(k)] + F[F.index(k) + 1:], tuple(sorted(vec.items())))
+                   for F, vec in f.num.items() for k in set(F))
+    return outer, sorted((k, G, w) for G, vec in f.num.items() for k, w in vec.items())
+
+
+@pytest.mark.parametrize("d, n", [(1, 0), (1, 3), (2, 3), (3, 2), (4, 1)])
+def test_slot_plan_is_made_once_and_kept(d, n):
+    rng = random.Random(109 + 10 * d + n)
+    for path, f in _each_construction(rng, n, d):
+        assert f._slots is None, path
+        insert(f, f)  # the first kernel use derives it
+        plan = f._slots
+        outer, inner = plan
+        assert (sorted((k, rest, tuple(sorted(vec))) for k, terms in outer.items()
+                       for rest, vec in terms),
+                sorted((k, G, w) for k, terms in inner.items() for G, _, w in terms)) \
+            == _expected_slot_plan(f), path
+        assert all(tag is None for terms in inner.values() for _, tag, _ in terms), path
+        for mode in InsertionMode:
+            graded_bracket(f, f, mode)
+            insert(f, SymCochain.zero(1, d), mode)
+        assert f._slot_plan() is plan and f._slots is plan, path
+        # no derived cochain starts with one
+        for derived in (f + f, f - f, f.scale(Fraction(2, 3)), -f,
+                        SymCochain._from_ints(f.n, d, dict(f.num), f.den),
+                        SymCochain.from_json_dict(f.to_json_dict()), insert(f, f)):
+            assert derived._slots is None, path
+
+
+def test_slot_plan_is_not_part_of_the_value():
+    rng = random.Random(113)
+    f = random_cochain(rng, 3, 3, sparsity=0.5)
+    g = SymCochain.from_json_dict(f.to_json_dict())
+    graded_bracket(f, f)
+    assert f._slots is not None and g._slots is None
+    assert f == g and g == f
+    assert repr(f) == repr(g)
+    assert f.to_json_dict() == g.to_json_dict()
+
+
 @st.composite
 def alternating_evaluations(draw):
     """Two cochains of one shape holding a few nonzero coefficients, made by one of
@@ -387,9 +432,10 @@ def _big_rat(rng):
 
 def _evaluate_pin_doc():
     """evaluate results on a seeded set, as one canonical JSON document:
-    criterion 1's sampler (two tuples per case), 20-digit coefficients and
-    arguments, and gauge transport (which evaluates the product terms at
-    columns of the inverse series) on two dense rational algebras."""
+    criterion 1's sampler (two tuples per case) and 20-digit coefficients and
+    arguments.  It also holds gauge transport on two dense rational algebras,
+    which pins no evaluation: transport is exp(ad_X) on the bracket kernel, and
+    nothing in the package calls evaluate."""
     out = {"sampler": [], "big": [], "gauge": []}
     rng = random.Random(1001)
     grid = [(d, m, n) for d in (1, 2, 3) for m in (1, 2, 3) for n in (0, 1, 2, 3)]

@@ -20,7 +20,7 @@ from symlie import complexes, deformation, exactla
 from symlie.cochain import basis_cochains, multisets
 from symlie.complexes import DSquaredReport, _composite, coboundary_c1_matrix
 from symlie.deformation import class_modulo_image
-from symlie.exactla import rank
+from symlie.exactla import rank, solve
 
 from oracles import (_row_echelon_rank, dense_column, dense_mul, dense_mul_vec,
                      derivation_dimension, printed_coboundary_c1, printed_coboundary_c2,
@@ -441,6 +441,29 @@ def test_unequal_d_squared_forms_one_half_ad_column(monkeypatch):
                     assert rep.witness.inputs[0].index(1) == 0 and columns == [n], (d, n, mode)
 
 
+@pytest.mark.parametrize("make", [lambda: make_spin([1, Fraction(-1, 2), 3]),
+                                  lambda: random_rational_commutative(random.Random(23), 3)],
+                         ids=["spin-d4", "dense-d3"])
+def test_modes_with_one_combination_share_their_rows(monkeypatch, make):
+    # a mode's d_n is a L + b R over q: PAPER at n = 0 and n = 2 has SUM's (a, b), so
+    # both matrices are made from one assembled list of rows; at n = 1, 3 each has its own
+    handed = []  # the rows handed to Matrix._from_ints, per call
+    from_ints = Matrix._from_ints.__func__
+
+    def recording(cls, rows, cols, num, den):
+        handed.append(num)
+        return from_ints(cls, rows, cols, num, den)
+
+    monkeypatch.setattr(Matrix, "_from_ints", classmethod(recording))
+    mu = product_cochain(make())
+    for n in range(4):
+        handed.clear()
+        mats = complexes._bracket_matrices(mu, n)
+        assert len(handed) == 2 and (handed[0] is handed[1]) == (n in (0, 2)), n
+        for mode in (SUM, PAPER):
+            assert mats[mode] == reference_bracket_matrix(mu, n, mode is PAPER, 1), (n, mode)
+
+
 def test_operator_rows_reach_the_matrix_without_zeros(monkeypatch):
     # the rows that Matrix.mul and _bracket_matrices hand to _from_ints store no
     # entry where terms cancel, over audits of spin factors at d = 3-5, of a
@@ -532,6 +555,26 @@ def test_sparse_operators_keep_their_elimination(monkeypatch, make):
     for i, m in enumerate(mats, 1):
         rank(m)
         assert calls == {"exactla": i, "deformation": 0}
+
+
+def test_sparse_operator_solve_is_gated_on_the_operator_alone(monkeypatch):
+    # mc_solve_step's order-2 system at spin d = 7, phi_1 = [mu, f] for an integer f:
+    # d_2 holds 4.2 nonzeros per column, [d_2 | b] over 6 with the dense b.  The gate
+    # reads d_2 alone, so the inconsistent solve is one exact elimination, no packed pass
+    A = make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4), 2, 7])
+    rng, d = random.Random(0), A.dim
+    f = SymCochain.from_entries(1, d, [((i,), k, rng.randint(-3, 3))
+                                       for i in range(d) for k in range(d)])
+    phi1 = graded_bracket(product_cochain(A), f)
+    b = [-c for c in coeff_vector(graded_bracket(phi1, phi1).scale(Fraction(1, 2)))]
+    D = differential_matrix(A, 2, SUM).matrix
+    nnz = sum(map(len, D.num))
+    assert nnz < 6 * D.cols and nnz + sum(map(bool, b)) >= 6 * (D.cols + 1)
+    calls = _count_eliminations(monkeypatch)
+    packed = []
+    monkeypatch.setattr(exactla, "_full_rank_mod_p", lambda *a: packed.append(a) or False)
+    assert solve(D, b) is None
+    assert calls == {"exactla": 1, "deformation": 0} and packed == []
 
 
 def _oracle_defect(A, n, mode):

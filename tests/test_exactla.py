@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symlie import InsertionMode, algebra_from_entries, make_spin
+from symlie import InsertionMode, algebra_from_entries, exactla, make_spin
 from symlie.complexes import cohomology, differential_matrix
 from symlie.exactla import (Matrix, _eliminate, _full_rank_mod_p, kernel_basis, rank,
                             rat_from_str, rat_to_str, solve)
@@ -339,6 +339,82 @@ def test_packed_lanes_hold_the_largest_updates(k, extra):
     assert _full_rank_mod_p(_sparse(rows), k)
     assert _full_rank_mod_p(_sparse(zip(*rows)), k + extra)
     assert _full_rank_mod_p(_sparse([[P - 1] * k] * (k + extra)), k) == (k == 1)
+
+
+def _online_lane_peak(rows, k):
+    """The largest lane value the online echelon reaches on tall integer rows, replayed
+    on plain lists: rows in order, each reduced against the pivots in the order found."""
+    peak, pivots = 0, []  # (lane, pivot)
+    for row in rows:
+        r = [x % P for x in row]
+        for c, piv in pivots:
+            if a := r[c] % P:
+                r = [x + (P - a) * y for x, y in zip(r, piv)]
+                peak = max(peak, *r)
+        if (c := next((c for c in range(k) if r[c] % P), None)) is not None:
+            inv = pow(r[c] % P, -1, P)
+            pivots.append((c, [x * inv % P for x in r]))
+    return peak
+
+
+@pytest.mark.parametrize("k", [2, 7, 40])
+def test_online_lanes_hold_the_largest_updates(k):
+    # k - 1 pivots found out of lane order, none at the top lane k - 1: pivot i is 1 at
+    # its lane, 0 below it and at earlier pivots' lanes, P - 1 elsewhere.  Row i, the
+    # sum of pivots 0..i, meets lane value 1 at each earlier pivot, and is followed by a
+    # copy that the pivots reduce to zero.  The last copy takes k - 1 updates of
+    # (P - 1)^2 at the top lane, the most its width allows for: a lane that overflowed
+    # would leave it nonzero there, a k-th pivot the rows do not have
+    lanes = random.Random(k).sample(range(k - 1), k - 1)
+    pivots = [[1 if j == c else 0 if j < c or j in lanes[:i] else P - 1 for j in range(k)]
+              for i, c in enumerate(lanes)]
+    rows = [[sum(col) % P for col in zip(*pivots[:i + 1])] for i in range(k - 1)]
+    rows = [r for row in rows for r in (row, row)]
+    assert _online_lane_peak(rows, k) >= (k - 1) * (P - 1) ** 2
+    assert reference_rank_mod_p(rows, P) == k - 1
+    assert not _full_rank_mod_p(_sparse(rows), k, False)
+    assert not _full_rank_mod_p(_sparse(zip(*rows)), len(rows), False)
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_online_echelon_reads_past_rows_dependent_mod_p(k):
+    # the leading rows are v + P e_j: independent over Q, one line mod P.  The kernel
+    # finds one pivot among them and the rest from the rows after them
+    rng = random.Random(31 + k)
+    v = [rng.randint(1, 50) for _ in range(k)]
+    lead = [v] + [[x + P * (i == j) for i, x in enumerate(v)] for j in range(k - 1)]
+    rest = [[rng.randint(1, 50) for _ in range(k)] for _ in range(max(k - 1, 6 - k))]
+    rows = lead + rest  # dense enough for the gate
+    assert _row_echelon_rank(lead) == k and reference_rank_mod_p(lead, P) == 1
+    assert reference_rank_mod_p(rows, P) == k
+    assert _full_rank_mod_p(_sparse(rows), k)
+    assert rank(M(rows)) == k and kernel_basis(M(rows)) == []
+
+
+class _CountedRow(dict):
+    """A sparse row that counts the reads of its entries, as packing it makes one."""
+    reads = 0
+
+    def items(self):
+        _CountedRow.reads += 1
+        return super().items()
+
+
+def test_too_few_rows_left_stops_the_kernel_and_falls_back(monkeypatch):
+    # the first three rows are one line mod P, so after them k - 1 pivots are still
+    # wanted with k - 2 rows left: the kernel stops there, and rank eliminates exactly
+    k = 7
+    rng = random.Random(37)
+    v = [rng.randint(1, 50) for _ in range(k)]
+    rows = [v, [x + P for x in v], [x + 2 * P * (i % 2) for i, x in enumerate(v)]]
+    rows += [[rng.randint(1, 50) for _ in range(k)] for _ in range(k - 2)]
+    assert reference_rank_mod_p(rows, P) < k == _row_echelon_rank(rows)
+    monkeypatch.setattr(_CountedRow, "reads", 0)
+    assert not _full_rank_mod_p([_CountedRow(r) for r in _sparse(rows)], k)
+    assert _CountedRow.reads == 3
+    calls = []
+    monkeypatch.setattr(exactla, "_eliminate", lambda *a: calls.append(1) or _eliminate(*a))
+    assert rank(M(rows)) == k and calls == [1]
 
 
 def _min_plus_one_times_p(n):
