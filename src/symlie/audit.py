@@ -401,12 +401,9 @@ def _claim_s5_inner(A: Algebra) -> ClaimRecord:
 
 def audit(A: Algebra, name: str = "<unnamed>") -> AuditReport:
     # what the claims share, each built once: the pools, the compositions of
-    # both triple families (the memo starts from the pool's mu o mu), and d∘d
-    # in both modes (each operator matrix is kept on A, and its first read
-    # builds both modes from one scatter)
-    pools = _mu_pools(A)
-    mu = pools[SUM]["mu"]
-    memo = _Memo((mu, mu, pools[SUM]["P"]))
+    # both triple families (one memo), and d∘d in both modes (each operator
+    # matrix is kept on A, and its first read builds both modes from one scatter)
+    pools, memo = _mu_pools(A), _Memo()
     d_squared = {mode: [check_d_squared(A, n, mode) for n in (0, 1, 2)] for mode in BOTH_MODES}
     cubic, sixterm = check_cubic_jordan(A), check_six_term(A)
     claims = _claim_sym_closure(A, pools)

@@ -158,18 +158,11 @@ class _Memo:
     A cochain is held as terms [(a, b, p)], ints a/b (b > 0) times p, its primitive
     form: its numerators over their gcd, the first nonzero positive, one object per
     (n, dim, numerators).  By bilinearity a composition of terms is a sum of SUM-mode
-    insertions of primitive forms, each made once, over `_prefactor`'s denominator.
-    `built` holds (f, g, f o g) triples whose SUM-mode insertion is already made."""
+    insertions of primitive forms, each made once, over `_prefactor`'s denominator."""
 
-    def __init__(self, *built):
+    def __init__(self):
         # key -> p, kept alive; (id(p), id(q)) -> p o q terms; id(f) -> (f, f's terms)
         self.forms, self.inserts, self.held = {}, {}, {}
-        for f, g, fg in built:
-            if f.num and g.num:
-                [(a, b, p)], [(x, y, q)] = self.terms(f), self.terms(g)
-                # f o g = (a x) / (b y) p o q, so p o q = (b y) / (a x) f o g
-                k, c = (b * y, a * x) if a * x > 0 else (-b * y, -a * x)
-                self.inserts[id(p), id(q)] = [(k * s, c * t, r) for s, t, r in self.terms(fg)]
 
     def terms(self, f: SymCochain) -> list:
         if id(f) in self.held:

@@ -15,7 +15,7 @@ d o d = 0 is never assumed: cohomology reports carry an explicit
 when d_n is injective.  Through `algebra._kept` the SUM-mode [mu, mu], every
 mode's d_n (with its rank, shared by a mode whose d_n is a nonzero multiple
 of SUM's; a miss builds all modes) and, where cohomology must rank it,
-d_n d_{n-1} per mode are kept once for all their readers and die with A.
+rank(d_n d_{n-1}) per mode are kept once for all their readers and die with A.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import lcm
 from .algebra import Algebra, Witness, _kept, product_cochain
 from .bracket import InsertionMode, _compose, _prefactor, _scatter, graded_bracket, koszul_sign
 from .cochain import SymCochain, _outer_terms, multisets
-from .exactla import Matrix, Record, kernel_basis, rank
+from .exactla import Matrix, Record, _transpose, kernel_basis, rank
 
 
 def differential(A: Algebra, f: SymCochain, mode: InsertionMode = InsertionMode.SUM) -> SymCochain:
@@ -140,12 +140,6 @@ def _mu_bracket(A: Algebra) -> SymCochain:
     return _kept(A, "mumu", lambda: graded_bracket(product_cochain(A), product_cochain(A)))
 
 
-def _composite(A: Algebra, n: int, mode: InsertionMode) -> Matrix:
-    """Matrix of d o d from arity n to arity n+2, d_{n+1} d_n.  Kept on A."""
-    return _kept(A, ("dd", n, mode), lambda: differential_matrix(A, n + 1, mode).matrix.mul(
-        differential_matrix(A, n, mode).matrix))
-
-
 class DSquaredReport(Record):
     __slots__ = _fields = ("degree", "mode", "equal", "both_zero", "witness")
 
@@ -155,47 +149,32 @@ class DSquaredReport(Record):
         self.witness = witness
 
 
-def _columns(num: list[dict[int, int]], want: set[int]) -> dict[int, dict[int, int]]:
-    """{j: {row: entry}} for the columns j in `want` of the sparse rows num, in one pass."""
-    out: dict[int, dict[int, int]] = {j: {} for j in want}
-    for i, row in enumerate(num):
-        for j in () if want.isdisjoint(row) else row.keys() & want:  # no set for most rows
-            out[j][i] = row[j]
-    return out
-
-
 def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DSquaredReport:
     """Compare d o d (arity n -> n+2) with f -> (1/2)[[mu,mu],f] on the basis cochains e_j
     in order, up to the first column that differs; reports equality and whether both vanish.
     Column j is the kept d_{n+1} times column j of the kept d_n against the kept SUM-mode
-    [[mu,mu], e_j] times `_prefactor(mode, 2, 2)` / 2.  d_n is read in column blocks [0, 1),
-    [1, 2), [2, 4), ..., each with the columns of d_{n+1} it first needs: no product."""
+    [[mu,mu], e_j] times `_prefactor(mode, 2, 2)` / 2, read off one transpose of each."""
     d_n, d_up = differential_matrix(A, n, mode).matrix, differential_matrix(A, n + 1, mode).matrix
     B, d, c, D = _mu_bracket(A), A.dim, _prefactor(mode, 2, 2) / 2, d_up.den * d_n.den
     row_of = {M: i * d for i, M in enumerate(multisets(d, n + 2))}
-    up, zero, start = {}, True, 0  # up: the columns of d_{n+1} read so far
-    while start < d_n.cols:
-        block = range(start, min(max(2 * start, 1), d_n.cols))
-        cols = _columns(d_n.num, set(block))
-        up.update(_columns(d_up.num, set().union(*cols.values()) - up.keys()))
-        for j in block:
-            dd: dict[int, int] = {}  # over D
-            for k, x in cols[j].items():
-                for i, y in up[k].items():
-                    dd[i] = dd.get(i, 0) + x * y
-            F = multisets(d, n)[j // d]
-            br = graded_bracket(B, SymCochain._from_ints(n, d, {F: {j % d: 1}}, 1), mode)
-            p, q = c.denominator * br.den, c.numerator * D  # both columns as ints over p D
-            dd = {i: p * x for i, x in dd.items() if x}
-            ad = {row_of[M] + t: q * x for M, v in br.num.items() for t, x in v.items()}
-            if dd != ad:
-                z, rows, den = Fraction(0), range(d_up.rows), p * D
-                return DSquaredReport(n, mode, False, False, Witness(
-                    ((z,) * j + (Fraction(1),) + (z,) * (d_n.cols - j - 1),),
-                    *(tuple(Fraction(v[i], den) if i in v else z for i in rows) for v in (dd, ad)),
-                    f"columns of d∘d vs (1/2)ad on basis cochain ({list(F)}, k={j % d})"))
-            zero = zero and not dd
-        start = block.stop
+    up, zero = _transpose(d_up.num, d_up.cols), True
+    for j, col in enumerate(_transpose(d_n.num, d_n.cols)):
+        dd: dict[int, int] = {}  # over D
+        for k, x in col.items():
+            for i, y in up[k].items():
+                dd[i] = dd.get(i, 0) + x * y
+        F = multisets(d, n)[j // d]
+        br = graded_bracket(B, SymCochain._from_ints(n, d, {F: {j % d: 1}}, 1), mode)
+        p, q = c.denominator * br.den, c.numerator * D  # both columns as ints over p D
+        dd = {i: p * x for i, x in dd.items() if x}
+        ad = {row_of[M] + t: q * x for M, v in br.num.items() for t, x in v.items()}
+        if dd != ad:
+            z, rows, den = Fraction(0), range(d_up.rows), p * D
+            return DSquaredReport(n, mode, False, False, Witness(
+                ((z,) * j + (Fraction(1),) + (z,) * (d_n.cols - j - 1),),
+                *(tuple(Fraction(v[i], den) if i in v else z for i in rows) for v in (dd, ad)),
+                f"columns of d∘d vs (1/2)ad on basis cochain ({list(F)}, k={j % d})"))
+        zero = zero and not dd
     return DSquaredReport(n, mode, True, zero)
 
 
@@ -217,12 +196,13 @@ class CohomologyReport(Record):
 def cohomology(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> CohomologyReport:
     """dim ker d_n, rank d_{n-1} and the defect rank(d_n d_{n-1}); H^n when it is 0.
     Sylvester: rank(d_n d_{n-1}) = rank(d_{n-1}) - dim(ker d_n & im d_{n-1}), so an
-    injective d_n gives defect rank(d_{n-1}); otherwise the kept composite is ranked.
+    injective d_n gives defect rank(d_{n-1}); otherwise the product's rank is kept.
     A mode whose d_n is a nonzero multiple of SUM's reads SUM's rank (a scalar keeps it)."""
     d_n = differential_matrix(A, n, mode)
     dim_kernel = d_n.matrix.cols - d_n.rank
     dim_image = differential_matrix(A, n - 1, mode).rank if n else 0
-    defect = dim_image if dim_kernel == 0 or not n else rank(_composite(A, n - 1, mode))
+    defect = dim_image if dim_kernel == 0 or not n else _kept(A, ("defect", n, mode), lambda: rank(
+        d_n.matrix.mul(differential_matrix(A, n - 1, mode).matrix)))
     return CohomologyReport(n, mode, dim_kernel, dim_image, defect == 0, defect,
                             None if defect else dim_kernel - dim_image)
 

@@ -282,18 +282,16 @@ def _dense(rows: list[dict[int, int]], ncols: int) -> bool:
     return sum(map(len, rows)) >= _DENSE * min(len(rows), ncols)
 
 
-def _full_rank_mod_p(rows: list[dict[int, int]], ncols: int, gated: bool = True) -> bool:
+def _full_rank_mod_p(rows: list[dict[int, int]], ncols: int) -> bool:
     """True only when the integer rows are proven to have rank k = min(len(rows), ncols),
-    by having it mod _P; False also, when gated, for rows too sparse to pay for the try.
-    Oriented tall, each row is one int holding its entries mod _P in W-bit lanes.  Rows are
+    by having it mod _P; each caller first asks `_dense` whether the try pays.  Oriented
+    tall, each row is one int holding its entries mod _P in W-bit lanes.  Rows are
     reduced in order against the pivots so far, in the order found: a pivot is 1 at its
     lane and 0 at earlier pivots' lanes, all in [0, _P), and a row r with lane value a
     there becomes r + (_P - a) pivot; the lowest lane of the rest nonzero mod _P makes it a
     pivot.  A row takes at most k - 1 updates, so lanes stay below _P + k (_P - 1)^2 < 2^W
     and never carry.  True at k pivots, False as soon as too few rows remain to reach k."""
     k = min(len(rows), ncols)
-    if gated and not _dense(rows, ncols):
-        return False
     if len(rows) < ncols:
         rows = _transpose(rows, ncols)
     W = (_P + k * (_P - 1) ** 2).bit_length()
@@ -320,7 +318,7 @@ def _full_rank_mod_p(rows: list[dict[int, int]], ncols: int, gated: bool = True)
 
 
 def rank(m: Matrix) -> int:
-    if _full_rank_mod_p(m.num, m.cols):
+    if _dense(m.num, m.cols) and _full_rank_mod_p(m.num, m.cols):
         return min(m.rows, m.cols)
     # rank m = rank m^T, which has fewer rows to combine
     return len(_eliminate(_transpose(m.num, m.cols) if m.rows > m.cols else m.num, False)[1])
@@ -329,7 +327,7 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, one vector per free column,
     in reduced echelon form (free variable set to 1, pivots back-filled)."""
-    if m.rows >= m.cols and _full_rank_mod_p(m.num, m.cols):
+    if m.rows >= m.cols and _dense(m.num, m.cols) and _full_rank_mod_p(m.num, m.cols):
         return []
     rows, pivots = _eliminate(m.num, True)
     at: dict[int, list] = {}  # free column -> (pivot, entry) of the vector it spans
@@ -358,7 +356,7 @@ def solve(m: Matrix, b) -> tuple[Fraction, ...] | None:
     aug = [{**{j: y.denominator * x for j, x in row.items()}, C: m.den * y.numerator} if y else row
            for row, y in zip(m.num, b)]
     # b is outside m's column space; gated on m alone, so a dense b opens no sparse m
-    if m.rows > C and _dense(m.num, C) and _full_rank_mod_p(aug, C + 1, False):
+    if m.rows > C and _dense(m.num, C) and _full_rank_mod_p(aug, C + 1):
         return None
     rows, pivots = _eliminate(aug, True)
     if pivots and pivots[-1] == C:

@@ -524,9 +524,9 @@ def test_cold_audit_builds_mumu_once_and_no_kernel_basis(monkeypatch):
     assert builds == [SUM] and kernels == []
 
 
-def test_cold_audit_inserts_mu_into_mu_once(monkeypatch):
-    # the triple families' memo starts from the pool's mu o mu, so the only
-    # insertion of an arity-2 cochain into another is the pool's own
+def test_cold_audit_inserts_mu_into_mu_for_the_pool_and_the_memo(monkeypatch):
+    # the only insertions of an arity-2 cochain into another are the pool's
+    # mu o mu and the memo's one insertion of mu's primitive form into itself
     A = make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)])
     calls = []
     real_compose = bracket_module._compose
@@ -542,8 +542,8 @@ def test_cold_audit_inserts_mu_into_mu_once(monkeypatch):
     scan = Counter(c for c in calls if c[0] == 3 and c[3] == -1)
     assert scan == Counter([(3, 0, SUM, -1), (3, 2, SUM, -1)] + [
         (3, n, PAPER, -1) for n in range(3)] + [(3, 1, SUM, -1)] * 25)
-    assert len(calls) - sum(scan.values()) == 24
-    assert [c for c in calls if c[:2] == (2, 2) and not c[3]] == [(2, 2, SUM, 0)]
+    assert len(calls) - sum(scan.values()) == 25
+    assert [c for c in calls if c[:2] == (2, 2) and not c[3]] == [(2, 2, SUM, 0)] * 2
 
 
 def _seeded_spin(rng, d):

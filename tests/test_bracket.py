@@ -12,7 +12,6 @@ from symlie import (InsertionMode, Matrix, SymCochain, basis_cochains, check_d_s
                     endomorphism_cochain, from_coeff_vector, graded_bracket, identity_cochain,
                     insert, insert_lowdeg_variant, make_j2, multisets, product_cochain,
                     unshuffles)
-from symlie import bracket as bracket_module
 from symlie.bracket import _Memo, koszul_sign, parse_mode
 
 from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
@@ -498,24 +497,6 @@ def test_memo_splits_a_cochain_into_a_scalar_and_one_primitive_form():
         [(x, y, q)] = memo.terms(f.scale(c))
         assert q is p and Fraction(x, y) == c * Fraction(a, b)
     assert memo.terms(SymCochain.zero(2, 2)) == []
-
-
-def test_memo_takes_a_built_insertion_as_its_entry(monkeypatch):
-    # given (f, g, f o g), the memo composes f, g and their multiples, in
-    # either mode, from f o g instead of inserting again
-    rng = random.Random(223)
-    f, g = random_cochain(rng, 2, 2).scale(-3), random_cochain(rng, 1, 2).scale(Fraction(1, 2))
-    memo = _Memo((f, g, insert(f, g)))
-    built = []
-    monkeypatch.setattr(bracket_module, "insert", lambda *args: built.append(args) or insert(*args))
-    for c, e, mode in ((1, 1, SUM), (Fraction(-2, 5), 3, PAPER), (-1, Fraction(7, 2), SUM)):
-        terms = memo.insert(memo.terms(f.scale(c)), memo.terms(g.scale(e)), mode)
-        total = SymCochain.zero(2, 2)
-        for k, den, p in terms:
-            assert type(k) is int and type(den) is int and den > 0
-            total = total + p.scale(Fraction(k, den))
-        assert total == insert(f.scale(c), g.scale(e), mode)
-    assert built == []
 
 
 def test_checkers_refuse_what_insert_refuses_on_zero_operands():

@@ -18,7 +18,7 @@ from symlie import (Algebra, DeformationSeries, InsertionMode, Matrix, SymCochai
                     sym_basis_dim)
 from symlie import complexes, deformation, exactla
 from symlie.cochain import basis_cochains, multisets
-from symlie.complexes import DSquaredReport, _composite, coboundary_c1_matrix
+from symlie.complexes import DSquaredReport, coboundary_c1_matrix
 from symlie.deformation import class_modulo_image
 from symlie.exactla import rank, solve
 
@@ -261,10 +261,16 @@ def test_operator_matrices_in_any_mode_order(order, per_column_matrices, monkeyp
 def test_audit_keeps_no_operator_pieces():
     # only the associator table, [mu,mu] and d_n (n = 0..3) for both modes stay
     # on the algebra: no (1/2)ad matrix, no d_{n+1} d_n, and not the pieces both
-    # modes' d_n are combined from
+    # modes' d_n are combined from.  Where H^2 must rank d_2 d_1 (non-Jordan),
+    # only that rank is kept, an int per mode
+    kept = {"assoc", "mumu"} | {("d", n) for n in range(4)}
     A = make_spin([1, Fraction(-1, 2)])
     audit(A)
-    assert set(A._ops) == {"assoc", "mumu"} | {("d", n) for n in range(4)}
+    assert set(A._ops) == kept
+    A = make_non_jordan()
+    audit(A)
+    assert set(A._ops) == kept | {("defect", 2, mode) for mode in (SUM, PAPER)}
+    assert [type(A._ops["defect", 2, mode]) for mode in (SUM, PAPER)] == [int, int]
 
 
 def test_d_squared_matches_half_ad_at_degree_one():
@@ -292,8 +298,11 @@ def _seeded_algebra(seed):
 @pytest.mark.parametrize("make", [lambda seed=seed: _seeded_algebra(seed) for seed in range(6)] + [
     lambda: make_spin([1, Fraction(-1, 2), 3]),
     lambda: make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)]),
-    _doc_algebra(dense_doc, 0, 4)], ids=[str(seed) for seed in range(6)] + [
-    "spin-d4", "spin-d5", "dense_doc-d4"])
+    # the 10%-fill dense_doc algebras first differ past column 0: at d = 2 at column 4
+    # (SUM, n = 2) and 2 (PAPER, n = 1, 2), at d = 3 at column 2 (SUM, n = 0) and 1 (PAPER, n = 0)
+    _doc_algebra(dense_doc, 0, 4), _doc_algebra(dense_doc, 1, 2, 0.1),
+    _doc_algebra(dense_doc, 0, 3, 0.1)], ids=[str(seed) for seed in range(6)] + [
+    "spin-d4", "spin-d5", "dense_doc-d4", "dense_doc-d2-fill0.1", "dense_doc-d3-fill0.1"])
 def test_d_squared_witness_is_the_first_column_of_the_difference(make):
     # the scan must stop at the least column where d o d and (1/2)ad differ, and
     # report both columns there, or find them equal everywhere, in each mode
@@ -390,9 +399,9 @@ def _count_muls(monkeypatch):
 
 def test_each_composite_is_built_once(monkeypatch):
     # the d o d scan multiplies no matrices; cohomology builds d_n d_{n-1} only
-    # where d_n has a kernel, once per (n, mode), and keeps it.  The non-Jordan
+    # where d_n has a kernel, once per (n, mode), and keeps its rank.  The non-Jordan
     # corpus algebra's d_2 has one: the audit's H^2 data builds d_2 d_1 per mode,
-    # here (rows of d_2, rows of d_1, columns of d_1), and later H^2 reads it
+    # here (rows of d_2, rows of d_1, columns of d_1), and later H^2 reads the rank
     shapes = _count_muls(monkeypatch)
     A = make_non_jordan()
     audit(A)
@@ -640,20 +649,16 @@ def test_degree_two_ranks_d2_once_in_either_mode_order(order, monkeypatch):
 
 
 def test_injective_degree_builds_no_composite(monkeypatch):
-    calls = []
-
-    def counting_composite(A, n, mode):
-        calls.append(n)
-        return _composite(A, n, mode)
-
-    monkeypatch.setattr(complexes, "_composite", counting_composite)
+    # an injective d_n multiplies no matrices; the non-Jordan d_2 has a kernel, so a
+    # fresh algebra's H^2 forms d_2 d_1, (rows of d_2, rows of d_1, columns of d_1)
+    shapes = _count_muls(monkeypatch)
     for mode in (SUM, PAPER):
         rep = cohomology(algebra_from_json_dict(dense_doc(random.Random(0), 3)), 3, mode)
-        assert rep.dim_kernel == 0 and calls == []
+        assert rep.dim_kernel == 0 and shapes == []
     for mode in (SUM, PAPER):
-        calls.clear()
+        shapes.clear()
         cohomology(make_non_jordan(), 2, mode)
-        assert calls == [1]
+        assert shapes == [(8, 6, 4)]
 
 
 def test_operator_matrices_die_with_their_algebra():

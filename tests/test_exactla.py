@@ -319,13 +319,13 @@ def _sparse(rows):
 
 @given(st.data())
 def test_packed_rank_matches_the_rank_mod_p(data):
-    # True exactly when the gate lets the rows in and their rank mod P is full
+    # the gate lets the rows in at 6 nonzeros per line of the short side, and the
+    # kernel is True exactly when their rank mod P is full
     k, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 14))
     rows = [[data.draw(st.sampled_from([P - 1, P - 1, P - 2, 1, -1, 2 * P - 1, 0]))
              for _ in range(k)] for _ in range(n)]
-    want = (sum(map(bool, sum(rows, []))) >= 6 * min(n, k)
-            and reference_rank_mod_p(rows, P) == min(n, k))
-    assert _full_rank_mod_p(_sparse(rows), k) == want
+    assert exactla._dense(_sparse(rows), k) == (sum(map(bool, sum(rows, []))) >= 6 * min(n, k))
+    assert _full_rank_mod_p(_sparse(rows), k) == (reference_rank_mod_p(rows, P) == min(n, k))
 
 
 @pytest.mark.parametrize("k, extra", [(1, 6), (2, 5), (7, 0), (40, 0), (40, 3)])
@@ -372,8 +372,8 @@ def test_online_lanes_hold_the_largest_updates(k):
     rows = [r for row in rows for r in (row, row)]
     assert _online_lane_peak(rows, k) >= (k - 1) * (P - 1) ** 2
     assert reference_rank_mod_p(rows, P) == k - 1
-    assert not _full_rank_mod_p(_sparse(rows), k, False)
-    assert not _full_rank_mod_p(_sparse(zip(*rows)), len(rows), False)
+    assert not _full_rank_mod_p(_sparse(rows), k)
+    assert not _full_rank_mod_p(_sparse(zip(*rows)), len(rows))
 
 
 @pytest.mark.parametrize("k", [3, 7])

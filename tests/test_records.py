@@ -225,3 +225,16 @@ def test_modules_read_every_name_they_import():
     unused = {p.name: names for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"
               if (names := _unused_imports(ast.parse(p.read_text(encoding="utf-8"))))}
     assert unused == {}
+
+
+def test_package_reads_every_private_definition():
+    # a `_`-prefixed function, method or class that no module of the package reads
+    # is dead code: a refactor that strands a helper fails here instead of leaving it
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    defined = [node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert [name for name in defined if name not in read] == []
