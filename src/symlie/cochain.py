@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb, gcd, lcm
 
 from .exactla import json_fields, json_int, json_list, rat_from_str, rat_to_str
@@ -55,7 +55,7 @@ class SymCochain:
     def _reduce(self, n: int, dim: int, num, den: int) -> None:
         """Store num / den (den > 0) in lowest terms, dropping zero entries and empty
         vectors; vectors already so are kept.  No plans: `evaluate` and the kernel derive them."""
-        g = gcd(den, *(x for vec in num.values() for x in vec.values()))
+        g = 1 if den == 1 else gcd(den, *chain.from_iterable(map(dict.values, num.values())))
         self.n, self.dim, self.den, self._plan, self._slots = n, dim, den // g, None, None
         self.num = num if g == 1 and all(vec and all(vec.values()) for vec in num.values()) else {
             key: v for key, vec in num.items() if (v := {k: x // g for k, x in vec.items() if x})}

@@ -76,14 +76,15 @@ class DifferentialData(Record):
         return self._rank
 
 
-def _bracket_matrices(g: SymCochain, n: int) -> dict[InsertionMode, Matrix]:
-    """{mode: matrix of f -> [g, f] on arity-n cochains}, from `_scatter` of the SUM-mode
-    pieces L: e -> g o e and R: e -> e o g on the basis cochains e = e_{F,t}, column j d + t
-    for F the j-th multiset.  L joins g's outer plan with inner terms 1 at each slot k of
-    each F, tagged with the column j d + k filled.  R is S (x) I_d: one outer term per F,
-    1 at j d, gives column j of S, whose entry at (M, F) lands at row index(M) d + t, column
-    j d + t for each t.  A mode's matrix is (a L + b R) / q with p_L = a / q and p_R =
-    -(-1)^{(m-1)(n-1)} b / q; modes with one (a, b) share the rows assembled for it."""
+def _bracket_matrices(g: SymCochain, n: int,
+                      modes=tuple(InsertionMode)) -> dict[InsertionMode, Matrix]:
+    """{mode: matrix of f -> [g, f] on arity-n cochains} per mode in `modes`, from `_scatter`
+    of the SUM-mode pieces L: e -> g o e and R: e -> e o g on the basis cochains e = e_{F,t},
+    column j d + t for F the j-th multiset.  L joins g's outer plan with inner terms 1 at each
+    slot k of each F, tagged with the column j d + k filled.  R is S (x) I_d: one outer term
+    per F, 1 at j d, gives column j of S, whose entry at (M, F) lands at row index(M) d + t,
+    column j d + t for each t.  A mode's matrix is (a L + b R) / q with p_L = a / q and p_R
+    = -(-1)^{(m-1)(n-1)} b / q; modes with one (a, b) share the rows assembled for it."""
     m, d = g.n, g.dim
     col_of = {F: j * d for j, F in enumerate(multisets(d, n))}
     units = {k: [(F, j + k, 1) for F, j in col_of.items()] for k in range(d)}
@@ -92,7 +93,7 @@ def _bracket_matrices(g: SymCochain, n: int) -> dict[InsertionMode, Matrix]:
     R, _ = _scatter([(1, blocks, g._slot_plan()[1])])
     row_of = {M: i * d for i, M in enumerate(multisets(d, m + n - 1))}
     mats, shared = {}, {}
-    for mode in InsertionMode:
+    for mode in modes:
         p_L = _prefactor(mode, m, n)
         p_R = -koszul_sign(m - 1, n - 1) * _prefactor(mode, n, m)
         q = lcm(p_L.denominator, p_R.denominator)

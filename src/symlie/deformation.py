@@ -1,7 +1,7 @@
-"""Order-by-order deformation machinery: residuals of the quadratic
-deformation equation, the linear solver for each order, obstruction
-classes modulo the image of the differential, and exact truncated
-gauge transport, exp(ad_X) on the bracket kernel.
+"""Order-by-order deformation machinery: residuals of the quadratic deformation
+equation, the linear solver for each order, obstruction classes modulo the image of
+the differential, and exact truncated gauge transport: exp(ad_X) as sparse integer
+products of one SUM-mode ad_{f_i} operator per gauge term, built by d_n's scatter.
 
 Series are truncated t-power series; everything is exact rational.
 The order-n equation is  d phi_n = -(1/2) sum_{i+j=n, i,j>=1} [phi_i, phi_j]
@@ -12,13 +12,15 @@ The order-n equation is  d phi_n = -(1/2) sum_{i+j=n, i,j>=1} [phi_i, phi_j]
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 
 from .algebra import Algebra, product_cochain
 from .bracket import InsertionMode, _prefactor, graded_bracket
 from .cochain import SymCochain, _combine, coeff_vector, from_coeff_vector, multisets
 from .errors import InvariantViolation
 from .exactla import Record, _combine as _combine_rows, _eliminate, _transpose, json_int, rat_to_str, solve
-from .complexes import _mu_bracket, coboundary_c1_matrix, differential, differential_matrix
+from .complexes import (_bracket_matrices, _mu_bracket, coboundary_c1_matrix, differential,
+                        differential_matrix)
 
 
 class DeformationSeries(Record):
@@ -228,26 +230,42 @@ def gauge_transport_series(T: GaugeSeries, s: DeformationSeries, N: int) -> Defo
     """Transport a full series: mu_t'(x, y) = T_t mu_t(T_t^{-1} x, T_t^{-1} y)
     with T_t = exp(X), X = t f_1 + t^2 f_2 + ..., truncated at t^N.
 
-    Conjugation by exp(X) is exp(ad_X), and ad_X mu = [X, mu] = X o mu - mu o X
-    is the SUM-mode bracket whatever the series' mode.  The k-th term of
-    exp(ad_X) mu_t is (1/k) ad_X of the (k-1)-th, so its order-n part is
-    (1/k) sum_{i>=1} [f_i, (k-1)-th term at order n - i]."""
+    Conjugation by exp(X) is exp(ad_X), ad_X = [X, .] in SUM mode whatever the series'
+    mode.  The k-th term of exp(ad_X) mu_t has order-n part (1/k) sum_{i>=1} ad_{f_i}
+    ((k-1)-th term at order n - i).  Each f_i read (i <= N) gets one operator, the SUM-mode
+    matrix of ad_{f_i} on arity-2 cochains from the scatter of d_n, applied as sparse integer
+    products to vectors {j d + t: int} (F the j-th multiset) over D^k k! B, D and B the lcms
+    of the operators' and mu_t's denominators."""
     if N < 1:
         raise ValueError("transport order must be >= 1")
     A, d = s.base, s.base.dim
     if T.order and T.dim != d:
         raise ValueError(f"gauge series has dimension {T.dim}, but the algebra has dimension {d}")
-    term = [product_cochain(A)] + [s.term(n) for n in range(1, N + 1)]
-    total = term
+    mats = [_bracket_matrices(f, 2, (InsertionMode.SUM,))[InsertionMode.SUM] for f in T.terms[:N]]
+    D, index = lcm(*(m.den for m in mats)), {M: j * d for j, M in enumerate(multisets(d, 2))}
+    ops = [[{r: x * (D // m.den) for r, x in col.items()} for col in _transpose(m.num, m.cols)]
+           for m in mats]  # the columns of each ad_{f_i}, over D
+    series = [product_cochain(A)] + [s.term(n) for n in range(1, N + 1)]
+    B, scale = lcm(*(c.den for c in series)), D ** N * factorial(N)
+    term = [{index[M] + t: x * (B // c.den) for M, vec in c.num.items() for t, x in vec.items()}
+            for c in series]  # the 0-th term, over B
+    total = [{c: scale * x for c, x in v.items()} for v in term]  # over scale B
     for k in range(1, N + 1):
-        # the k-th term starts at order k
-        term = [SymCochain.zero(2, d)] * k + [_combine(2, d, [
-            (Fraction(1, k), graded_bracket(f, term[n - i], InsertionMode.SUM))
-            for i, f in enumerate(T.terms[:n - k + 1], 1)]) for n in range(k, N + 1)]
-        total = [a + b for a, b in zip(total, term)]
-    if total[0] != product_cochain(A):
+        w, prev, term = scale // (D ** k * factorial(k)), term, []
+        for n, v_n in enumerate(total):
+            acc = {}
+            for op, v in zip(ops, reversed(prev[:n])):  # ad_{f_i}, the (k-1)-th term at n - i
+                for c, x in v.items():
+                    for r, y in op[c].items():
+                        acc[r] = acc.get(r, 0) + x * y
+            for r, x in acc.items():
+                v_n[r] = v_n.get(r, 0) + w * x
+            term.append(acc)
+    out = [SymCochain._from_ints(2, d, {M: {t: v[j + t] for t in range(d) if j + t in v}
+                                        for M, j in index.items()}, scale * B) for v in total]
+    if out[0] != product_cochain(A):
         raise InvariantViolation("gauge transport must fix the product at order 0")
-    return DeformationSeries(A, N, total[1:], s.mode)
+    return DeformationSeries(A, N, out[1:], s.mode)
 
 
 def gauge_transport(T: GaugeSeries, A: Algebra, N: int) -> DeformationSeries:

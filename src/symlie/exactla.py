@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
+from itertools import chain
 from math import gcd, lcm
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -128,7 +129,7 @@ class Matrix:
 
     def _reduce(self, rows: int, cols: int, num: list[dict[int, int]], den: int) -> None:
         """Store num / den (den > 0) in lowest terms, no stored zeros; rows already so are kept."""
-        g = gcd(den, *(x for r in num for x in r.values()))
+        g = 1 if den == 1 else gcd(den, *chain.from_iterable(map(dict.values, num)))
         self.rows, self.cols, self.den = rows, cols, den // g
         self.num = num if g == 1 and all(map(all, map(dict.values, num))) else [
             {j: x // g for j, x in r.items() if x} for r in num]

@@ -473,6 +473,22 @@ def test_modes_with_one_combination_share_their_rows(monkeypatch, make):
             assert mats[mode] == reference_bracket_matrix(mu, n, mode is PAPER, 1), (n, mode)
 
 
+def test_one_mode_operator_columns_are_kernel_brackets():
+    # the SUM-mode matrix of e -> [f, e] on arity-2 cochains, assembled alone as
+    # gauge transport asks for it: column j is [f, e_j] from the insertion kernel,
+    # and the matrix is the all-modes build's SUM one; one f is zero
+    rng = random.Random(409)
+    fs = [random_cochain(rng, 1, d, sparsity=0.3) for d in (1, 2, 3, 4)]
+    fs.insert(2, SymCochain.zero(1, 2))
+    for f in fs:
+        mats = complexes._bracket_matrices(f, 2, (SUM,))
+        assert list(mats) == [SUM]
+        for j, (_, e) in enumerate(basis_cochains(f.dim, 2)):
+            assert mats[SUM].column(j) == tuple(coeff_vector(graded_bracket(f, e))), (f.dim, j)
+        assert mats[SUM] == complexes._bracket_matrices(f, 2)[SUM], f.dim
+    assert not fs[2].num and fs[4].num
+
+
 def test_operator_rows_reach_the_matrix_without_zeros(monkeypatch):
     # the rows that Matrix.mul and _bracket_matrices hand to _from_ints store no
     # entry where terms cancel, over audits of spin factors at d = 3-5, of a

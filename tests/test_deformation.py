@@ -397,6 +397,39 @@ def test_gauge_transport_matches_direct_conjugation():
     assert non_commuting >= 3
 
 
+@pytest.mark.parametrize("N, zero_at", [(1, None), (1, 0), (3, 1), (3, 2)])
+def test_gauge_transport_at_order_one_and_with_zero_terms(N, zero_at):
+    # N = 1 reads f_1 alone; a zero gauge term has a zero operator, whose
+    # products are empty vectors; against direct conjugation
+    rng = random.Random(251 + N)
+    A = random_rational_commutative(rng, 3)
+    gauge = [random_cochain(rng, 1, 3, sparsity=0.2) for _ in range(3)]
+    if zero_at is not None:
+        gauge[zero_at] = SymCochain.zero(1, 3)
+    terms = [random_cochain(rng, 2, 3, sparsity=0.4) for _ in range(2)]
+    moved = gauge_transport_series(GaugeSeries(3, gauge), DeformationSeries(A, 2, terms), N)
+    assert [product_cochain(A).coeffs] + [t.coeffs for t in moved.terms] == \
+        reference_gauge_transport(A, gauge, terms, N)
+
+
+def test_gauge_transport_builds_one_operator_per_term_read(monkeypatch):
+    # with T.order = 3 and N = 2, f_3 is never read: one SUM-mode operator each
+    # for f_1 and f_2, applied as integer products, and no bracket composed
+    calls = {"_compose": 0, "_bracket_matrices": 0}
+    for module, name in ((bracket, "_compose"), (deformation, "_bracket_matrices")):
+        def counting(*args, _call=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(module, name, counting)
+    rng = random.Random(263)
+    A = random_rational_commutative(rng, 3)
+    T = GaugeSeries(3, [random_cochain(rng, 1, 3) for _ in range(3)])
+    moved = gauge_transport(T, A, 2)
+    assert calls == {"_compose": 0, "_bracket_matrices": 2}
+    assert [product_cochain(A).coeffs] + [t.coeffs for t in moved.terms] == \
+        reference_gauge_transport(A, T.terms, [], 2)
+
+
 def test_gauge_transport_checks_the_gauge_dimension():
     A = make_j2(1, 0)
     with pytest.raises(ValueError, match="^gauge series has dimension 3, "
