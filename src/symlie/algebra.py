@@ -144,12 +144,8 @@ def _assoc_table(A: Algebra) -> dict:
 
 
 def product(A: Algebra, x, y) -> tuple[Fraction, ...]:
-    """Bilinear extension of the structure constants."""
-    x, y = ([Fraction(t) for t in v] for v in (x, y))
-    if len(x) != A.dim or len(y) != A.dim:
-        raise ValueError("vector length does not match algebra dimension")
-    out = _mul(A._mu.num, *({i: t for i, t in enumerate(v) if t} for v in (x, y)))
-    return tuple(Fraction(out.get(k, 0)) / A._mu.den for k in range(A.dim))
+    """Bilinear extension of the structure constants: mu evaluated at (x, y)."""
+    return A._mu.evaluate((x, y))
 
 
 def multiplication_operator(A: Algebra, v) -> Matrix:

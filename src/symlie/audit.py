@@ -25,7 +25,7 @@ from itertools import permutations, product as iproduct
 from .algebra import (Algebra, IdentityReport, _assoc_sum, check_cubic_jordan,
                       check_operator_identity, check_six_term, find_unit,
                       multiplication_operator, product_cochain, render_linear)
-from .bracket import (InsertionMode, _Memo, _prefactor, check_jacobi, check_prelie, insert,
+from .bracket import (InsertionMode, _Memo, _divisor, check_jacobi, check_prelie, insert,
                       insert_lowdeg_variant, unshuffles)
 from .cochain import SymCochain, basis_cochains, multisets
 from .complexes import (DSquaredReport, _mu_bracket, check_d_squared, coboundary_c1_explicit,
@@ -104,12 +104,12 @@ class AuditReport(Record):
 def _mu_pools(A: Algebra):
     """Deterministic cochains derived from the product (all zero when mu = 0, so the
     structural claims degenerate to 0 = 0 on a trivial product), per mode: P = mu o mu
-    and B = [mu,mu], kept on A, are SUM mode's, and PAPER's are these times one prefactor."""
+    and B = [mu,mu], kept on A, are SUM mode's, and PAPER's are these over one divisor."""
     mu, e0 = product_cochain(A), A.basis_vector(0)
     pool = {"mu": mu, "v0": SymCochain(0, A.dim, {(): e0}),
             "L0": endomorphism_cochain(multiplication_operator(A, e0)),
             "P": insert(mu, mu, SUM), "B": _mu_bracket(A)}
-    p = _prefactor(PAPER, 2, 2)
+    p = Fraction(1, _divisor(PAPER, 2, 2))
     return {SUM: pool, PAPER: {**pool, "P": pool["P"].scale(p), "B": pool["B"].scale(p)}}
 
 
@@ -158,7 +158,7 @@ def _claim_sym_closure(A: Algebra, pools) -> list[ClaimRecord]:
 def _sym_closure_failure(mode: InsertionMode, f, g, label, idx) -> ClaimRecord:
     """The record of a mode whose insertion f o g differs from the formula at idx."""
     raw = _formula_values(f, g).get(idx, {})
-    p = _prefactor(mode, f.n, g.n) / (f.den * g.den)
+    p = Fraction(1, _divisor(mode, f.n, g.n) * f.den * g.den)
     return ClaimRecord("SYM-CLOSURE", mode.value, "fails", witness={
         "pair": label, "tuple": list(idx),
         "raw": vec_to_strs(p * raw.get(t, 0) for t in range(f.dim)),
@@ -184,15 +184,11 @@ def _claim_triple_family(mode: InsertionMode, claim_id: str, checker, pool, memo
 def _claim_lowdeg_variant(A: Algebra, paper_pool) -> ClaimRecord:
     mu, averaged = paper_pool["mu"], paper_pool["P"]
     two_term = insert_lowdeg_variant(mu, mu)
-    mismatches = []
-    for mset in sorted(two_term.num.keys() | averaged.num.keys()):  # rows over their dens
-        va, vb = two_term.num.get(mset, {}), averaged.num.get(mset, {})
-        for k in sorted(va.keys() | vb.keys()):
-            a, b = va.get(k, 0), vb.get(k, 0)
-            if a * averaged.den != b * two_term.den:
-                mismatches.append({"multiset": list(mset), "k": k,
-                                   "two_term": rat_to_str(Fraction(a, two_term.den)),
-                                   "averaged": rat_to_str(Fraction(b, averaged.den))})
+    diff = (two_term - averaged).num
+    mismatches = [{"multiset": list(mset), "k": k,
+                   "two_term": rat_to_str(two_term.value_at(mset)[k]),
+                   "averaged": rat_to_str(averaged.value_at(mset)[k])}
+                  for mset in sorted(diff) for k in sorted(diff[mset])]
     if not mismatches:
         return ClaimRecord("LOWDEG-VARIANT", "paper", "holds",
                            detail="the printed two-term formula matches the averaged insertion")

@@ -8,10 +8,11 @@ Two modes are provided and every bracket-dependent operation takes one:
 * PAPER -- the sum carries the prefactor 1/((m-1)! n!) printed with the
            averaged-insertion definition under audit.
 
-The mode is only a scalar.  `insert`, `graded_bracket` and the operator
-matrices of `complexes` (all modes asked for at once from one call) each
-call one integer kernel, `_scatter`, which joins two slot plans on the slot
-filled; a cochain derives its plan on first use and keeps it, so a kept
+The mode is only a scalar: one integer `_divisor` per insertion, which every
+reader multiplies into its denominator.  `insert`, `graded_bracket` and the
+operator matrices of `complexes` (all modes asked for at once from one call)
+each call one integer kernel, `_scatter`, which joins two slot plans on the
+slot filled; a cochain derives its plan on first use and keeps it, so a kept
 operand such as mu or [mu, mu] is indexed once.  The checkers compose
 through `_Memo`, which an audit builds once: each SUM-mode insertion of two
 primitive forms is made once for both modes, and summed per form before one
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
 
@@ -36,13 +36,6 @@ from .cochain import SymCochain, _combine, multisets
 class InsertionMode(enum.Enum):
     PAPER = "paper"
     SUM = "sum"
-
-
-def parse_mode(s: str) -> InsertionMode:
-    for mode in InsertionMode:
-        if mode.value == s:
-            return mode
-    raise ValueError(f"unknown insertion mode {s!r} (expected 'paper' or 'sum')")
 
 
 def unshuffles(p: int, q: int):
@@ -58,17 +51,12 @@ def koszul_sign(deg_f: int, deg_g: int) -> int:
     return -1 if (deg_f * deg_g) % 2 else 1
 
 
-def _prefactor(mode: InsertionMode, m: int, n: int) -> Fraction:
-    """The scalar before the sum inserting arity n into arity m: 1 in SUM mode,
-    1/((m-1)! n!) in PAPER mode, and 1 for m = 0, where the sum is empty."""
-    if not isinstance(mode, InsertionMode):  # before the cache, which an unhashable mode fails
+def _divisor(mode: InsertionMode, m: int, n: int) -> int:
+    """The sum inserting arity n into arity m is divided by (m-1)! n! in PAPER mode,
+    by 1 in SUM mode, and by 1 for m = 0, where the sum is empty."""
+    if not isinstance(mode, InsertionMode):
         raise TypeError(f"insertion mode must be an InsertionMode, got {mode!r}")
-    return _cached_prefactor(mode, m, n)
-
-
-@cache
-def _cached_prefactor(mode: InsertionMode, m: int, n: int) -> Fraction:
-    return Fraction(1, factorial(m - 1) * factorial(n) if mode is InsertionMode.PAPER and m else 1)
+    return factorial(m - 1) * factorial(n) if mode is InsertionMode.PAPER and m else 1
 
 
 def _unshuffle_count(rest: tuple[int, ...], G: tuple[int, ...]) -> int:
@@ -82,16 +70,16 @@ def _unshuffle_count(rest: tuple[int, ...], G: tuple[int, ...]) -> int:
 
 
 def _scatter(pieces):
-    """The sum of p (outer o inner) over the pieces (p, outer, inner), unnormalized.
+    """The sum of s/r (outer o inner) over the pieces (s, r, outer, inner), s and r ints.
     The sides are slot plans (`SymCochain._slot_plan`), or plans of their shape, joined
     on the slot k: inner (G, tag, w) and outer (F - {k}, F's items) land at N = (F - {k})
     + G once per (m-1, n)-unshuffle placing G in N, prod_a C(mult_N(a), mult_G(a)) times,
     so the cost follows the nonzeros at shared slots.  Returns {(N, tag): {index: int}}
-    and the denominator q of the p.  A cochain's tags are None; `complexes` tags columns."""
-    q = lcm(*(p.denominator for p, _, _ in pieces))
+    and the lcm q of the r.  A cochain's tags are None; `complexes` tags columns."""
+    q = lcm(*(r for _, r, _, _ in pieces))
     out = {}
-    for p, outer, inner in pieces:
-        s = p.numerator * (q // p.denominator)
+    for s, r, outer, inner in pieces:
+        s *= q // r
         for k, outs in outer.items():
             for G, tag, w in inner.get(k, ()):
                 w *= s
@@ -104,12 +92,12 @@ def _scatter(pieces):
 
 
 def _compose(f: SymCochain, g: SymCochain, mode: InsertionMode, sign: int) -> SymCochain:
-    """p_fg (f o g) + sign p_gf (g o f), p_xy the prefactor inserting y into x."""
-    p_fg, p_gf = _prefactor(mode, f.n, g.n), sign * _prefactor(mode, g.n, f.n)
+    """(f o g) / k_fg + sign (g o f) / k_gf, k_xy the divisor inserting y into x."""
+    k_fg, k_gf = _divisor(mode, f.n, g.n), _divisor(mode, g.n, f.n)
     if f.dim != g.dim:
         raise ValueError("ambient dimension mismatch")
-    out, q = _scatter([(p, x._slot_plan()[0], y._slot_plan()[1])
-                       for p, x, y in ((p_fg, f, g), (p_gf, g, f)) if p])
+    out, q = _scatter([(s, k, x._slot_plan()[0], y._slot_plan()[1])
+                       for s, k, x, y in ((1, k_fg, f, g), (sign, k_gf, g, f)) if s])
     return SymCochain._from_ints(max(f.n + g.n - 1, 0), f.dim,
                                  {N: acc for (N, _), acc in out.items()}, q * f.den * g.den)
 
@@ -158,7 +146,7 @@ class _Memo:
     A cochain is held as terms [(a, b, p)], ints a/b (b > 0) times p, its primitive
     form: its numerators over their gcd, the first nonzero positive, one object per
     (n, dim, numerators).  By bilinearity a composition of terms is a sum of SUM-mode
-    insertions of primitive forms, each made once, over `_prefactor`'s denominator."""
+    insertions of primitive forms, each made once, its denominator times `_divisor`."""
 
     def __init__(self):
         # key -> p, kept alive; (id(p), id(q)) -> p o q terms; id(f) -> (f, f's terms)
@@ -187,7 +175,7 @@ class _Memo:
                 key = id(p), id(q)
                 if key not in self.inserts:
                     self.inserts[key] = self.terms(insert(p, q))
-                k, den = c * a * x, b * y * _prefactor(mode, p.n, q.n).denominator
+                k, den = c * a * x, b * y * _divisor(mode, p.n, q.n)
                 out += [(k * s, den * t, r) for s, t, r in self.inserts[key]]
         return out
 
@@ -199,7 +187,7 @@ class _Memo:
 
 def _operands(memo: _Memo | None, mode: InsertionMode, *cochains):
     """The memo (a fresh one for None) and each cochain's terms, checked as by `insert`."""
-    _prefactor(mode, 0, 0)  # refuses a mode that is not an InsertionMode
+    _divisor(mode, 0, 0)  # refuses a mode that is not an InsertionMode
     if len({f.dim for f in cochains}) > 1:
         raise ValueError("ambient dimension mismatch")
     memo = _Memo() if memo is None else memo

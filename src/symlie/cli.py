@@ -15,7 +15,7 @@ import sys
 from .algebra import (Algebra, algebra_from_json_dict, check_cubic_jordan,
                       check_operator_identity, check_six_term)
 from .audit import audit, audit_all
-from .bracket import graded_bracket, parse_mode
+from .bracket import InsertionMode, graded_bracket
 from .cochain import SymCochain
 from .complexes import cohomology, derivations
 from .corpus import corpus_entries
@@ -71,7 +71,7 @@ def _cmd_cohomology(args) -> dict:
     A = load_algebra(args.algebra)
     if args.degree < 0:
         raise FormatError("--degree must be >= 0")
-    return cohomology(A, args.degree, parse_mode(args.mode)).to_json_dict()
+    return cohomology(A, args.degree, InsertionMode(args.mode)).to_json_dict()
 
 
 def _cmd_bracket(args) -> dict:
@@ -79,12 +79,12 @@ def _cmd_bracket(args) -> dict:
     g = _load(args.g, SymCochain.from_json_dict)
     if f.dim != g.dim:
         raise FormatError("cochain files have different ambient dimensions")
-    return graded_bracket(f, g, parse_mode(args.mode)).to_json_dict()
+    return graded_bracket(f, g, InsertionMode(args.mode)).to_json_dict()
 
 
 def _cmd_mc_solve(args) -> dict:
     A = load_algebra(args.algebra)
-    mode = parse_mode(args.mode)
+    mode = InsertionMode(args.mode)
     phi1 = _load(args.phi1, SymCochain.from_json_dict)
     if phi1.n != 2 or phi1.dim != A.dim:
         raise FormatError("--phi1 must be an arity-2 cochain on the algebra")

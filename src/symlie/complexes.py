@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import Algebra, Witness, _kept, product_cochain
-from .bracket import InsertionMode, _compose, _prefactor, _scatter, graded_bracket, koszul_sign
+from .bracket import InsertionMode, _compose, _divisor, _scatter, graded_bracket, koszul_sign
 from .cochain import SymCochain, _outer_terms, multisets
 from .exactla import Matrix, Record, _transpose, kernel_basis, rank
 
@@ -83,21 +83,21 @@ def _bracket_matrices(g: SymCochain, n: int,
     column j d + t for F the j-th multiset.  L joins g's outer plan with inner terms 1 at each
     slot k of each F, tagged with the column j d + k filled.  R is S (x) I_d: one outer term
     per F, 1 at j d, gives column j of S, whose entry at (M, F) lands at row index(M) d + t,
-    column j d + t for each t.  A mode's matrix is (a L + b R) / q with p_L = a / q and p_R
-    = -(-1)^{(m-1)(n-1)} b / q; modes with one (a, b) share the rows assembled for it."""
+    column j d + t for each t.  A mode's matrix is (a L + b R) / q with 1 / k_L = a / q and
+    -(-1)^{(m-1)(n-1)} / k_R = b / q, k_L = `_divisor(mode, m, n)` and k_R = `_divisor(mode,
+    n, m)`; modes with one (a, b) share the rows assembled for it."""
     m, d = g.n, g.dim
     col_of = {F: j * d for j, F in enumerate(multisets(d, n))}
     units = {k: [(F, j + k, 1) for F, j in col_of.items()] for k in range(d)}
     blocks = _outer_terms({F: {j: 1} for F, j in col_of.items()})
-    L, _ = _scatter([(1, g._slot_plan()[0], units)])
-    R, _ = _scatter([(1, blocks, g._slot_plan()[1])])
+    L, _ = _scatter([(1, 1, g._slot_plan()[0], units)])
+    R, _ = _scatter([(1, 1, blocks, g._slot_plan()[1])])
     row_of = {M: i * d for i, M in enumerate(multisets(d, m + n - 1))}
     mats, shared = {}, {}
     for mode in modes:
-        p_L = _prefactor(mode, m, n)
-        p_R = -koszul_sign(m - 1, n - 1) * _prefactor(mode, n, m)
-        q = lcm(p_L.denominator, p_R.denominator)
-        a, b = int(q * p_L), int(q * p_R)
+        k_L, k_R = _divisor(mode, m, n), _divisor(mode, n, m)
+        q = lcm(k_L, k_R)
+        a, b = q // k_L, -koszul_sign(m - 1, n - 1) * q // k_R
         if (a, b) not in shared:
             rows = shared[a, b] = [{} for _ in range(len(row_of) * d)]  # index(M) d + t
             for (M, col), acc in L.items():  # one entry per row and column
@@ -121,9 +121,9 @@ def _bracket_matrices(g: SymCochain, n: int,
 def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM) -> DifferentialData:
     """Matrix of d from arity-n to arity-(n+1) coefficients,
     column j = d(basis cochain j).  Kept on A; a miss builds every mode.  A mode's
-    d_n is p_L L - s p_R R, p_L = `_prefactor(mode, 2, n)`, p_R = `_prefactor(mode, n, 2)`:
-    where p_L = p_R (PAPER at n = 0, 2) it is p_L times SUM's, and reads SUM's rank."""
-    _prefactor(mode, 0, 0)  # refuses a mode that is not an InsertionMode
+    d_n is L / k_L - s R / k_R, k_L = `_divisor(mode, 2, n)`, k_R = `_divisor(mode, n, 2)`:
+    where k_L = k_R (PAPER at n = 0, 2) it is SUM's over k_L, and reads SUM's rank."""
+    _divisor(mode, 0, 0)  # refuses a mode that is not an InsertionMode
     if n < 0:
         raise ValueError("degree must be >= 0")
 
@@ -131,13 +131,13 @@ def differential_matrix(A: Algebra, n: int, mode: InsertionMode = InsertionMode.
         mats = _bracket_matrices(product_cochain(A), n)
         s = DifferentialData(InsertionMode.SUM, n, mats[InsertionMode.SUM])
         return {m: s if m is InsertionMode.SUM else DifferentialData(
-            m, n, mats[m], s if _prefactor(m, 2, n) == _prefactor(m, n, 2) else None)
+            m, n, mats[m], s if _divisor(m, 2, n) == _divisor(m, n, 2) else None)
             for m in InsertionMode}
     return _kept(A, ("d", n), build)[mode]
 
 
 def _mu_bracket(A: Algebra) -> SymCochain:
-    """[mu, mu] in SUM mode, kept on A; a mode's is `_prefactor(mode, 2, 2)` times it."""
+    """[mu, mu] in SUM mode, kept on A; a mode's is it over `_divisor(mode, 2, 2)`."""
     return _kept(A, "mumu", lambda: graded_bracket(product_cochain(A), product_cochain(A)))
 
 
@@ -154,9 +154,9 @@ def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM)
     """Compare d o d (arity n -> n+2) with f -> (1/2)[[mu,mu],f] on the basis cochains e_j
     in order, up to the first column that differs; reports equality and whether both vanish.
     Column j is the kept d_{n+1} times column j of the kept d_n against the kept SUM-mode
-    [[mu,mu], e_j] times `_prefactor(mode, 2, 2)` / 2, read off one transpose of each."""
+    [[mu,mu], e_j] over h = 2 `_divisor(mode, 2, 2)`, read off one transpose of each."""
     d_n, d_up = differential_matrix(A, n, mode).matrix, differential_matrix(A, n + 1, mode).matrix
-    B, d, c, D = _mu_bracket(A), A.dim, _prefactor(mode, 2, 2) / 2, d_up.den * d_n.den
+    B, d, h, D = _mu_bracket(A), A.dim, 2 * _divisor(mode, 2, 2), d_up.den * d_n.den
     row_of = {M: i * d for i, M in enumerate(multisets(d, n + 2))}
     up, zero = _transpose(d_up.num, d_up.cols), True
     for j, col in enumerate(_transpose(d_n.num, d_n.cols)):
@@ -166,9 +166,9 @@ def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM)
                 dd[i] = dd.get(i, 0) + x * y
         F = multisets(d, n)[j // d]
         br = graded_bracket(B, SymCochain._from_ints(n, d, {F: {j % d: 1}}, 1), mode)
-        p, q = c.denominator * br.den, c.numerator * D  # both columns as ints over p D
+        p = h * br.den  # both columns as ints over p D
         dd = {i: p * x for i, x in dd.items() if x}
-        ad = {row_of[M] + t: q * x for M, v in br.num.items() for t, x in v.items()}
+        ad = {row_of[M] + t: D * x for M, v in br.num.items() for t, x in v.items()}
         if dd != ad:
             z, rows, den = Fraction(0), range(d_up.rows), p * D
             return DSquaredReport(n, mode, False, False, Witness(

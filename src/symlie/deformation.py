@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .algebra import Algebra, product_cochain
-from .bracket import InsertionMode, _prefactor, graded_bracket
+from .bracket import InsertionMode, _divisor, graded_bracket
 from .cochain import SymCochain, _combine, coeff_vector, from_coeff_vector, multisets
 from .errors import InvariantViolation
 from .exactla import Record, _combine as _combine_rows, _eliminate, _transpose, json_int, rat_to_str, solve
@@ -107,7 +107,7 @@ def series_from_json_list(raw, arity: int, upto: int | None = None) -> list[SymC
 
 def mc_order0(s: DeformationSeries) -> SymCochain:
     """The order-0 datum (1/2)[mu, mu], scaled from the SUM-mode [mu, mu] kept on A."""
-    return _mu_bracket(s.base).scale(_prefactor(s.mode, 2, 2) / 2)
+    return _mu_bracket(s.base).scale(Fraction(1, 2 * _divisor(s.mode, 2, 2)))
 
 
 def _quadratic(s: DeformationSeries, n: int) -> SymCochain:

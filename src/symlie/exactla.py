@@ -178,9 +178,6 @@ class Matrix:
         return Matrix._from_ints(self.rows, self.cols, [
             {j: c.numerator * x for j, x in r.items()} for r in self.num], self.den * c.denominator)
 
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def to_strs(self) -> list[list[str]]:
         return [[rat_to_str(x) for x in r] for r in self.data]
 

@@ -311,7 +311,7 @@ def reference_sym_closure(A, pools, insert):
     tuples of each pair, in `iproduct` order, against `insert` (which a test may
     tamper); at the first failing tuple each mode's witness from its own pool."""
     from symlie import InsertionMode
-    from symlie.bracket import _prefactor, unshuffles
+    from symlie.bracket import unshuffles
     from symlie.exactla import vec_to_strs
     SUM, d = InsertionMode.SUM, A.dim
 
@@ -322,7 +322,8 @@ def reference_sym_closure(A, pools, insert):
     def failure(mode, f, g, label, idx):
         raw = _raw_insert_value(_dense_num(f), _dense_num(g), list(unshuffles(f.n - 1, g.n)),
                                 d, idx)
-        p = _prefactor(mode, f.n, g.n) / (f.den * g.den)
+        k = factorial(f.n - 1) * factorial(g.n) if mode is InsertionMode.PAPER else 1
+        p = Fraction(1, k * f.den * g.den)
         return record(mode, "fails", {
             "pair": label, "tuple": list(idx), "raw": vec_to_strs(p * x for x in raw),
             "stored": vec_to_strs(insert(f, g, mode).value_at(tuple(sorted(idx))))},
@@ -534,7 +535,7 @@ def vsub(a, b):
 def printed_coboundary_c1(A, f):
     """The printed arity-1 coboundary (d f)(x,y) = f(x*y) - f(x)*y - x*f(y),
     expanded at each basis pair, independently of the bracket."""
-    from symlie import SymCochain, multisets, product, product_cochain
+    from symlie import SymCochain, multisets, product_cochain
     d = A.dim
 
     def fv(v):
@@ -551,8 +552,9 @@ def printed_coboundary_c1(A, f):
     for mset in multisets(d, 2):
         i, j = mset
         ei, ej = A.basis_vector(i), A.basis_vector(j)
-        val = vsub(vsub(fv(product_cochain(A).value_at((i, j))), product(A, f.value_at((i,)), ej)),
-                   product(A, ei, f.value_at((j,))))
+        val = vsub(vsub(fv(product_cochain(A).value_at((i, j))),
+                        naive_product(A, f.value_at((i,)), ej)),
+                   naive_product(A, ei, f.value_at((j,))))
         if any(val):
             coeffs[mset] = val
     return SymCochain(2, d, coeffs)
@@ -561,15 +563,15 @@ def printed_coboundary_c1(A, f):
 def printed_coboundary_c2(A, phi):
     """The printed arity-2 coboundary
     (d phi)(x,y,z) = sum_cyc ( mu(phi(x,y), z) - phi(mu(x,y), z) ),
-    expanded cyclically at each basis triple through `product` and
+    expanded cyclically at each basis triple through `naive_product` and
     `evaluate`, independently of the insertion kernel."""
-    from symlie import SymCochain, multisets, product
+    from symlie import SymCochain, multisets
     d = A.dim
     basis = [A.basis_vector(i) for i in range(d)]
 
     def term(x, y, z):
-        return vsub(product(A, phi.evaluate((x, y)), z),
-                    phi.evaluate((product(A, x, y), z)))
+        return vsub(naive_product(A, phi.evaluate((x, y)), z),
+                    phi.evaluate((naive_product(A, x, y), z)))
 
     coeffs = {}
     for mset in multisets(d, 3):

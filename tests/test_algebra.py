@@ -82,7 +82,7 @@ def test_multiplication_operator():
     assert multiplication_operator(A, E2) == Matrix.identity(2)
     swap = Matrix(2, 2, [[0, 1], [1, 0]])
     assert multiplication_operator(A, U2) == swap
-    assert multiplication_operator(A, (0, 0)).is_zero()
+    assert multiplication_operator(A, (0, 0)) == Matrix(2, 2, [[0, 0], [0, 0]])
     with pytest.raises(ValueError):
         multiplication_operator(A, (1, 0, 0))
 
@@ -295,10 +295,9 @@ def test_checker_reports_pinned(corpus_dir, monkeypatch):
 def test_product_cochain_matches_product():
     rng = random.Random(79)
     A = random_commutative(rng, 3)
-    mu = product_cochain(A)
-    for _ in range(10):
+    for _ in range(10):  # naive_product reads product_cochain's values at basis pairs
         x, y = random_vector(rng, 3), random_vector(rng, 3)
-        assert mu.evaluate((x, y)) == product(A, x, y)
+        assert product(A, x, y) == naive_product(A, x, y)
 
 
 def test_derivation_oracle_matches_checkers_on_known_cases():

@@ -12,7 +12,7 @@ from symlie import (InsertionMode, Matrix, SymCochain, basis_cochains, check_d_s
                     endomorphism_cochain, from_coeff_vector, graded_bracket, identity_cochain,
                     insert, insert_lowdeg_variant, make_j2, multisets, product_cochain,
                     unshuffles)
-from symlie.bracket import _Memo, koszul_sign, parse_mode
+from symlie.bracket import _divisor, _Memo, koszul_sign
 
 from oracles import (insertion_eval, left_nested_eval, random_cochain, random_vector,
                      reference_bracket, reference_insert, reference_jacobi_report,
@@ -35,11 +35,13 @@ def test_unshuffle_enumeration():
             assert list(first) == sorted(first) and list(second) == sorted(second)
 
 
-def test_parse_mode():
-    assert parse_mode("sum") is SUM
-    assert parse_mode("paper") is PAPER
-    with pytest.raises(ValueError):
-        parse_mode("avg")
+def test_divisor_is_the_paper_factorials():
+    # the sum inserting arity n into arity m is divided by (m-1)! n! in PAPER mode only
+    factorials = [1, 1, 2, 6, 24, 120]
+    for m in range(6):
+        for n in range(6):
+            assert _divisor(SUM, m, n) == 1
+            assert _divisor(PAPER, m, n) == (factorials[m - 1] * factorials[n] if m else 1)
 
 
 def test_insert_identity_into_product():
@@ -250,13 +252,12 @@ def test_insert_rejects_a_mode_that_is_not_an_insertion_mode():
     A = make_j2(1, 0)
     mu = product_cochain(A)
     const = SymCochain.zero(0, 2)
-    # a list or dict mode is refused before the cache, which cannot hash it
     for bad in ("paper", "sum", None, 1, ["sum"], {}):
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
             insert(mu, mu, bad)
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
             insert(const, mu, bad)
-    # every bracket-dependent call goes through _prefactor
+    # every bracket-dependent call goes through _divisor
     with pytest.raises(TypeError, match="'paper'"):
         graded_bracket(mu, mu, "paper")
     with pytest.raises(TypeError, match="'paper'"):

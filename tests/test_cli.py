@@ -271,6 +271,17 @@ def test_usage_refusals_exit_2(capsys, refusal_files, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--degree", "2", "--mode", "avg", "ALG"],
+    ["bracket", "--mode", "avg", "PHI", "PHI"],
+    ["mc-solve", "--phi1", "PHI", "--order", "2", "--mode", "avg", "ALG"],
+], ids=["cohomology", "bracket", "mc-solve"])
+def test_unknown_mode_exits_2(capsys, refusal_files, argv):
+    # argparse refuses a mode outside its choices before any command runs
+    code, out, err = run_capture(capsys, [refusal_files.get(a, a) for a in argv])
+    assert (code, out) == (2, "") and "invalid choice: 'avg'" in err
+
+
 def test_audit_of_an_algebra_outside_the_corpus_names_its_path(capsys, tmp_path):
     p = tmp_path / "spin.json"
     p.write_text(json.dumps(algebra_to_json_dict(make_spin([1, 2]))), encoding="utf-8")

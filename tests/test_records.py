@@ -194,7 +194,8 @@ EXPORTS = [
     "render_text", "solve", "sym_basis_dim", "unshuffles", "write_corpus"]
 # helpers that only the tests called, taken out of the package
 REMOVED = ["rref", "symmetrize", "linear_combine", "unshuffle_permutations", "associator",
-           "sc", "zeros", "from_rows", "add", "mul_vec", "inverse"]
+           "sc", "zeros", "from_rows", "add", "mul_vec", "inverse", "parse_mode", "is_zero",
+           "_prefactor", "_cached_prefactor"]
 
 
 def test_exported_names_are_pinned():
