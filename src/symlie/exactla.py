@@ -16,17 +16,23 @@ g = gcd(a, b), and is then divided by its content, so rows stay primitive.
 `rank` stops after this forward pass; `kernel_basis` and `solve` also clear
 each pivot column from the other pivot rows and read their answers off them.
 
-Results are exact because every step is integer arithmetic, or a proof: when the
-operator m holds at least _DENSE nonzeros per line of its short side, `rank`,
-`kernel_basis` and `solve` first run an online echelon mod the prime _P on packed
-rows, which stops at min(rows, cols) pivots or once too few rows are left.  Every
-minor of the integer rows that is nonzero mod _P is a nonzero integer, so a rank
-mod _P of min(rows, cols) proves full rank: `rank` returns it, `kernel_basis`
-(rows >= cols) an empty basis, and `solve` None when [m | b] has full column rank.
-Anything else is eliminated as above.  Results are deterministic because the
-reduced row echelon form of a matrix is unique: pivot columns, kernel bases (one
-vector per free column) and particular solutions (free variables zeroed) are read
-off it, so downstream reports are byte-stable across runs.
+`rank`, `kernel_basis` and `solve` take the first of three routes that answers, and
+each is exact by construction, integer arithmetic or a proof:
+  1. triangular: when the k = min(rows, cols) vectors of m's short side lead at k
+     distinct indices they are independent, read off in O(nnz) with no prime, so
+     `rank` returns k and `kernel_basis` (rows >= cols) an empty basis.  `solve`
+     skips it: it proves full rank of m, not that [m | b] is inconsistent;
+  2. packed: when m holds at least _DENSE nonzeros per line of its short side, an
+     online echelon mod the prime _P on packed rows, which stops at min(rows, cols)
+     pivots or once too few rows are left.  Every minor of the integer rows that is
+     nonzero mod _P is a nonzero integer, so a rank mod _P of min(rows, cols) proves
+     full rank: `rank` returns it, `kernel_basis` (rows >= cols) an empty basis, and
+     `solve` None when [m | b] has full column rank;
+  3. exact: anything else is eliminated as above.
+Results are deterministic because the reduced row echelon form of a matrix is
+unique: pivot columns, kernel bases (one vector per free column) and particular
+solutions (free variables zeroed) are read off it, so downstream reports are
+byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -265,13 +271,31 @@ def _transpose(num: list[dict[int, int]], cols: int) -> list[dict[int, int]]:
     return out
 
 
+def _triangular(rows: list[dict[int, int]], ncols: int) -> bool:
+    """True only when the k = min(len(rows), ncols) vectors of the short side lead at k
+    distinct indices, where they form a triangular k x k minor with a nonzero diagonal.
+    Tall, column j leads at the first row holding j: rows are read in order until every
+    column is seen, False at one holding two unseen columns.  Wide, row r leads at min(r)."""
+    if len(rows) < ncols:
+        return len({min(r) for r in rows if r}) == len(rows)
+    seen: set[int] = set()
+    for row in rows:
+        if len(new := row.keys() - seen) > 1:
+            return False
+        seen |= new
+        if len(seen) == ncols:
+            return True
+    return not ncols
+
+
 # A 15-bit prime: with 2^31 - 1 the packed rows took 1.5-1.8x as long (dense d = 4-6).
 _P = 32749
 # Nonzeros per line of the short side, nnz / min(rows, cols), below which the packed
-# kernel is not tried.  Measured on the online kernel: spin factors' operator matrices
-# read at most 5.3 ((d, n) = (3, 1-3), (5, 1-3), (8, 1-4), (10, 1-3)), where it is 3-1400x
-# slower than `_eliminate`; those of 60%-fill dense algebras read at least 7.7 (d = 3-5,
-# n = 1-3, seeds 0-2), where it is 2-43x faster.
+# kernel is not tried; only operators `_triangular` could not prove reach it.  Spin
+# operators, triangular wherever injective, read at most 5.3 at n <= 4 ((d, n) = (3, 1-3),
+# (5, 1-3), (8, 1-4), (10, 1-3)), but climb with degree: 5.15 at (5, 7), 5.44 at (7, 5),
+# 6.01 at (10, 5); there the kernel is 3-1400x slower than `_eliminate`.  60%-fill dense
+# operators read at least 7.7 (d = 3-5, n = 1-3, seeds 0-2), where it is 2-43x faster.
 _DENSE = 6
 
 
@@ -316,7 +340,8 @@ def _full_rank_mod_p(rows: list[dict[int, int]], ncols: int) -> bool:
 
 
 def rank(m: Matrix) -> int:
-    if _dense(m.num, m.cols) and _full_rank_mod_p(m.num, m.cols):
+    """The rank of m, from the first route that answers (module docstring)."""
+    if _triangular(m.num, m.cols) or _dense(m.num, m.cols) and _full_rank_mod_p(m.num, m.cols):
         return min(m.rows, m.cols)
     # rank m = rank m^T, which has fewer rows to combine
     return len(_eliminate(_transpose(m.num, m.cols) if m.rows > m.cols else m.num, False)[1])
@@ -325,7 +350,8 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, one vector per free column,
     in reduced echelon form (free variable set to 1, pivots back-filled)."""
-    if m.rows >= m.cols and _dense(m.num, m.cols) and _full_rank_mod_p(m.num, m.cols):
+    if m.rows >= m.cols and (_triangular(m.num, m.cols) or _dense(m.num, m.cols)
+                             and _full_rank_mod_p(m.num, m.cols)):
         return []
     rows, pivots = _eliminate(m.num, True)
     at: dict[int, list] = {}  # free column -> (pivot, entry) of the vector it spans

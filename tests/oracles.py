@@ -593,6 +593,27 @@ def random_commutative(rng, d, fill=1):
     return Algebra(d, tuple(f"b{i}" for i in range(d)), table)
 
 
+def sym_jordan(n):
+    """Sym_n(Q), the n x n symmetric rational matrices under x o y = (xy + yx) / 2, on the
+    basis E_pp and E_pq + E_qp (p < q) in `combinations_with_replacement` order, with
+    its structure constants from plain matrix products.  Dimension n(n + 1) / 2."""
+    from symlie import algebra_from_entries
+    pairs = list(combinations_with_replacement(range(n), 2))
+    basis = [[[Fraction(int({i, j} == {p, q})) for j in range(n)] for i in range(n)]
+             for p, q in pairs]
+
+    def jordan(x, y):
+        return [[sum(x[i][t] * y[t][j] + y[i][t] * x[t][j] for t in range(n)) / 2
+                 for j in range(n)] for i in range(n)]
+
+    entries = []  # both (a, b) and (b, a): a symmetric S is sum S[p][q] times basis (p, q)
+    for a, x in enumerate(basis):
+        for b, y in enumerate(basis):
+            s = jordan(x, y)
+            entries += [(a, b, k, s[p][q]) for k, (p, q) in enumerate(pairs) if s[p][q]]
+    return algebra_from_entries(len(pairs), [f"s{p}{q}" for p, q in pairs], entries)
+
+
 def random_rational_commutative(rng, d):
     """Dense commutative algebra with structure constants p/q, |p| <= 3, q <= 4."""
     from symlie import Algebra

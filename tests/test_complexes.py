@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 from symlie import (Algebra, DeformationSeries, InsertionMode, Matrix, SymCochain, Witness,
-                    algebra_from_json_dict, audit, check_d_squared, check_jacobi,
-                    coboundary_c1_explicit, coboundary_c2_explicit, coeff_vector, cohomology,
-                    derivations, differential, differential_matrix, endomorphism_cochain,
-                    graded_bracket, insert, make_field, make_j2, make_non_jordan, mc_solve_chain,
-                    mc_solve_step, make_spin, multiplication_operator, product, product_cochain,
-                    sym_basis_dim)
+                    algebra_from_json_dict, audit, check_cubic_jordan, check_d_squared,
+                    check_jacobi, coboundary_c1_explicit, coboundary_c2_explicit, coeff_vector,
+                    cohomology, derivations, differential, differential_matrix,
+                    endomorphism_cochain, graded_bracket, insert, make_field, make_j2,
+                    make_non_jordan, mc_solve_chain, mc_solve_step, make_spin,
+                    multiplication_operator, product, product_cochain, sym_basis_dim)
 from symlie import complexes, deformation, exactla
 from symlie.cochain import basis_cochains, multisets
 from symlie.complexes import DSquaredReport, coboundary_c1_matrix
@@ -26,7 +26,7 @@ from oracles import (_row_echelon_rank, dense_column, dense_mul, dense_mul_vec,
                      derivation_dimension, printed_coboundary_c1, printed_coboundary_c2,
                      random_cochain, random_commutative, random_rational_commutative,
                      random_vector, reference_bracket, reference_bracket_column,
-                     reference_bracket_matrix)
+                     reference_bracket_matrix, sym_jordan)
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import cochain_doc, dense_doc, spin_doc  # the benchmark's seeded documents
@@ -550,37 +550,69 @@ def _count_eliminations(monkeypatch):
     return calls
 
 
+def _log_routes(monkeypatch):
+    """A live log of exactla's rank routes, in call order: ("_triangular", proven),
+    ("_full_rank_mod_p", proven) and ("_eliminate", number of pivots)."""
+    log = []
+    for name in ("_triangular", "_full_rank_mod_p", "_eliminate"):
+        def logged(*args, name=name, f=getattr(exactla, name)):
+            out = f(*args)
+            log.append((name, out if type(out) is bool else len(out[1])))
+            return out
+        monkeypatch.setattr(exactla, name, logged)
+    return log
+
+
 def test_dense_operators_are_certified_without_elimination(monkeypatch):
-    # the benchmark's dense algebra at d = 4: d_1-d_3 have full rank mod the prime,
-    # so their ranks, the (empty) derivations and the inconsistent solve of an
-    # obstructed order-2 step run no elimination; the obstruction class runs one
+    # the benchmark's dense algebra at d = 4: d_1-d_3 fail the triangular check at their
+    # first row and have full rank mod the prime, so their ranks, the (empty)
+    # derivations and the inconsistent solve of an obstructed order-2 step run no
+    # elimination; the obstruction class runs one
     rng = random.Random(0)
     A = algebra_from_json_dict(dense_doc(rng, 4))
     phi1 = SymCochain.from_json_dict(cochain_doc(rng, 2, 4, 0.3))
     calls = _count_eliminations(monkeypatch)
+    log = _log_routes(monkeypatch)
     for mode in (SUM, PAPER):
         mats = [differential_matrix(A, n, mode).matrix for n in (1, 2, 3)]
-        assert [rank(m) for m in mats] == [m.cols for m in mats] == [16, 40, 80]
+        for m, cols in zip(mats, [16, 40, 80]):
+            log.clear()
+            assert rank(m) == m.cols == cols
+            assert log == [("_triangular", False), ("_full_rank_mod_p", True)]
         step = mc_solve_step(DeformationSeries(A, 1, [phi1], mode), 2)
         assert not step.solvable
+    log.clear()
     assert derivations(A) == []
+    assert log == [("_triangular", False), ("_full_rank_mod_p", True)]
     assert calls == {"exactla": 0, "deformation": 2}
 
 
-@pytest.mark.parametrize("make", [
-    lambda: make_spin([1, 2]), lambda: make_spin([1, Fraction(-1, 2), 3]),
-    lambda: make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)]),
-    _doc_algebra(spin_doc, 0, 3), _doc_algebra(spin_doc, 1, 4), _doc_algebra(spin_doc, 2, 5),
+@pytest.mark.parametrize("make, degrees", [
+    (lambda: make_spin([1, 2]), (1, 2, 3)),
+    (lambda: make_spin([1, Fraction(-1, 2), 3]), (1, 2, 3)),
+    (lambda: make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)]), (1, 2, 3)),
+    (_doc_algebra(spin_doc, 0, 3), (1, 2, 3)), (_doc_algebra(spin_doc, 1, 4), (1, 2, 3)),
+    (_doc_algebra(spin_doc, 2, 5), (0, 1, 2, 3, 4, 5)),
 ], ids=["spin-d3", "spin-d4", "spin-d5", "spin_doc-d3", "spin_doc-d4", "spin_doc-d5"])
-def test_sparse_operators_keep_their_elimination(monkeypatch, make):
-    # spin operator matrices hold under 6 nonzeros per line of their short side:
-    # below the gate, each rank is one exact elimination
+def test_sparse_operators_keep_their_elimination(monkeypatch, make, degrees):
+    # the routes of spin ranks: each column of an injective d_n has its own leading row,
+    # so `_triangular` proves full rank with no packed pass and no elimination.  SUM d_1
+    # has a kernel, the derivations: it fails the check, stays under the density gate
+    # and keeps its one exact elimination
     A = make()
-    mats = [differential_matrix(A, n, mode).matrix for n in (1, 2, 3) for mode in (SUM, PAPER)]
-    calls = _count_eliminations(monkeypatch)
-    for i, m in enumerate(mats, 1):
-        rank(m)
-        assert calls == {"exactla": i, "deformation": 0}
+    mats = {(n, mode): differential_matrix(A, n, mode).matrix
+            for n in degrees for mode in (SUM, PAPER)}
+    if 5 in degrees:
+        assert [(m.rows, m.cols) for (n, mode), m in mats.items() if n > 3] == [
+            (630, 350)] * 2 + [(1050, 630)] * 2
+    log = _log_routes(monkeypatch)
+    for (n, mode), m in mats.items():
+        log.clear()
+        kernel = (A.dim - 1) * (A.dim - 2) // 2 if (n, mode) == (1, SUM) else 0
+        assert rank(m) == m.cols - kernel
+        routes = [name for name, _ in log]
+        assert (routes.count("_eliminate"), routes.count("_full_rank_mod_p")) == (
+            (1, 0) if (n, mode) == (1, SUM) else (0, 0))
 
 
 def test_sparse_operator_solve_is_gated_on_the_operator_alone(monkeypatch):
@@ -733,16 +765,53 @@ def test_derivations_dimensions_against_oracle():
     assert len(derivations(make_field())) == 0
 
 
+def _assert_leibniz(A, D):
+    """D(x*y) = D(x)*y + x*D(y) on every pair of basis vectors."""
+    data, image = D.data, [D.column(i) for i in range(A.dim)]  # image[i] = D(e_i)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            x, y = A.basis_vector(i), A.basis_vector(j)
+            lhs = dense_mul_vec(data, product(A, x, y))
+            assert lhs == tuple(p + q for p, q in zip(product(A, image[i], y),
+                                                      product(A, x, image[j])))
+
+
 def test_derivations_satisfy_leibniz():
     for A in [make_j2(-1, 2), make_j2(0, 0), make_spin((1, 1))]:
         for D in derivations(A):
-            for i in range(A.dim):
-                for j in range(A.dim):
-                    x, y = A.basis_vector(i), A.basis_vector(j)
-                    Dx, Dy = dense_mul_vec(D.data, x), dense_mul_vec(D.data, y)
-                    lhs = dense_mul_vec(D.data, product(A, x, y))
-                    rhs = tuple(p + q for p, q in zip(product(A, Dx, y), product(A, x, Dy)))
-                    assert lhs == rhs
+            _assert_leibniz(A, D)
+
+
+SPIN_Q = [1, Fraction(-1, 2), 3, Fraction(5, 4), 2]
+
+
+@pytest.mark.parametrize("make, so_dim", [
+    *[((lambda n=n: sym_jordan(n)), n * (n - 1) // 2) for n in (2, 3, 4)],
+    *[((lambda d=d: make_spin(SPIN_Q[:d - 1])), (d - 1) * (d - 2) // 2) for d in (3, 4, 5, 6)],
+], ids=[f"sym{n}" for n in (2, 3, 4)] + [f"spin-d{d}" for d in (3, 4, 5, 6)])
+def test_jordan_derivations_form_so(make, so_dim):
+    # theorem oracles (Jacobson 1968): Der Sym_n(Q) = so(n), and the derivations of the
+    # spin factor of a nondegenerate form on Q^(d-1) are so(d - 1); both families are Jordan
+    A = make()
+    d1 = differential_matrix(A, 1, SUM)
+    ders = derivations(A)
+    assert d1.matrix.cols - d1.rank == len(ders) == so_dim  # the audit's derivations_dim
+    assert check_cubic_jordan(A).holds
+    for D in ders:
+        _assert_leibniz(A, D)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sym_jordan_d1_is_packed_then_eliminated(monkeypatch, n):
+    # Sym_n's SUM d_1 has a kernel, so(n), and opens the density gate (6.25 nonzeros per
+    # column at n = 3): the triangular check fails, the packed pass finds no full rank,
+    # and one exact elimination returns the rank
+    m = differential_matrix(sym_jordan(n), 1, SUM).matrix
+    assert exactla._dense(m.num, m.cols)
+    log = _log_routes(monkeypatch)
+    rank_d1 = m.cols - n * (n - 1) // 2
+    assert rank(m) == rank_d1
+    assert log == [("_triangular", False), ("_full_rank_mod_p", False), ("_eliminate", rank_d1)]
 
 
 def test_dimension_mismatch_errors():

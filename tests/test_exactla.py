@@ -391,12 +391,17 @@ def test_online_echelon_reads_past_rows_dependent_mod_p(k):
 
 
 class _CountedRow(dict):
-    """A sparse row that counts the reads of its entries, as packing it makes one."""
+    """A sparse row that counts the reads of its entries, as packing it (`items`) or
+    walking its columns (`keys`) makes one."""
     reads = 0
 
     def items(self):
         _CountedRow.reads += 1
         return super().items()
+
+    def keys(self):
+        _CountedRow.reads += 1
+        return super().keys()
 
 
 def test_too_few_rows_left_stops_the_kernel_and_falls_back(monkeypatch):
@@ -439,6 +444,103 @@ def test_solve_with_a_rank_drop_mod_p_in_the_augmented_rows():
     x = tuple(Fraction(j - 3, j + 1) for j in range(7))
     for a in (m, M([r[:7] for r in rows[:7]])):
         assert solve(a, dense_mul_vec(a.data, x)) == x
+
+
+# ---------------------------------------------------------------------------
+# the triangular proof: k short-side vectors leading at k distinct indices have rank k
+
+def _banded(n, k, width):
+    """n x k, column j holding width - t at rows j + t, t < width: distinct leading rows."""
+    return [[width - (i - j) if 0 <= i - j < width else 0 for j in range(k)] for i in range(n)]
+
+
+@pytest.mark.parametrize("m, proven", [
+    (M(_banded(7, 4, 3)), True),                         # tall banded
+    (M([list(r) for r in zip(*_banded(7, 4, 3))]), True),  # wide banded
+    (M([[1, 2], [0, 3], [4, 5]]), False),     # columns 0 and 1 both lead at row 0
+    (M([[0, 1, 2], [0, 3, 0]]), False),       # rows 0 and 1 both lead at column 1
+    (M([[1, 0], [2, 0], [3, 0]]), False),     # a zero column
+    (M([[1, 2, 3], [0, 0, 0]]), False),       # a zero row
+    (M([[1, 1], [1, -1], [0, 0]]), False),    # full rank, but not proven: eliminated
+    (zeros(0, 0), True), (zeros(0, 3), True), (zeros(3, 0), True),
+], ids=["tall", "wide", "tall-repeated", "wide-repeated", "zero-column", "zero-row",
+        "unproven", "0x0", "0x3", "3x0"])
+def test_triangular_reads_the_leading_indices(monkeypatch, m, proven):
+    assert exactla._triangular(m.num, m.cols) == proven
+    calls = []
+    monkeypatch.setattr(exactla, "_eliminate", lambda *a: calls.append(1) or _eliminate(*a))
+    assert rank(m) == _row_echelon_rank(m.data)
+    assert calls == [1] * (not proven)
+    calls.clear()
+    # a proven tall matrix has an empty kernel; a wide one has a kernel to eliminate for
+    assert kernel_basis(m) == reference_kernel_basis(m)
+    assert calls == [1] * (not proven or m.rows < m.cols)
+
+
+def test_triangular_stops_at_the_first_dense_row_and_at_the_last_column(monkeypatch):
+    dense = [[i + j + 1 for j in range(5)] for i in range(9)]
+    monkeypatch.setattr(_CountedRow, "reads", 0)
+    assert not exactla._triangular([_CountedRow(r) for r in _sparse(dense)], 5)
+    assert _CountedRow.reads == 1
+    # every column is seen by row 4, so the dense rows after it are not read
+    monkeypatch.setattr(_CountedRow, "reads", 0)
+    assert exactla._triangular([_CountedRow(r) for r in _sparse(_banded(5, 5, 2) + dense)], 5)
+    assert _CountedRow.reads == 5
+
+
+@st.composite
+def led_matrices(draw):
+    """Integer matrices whose k short-side vectors (k in 0-6, long side max(k, 1)-9)
+    each lead at a drawn index: nonzero there, zero before it and small integers,
+    often zero, after it.  The leading indices are distinct or, about half the time, one repeats,
+    and a vector is sometimes zero.  Returns the matrix and, where the short side is
+    the one `_triangular` reads (not a square matrix built from its rows), whether
+    the leading indices are distinct with no zero vector; else None."""
+    k = draw(st.integers(0, 6))
+    n = draw(st.integers(max(k, 1), 9))
+    leads = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    distinct = True
+    if k >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        leads[i], distinct = leads[j], False
+    vecs = [[0] * c + [draw(st.sampled_from([1, -1, 2, -3, 5]))]
+            + [draw(st.sampled_from([0, 0, 1, -1, 2, -3])) for _ in range(n - c - 1)]
+            for c in leads]
+    if k and draw(st.booleans()):
+        vecs[draw(st.integers(0, k - 1))], distinct = [0] * n, False
+    if draw(st.booleans()):  # tall: the vectors are the columns
+        return M([[v[i] for v in vecs] for i in range(n)]) if k else zeros(n, 0), distinct
+    return zeros(0, n) if not k else M(vecs), distinct if k < n else None
+
+
+@given(led_matrices())
+def test_triangular_proofs_agree_with_the_oracle_rank(drawn):
+    m, distinct = drawn
+    proven, want = exactla._triangular(m.num, m.cols), _row_echelon_rank(m.data)
+    assert not proven or want == min(m.rows, m.cols)
+    assert distinct is None or proven == distinct
+    assert rank(m) == want
+    assert kernel_basis(m) == reference_kernel_basis(m)
+
+
+def test_banded_operator_past_the_gate_is_proven_without_a_pass(monkeypatch):
+    # the shape of spin d = 10 d_4, column j holding 6 entries from row 2j: it opens
+    # the density gate, and its distinct leading rows prove full rank before it
+    rows, cols = 20020, 7150
+    num = [{} for _ in range(rows)]
+    for j in range(cols):
+        for t in range(6):
+            num[2 * j + t][j] = (j + t) % 7 + 1
+    m = Matrix._from_ints(rows, cols, num, 1)
+    assert exactla._dense(m.num, m.cols)
+
+    def refuse(*args):
+        raise AssertionError("full rank is proven before the packed pass or elimination")
+
+    monkeypatch.setattr(exactla, "_full_rank_mod_p", refuse)
+    monkeypatch.setattr(exactla, "_eliminate", refuse)
+    assert rank(m) == cols
+    assert kernel_basis(m) == []
 
 
 @pytest.mark.parametrize("mode", list(InsertionMode))
