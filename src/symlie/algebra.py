@@ -13,8 +13,8 @@ from itertools import combinations_with_replacement, product as iproduct
 from math import lcm
 
 from .cochain import SymCochain, _over_one_den
-from .exactla import (Matrix, Record, json_fields, json_int, json_list, rat_from_str, rat_to_str,
-                      solve, vec_to_strs)
+from .exactla import (Matrix, Record, _transpose, json_fields, json_int, json_list, rat_from_str,
+                      rat_to_str, solve, vec_to_strs)
 
 
 class Algebra:
@@ -156,8 +156,7 @@ def multiplication_operator(A: Algebra, v) -> Matrix:
     s = lcm(*(t.denominator for t in v))
     v = {i: t.numerator * (s // t.denominator) for i, t in enumerate(v) if t}
     cols = [_mul(A._mu.num, {j: 1}, v) for j in range(A.dim)]
-    return Matrix._from_ints(A.dim, A.dim, [{j: c[k] for j, c in enumerate(cols) if k in c}
-                                            for k in range(A.dim)], A._mu.den * s)
+    return Matrix._from_ints(A.dim, A.dim, _transpose(cols, A.dim), A._mu.den * s)
 
 
 def find_unit(A: Algebra):

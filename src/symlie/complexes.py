@@ -26,7 +26,7 @@ from math import lcm
 from .algebra import Algebra, Witness, _kept, product_cochain
 from .bracket import InsertionMode, _compose, _divisor, _scatter, graded_bracket, koszul_sign
 from .cochain import SymCochain, _outer_terms, multisets
-from .exactla import Matrix, Record, _transpose, kernel_basis, rank
+from .exactla import Matrix, Record, kernel_basis, rank
 
 
 def differential(A: Algebra, f: SymCochain, mode: InsertionMode = InsertionMode.SUM) -> SymCochain:
@@ -154,12 +154,11 @@ def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM)
     """Compare d o d (arity n -> n+2) with f -> (1/2)[[mu,mu],f] on the basis cochains e_j
     in order, up to the first column that differs; reports equality and whether both vanish.
     Column j is the kept d_{n+1} times column j of the kept d_n against the kept SUM-mode
-    [[mu,mu], e_j] over h = 2 `_divisor(mode, 2, 2)`, read off one transpose of each."""
+    [[mu,mu], e_j] over h = 2 `_divisor(mode, 2, 2)`, both read by their kept columns."""
     d_n, d_up = differential_matrix(A, n, mode).matrix, differential_matrix(A, n + 1, mode).matrix
     B, d, h, D = _mu_bracket(A), A.dim, 2 * _divisor(mode, 2, 2), d_up.den * d_n.den
-    row_of = {M: i * d for i, M in enumerate(multisets(d, n + 2))}
-    up, zero = _transpose(d_up.num, d_up.cols), True
-    for j, col in enumerate(_transpose(d_n.num, d_n.cols)):
+    row_of, up, zero = {M: i * d for i, M in enumerate(multisets(d, n + 2))}, d_up._columns(), True
+    for j, col in enumerate(d_n._columns()):
         dd: dict[int, int] = {}  # over D
         for k, x in col.items():
             for i, y in up[k].items():
@@ -227,8 +226,7 @@ def endomorphism_cochain(mat: Matrix) -> SymCochain:
     """View a d x d matrix as an arity-1 cochain: column j is the value at (j,)."""
     if mat.rows != mat.cols:
         raise ValueError("endomorphism matrix must be square")
-    return SymCochain._from_ints(1, mat.rows, {
-        (j,): {k: r[j] for k, r in enumerate(mat.num) if j in r} for j in range(mat.cols)}, mat.den)
+    return SymCochain._from_ints(1, mat.rows, dict(zip(multisets(mat.rows, 1), mat._columns())), mat.den)
 
 
 def identity_cochain(d: int) -> SymCochain:

@@ -18,7 +18,7 @@ from .algebra import Algebra, product_cochain
 from .bracket import InsertionMode, _divisor, graded_bracket
 from .cochain import SymCochain, _combine, coeff_vector, from_coeff_vector, multisets
 from .errors import InvariantViolation
-from .exactla import Record, _combine as _combine_rows, _eliminate, _transpose, json_int, rat_to_str, solve
+from .exactla import Record, _combine as _combine_rows, _eliminate, json_int, rat_to_str, solve
 from .complexes import (_bracket_matrices, _mu_bracket, coboundary_c1_matrix, differential,
                         differential_matrix)
 
@@ -146,7 +146,7 @@ def class_modulo_image(A: Algebra, r: SymCochain, mode: InsertionMode) -> Obstru
     in a fixed complement basis: the standard basis vectors e_S that complete
     im d_2 greedily from the first coordinate.
 
-    One forward elimination of the rows of d_2^T, which span im d_2, with
+    One forward elimination of d_2's kept columns, which span im d_2, read with
     coordinate i at column R - 1 - i: e_i is left out of S exactly when im d_2
     holds a vector whose last nonzero is at i, that is when column R - 1 - i
     holds a pivot (the greedy basis of a matroid, Edmonds 1971).  r, flipped
@@ -158,15 +158,14 @@ def class_modulo_image(A: Algebra, r: SymCochain, mode: InsertionMode) -> Obstru
         raise ValueError("an obstruction residual must be an arity-3 cochain on the algebra")
     D = differential_matrix(A, 2, mode).matrix
     top = D.rows - 1
-    # the rows of d_2 bottom up, transposed: d_2^T with coordinate i at top - i
-    pivot_rows, pivots = _eliminate(_transpose(D.num[::-1], D.cols), False)
+    rows, pivots = _eliminate([{top - i: x for i, x in c.items()} for c in D._columns()], False)
     # r flipped, with its den at column top + 1, which no pivot row holds: each
     # combination scales that entry with r, so v / v[top + 1] is always r less
     # an element of im d_2
     v = {top - i * A.dim - k: y
          for i, M in enumerate(multisets(A.dim, 3)) for k, y in r.num.get(M, {}).items()}
     v[top + 1] = r.den
-    for piv, c in zip(pivot_rows, pivots):
+    for piv, c in zip(rows, pivots):
         if c in v:
             v = _combine_rows(v, piv, c)
     scale, held = v.pop(top + 1), set(pivots)
@@ -233,9 +232,9 @@ def gauge_transport_series(T: GaugeSeries, s: DeformationSeries, N: int) -> Defo
     Conjugation by exp(X) is exp(ad_X), ad_X = [X, .] in SUM mode whatever the series'
     mode.  The k-th term of exp(ad_X) mu_t has order-n part (1/k) sum_{i>=1} ad_{f_i}
     ((k-1)-th term at order n - i).  Each f_i read (i <= N) gets one operator, the SUM-mode
-    matrix of ad_{f_i} on arity-2 cochains from the scatter of d_n, applied as sparse integer
-    products to vectors {j d + t: int} (F the j-th multiset) over D^k k! B, D and B the lcms
-    of the operators' and mu_t's denominators."""
+    matrix of ad_{f_i} on arity-2 cochains from the scatter of d_n, read by its kept columns
+    over D and applied as sparse integer products to vectors {j d + t: int} (F the j-th
+    multiset) over D^k k! B, D and B the lcms of the operators' and mu_t's denominators."""
     if N < 1:
         raise ValueError("transport order must be >= 1")
     A, d = s.base, s.base.dim
@@ -243,8 +242,7 @@ def gauge_transport_series(T: GaugeSeries, s: DeformationSeries, N: int) -> Defo
         raise ValueError(f"gauge series has dimension {T.dim}, but the algebra has dimension {d}")
     mats = [_bracket_matrices(f, 2, (InsertionMode.SUM,))[InsertionMode.SUM] for f in T.terms[:N]]
     D, index = lcm(*(m.den for m in mats)), {M: j * d for j, M in enumerate(multisets(d, 2))}
-    ops = [[{r: x * (D // m.den) for r, x in col.items()} for col in _transpose(m.num, m.cols)]
-           for m in mats]  # the columns of each ad_{f_i}, over D
+    ops = [[{r: x * (D // m.den) for r, x in c.items()} for c in m._columns()] for m in mats]
     series = [product_cochain(A)] + [s.term(n) for n in range(1, N + 1)]
     B, scale = lcm(*(c.den for c in series)), D ** N * factorial(N)
     term = [{index[M] + t: x * (B // c.den) for M, vec in c.num.items() for t, x in vec.items()}

@@ -3,9 +3,9 @@
 Scalars at the boundary are `fractions.Fraction` (arbitrary precision,
 always reduced, positive denominator), so every result is exact.
 
-A `Matrix` is stored as num / den: sparse integer rows {column: int} with no
-stored zeros over one positive denominator, in lowest terms, so equality is
-structural and products, sums and elimination walk only the nonzeros on ints.
+A `Matrix` stores num / den: sparse integer rows {column: int}, no zeros stored, over one
+positive denominator in lowest terms, so equality is structural and products, sums and
+elimination walk only the nonzeros on ints.  Columns are derived once, kept, never compared.
 Elimination takes the nonzero rows as stored, made primitive, in the order of
 their leading columns.  In each column the pivot is the remaining row leading
 there with the smallest |entry|, ties going to the earlier row: a small pivot
@@ -119,11 +119,11 @@ def vec_to_strs(v) -> list[str]:
 
 
 class Matrix:
-    """Sparse rational matrix num / den, never mutated: rows {column: int} with no
-    stored zeros over one den > 0, in lowest terms.  `data` (a dense copy per read),
-    `column` and `to_strs` present Fractions."""
+    """Sparse rational matrix num / den, never mutated: rows {column: int}, no stored zeros,
+    over one den > 0 in lowest terms; its read-only columns `_columns()`, kept once built, are
+    never compared.  `data` (a dense copy per read), `column` and `to_strs` give Fractions."""
 
-    __slots__ = ("rows", "cols", "num", "den")
+    __slots__ = ("rows", "cols", "num", "den", "_by_col")
 
     def __init__(self, rows: int, cols: int, data: list[list[Fraction]]):
         if len(data) != rows or any(len(r) != cols for r in data):
@@ -136,7 +136,7 @@ class Matrix:
     def _reduce(self, rows: int, cols: int, num: list[dict[int, int]], den: int) -> None:
         """Store num / den (den > 0) in lowest terms, no stored zeros; rows already so are kept."""
         g = 1 if den == 1 else gcd(den, *chain.from_iterable(map(dict.values, num)))
-        self.rows, self.cols, self.den = rows, cols, den // g
+        self.rows, self.cols, self.den, self._by_col = rows, cols, den // g, None
         self.num = num if g == 1 and all(map(all, map(dict.values, num))) else [
             {j: x // g for j, x in r.items() if x} for r in num]
 
@@ -163,9 +163,16 @@ class Matrix:
                 raise ValueError(f"column {j} has length {len(col)}, expected {rows}")
         return cls(rows, len(cols), [[col[i] for col in cols] for i in range(rows)])
 
+    def _columns(self) -> list[dict[int, int]]:
+        if self._by_col is None:
+            self._by_col = _transpose(self.num, self.cols)
+        return self._by_col
+
     def column(self, j: int) -> tuple[Fraction, ...]:
-        zero = Fraction(0)
-        return tuple(Fraction(r[j], self.den) if j in r else zero for r in self.num)
+        if not 0 <= j < self.cols:
+            raise ValueError(f"column index j={j} out of range for {self.cols} columns")
+        col = self._columns()[j]
+        return tuple(Fraction(col.get(i, 0), self.den) for i in range(self.rows))
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -304,18 +311,15 @@ def _dense(rows: list[dict[int, int]], ncols: int) -> bool:
     return sum(map(len, rows)) >= _DENSE * min(len(rows), ncols)
 
 
-def _full_rank_mod_p(rows: list[dict[int, int]], ncols: int) -> bool:
-    """True only when the integer rows are proven to have rank k = min(len(rows), ncols),
-    by having it mod _P; each caller first asks `_dense` whether the try pays.  Oriented
-    tall, each row is one int holding its entries mod _P in W-bit lanes.  Rows are
-    reduced in order against the pivots so far, in the order found: a pivot is 1 at its
-    lane and 0 at earlier pivots' lanes, all in [0, _P), and a row r with lane value a
-    there becomes r + (_P - a) pivot; the lowest lane of the rest nonzero mod _P makes it a
-    pivot.  A row takes at most k - 1 updates, so lanes stay below _P + k (_P - 1)^2 < 2^W
-    and never carry.  True at k pivots, False as soon as too few rows remain to reach k."""
-    k = min(len(rows), ncols)
-    if len(rows) < ncols:
-        rows = _transpose(rows, ncols)
+def _full_rank_mod_p(rows: list[dict[int, int]], k: int) -> bool:
+    """True only when the integer rows, tall (len(rows) >= k), are proven to have rank k
+    by having it mod _P; each caller first asks `_dense` whether the try pays, and hands
+    a wide matrix over by its columns.  Each row is one int holding its entries mod _P in
+    W-bit lanes.  Rows are reduced in order against the pivots so far, in the order found:
+    a pivot is 1 at its lane and 0 at earlier pivots' lanes, all in [0, _P), and a row r
+    with lane value a there becomes r + (_P - a) pivot; the lowest lane of the rest nonzero
+    mod _P makes it a pivot.  A row takes at most k - 1 updates, so lanes stay below
+    _P + k (_P - 1)^2 < 2^W and never carry.  True at k pivots, False once too few remain."""
     W = (_P + k * (_P - 1) ** 2).bit_length()
     mask, pivots, free = (1 << W) - 1, [], list(range(k))  # free: lanes without a pivot
     for i, row in enumerate(rows):
@@ -341,10 +345,11 @@ def _full_rank_mod_p(rows: list[dict[int, int]], ncols: int) -> bool:
 
 def rank(m: Matrix) -> int:
     """The rank of m, from the first route that answers (module docstring)."""
-    if _triangular(m.num, m.cols) or _dense(m.num, m.cols) and _full_rank_mod_p(m.num, m.cols):
+    if _triangular(m.num, m.cols) or _dense(m.num, m.cols) and _full_rank_mod_p(
+            *((m.num, m.cols) if m.rows >= m.cols else (m._columns(), m.rows))):
         return min(m.rows, m.cols)
     # rank m = rank m^T, which has fewer rows to combine
-    return len(_eliminate(_transpose(m.num, m.cols) if m.rows > m.cols else m.num, False)[1])
+    return len(_eliminate(m._columns() if m.rows > m.cols else m.num, False)[1])
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:

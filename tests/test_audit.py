@@ -24,7 +24,7 @@ from symlie.exactla import vec_to_strs
 
 from oracles import (d2_sanity_reference, insertion_eval, random_commutative,
                      random_rational_commutative, reference_insert, reference_jacobi_report,
-                     reference_prelie_report, reference_sym_closure)
+                     reference_prelie_report, reference_sym_closure, sym_jordan)
 
 ALL_IDS = [cid for cid, _ in CLAIM_CATALOG]
 SUM = InsertionMode.SUM
@@ -442,6 +442,19 @@ def test_spin_audit_pinned(q, digest):
 def test_nontrivial_witness_audit_pinned(make, digest):
     doc = json.dumps(audit(make()).to_json_dict(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+# sha256 of the canonical JSON of audit() on Sym_3, the Jordan algebra of 3 x 3 symmetric
+# rational matrices, recorded before operators kept their columns on the matrix.  Its SUM
+# d_1 is the one audited dense operator with a kernel, so(3): the packed pass fails there
+# and exact elimination, on d_1's columns, follows
+SYM3_AUDIT_SHA256 = "0e51414ebf734b094f561f83d01e28aa810aee1cb0faf70f8128b3e90ce35f53"
+
+
+def test_sym_jordan_audit_pinned():
+    doc = json.dumps(audit(sym_jordan(3), "sym3").to_json_dict(), sort_keys=True,
+                     separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == SYM3_AUDIT_SHA256
 
 
 _S5_DETAIL = ("printed coboundary coefficient tables disagree with direct "

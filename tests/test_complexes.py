@@ -19,7 +19,7 @@ from symlie import (Algebra, DeformationSeries, InsertionMode, Matrix, SymCochai
 from symlie import complexes, deformation, exactla
 from symlie.cochain import basis_cochains, multisets
 from symlie.complexes import DSquaredReport, coboundary_c1_matrix
-from symlie.deformation import class_modulo_image
+from symlie.deformation import GaugeSeries, class_modulo_image, gauge_transport
 from symlie.exactla import rank, solve
 
 from oracles import (_row_echelon_rank, dense_column, dense_mul, dense_mul_vec,
@@ -539,6 +539,50 @@ def test_each_differential_is_ranked_once(monkeypatch):
     assert sorted(shapes) == sorted([(80, 40)] + [(40, 16), (140, 80)] * 2)
 
 
+def test_cold_spin_audit_transposes_each_operator_once(monkeypatch):
+    # the audit's d∘d scans read d_0-d_3 of both modes by their kept columns, and rank on
+    # SUM d_1 (the derivations) eliminates the columns already kept: 8 operator
+    # transposes, each kept on its matrix, plus one for the L0 pool's endomorphism
+    # cochain.  Cohomology adds none, and a second audit only its own L0 pool's
+    A = make_spin([1, Fraction(-1, 2), 3, Fraction(5, 4)])
+    calls, transpose = [], exactla._transpose
+    monkeypatch.setattr(exactla, "_transpose", lambda *a: calls.append(transpose(*a)) or calls[-1])
+    audit(A)
+    ops = [differential_matrix(A, n, mode).matrix for n in range(4) for mode in (SUM, PAPER)]
+    assert [sum(c is m._by_col for c in calls) for m in ops] == [1] * 8
+    assert len(calls) == 9 and [len(c) for c in calls if not any(c is m._by_col for m in ops)] == [5]
+    assert rank(differential_matrix(A, 1, SUM).matrix) == 25 - 6  # exact, on the kept view
+    for mode in (SUM, PAPER):
+        for n in (1, 2, 3):
+            cohomology(A, n, mode)
+    audit(A)
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("make", [lambda: make_spin([1, Fraction(-1, 2), 3]),
+                                  lambda: random_rational_commutative(random.Random(2), 3)],
+                         ids=["spin-d4", "dense-d3"])
+def test_column_readers_leave_the_kept_views_as_built(monkeypatch, make):
+    # d∘d, the ranks, the derivations, obstruction classes and gauge transport all read
+    # operators by their kept columns; afterwards each view is still the transpose of its rows
+    A, rng = make(), random.Random(3)
+    built = []
+    monkeypatch.setattr(deformation, "_bracket_matrices",
+                        lambda *a, f=deformation._bracket_matrices: built.append(f(*a)) or built[-1])
+    phi = random_cochain(rng, 2, A.dim)
+    for mode in (SUM, PAPER):
+        for n in (0, 1, 2):
+            check_d_squared(A, n, mode)
+            cohomology(A, n + 1, mode)
+        class_modulo_image(A, graded_bracket(phi, phi, mode), mode)
+    derivations(A)
+    gauge_transport(GaugeSeries(2, [random_cochain(rng, 1, A.dim) for _ in range(2)]), A, 3)
+    ops = [differential_matrix(A, n, mode).matrix for n in range(4) for mode in (SUM, PAPER)]
+    ops += [m for mats in built for m in mats.values()]
+    assert len(ops) == 10 and all(m._by_col is not None for m in ops)
+    assert all(m._columns() == exactla._transpose(m.num, m.cols) for m in ops)
+
+
 def _count_eliminations(monkeypatch):
     """Live counts of the `_eliminate` calls made by exactla and by deformation."""
     calls = {"exactla": 0, "deformation": 0}
@@ -782,13 +826,13 @@ def test_derivations_satisfy_leibniz():
             _assert_leibniz(A, D)
 
 
-SPIN_Q = [1, Fraction(-1, 2), 3, Fraction(5, 4), 2]
+SPIN_Q = [1, Fraction(-1, 2), 3, Fraction(5, 4), 2, 7, -3]
 
 
 @pytest.mark.parametrize("make, so_dim", [
     *[((lambda n=n: sym_jordan(n)), n * (n - 1) // 2) for n in (2, 3, 4)],
-    *[((lambda d=d: make_spin(SPIN_Q[:d - 1])), (d - 1) * (d - 2) // 2) for d in (3, 4, 5, 6)],
-], ids=[f"sym{n}" for n in (2, 3, 4)] + [f"spin-d{d}" for d in (3, 4, 5, 6)])
+    *[((lambda d=d: make_spin(SPIN_Q[:d - 1])), (d - 1) * (d - 2) // 2) for d in range(3, 9)],
+], ids=[f"sym{n}" for n in (2, 3, 4)] + [f"spin-d{d}" for d in range(3, 9)])
 def test_jordan_derivations_form_so(make, so_dim):
     # theorem oracles (Jacobson 1968): Der Sym_n(Q) = so(n), and the derivations of the
     # spin factor of a nondegenerate form on Q^(d-1) are so(d - 1); both families are Jordan

@@ -161,6 +161,49 @@ def test_from_columns_rejects_a_column_of_the_wrong_length():
     assert Matrix.from_columns([[1, 2], [0, 4]], 2) == M([[1, 0], [2, 4]])
 
 
+@pytest.mark.parametrize("j", [2, -1])
+def test_column_refuses_an_index_out_of_range(j):
+    m = M([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match=f"column index j={j} out of range for 2 columns"):
+        m.column(j)
+    assert [m.column(i) for i in range(2)] == [(1, 3), (2, 4)]
+
+
+def _counted_transposes(monkeypatch):
+    """A live list of the column lists `exactla._transpose` returns, in call order."""
+    calls, transpose = [], exactla._transpose
+    monkeypatch.setattr(exactla, "_transpose", lambda *a: calls.append(transpose(*a)) or calls[-1])
+    return calls
+
+
+def test_column_view_is_built_on_first_read_and_kept(monkeypatch):
+    calls = _counted_transposes(monkeypatch)
+    m = M([[1, 0, 2], [0, 3, 0]])
+    assert calls == []  # building a matrix reads no column
+    assert m._columns() == [{0: 1}, {1: 3}, {0: 2}] and calls == [m._columns()]
+    assert [m.column(j) for j in range(3)] == [(1, 0), (0, 3), (2, 0)] and len(calls) == 1
+    # every construction path starts without a view: a product, a scale, a reduction
+    for other in (m.scale(2), M([[1, 0], [0, 1]]).mul(m), Matrix._from_ints(2, 3, m.num, 2)):
+        assert other._by_col is None
+        assert other._columns() is other._columns() is calls[-1]
+    assert len(calls) == 4
+
+
+@given(st.data())
+def test_column_view_is_the_transpose_and_no_reader_changes_it(data):
+    m = data.draw(matrices())
+    fresh = Matrix._from_ints(m.rows, m.cols, m.num, m.den)  # the same rows, no view read
+    assert m._columns() == exactla._transpose(m.num, m.cols)
+    assert [m.column(j) for j in range(m.cols)] == [dense_column(m.data, j) for j in range(m.cols)]
+    assert m == fresh and fresh == m and repr(m) == repr(fresh)  # never compared
+    assert (m.data, m.to_strs()) == (fresh.data, fresh.to_strs())
+    b = [data.draw(ENTRIES) for _ in range(m.rows)]
+    assert (rank(m), kernel_basis(m), solve(m, b)) == (rank(fresh), kernel_basis(fresh),
+                                                      solve(fresh, b))
+    assert m._columns() == exactla._transpose(m.num, m.cols)  # the readers left it as built
+    assert m == fresh
+
+
 def test_matrix_coerces_and_copies_its_input():
     assert type(Matrix(1, 1, [[2]]).data[0][0]) is Fraction
     rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
@@ -316,6 +359,13 @@ def _sparse(rows):
     return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
 
+def _tall(rows):
+    """The integer matrix `rows` held tall, as `rank` hands it to the packed kernel: its
+    sparse rows and column count, or, when it is wide, its kept columns and row count."""
+    m = M(rows)
+    return (m.num, m.cols) if m.rows >= m.cols else (m._columns(), m.rows)
+
+
 @given(st.data())
 def test_packed_rank_matches_the_rank_mod_p(data):
     # the gate lets the rows in at 6 nonzeros per line of the short side, and the
@@ -324,7 +374,7 @@ def test_packed_rank_matches_the_rank_mod_p(data):
     rows = [[data.draw(st.sampled_from([P - 1, P - 1, P - 2, 1, -1, 2 * P - 1, 0]))
              for _ in range(k)] for _ in range(n)]
     assert exactla._dense(_sparse(rows), k) == (sum(map(bool, sum(rows, []))) >= 6 * min(n, k))
-    assert _full_rank_mod_p(_sparse(rows), k) == (reference_rank_mod_p(rows, P) == min(n, k))
+    assert _full_rank_mod_p(*_tall(rows)) == (reference_rank_mod_p(rows, P) == min(n, k))
 
 
 @pytest.mark.parametrize("k, extra", [(1, 6), (2, 5), (7, 0), (40, 0), (40, 3)])
@@ -336,7 +386,7 @@ def test_packed_lanes_hold_the_largest_updates(k, extra):
     rows += rows[-1:] * extra
     assert reference_rank_mod_p(rows, P) == k
     assert _full_rank_mod_p(_sparse(rows), k)
-    assert _full_rank_mod_p(_sparse(zip(*rows)), k + extra)
+    assert _full_rank_mod_p(*_tall(list(zip(*rows))))
     assert _full_rank_mod_p(_sparse([[P - 1] * k] * (k + extra)), k) == (k == 1)
 
 
@@ -372,7 +422,7 @@ def test_online_lanes_hold_the_largest_updates(k):
     assert _online_lane_peak(rows, k) >= (k - 1) * (P - 1) ** 2
     assert reference_rank_mod_p(rows, P) == k - 1
     assert not _full_rank_mod_p(_sparse(rows), k)
-    assert not _full_rank_mod_p(_sparse(zip(*rows)), len(rows))
+    assert not _full_rank_mod_p(*_tall(list(zip(*rows))))
 
 
 @pytest.mark.parametrize("k", [3, 7])
