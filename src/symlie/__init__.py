@@ -5,7 +5,7 @@ on totally symmetric cochains of finite-dimensional commutative algebras.
 from .algebra import (Algebra, IdentityReport, Witness, algebra_from_entries,
                       algebra_from_json_dict, algebra_to_json_dict,
                       check_cubic_jordan, check_operator_identity, check_six_term,
-                      find_unit, multiplication_operator, product, product_cochain)
+                      multiplication_operator, product, product_cochain)
 from .audit import AuditReport, ClaimRecord, audit, audit_all, render_text
 from .bracket import (InsertionMode, check_jacobi, check_prelie, graded_bracket,
                       insert, insert_lowdeg_variant, unshuffles)
@@ -14,7 +14,7 @@ from .cochain import (SymCochain, basis_cochains, coeff_vector, from_coeff_vecto
 from .complexes import (CohomologyReport, DifferentialData, check_d_squared,
                         coboundary_c1_explicit, coboundary_c2_explicit, cohomology,
                         derivations, differential, differential_matrix,
-                        endomorphism_cochain, identity_cochain)
+                        endomorphism_cochain, find_unit, identity_cochain)
 from .corpus import (CorpusEntry, corpus_entries, make_field, make_j2, make_non_jordan,
                      make_spin, write_corpus)
 from .deformation import (DeformationSeries, GaugeSeries, MCStep, ObstructionClass,

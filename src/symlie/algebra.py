@@ -14,7 +14,7 @@ from math import lcm
 
 from .cochain import SymCochain, _over_one_den
 from .exactla import (Matrix, Record, _transpose, json_fields, json_int, json_list, rat_from_str,
-                      rat_to_str, solve, vec_to_strs)
+                      rat_to_str, vec_to_strs)
 
 
 class Algebra:
@@ -50,7 +50,8 @@ class Algebra:
             raise ValueError("need one label per basis element")
         rows = {}
         for i, j, k, val in entries:
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            if not (type(i) is type(j) is type(k) is int
+                    and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"structure constant index out of range: {(i, j, k)}")
             row = rows.setdefault((i, j), {})
             row[k] = row.get(k, 0) + Fraction(val)
@@ -157,17 +158,6 @@ def multiplication_operator(A: Algebra, v) -> Matrix:
     v = {i: t.numerator * (s // t.denominator) for i, t in enumerate(v) if t}
     cols = [_mul(A._mu.num, {j: 1}, v) for j in range(A.dim)]
     return Matrix._from_ints(A.dim, A.dim, _transpose(cols, A.dim), A._mu.den * s)
-
-
-def find_unit(A: Algebra):
-    """Unique two-sided unit, or None.  Solves e * e_j = e_j for all j on mu:
-    row (j, k) holds coordinate k of e_i * e_j at column i."""
-    d, rows = A.dim, [{} for _ in range(A.dim ** 2)]
-    for (i, j), v in A._mu.num.items():
-        for k, t in v.items():
-            rows[j * d + k][i] = rows[i * d + k][j] = t
-    return solve(Matrix._from_ints(d * d, d, rows, A._mu.den),
-                 [Fraction(int(j == k)) for j in range(d) for k in range(d)])
 
 
 def product_cochain(A: Algebra) -> SymCochain:

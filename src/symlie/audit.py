@@ -23,14 +23,13 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 from .algebra import (Algebra, IdentityReport, _assoc_sum, check_cubic_jordan,
-                      check_operator_identity, check_six_term, find_unit,
-                      multiplication_operator, product_cochain, render_linear)
+                      check_operator_identity, check_six_term, product_cochain, render_linear)
 from .bracket import (InsertionMode, _Memo, _divisor, check_jacobi, check_prelie, insert,
                       insert_lowdeg_variant, unshuffles)
 from .cochain import SymCochain, basis_cochains, multisets
 from .complexes import (DSquaredReport, _mu_bracket, check_d_squared, coboundary_c1_explicit,
                         coboundary_c1_matrix, coboundary_c2_explicit, cohomology,
-                        differential_matrix, endomorphism_cochain)
+                        differential_matrix, find_unit)
 from .corpus import corpus_entries
 from .exactla import Record, rat_to_str, vec_to_strs
 
@@ -105,9 +104,8 @@ def _mu_pools(A: Algebra):
     """Deterministic cochains derived from the product (all zero when mu = 0, so the
     structural claims degenerate to 0 = 0 on a trivial product), per mode: P = mu o mu
     and B = [mu,mu], kept on A, are SUM mode's, and PAPER's are these over one divisor."""
-    mu, e0 = product_cochain(A), A.basis_vector(0)
-    pool = {"mu": mu, "v0": SymCochain(0, A.dim, {(): e0}),
-            "L0": endomorphism_cochain(multiplication_operator(A, e0)),
+    mu, v0 = product_cochain(A), SymCochain(0, A.dim, {(): A.basis_vector(0)})
+    pool = {"mu": mu, "v0": v0, "L0": insert(mu, v0, SUM),  # L_{e_0} = mu o e_0
             "P": insert(mu, mu, SUM), "B": _mu_bracket(A)}
     p = Fraction(1, _divisor(PAPER, 2, 2))
     return {SUM: pool, PAPER: {**pool, "P": pool["P"].scale(p), "B": pool["B"].scale(p)}}
@@ -373,8 +371,7 @@ def _claim_s5_inner(A: Algebra) -> ClaimRecord:
     f0 = SymCochain(1, 2, {(1,): (Fraction(0), Fraction(1))})
     defect = coboundary_c1_explicit(A, f0)
     is_derivation = defect.is_zero()
-    half_e = tuple(Fraction(x, 2) for x in (1, 0))
-    inner = endomorphism_cochain(multiplication_operator(A, half_e))
+    inner = insert(product_cochain(A), SymCochain(0, 2, {(): (Fraction(1, 2), 0)}), SUM)
     matches_inner = inner == f0
     if is_derivation and matches_inner:
         return ClaimRecord("S5-INNER", None, "holds",

@@ -273,13 +273,14 @@ def _over_one_den(n: int, dim: int, vecs) -> tuple[dict, int]:
 
 
 def _check_key(key: tuple, n: int, dim: int) -> None:
-    """Refuse a multiset key unless it is sorted, of size n, with indices in [0, dim)."""
-    if len(key) != n or tuple(sorted(key)) != key or any(not 0 <= i < dim for i in key):
+    """Refuse a multiset key unless it is sorted, of size n, with int indices in [0, dim)."""
+    if len(key) != n or tuple(sorted(key)) != key or any(
+            type(i) is not int or not 0 <= i < dim for i in key):
         raise ValueError(f"bad multiset key {key} for arity {n}, dim {dim}")
 
 
 def _check_k(k: int, dim: int) -> None:
-    if not 0 <= k < dim:
+    if type(k) is not int or not 0 <= k < dim:
         raise ValueError(f"output index k={k} out of range for dim {dim}")
 
 

@@ -1,6 +1,8 @@
 """The differential d = [mu, .] as explicit matrices per degree, the
 printed low-degree coboundary formulas, the d-squared comparison against
 (1/2) ad_{[mu,mu]}, and kernel/image/cohomology data with validity flags.
+The linear maps read off mu are read off these matrices: d_0 v = mu o v = L_v, so
+the unit is d_0^{-1}(id), as the derivations are ker d_1.
 
 d_n comes from the insertion kernel `bracket._scatter`, mu's kept slot plan
 joined with synthetic plans of the basis cochains: the SUM-mode pieces
@@ -26,7 +28,7 @@ from math import lcm
 from .algebra import Algebra, Witness, _kept, product_cochain
 from .bracket import InsertionMode, _compose, _divisor, _scatter, graded_bracket, koszul_sign
 from .cochain import SymCochain, _outer_terms, multisets
-from .exactla import Matrix, Record, kernel_basis, rank
+from .exactla import Matrix, Record, _apply, kernel_basis, rank, solve
 
 
 def differential(A: Algebra, f: SymCochain, mode: InsertionMode = InsertionMode.SUM) -> SymCochain:
@@ -159,14 +161,10 @@ def check_d_squared(A: Algebra, n: int, mode: InsertionMode = InsertionMode.SUM)
     B, d, h, D = _mu_bracket(A), A.dim, 2 * _divisor(mode, 2, 2), d_up.den * d_n.den
     row_of, up, zero = {M: i * d for i, M in enumerate(multisets(d, n + 2))}, d_up._columns(), True
     for j, col in enumerate(d_n._columns()):
-        dd: dict[int, int] = {}  # over D
-        for k, x in col.items():
-            for i, y in up[k].items():
-                dd[i] = dd.get(i, 0) + x * y
         F = multisets(d, n)[j // d]
         br = graded_bracket(B, SymCochain._from_ints(n, d, {F: {j % d: 1}}, 1), mode)
         p = h * br.den  # both columns as ints over p D
-        dd = {i: p * x for i, x in dd.items() if x}
+        dd = {i: p * x for i, x in _apply([(up, col)]).items()}
         ad = {row_of[M] + t: D * x for M, v in br.num.items() for t, x in v.items()}
         if dd != ad:
             z, rows, den = Fraction(0), range(d_up.rows), p * D
@@ -211,6 +209,13 @@ def coboundary_c1_matrix(A: Algebra) -> Matrix:
     """Matrix of the printed arity-1 coboundary on endomorphism coefficients:
     -d_1 in SUM mode."""
     return differential_matrix(A, 1, InsertionMode.SUM).matrix.scale(-1)
+
+
+def find_unit(A: Algebra):
+    """Unique two-sided unit, or None: the e with d_0 e = id on the kept SUM-mode d_0,
+    v -> mu o v = L_v, whose row j d + k holds coordinate k of e_j e_i at column i."""
+    d = A.dim
+    return solve(differential_matrix(A, 0).matrix, [int(j == k) for j in range(d) for k in range(d)])
 
 
 def derivations(A: Algebra) -> list[Matrix]:

@@ -18,9 +18,9 @@ from .algebra import Algebra, product_cochain
 from .bracket import InsertionMode, _divisor, graded_bracket
 from .cochain import SymCochain, _combine, coeff_vector, from_coeff_vector, multisets
 from .errors import InvariantViolation
-from .exactla import Record, _combine as _combine_rows, _eliminate, json_int, rat_to_str, solve
-from .complexes import (_bracket_matrices, _mu_bracket, coboundary_c1_matrix, differential,
-                        differential_matrix)
+from .exactla import (Record, _apply, _combine as _combine_rows, _eliminate, json_int,
+                      rat_to_str, solve)
+from .complexes import _bracket_matrices, _mu_bracket, differential, differential_matrix
 
 
 class DeformationSeries(Record):
@@ -233,7 +233,7 @@ def gauge_transport_series(T: GaugeSeries, s: DeformationSeries, N: int) -> Defo
     mode.  The k-th term of exp(ad_X) mu_t has order-n part (1/k) sum_{i>=1} ad_{f_i}
     ((k-1)-th term at order n - i).  Each f_i read (i <= N) gets one operator, the SUM-mode
     matrix of ad_{f_i} on arity-2 cochains from the scatter of d_n, read by its kept columns
-    over D and applied as sparse integer products to vectors {j d + t: int} (F the j-th
+    over D and applied by the one sparse product `_apply` to vectors {j d + t: int} (F the j-th
     multiset) over D^k k! B, D and B the lcms of the operators' and mu_t's denominators."""
     if N < 1:
         raise ValueError("transport order must be >= 1")
@@ -251,11 +251,7 @@ def gauge_transport_series(T: GaugeSeries, s: DeformationSeries, N: int) -> Defo
     for k in range(1, N + 1):
         w, prev, term = scale // (D ** k * factorial(k)), term, []
         for n, v_n in enumerate(total):
-            acc = {}
-            for op, v in zip(ops, reversed(prev[:n])):  # ad_{f_i}, the (k-1)-th term at n - i
-                for c, x in v.items():
-                    for r, y in op[c].items():
-                        acc[r] = acc.get(r, 0) + x * y
+            acc = _apply(zip(ops, reversed(prev[:n])))  # ad_{f_i}, the (k-1)-th term at n - i
             for r, x in acc.items():
                 v_n[r] = v_n.get(r, 0) + w * x
             term.append(acc)
@@ -274,12 +270,12 @@ def gauge_transport(T: GaugeSeries, A: Algebra, N: int) -> DeformationSeries:
 
 
 def gauge_equiv_first_order(A: Algebra, phi: SymCochain, phi2: SymCochain):
-    """Solve (printed arity-1 coboundary)(f) = phi2 - phi for f; returns an
-    arity-1 cochain or None when the two are not equivalent at first order."""
+    """Solve (printed arity-1 coboundary)(f) = phi2 - phi for f, read as d_1 f = phi - phi2 on
+    the kept SUM-mode d_1 (the printed coboundary is -d_1); returns an arity-1 cochain or None
+    when the two are not equivalent at first order."""
     if phi.n != 2 or phi2.n != 2 or phi.dim != A.dim or phi2.dim != A.dim:
         raise ValueError("first-order gauge equivalence needs arity-2 cochains on A")
-    B = coboundary_c1_matrix(A)
-    x = solve(B, coeff_vector(phi2 - phi))
+    x = solve(differential_matrix(A, 1).matrix, coeff_vector(phi - phi2))
     if x is None:
         return None
     return from_coeff_vector(A.dim, 1, x)

@@ -6,6 +6,8 @@ always reduced, positive denominator), so every result is exact.
 A `Matrix` stores num / den: sparse integer rows {column: int}, no zeros stored, over one
 positive denominator in lowest terms, so equality is structural and products, sums and
 elimination walk only the nonzeros on ints.  Columns are derived once, kept, never compared.
+`_apply` is the one sparse product: sparse int vectors taken as combinations of an
+operator's kept rows or columns, for `Matrix.mul`, the d∘d scan and gauge transport.
 Elimination takes the nonzero rows as stored, made primitive, in the order of
 their leading columns.  In each column the pivot is the remaining row leading
 there with the smallest |entry|, ties going to the earlier row: a small pivot
@@ -177,13 +179,7 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        out = []
-        for row in self.num:
-            acc: dict[int, int] = {}
-            for k, a in row.items():
-                for j, x in other.num[k].items():
-                    acc[j] = acc.get(j, 0) + a * x
-            out.append({j: x for j, x in acc.items() if x})  # none stored where terms cancel
+        out = [_apply([(other.num, row)]) for row in self.num]
         return Matrix._from_ints(self.rows, other.cols, out, self.den * other.den)
 
     def scale(self, c) -> "Matrix":
@@ -200,6 +196,17 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
+
+
+def _apply(pairs) -> dict[int, int]:
+    """sum x vecs[k] over the (vecs, v) pairs and the entries k: x of each v, vecs a list of
+    sparse int vectors {i: int} and v one such: the one sparse product, no zeros stored."""
+    acc: dict[int, int] = {}
+    for vecs, v in pairs:
+        for k, x in v.items():
+            for i, y in vecs[k].items():
+                acc[i] = acc.get(i, 0) + x * y
+    return {i: x for i, x in acc.items() if x}
 
 
 # ---------------------------------------------------------------------------

@@ -4,23 +4,31 @@ import io
 import json
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
+from pathlib import Path
 
 import pytest
 
 from symlie import (Algebra, algebra_from_entries, algebra_from_json_dict, algebra_to_json_dict,
-                    check_cubic_jordan, check_operator_identity, check_six_term, find_unit,
-                    make_field, make_j2, make_non_jordan, make_spin, multiplication_operator,
-                    product, product_cochain)
+                    check_cubic_jordan, check_operator_identity, check_six_term, corpus_entries,
+                    find_unit, make_field, make_j2, make_non_jordan, make_spin,
+                    multiplication_operator, product, product_cochain)
+from symlie import complexes
 from symlie.algebra import _assoc_table
+from symlie.complexes import differential_matrix
 from symlie.cli import run
 from symlie.exactla import Matrix, vec_to_strs
 
 from oracles import (cubic_jordan_sides, derivation_dimension, naive_product, random_commutative,
                      random_rational_commutative, random_vector, reference_check_cubic_jordan,
-                     reference_check_operator_identity, six_term_sum)
+                     reference_check_operator_identity, reference_solve, six_term_sum,
+                     sym_jordan)
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import dense_doc  # the benchmark's seeded documents
 
 E2 = (Fraction(1), Fraction(0))
 U2 = (Fraction(0), Fraction(1))
@@ -64,6 +72,47 @@ def test_find_unit():
     assert find_unit(make_field()) == (Fraction(1),)
     assert find_unit(make_spin((1, 1))) == (Fraction(1), Fraction(0), Fraction(0))
     assert find_unit(make_non_jordan()) is None
+
+
+def _oracle_unit(A):
+    """The unit from the dense system e e_j = e_j, row (j, k) holding coordinate k of the
+    oracle product e_i e_j at column i."""
+    d = A.dim
+    basis = [A.basis_vector(i) for i in range(d)]
+    m = Matrix(d * d, d, [[naive_product(A, basis[i], basis[j])[k] for i in range(d)]
+                          for j in range(d) for k in range(d)])
+    return reference_solve(m, [int(j == k) for j in range(d) for k in range(d)])
+
+
+def _dense_doc_algebra(seed, d):
+    return algebra_from_json_dict(dense_doc(random.Random(seed), d))
+
+
+@pytest.mark.parametrize("A, unit", [
+    *[(entry.algebra, "oracle") for entry in corpus_entries()],
+    *[(sym_jordan(n), tuple(int(p == q) for p, q in combinations_with_replacement(range(n), 2)))
+      for n in (2, 3, 4)],
+    *[(make_spin([Fraction(-1, d), *range(1, d - 1)]), (1,) + (0,) * (d - 1))
+      for d in range(3, 9)],
+    (algebra_from_entries(3, "abc", []), None),
+    (_dense_doc_algebra(0, 3), None), (_dense_doc_algebra(1, 4), None)],
+    ids=[entry.name for entry in corpus_entries()] + [f"sym{n}" for n in (2, 3, 4)] + [
+        f"spin-d{d}" for d in range(3, 9)] + ["zero-product", "dense_doc-d3", "dense_doc-d4"])
+def test_find_unit_solves_the_kept_d0_as_the_oracle_system(A, unit):
+    e = find_unit(A)
+    assert e == _oracle_unit(A)
+    if unit != "oracle":
+        assert e == (None if unit is None else tuple(map(Fraction, unit)))
+
+
+def test_find_unit_reads_the_kept_d0_and_builds_no_matrix(monkeypatch):
+    A = make_spin([2, Fraction(-1, 3)])
+    differential_matrix(A, 0)  # kept, as after an audit's d∘d scan
+    built, from_ints = [], Matrix._from_ints.__func__
+    monkeypatch.setattr(complexes, "_bracket_matrices", lambda *a: built.append(a))
+    monkeypatch.setattr(Matrix, "_from_ints", classmethod(
+        lambda cls, *a: built.append(a) or from_ints(cls, *a)))
+    assert find_unit(A) == (1, 0, 0) and built == []
 
 
 def test_find_unit_acts_as_unit():
@@ -387,6 +436,16 @@ def test_entries_cancelling_to_zero_are_commutative():
     assert product_cochain(field_plus).value_at((1, 0)) == (0, 0)
     doc = {"dim": 2, "labels": ["a", "b"], "sc": [{"i": 0, "j": 1, "k": 0, "c": "0"}]}
     assert algebra_from_json_dict(doc) == algebra_from_entries(2, "ab", [])
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1), "a"], ids=["float", "fraction", "str"])
+def test_algebra_from_entries_refuses_non_int_indices(bad):
+    # at each of i, j and k, even where the index equals an int
+    for at in range(3):
+        entry = [0, 1, 1]
+        entry[at] = bad
+        with pytest.raises(ValueError, match="structure constant index out of range"):
+            algebra_from_entries(2, "ab", [(*entry, 1), (entry[1], entry[0], entry[2], 1)])
 
 
 def test_constructors_agree():

@@ -151,6 +151,21 @@ def test_coeff_refuses_output_index_out_of_range(k):
         f.coeff((0, 1), k)
 
 
+@pytest.mark.parametrize("bad", [0.5, Fraction(1), "a"], ids=["float", "fraction", "str"])
+def test_constructors_and_value_at_refuse_non_int_indices(bad):
+    # an index equal to an int is refused too: only an int is a basis index
+    key = re.escape(str((bad,)))
+    with pytest.raises(ValueError, match=f"bad multiset key {key} for arity 1, dim 2"):
+        SymCochain(1, 2, {(bad,): [1, 0]})
+    with pytest.raises(ValueError, match=f"bad multiset key {key} for arity 1, dim 2"):
+        SymCochain.from_entries(1, 2, [((bad,), 0, 1)])
+    with pytest.raises(ValueError, match=f"k={re.escape(str(bad))} .*dim 2"):
+        SymCochain.from_entries(1, 2, [((0,), bad, 1)])
+    f = SymCochain.from_entries(1, 2, [((1,), 0, 3)])
+    with pytest.raises(ValueError, match=f"bad multiset key {key} for arity 1, dim 2"):
+        f.value_at((bad,))
+
+
 def test_value_at_and_coeff_sort_their_multiset():
     f = SymCochain.from_entries(2, 2, [((0, 1), 1, 3)])
     assert f.value_at((1, 0)) == f.value_at((0, 1)) == (0, 3)

@@ -272,6 +272,34 @@ def test_sparse_matrix_matches_dense_reference(data):
     assert all(_stored_form(m) for m in [a, b, c] + results)
 
 
+@st.composite
+def product_pairs(draw):
+    """(n, pairs): up to four (vecs, v) pairs of sparse int vectors, vecs of length n - 1, the
+    shape of gauge transport's sum of ad_{f_i} applied to the terms at order n - i, then one
+    pair and its negation whose vectors alone reach index n - 1, where the sum cancels."""
+    n, ints = draw(st.integers(1, 6)), st.integers(-5, 5)
+
+    def sparse(size):
+        return {i: x for i in range(size) if (x := draw(ints))}
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.integers(1, 5))
+        pairs.append(([sparse(n - 1) for _ in range(m)], sparse(m)))
+    vecs, x = [{**sparse(n - 1), n - 1: draw(ints.filter(bool))}], draw(ints.filter(bool))
+    return n, pairs + [(vecs, {0: x}), (vecs, {0: -x})]
+
+
+@given(product_pairs())
+def test_apply_is_the_dense_sum_and_stores_no_zero(drawn):
+    n, pairs = drawn
+    dense = [sum(x * vecs[k].get(i, 0) for vecs, v in pairs for k, x in v.items())
+             for i in range(n)]
+    got = exactla._apply(iter(pairs))  # one pass, as over gauge transport's zip
+    assert got == {i: x for i, x in enumerate(dense) if x}
+    assert all(got.values()) and n - 1 not in got  # the cancelled index is not stored
+    assert got == exactla._apply(pairs[:-2])
+
+
 @given(matrices())
 def test_mutating_data_never_changes_the_matrix(m):
     before = m.data
